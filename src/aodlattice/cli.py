@@ -51,7 +51,7 @@ DEFAULTS = {
     },
     "mcmc": {"iterations": "1000", "burn_in": "200", "thin": "5", "dump_samples": "false"},
     "grid": {"tau_levels": "13", "success_threshold": ""},
-    "parallel": {"patches": "1", "executor": "thread"},
+    "parallel": {"patches": "1", "executor": "serial"},
 }
 
 _KEY_DOC = """configuration keys (section.key = default):
@@ -82,7 +82,7 @@ _KEY_DOC = """configuration keys (section.key = default):
   grid.tau_levels = 13         AOD levels of the grid-search baseline
   grid.success_threshold =     misfit threshold (empty = channel count)
   parallel.patches = 1         patch count for map-parallel / benchmark
-  parallel.executor = thread   serial | thread | process
+  parallel.executor = serial   serial | process (thread: alias of serial)
 """
 
 
@@ -188,6 +188,7 @@ def cmd_simulate(args) -> int:
     clean = render_grid(tau, theta, table, width, height, _getf(cfg, "scene", "region_size_km"))
     level = _getf(cfg, "noise", "level")
     scene = add_noise(clean, level, seed) if level > 0 else clean
+    scene.validate()
     out = Path(args.out)
     io.save_scene(
         out, scene, library,
@@ -344,15 +345,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # ValueError covers ConfigurationError, the forward table's
+        # DomainError and validate_state's invariant violations
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InitializationError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -18,9 +18,9 @@ epsilon, or after max_sweeps.
 Randomness discipline: every (seed, sweep, region) triple owns its own
 proposal stream, so the draws a region sees do not depend on how the
 lattice is partitioned or scheduled.  The patch-parallel scheduler and the
-MCMC baseline reuse this module's sweep kernel, which is what makes their
-exact-equivalence contracts (single-patch == sequential, greedy-filtered
-MH == MAP) hold bitwise.
+MCMC baseline reuse this module's sweep kernel, per-sweep step and driver
+loop, which is what makes their exact-equivalence contracts (single-patch
+== sequential, greedy-filtered MH == MAP) hold bitwise.
 """
 
 from __future__ import annotations
@@ -32,13 +32,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    THETA_FLOOR,
     ConfigurationError,
     HyperParams,
     InitializationError,
     LatticeTopology,
     RetrievalState,
     Scene,
+    _assemble_terms,
+    _safe_log_theta,
+    _tau_delta,
+    _theta_delta,
+    build_lattice,
     describe_nonfinite_terms,
     floor_simplex,
     gmrf_roughness,
@@ -149,6 +153,36 @@ class SweepTrace:
             )
 
 
+def _draw_tau(ntau: np.ndarray, delta: float, rng: np.random.Generator):
+    """The Gaussian tau draw around the neighbor mean; returns (mean, raw)."""
+    mean = float(ntau.mean())
+    return mean, mean + delta * rng.standard_normal()
+
+
+def _draw_theta(nrows: np.ndarray, shape_floor: float, rng: np.random.Generator):
+    """The normalized-Gamma theta draw; returns (concentration, row)."""
+    conc = np.maximum(nrows.mean(axis=0), shape_floor)
+    draw = rng.gamma(conc)
+    total = draw.sum()
+    if total <= 0.0:
+        row = np.full(conc.size, 1.0 / conc.size)
+    else:
+        row = draw / total
+    return conc, floor_simplex(row)
+
+
+def _tau_log_q_ratio(raw: float, old: float, mean: float, delta: float,
+                     lo: float, hi: float):
+    """MH correction log q(old)/q(raw) of the Gaussian tau proposal.
+
+    Returns None when raw falls outside [lo, hi], the support of the AOD
+    prior: such proposals are rejected without drawing an accept variate.
+    """
+    if raw < lo or raw > hi:
+        return None
+    return ((raw - mean) ** 2 - (old - mean) ** 2) / (2.0 * delta * delta)
+
+
 def propose_tau(
     state: RetrievalState,
     lattice: LatticeTopology,
@@ -158,9 +192,7 @@ def propose_tau(
     tau_max: float = 6.0,
 ) -> float:
     """Draw tau* ~ Normal(neighbor mean, delta^2), clamped into [0, tau_max]."""
-    nvals = state.tau[lattice.neighbors(p)]
-    mean = float(nvals.mean())
-    raw = mean + delta * rng.standard_normal()
+    _, raw = _draw_tau(state.tau[lattice.neighbors(p)], delta, rng)
     return min(max(raw, 0.0), tau_max)
 
 
@@ -176,15 +208,7 @@ def propose_theta(
     Equivalent to a Dirichlet draw whose concentration is the neighbor
     mean of each component, floored at shape_floor.
     """
-    nrows = state.theta[lattice.neighbors(p)]
-    conc = np.maximum(nrows.mean(axis=0), shape_floor)
-    draw = rng.gamma(conc)
-    total = draw.sum()
-    if total <= 0.0:
-        row = np.full(conc.size, 1.0 / conc.size)
-    else:
-        row = draw / total
-    return floor_simplex(row)
+    return _draw_theta(state.theta[lattice.neighbors(p)], shape_floor, rng)[1]
 
 
 def _kappa_from_roughness(S: float, P: int, kappa_cap: float):
@@ -254,7 +278,7 @@ def init_state(
         from .baselines import GridSearchConfig, grid_search_retrieve
 
         if lattice is None:
-            lattice = build_lattice_for(scene)
+            lattice = build_lattice(scene.width, scene.height)
         cfg = grid_config if grid_config is not None else GridSearchConfig.defaults(
             forward, scene
         )
@@ -273,23 +297,19 @@ def init_state(
     return state
 
 
-def build_lattice_for(scene: Scene) -> LatticeTopology:
-    from .model import build_lattice
-
-    return build_lattice(scene.width, scene.height)
-
-
 class Workspace:
     """Mutable solver state plus the caches that make sweeps O(P*C).
 
     pred holds the forward radiance of every region for the current
     (tau, theta); S the GMRF roughness; sse the per-channel squared
     residual sums.  All three are kept consistent with the field by the
-    sweep kernel and resynced from scratch at sweep boundaries.
+    sweep kernel and resynced from scratch at sweep boundaries.  A caller
+    that already holds the predictions passes them as pred, which skips
+    the forward evaluation of every region.
     """
 
     def __init__(self, scene: Scene, forward, lattice: LatticeTopology,
-                 hyper: HyperParams, state: RetrievalState):
+                 hyper: HyperParams, state: RetrievalState, pred=None):
         self.scene = scene
         self.forward = forward
         self.lattice = lattice
@@ -303,38 +323,22 @@ class Workspace:
         self.kappa = float(state.kappa)
         self.tau_lo = max(0.0, getattr(forward, "tau_min", 0.0))
         self.tau_hi = min(hyper.tau_max, getattr(forward, "tau_max", hyper.tau_max))
-        self.pred = forward.eval_batch(self.tau, self.theta)
+        self.pred = forward.eval_batch(self.tau, self.theta) if pred is None else pred
         self.S = 0.0
         self.sse = np.zeros(scene.channels)
         self.resync()
-
-    @classmethod
-    def shell(cls, scene: Scene, forward, lattice: LatticeTopology, hyper: HyperParams):
-        """An empty workspace carrying only the static context; the caller
-        installs tau/theta/sigma2/kappa/pred before sweeping."""
-        ws = object.__new__(cls)
-        ws.scene = scene
-        ws.forward = forward
-        ws.lattice = lattice
-        ws.hyper = hyper
-        ws.obs = scene.radiance
-        ws.mask = scene.channel_mask
-        ws.alpha_m1 = hyper.alpha - 1.0
-        ws.tau = None
-        ws.theta = None
-        ws.sigma2 = None
-        ws.kappa = 1.0
-        ws.tau_lo = max(0.0, getattr(forward, "tau_min", 0.0))
-        ws.tau_hi = min(hyper.tau_max, getattr(forward, "tau_max", hyper.tau_max))
-        ws.pred = None
-        ws.S = 0.0
-        ws.sse = np.zeros(scene.channels)
-        return ws
 
     def resync(self) -> None:
         self.S = gmrf_roughness(self.tau, self.lattice)
         resid = self.obs - self.pred
         self.sse = np.sum(resid**2, axis=0)
+
+    def cached_log_posterior(self) -> float:
+        """Joint log-posterior of the field, from the sse and S caches."""
+        mask = self.mask
+        misfit = float(np.sum(self.sse[mask] / (2.0 * self.sigma2[mask])))
+        terms = _assemble_terms(self.lattice.n_regions, misfit, self.S, self, self.hyper, mask)
+        return float(sum(terms.values()))
 
     def to_state(self) -> RetrievalState:
         return RetrievalState(
@@ -439,32 +443,27 @@ def sweep_regions(
         ntau = tau[nbrs]
 
         # --- tau step ---
-        mean = float(ntau.mean())
-        raw = mean + delta * rng.standard_normal()
+        mean, raw = _draw_tau(ntau, delta, rng)
         t_old = tau[p]
         w = mask / (2.0 * ws.sigma2) if weights is None else weights
         weights = w
-        out_of_range = raw < ws.tau_lo or raw > ws.tau_hi
-        t_new = min(max(raw, ws.tau_lo), ws.tau_hi)
-        if not (mh and out_of_range):
-            cand = raw if mh else t_new
+        if mh:
+            cand = raw
+            log_q = _tau_log_q_ratio(raw, t_old, mean, delta, ws.tau_lo, ws.tau_hi)
+        else:
+            cand = min(max(raw, ws.tau_lo), ws.tau_hi)
+            log_q = 0.0
+        if log_q is not None:
             pred_new = fwd.eval(cand, theta[p])
-            r_new = obs[p] - pred_new
-            r_old = obs[p] - ws.pred[p]
-            dchi = float(np.sum((r_new * r_new - r_old * r_old) * w))
-            ds = float(np.sum((cand - ntau) ** 2 - (t_old - ntau) ** 2))
-            df = -dchi - 0.5 * ws.kappa * ds
-            if mh:
-                hastings = ((raw - mean) ** 2 - (t_old - mean) ** 2) / (2.0 * delta * delta)
-                accept = mh_accept(arng, df, hastings)
-            else:
-                accept = df > 0.0
+            df, dsq, ds = _tau_delta(obs[p], ws.pred[p], pred_new, w, t_old, cand, ntau,
+                                     ws.kappa)
+            accept = mh_accept(arng, df, log_q) if mh else df > 0.0
             if accept:
                 tau[p] = cand
                 ws.pred[p] = pred_new
                 if track_sse:
-                    ws.sse += r_new * r_new - r_old * r_old
-                    ws.S += float(np.sum((cand - tau[nbrs]) ** 2 - (t_old - tau[nbrs]) ** 2))
+                    ws.sse += dsq
+                    ws.S += ds
                 delta_sum += df
                 acc_t += 1
 
@@ -473,34 +472,22 @@ def sweep_regions(
             delta_sum += dk
 
         # --- theta step ---
-        nrows = theta[nbrs]
-        conc = np.maximum(nrows.mean(axis=0), shape_floor)
-        draw = rng.gamma(conc)
-        total = draw.sum()
-        if total <= 0.0:
-            row = np.full(conc.size, 1.0 / conc.size)
-        else:
-            row = draw / total
-        row = floor_simplex(row)
+        conc, row = _draw_theta(theta[nbrs], shape_floor, rng)
         pred_new = fwd.eval(tau[p], row)
-        r_new = obs[p] - pred_new
-        r_old = obs[p] - ws.pred[p]
         w = mask / (2.0 * ws.sigma2) if weights is None else weights
         weights = w
-        dchi = float(np.sum((r_new * r_new - r_old * r_old) * w))
-        log_old = np.log(np.maximum(theta[p], THETA_FLOOR))
-        log_new = np.log(np.maximum(row, THETA_FLOOR))
-        df = -dchi + float(alpha_m1 @ (log_new - log_old))
+        log_old = _safe_log_theta(theta[p])
+        log_new = _safe_log_theta(row)
+        df, dsq = _theta_delta(obs[p], ws.pred[p], pred_new, w, log_old, log_new, alpha_m1)
         if mh:
-            hastings = float((conc - 1.0) @ (log_old - log_new))
-            accept = mh_accept(arng, df, hastings)
+            accept = mh_accept(arng, df, float((conc - 1.0) @ (log_old - log_new)))
         else:
             accept = df > 0.0
         if accept:
             theta[p] = row
             ws.pred[p] = pred_new
             if track_sse:
-                ws.sse += r_new * r_new - r_old * r_old
+                ws.sse += dsq
             delta_sum += df
             acc_h += 1
 
@@ -511,7 +498,8 @@ def sweep_regions(
     return delta_sum, acc_t, acc_h
 
 
-def _checked_initial_value(scene, forward, lattice, config, init) -> float:
+def _start(scene, forward, lattice, config, init):
+    """Check the initial state; returns (workspace, trace holding its value)."""
     validate_state(init, config.hyper)
     f0 = log_posterior(scene, init, config.hyper, forward)
     if not math.isfinite(f0):
@@ -519,7 +507,64 @@ def _checked_initial_value(scene, forward, lattice, config, init) -> float:
         raise InitializationError(
             f"log-posterior non-finite at the initial state (offending terms: {bad})"
         )
-    return f0
+    trace = SweepTrace(n_regions=lattice.n_regions, initial_log_posterior=f0)
+    return Workspace(scene, forward, lattice, config.hyper, init), trace
+
+
+def _sweep_step(ws: Workspace, run_sweep, sweep: int, per_region: bool = False):
+    """One sweep, a cache resync, then the per-sweep closed-form updates.
+
+    run_sweep(sweep) returns (delta_sum, tau_accepts, theta_accepts).
+    Returns (delta_sum, hyper delta, tau_accepts, theta_accepts, kappa
+    degenerate); with per_region the kernel has already moved kappa and
+    sigma2 after every region.
+    """
+    dsum, acc_t, acc_h = run_sweep(sweep)
+    ws.resync()
+    if per_region:
+        return dsum, 0.0, acc_t, acc_h, ws.S <= 0.0
+    dh, degenerate = _hyper_update_deltas(ws)
+    return dsum, dh, acc_t, acc_h, degenerate
+
+
+def _sweep_loop(ws: Workspace, trace: SweepTrace, sweeps: int, run_sweep,
+                config: SolverConfig | None = None, per_region: bool = False,
+                recompute: bool = False):
+    """The driver loop shared by run_map, run_map_parallel and run_mcmc.
+
+    Each sweep is one _sweep_step.  The objective telescopes the step's
+    deltas from trace.initial_log_posterior, or with recompute (patch runs,
+    whose stale cross-patch reads break the telescoping) is re-evaluated
+    from the workspace caches.  Every sweep appends a trace row and yields
+    (sweep, objective, elapsed_ms).  Given a config the loop then stops
+    once the objective moved by less than epsilon, where epsilon=None
+    resolves to epsilon_rel * |objective after the first sweep|; without
+    one it runs all sweeps.
+    """
+    f = trace.initial_log_posterior
+    eps = None if config is None else config.epsilon
+    for sweep in range(1, sweeps + 1):
+        t0 = time.perf_counter()
+        dsum, dh, acc_t, acc_h, degenerate = _sweep_step(ws, run_sweep, sweep, per_region)
+        prev = f
+        f = ws.cached_log_posterior() if recompute else f + dsum + dh
+        elapsed = (time.perf_counter() - t0) * 1000.0
+        trace.log_posterior.append(f)
+        trace.tau_accepts.append(acc_t)
+        trace.theta_accepts.append(acc_h)
+        trace.kappa.append(ws.kappa)
+        trace.kappa_degenerate.append(degenerate)
+        trace.elapsed_ms.append(elapsed)
+        yield sweep, f, elapsed
+        if config is None:
+            continue
+        if eps is None:
+            eps = config.epsilon_rel * abs(f)
+        if abs(f - prev) < eps:
+            trace.converged = True
+            break
+    if config is not None:
+        trace.epsilon = eps
 
 
 def run_map(
@@ -538,44 +583,19 @@ def run_map(
     independent full re-evaluation of the final state.
     """
     config.validate()
-    f0 = _checked_initial_value(scene, forward, lattice, config, init)
-    ws = Workspace(scene, forward, lattice, config.hyper, init)
-    trace = SweepTrace(n_regions=lattice.n_regions)
-    trace.initial_log_posterior = f0
+    ws, trace = _start(scene, forward, lattice, config, init)
     per_region = config.kappa_sigma_update_cadence == "per_region"
     all_regions = range(lattice.n_regions)
-    f = f0
-    eps = config.epsilon
-    for sweep in range(1, config.max_sweeps + 1):
-        t0 = time.perf_counter()
-        dsum, acc_t, acc_h = sweep_regions(
-            ws, all_regions, sweep, config, per_region_hypers=per_region
-        )
-        f += dsum
-        ws.resync()
-        degenerate = ws.S <= 0.0
-        if not per_region:
-            dh, degenerate = _hyper_update_deltas(ws)
-            f += dh
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        trace.log_posterior.append(f)
-        trace.tau_accepts.append(acc_t)
-        trace.theta_accepts.append(acc_h)
-        trace.kappa.append(ws.kappa)
-        trace.kappa_degenerate.append(degenerate)
-        trace.elapsed_ms.append(elapsed)
+
+    def run_sweep(sweep):
+        return sweep_regions(ws, all_regions, sweep, config, per_region_hypers=per_region)
+
+    for sweep, f, _ in _sweep_loop(ws, trace, config.max_sweeps, run_sweep, config,
+                                   per_region=per_region):
         if config.validate_each_sweep:
             validate_state(ws.to_state(), config.hyper)
         if on_sweep is not None:
             on_sweep(sweep, ws.to_state(), f)
-        if eps is None:
-            eps = config.epsilon_rel * abs(f)
-            trace.epsilon = eps
-        prev = trace.log_posterior[-2] if sweep > 1 else f0
-        if abs(f - prev) < eps:
-            trace.converged = True
-            break
-    trace.epsilon = eps
     final = ws.to_state()
     trace.final_log_posterior = log_posterior(scene, final, config.hyper, forward)
     return final, trace

@@ -16,17 +16,17 @@ exactly under a shared seed: both drive the same sweep kernel.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .map_solver import (
     SolverConfig,
-    SweepTrace,
     Workspace,
-    _checked_initial_value,
-    _hyper_update_deltas,
+    _start,
+    _sweep_loop,
+    _sweep_step,
+    _tau_log_q_ratio,
     mh_accept,
 )
 from .model import (
@@ -92,11 +92,12 @@ def mh_sweep(
     """
     kcfg = _kernel_config(config)
     ws = Workspace(scene, forward, lattice, config.hyper, state)
-    map_solver.sweep_regions(
-        ws, range(lattice.n_regions), sweep, kcfg, mode="greedy" if greedy else "mh"
-    )
-    ws.resync()
-    _hyper_update_deltas(ws)
+    mode = "greedy" if greedy else "mh"
+
+    def run_sweep(sweep):
+        return map_solver.sweep_regions(ws, range(lattice.n_regions), sweep, kcfg, mode=mode)
+
+    _sweep_step(ws, run_sweep, sweep)
     return ws.to_state()
 
 
@@ -118,10 +119,7 @@ def run_mcmc(
     """
     config.validate()
     kcfg = _kernel_config(config)
-    f = _checked_initial_value(scene, forward, lattice, kcfg, init)
-    ws = Workspace(scene, forward, lattice, config.hyper, init)
-    trace = SweepTrace(n_regions=lattice.n_regions)
-    trace.initial_log_posterior = f
+    ws, trace = _start(scene, forward, lattice, kcfg, init)
     P = lattice.n_regions
     M = ws.theta.shape[1]
     # accumulate deviations from the first retained sample; the shifted
@@ -132,21 +130,10 @@ def run_mcmc(
     sum_theta = np.zeros((P, M))
     n_kept = 0
 
-    for sweep in range(1, config.iterations + 1):
-        t0 = time.perf_counter()
-        dsum, acc_t, acc_h = map_solver.sweep_regions(
-            ws, range(P), sweep, kcfg, mode="mh"
-        )
-        f += dsum
-        ws.resync()
-        dh, degenerate = _hyper_update_deltas(ws)
-        f += dh
-        trace.log_posterior.append(f)
-        trace.tau_accepts.append(acc_t)
-        trace.theta_accepts.append(acc_h)
-        trace.kappa.append(ws.kappa)
-        trace.kappa_degenerate.append(degenerate)
-        trace.elapsed_ms.append((time.perf_counter() - t0) * 1000.0)
+    def run_sweep(sweep):
+        return map_solver.sweep_regions(ws, range(P), sweep, kcfg, mode="mh")
+
+    for sweep, _, _ in _sweep_loop(ws, trace, config.iterations, run_sweep):
         if sweep > config.burn_in and (sweep - config.burn_in - 1) % config.thin == 0:
             if ref_tau is None:
                 ref_tau = ws.tau.copy()
@@ -188,10 +175,10 @@ def toy_tau_chain(
     """Drive the tau MH kernel on a standalone 1-D target density.
 
     This is the single-coordinate slice of the sweep kernel: a Gaussian
-    proposal centered at a fixed surrogate neighbor mean, the
-    proposal-density correction, and rejection outside [lo, hi] (the
-    support of the AOD prior).  Used to validate the chain's stationary
-    distribution against direct normalization of the target.
+    proposal centered at a fixed surrogate neighbor mean, with the
+    kernel's own proposal-density correction and rejection outside
+    [lo, hi] (the support of the AOD prior).  Used to validate the chain's
+    stationary distribution against direct normalization of the target.
 
     Returns (samples after warmup, acceptance rate over those samples).
     """
@@ -204,19 +191,14 @@ def toy_tau_chain(
     lt_x = float(log_target(np.array([x]))[0])
     samples = np.empty(n_samples)
     accepted = 0
-    inv2d2 = 1.0 / (2.0 * delta * delta)
     for i in range(total):
-        raw = raws[i]
-        # out-of-support proposals are rejected without an accept draw,
-        # mirroring the sweep kernel
-        if lo <= raw <= hi:
-            df = float(log_t[i]) - lt_x
-            log_q_ratio = ((raw - proposal_mean) ** 2 - (x - proposal_mean) ** 2) * inv2d2
-            if mh_accept(acc, df, log_q_ratio):
-                x = float(raw)
-                lt_x = float(log_t[i])
-                if i >= warmup:
-                    accepted += 1
+        raw = float(raws[i])
+        log_q = _tau_log_q_ratio(raw, x, proposal_mean, delta, lo, hi)
+        if log_q is not None and mh_accept(acc, float(log_t[i]) - lt_x, log_q):
+            x = raw
+            lt_x = float(log_t[i])
+            if i >= warmup:
+                accepted += 1
         if i >= warmup:
             samples[i - warmup] = x
     return samples, accepted / n_samples

@@ -256,10 +256,6 @@ def _safe_log_theta(theta: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(theta, THETA_FLOOR))
 
 
-def _chi2_row(resid: np.ndarray, sigma2: np.ndarray, mask: np.ndarray) -> float:
-    return float(np.sum(resid[mask] ** 2 / (2.0 * sigma2[mask])))
-
-
 def chi_square_region(scene: Scene, state: RetrievalState, forward, p: int) -> float:
     """Weighted least-square misfit of region p over available channels.
 
@@ -268,7 +264,8 @@ def chi_square_region(scene: Scene, state: RetrievalState, forward, p: int) -> f
     """
     pred = forward.eval(state.tau[p], state.theta[p])
     resid = scene.radiance[p] - pred
-    return _chi2_row(resid, state.sigma2, scene.channel_mask)
+    mask = scene.channel_mask
+    return float(np.sum(resid[mask] ** 2 / (2.0 * state.sigma2[mask])))
 
 
 def gmrf_roughness(tau: np.ndarray, lattice: LatticeTopology) -> float:
@@ -286,12 +283,22 @@ def log_posterior_terms(
     Used for initialization diagnostics and posterior reporting; the sum of
     the values equals log_posterior.
     """
-    P = scene.n_regions
     mask = scene.channel_mask
     pred = forward.eval_batch(state.tau, state.theta)
     resid = scene.radiance - pred
     misfit = float(np.sum(resid[:, mask] ** 2 / (2.0 * state.sigma2[mask])))
-    smooth = 0.5 * state.kappa * gmrf_roughness(state.tau, lattice=_scene_lattice(scene))
+    roughness = gmrf_roughness(state.tau, lattice=_scene_lattice(scene))
+    return _assemble_terms(scene.n_regions, misfit, roughness, state, hyper, mask)
+
+
+def _assemble_terms(
+    P: int, misfit: float, roughness: float, state, hyper: HyperParams, mask: np.ndarray
+) -> dict:
+    """The log-posterior terms from a misfit sum and the GMRF roughness S.
+
+    `state` is anything carrying kappa, sigma2 and theta: a RetrievalState,
+    or a solver workspace whose sse and S caches give misfit and roughness.
+    """
     kappa_term = 0.5 * (P - 3) * math.log(state.kappa) if state.kappa > 0 else -math.inf
     noise_norm = -0.5 * (P + 2) * float(
         np.sum(np.log(2.0 * math.pi * state.sigma2[mask]))
@@ -305,7 +312,7 @@ def log_posterior_terms(
         "kappa_term": kappa_term,
         "noise_norm": noise_norm,
         "misfit": -misfit,
-        "smoothness": -smooth,
+        "smoothness": -(0.5 * state.kappa * roughness),
         "dirichlet": dirichlet,
         "dirichlet_norm": dir_norm,
     }
@@ -333,6 +340,35 @@ def log_posterior(
     return float(sum(terms.values()))
 
 
+def _misfit_change(obs_p, pred_old, pred_new, weights):
+    """Per-channel change of the squared residuals, and its weighted sum."""
+    r_new = obs_p - pred_new
+    r_old = obs_p - pred_old
+    dsq = r_new * r_new - r_old * r_old
+    return dsq, float(np.sum(dsq * weights))
+
+
+def _tau_delta(obs_p, pred_old, pred_new, weights, tau_old, tau_new, ntau, kappa):
+    """Log-posterior change of tau_p <- tau_new, from region p's radiance.
+
+    weights are mask / (2 sigma2) and ntau the neighbor values.  Returns
+    (delta, per-channel squared-residual change, roughness change) so the
+    sweep kernel can update its sse and S caches without recomputing them.
+    """
+    dsq, dchi = _misfit_change(obs_p, pred_old, pred_new, weights)
+    ds = float(np.sum((tau_new - ntau) ** 2 - (tau_old - ntau) ** 2))
+    return -dchi - 0.5 * kappa * ds, dsq, ds
+
+
+def _theta_delta(obs_p, pred_old, pred_new, weights, log_old, log_new, alpha_m1):
+    """Log-posterior change of theta_p, given both rows' floored logs.
+
+    Returns (delta, per-channel squared-residual change).
+    """
+    dsq, dchi = _misfit_change(obs_p, pred_old, pred_new, weights)
+    return -dchi + float(alpha_m1 @ (log_new - log_old)), dsq
+
+
 def delta_log_posterior_tau(
     state: RetrievalState,
     scene: Scene,
@@ -344,19 +380,22 @@ def delta_log_posterior_tau(
     """Change in log-posterior from setting tau_p <- tau_new.
 
     Touches only region p's misfit and the edges incident to p; equal to
-    the difference of two full log_posterior evaluations.
+    the difference of two full log_posterior evaluations.  The arithmetic
+    is the sweep kernel's own.
     """
     tau_old = state.tau[p]
-    pred_old = forward.eval(tau_old, state.theta[p])
-    pred_new = forward.eval(tau_new, state.theta[p])
-    obs = scene.radiance[p]
-    mask = scene.channel_mask
-    dchi = _chi2_row(obs - pred_new, state.sigma2, mask) - _chi2_row(
-        obs - pred_old, state.sigma2, mask
+    theta_p = state.theta[p]
+    delta, _, _ = _tau_delta(
+        scene.radiance[p],
+        forward.eval(tau_old, theta_p),
+        forward.eval(tau_new, theta_p),
+        scene.channel_mask / (2.0 * state.sigma2),
+        tau_old,
+        tau_new,
+        state.tau[lattice.neighbors(p)],
+        state.kappa,
     )
-    nvals = state.tau[lattice.neighbors(p)]
-    ds = float(np.sum((tau_new - nvals) ** 2 - (tau_old - nvals) ** 2))
-    return -dchi - 0.5 * state.kappa * ds
+    return delta
 
 
 def delta_log_posterior_theta(
@@ -370,20 +409,20 @@ def delta_log_posterior_theta(
 ) -> float:
     """Change in log-posterior from setting theta_p <- theta_new.
 
-    Touches only region p's misfit and the Dirichlet term of row p.
+    Touches only region p's misfit and the Dirichlet term of row p.  The
+    arithmetic is the sweep kernel's own.
     """
     theta_old = state.theta[p]
-    pred_old = forward.eval(state.tau[p], theta_old)
-    pred_new = forward.eval(state.tau[p], theta_new)
-    obs = scene.radiance[p]
-    mask = scene.channel_mask
-    dchi = _chi2_row(obs - pred_new, state.sigma2, mask) - _chi2_row(
-        obs - pred_old, state.sigma2, mask
+    delta, _ = _theta_delta(
+        scene.radiance[p],
+        forward.eval(state.tau[p], theta_old),
+        forward.eval(state.tau[p], theta_new),
+        scene.channel_mask / (2.0 * state.sigma2),
+        _safe_log_theta(theta_old),
+        _safe_log_theta(theta_new),
+        hyper.alpha - 1.0,
     )
-    ddir = float(
-        np.sum((hyper.alpha - 1.0) * (_safe_log_theta(theta_new) - _safe_log_theta(theta_old)))
-    )
-    return -dchi + ddir
+    return delta
 
 
 def describe_nonfinite_terms(

@@ -10,33 +10,33 @@ from the merged field.
 
 Execution realizes the neighbor-surrogate rule by giving each patch a
 private copy of the sweep-start field and writing only its own region
-indices, so the merge is a deterministic concatenation and the result is
-identical across the serial, thread and process executors.  Proposal
-randomness is keyed by (seed, sweep, region), never by patch or thread, so
-a region sees the same draws under any partitioning; with a single patch
-the run is bitwise identical to the sequential solver.
+indices, so the merge is a deterministic concatenation.  One per-patch
+task runs either in-process ("serial"; "thread" is an alias kept for
+existing callers, since threads give no speedup to this Python-bound
+kernel) or in a process pool ("process"), with identical results.
+Proposal randomness is keyed by (seed, sweep, region), never by patch or
+worker, so a region sees the same draws under any partitioning; with a
+single patch the run is bitwise identical to the sequential solver.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .map_solver import (
     SolverConfig,
-    SweepTrace,
     Workspace,
-    _checked_initial_value,
-    _hyper_update_deltas,
+    _start,
+    _sweep_loop,
+    _sweep_step,
     sweep_regions,
 )
 from .model import (
-    THETA_FLOOR,
     ConfigurationError,
     LatticeTopology,
     RetrievalState,
@@ -145,17 +145,6 @@ class SpeedupRecord:
         return float(sum(r[2] for r in self.rows))
 
 
-def _patch_clone(ws: Workspace, snap_tau, snap_theta, state_tau, state_theta, regions):
-    """A workspace view whose field starts at the snapshot, with the
-    patch's own regions taken live; pred is shared (disjoint row writes)."""
-    clone = copy.copy(ws)
-    clone.tau = snap_tau.copy()
-    clone.theta = snap_theta.copy()
-    clone.tau[regions] = state_tau[regions]
-    clone.theta[regions] = state_theta[regions]
-    return clone
-
-
 def parallel_sweep(
     state: RetrievalState,
     snapshot: RetrievalState,
@@ -173,36 +162,28 @@ def parallel_sweep(
     sigma2 are recomputed once from the merged field afterwards.
     """
     ws = Workspace(scene, forward, lattice, config.hyper, state)
-    snap_tau = snapshot.tau.astype(float)
-    snap_theta = snapshot.theta.astype(float)
-    clones = [
-        _patch_clone(ws, snap_tau, snap_theta, ws.tau, ws.theta, regions)
-        for regions in part.patches
-    ]
-    for clone, regions in zip(clones, part.patches):
-        sweep_regions(clone, regions, sweep, config)
-    for clone, regions in zip(clones, part.patches):
-        ws.tau[regions] = clone.tau[regions]
-        ws.theta[regions] = clone.theta[regions]
-    ws.resync()
-    _hyper_update_deltas(ws)
+
+    def run_sweep(sweep):
+        return _one_parallel_sweep(ws, part, sweep, config, None, snapshot.tau, snapshot.theta)
+
+    _sweep_step(ws, run_sweep, sweep)
     return ws.to_state()
 
 
-def _posterior_from_caches(ws: Workspace) -> float:
-    """Joint log-posterior of the workspace field, from maintained caches."""
-    P = ws.lattice.n_regions
-    mask = ws.mask
-    misfit = float(np.sum(ws.sse[mask] / (2.0 * ws.sigma2[mask])))
-    smooth = 0.5 * ws.kappa * ws.S
-    kappa_term = 0.5 * (P - 3) * math.log(ws.kappa) if ws.kappa > 0 else -math.inf
-    noise_norm = -0.5 * (P + 2) * float(np.sum(np.log(2.0 * math.pi * ws.sigma2[mask])))
-    alpha = ws.hyper.alpha
-    dirichlet = float(np.sum((alpha - 1.0) * np.log(np.maximum(ws.theta, THETA_FLOOR))))
-    dir_norm = math.lgamma(float(alpha.sum())) - float(
-        sum(math.lgamma(a) for a in alpha)
-    )
-    return kappa_term + noise_norm - misfit - smooth + dirichlet + dir_norm
+def _sweep_patch(ctx, job):
+    """Sweep one patch on a private workspace; returns its rows and counts.
+
+    The workspace field is the job's (snapshot outside the patch, live
+    inside); only the patch's own prediction rows are filled, because the
+    kernel reads no other.
+    """
+    scene, forward, lattice, config = ctx
+    sweep, regions, patch_field, pred_rows = job
+    pred = np.zeros((lattice.n_regions, scene.channels))
+    pred[regions] = pred_rows
+    ws = Workspace(scene, forward, lattice, config.hyper, patch_field, pred=pred)
+    dsum, acc_t, acc_h = sweep_regions(ws, regions, sweep, config)
+    return ws.tau[regions], ws.theta[regions], ws.pred[regions], dsum, acc_t, acc_h
 
 
 # Static context for process-pool workers, installed once per pool by fork
@@ -210,24 +191,12 @@ def _posterior_from_caches(ws: Workspace) -> float:
 _WORKER_CTX: dict = {}
 
 
-def _process_init(scene, forward, lattice, hyper, config):
-    _WORKER_CTX["ws_shell"] = (scene, forward, lattice, hyper)
-    _WORKER_CTX["config"] = config
+def _process_init(ctx):
+    _WORKER_CTX["ctx"] = ctx
 
 
-def _process_task(args):
-    sweep, regions, snap_tau, snap_theta, pred_rows, sigma2, kappa = args
-    scene, forward, lattice, hyper = _WORKER_CTX["ws_shell"]
-    config = _WORKER_CTX["config"]
-    ws = Workspace.shell(scene, forward, lattice, hyper)
-    ws.tau = snap_tau
-    ws.theta = snap_theta
-    ws.sigma2 = sigma2
-    ws.kappa = kappa
-    ws.pred = np.zeros((lattice.n_regions, scene.channels))
-    ws.pred[regions] = pred_rows
-    dsum, acc_t, acc_h = sweep_regions(ws, regions, sweep, config)
-    return ws.tau[regions], ws.theta[regions], ws.pred[regions], dsum, acc_t, acc_h
+def _process_task(job):
+    return _sweep_patch(_WORKER_CTX["ctx"], job)
 
 
 def run_map_parallel(
@@ -242,8 +211,10 @@ def run_map_parallel(
     """Full MAP loop with patch-parallel sweeps.
 
     Returns (state, trace, speedup_record).  Results are deterministic in
-    (seed, n_patches) and independent of the executor; with n_patches = 1
-    the final state is bitwise equal to the sequential solver's.
+    (seed, n_patches) and independent of the executor: "process" runs the
+    patches in a process pool, while "serial" and its alias "thread" run
+    them in-process.  With n_patches = 1 the final state is bitwise equal
+    to the sequential solver's.
 
     The trace's log_posterior column telescopes accepted deltas when no
     stale reads can occur (single patch) and is otherwise recomputed per
@@ -258,47 +229,24 @@ def run_map_parallel(
             "patch-parallel runs update kappa/sigma2 per sweep (global reductions)"
         )
     part = partition(lattice, n_patches)
-    f0 = _checked_initial_value(scene, forward, lattice, config, init)
-    ws = Workspace(scene, forward, lattice, config.hyper, init)
-    trace = SweepTrace(n_regions=lattice.n_regions)
-    trace.initial_log_posterior = f0
+    ws, trace = _start(scene, forward, lattice, config, init)
     speedup = SpeedupRecord()
     pool = None
+    if executor == "process" and n_patches > 1:
+        pool = ProcessPoolExecutor(
+            max_workers=min(n_patches, 8),
+            initializer=_process_init,
+            initargs=((scene, forward, lattice, config),),
+        )
+
+    def run_sweep(sweep):
+        # the sweep-start field is ws's own: every job copies it before the merge
+        return _one_parallel_sweep(ws, part, sweep, config, pool, ws.tau, ws.theta)
+
     try:
-        if executor == "thread" and n_patches > 1:
-            pool = ThreadPoolExecutor(max_workers=min(n_patches, 16))
-        elif executor == "process" and n_patches > 1:
-            pool = ProcessPoolExecutor(
-                max_workers=min(n_patches, 8),
-                initializer=_process_init,
-                initargs=(scene, forward, lattice, config.hyper, config),
-            )
-        f = f0
-        eps = config.epsilon
-        for sweep in range(1, config.max_sweeps + 1):
-            t0 = time.perf_counter()
-            dsum_total, acc_t, acc_h = _one_parallel_sweep(ws, part, sweep, config, pool, executor)
-            ws.resync()
-            dh, degenerate = _hyper_update_deltas(ws)
-            if n_patches == 1:
-                f = f + dsum_total + dh
-            else:
-                f = _posterior_from_caches(ws)
-            elapsed = (time.perf_counter() - t0) * 1000.0
-            trace.log_posterior.append(f)
-            trace.tau_accepts.append(acc_t)
-            trace.theta_accepts.append(acc_h)
-            trace.kappa.append(ws.kappa)
-            trace.kappa_degenerate.append(degenerate)
-            trace.elapsed_ms.append(elapsed)
+        for sweep, _, elapsed in _sweep_loop(ws, trace, config.max_sweeps, run_sweep, config,
+                                             recompute=n_patches > 1):
             speedup.add(n_patches, sweep, elapsed)
-            if eps is None:
-                eps = config.epsilon_rel * abs(f)
-            prev = trace.log_posterior[-2] if sweep > 1 else f0
-            if abs(f - prev) < eps:
-                trace.converged = True
-                break
-        trace.epsilon = eps
     finally:
         if pool is not None:
             pool.shutdown()
@@ -307,46 +255,35 @@ def run_map_parallel(
     return final, trace, speedup
 
 
-def _one_parallel_sweep(ws, part, sweep, config, pool, executor):
-    """Dispatch all patches for one sweep and merge; returns (dsum, acc_t, acc_h)."""
-    snap_tau = ws.tau.copy()
-    snap_theta = ws.theta.copy()
-    dsum_total = 0.0
+def _one_parallel_sweep(ws, part, sweep, config, pool, snap_tau, snap_theta):
+    """Sweep every patch against the snapshot and merge into ws.
+
+    Each patch's field is the snapshot with the patch's own regions taken
+    live from ws; all jobs are built before any merge writes into ws.  The
+    task runs under map in-process, or under pool.map when a process pool
+    is given.  Returns (delta_sum, tau_accepts, theta_accepts).
+    """
+    jobs = []
+    for regions in part.patches:
+        tau = snap_tau.copy()
+        theta = snap_theta.copy()
+        tau[regions] = ws.tau[regions]
+        theta[regions] = ws.theta[regions]
+        patch_field = RetrievalState(tau=tau, theta=theta, sigma2=ws.sigma2, kappa=ws.kappa)
+        jobs.append((sweep, regions, patch_field, ws.pred[regions]))
+    if pool is None:
+        ctx = (ws.scene, ws.forward, ws.lattice, config)
+        results = list(map(partial(_sweep_patch, ctx), jobs))
+    else:
+        results = list(pool.map(_process_task, jobs))
+    dsum = 0.0
     acc_t = 0
     acc_h = 0
-    if pool is None:
-        for regions in part.patches:
-            clone = _patch_clone(ws, snap_tau, snap_theta, snap_tau, snap_theta, regions)
-            d, at, ah = sweep_regions(clone, regions, sweep, config)
-            ws.tau[regions] = clone.tau[regions]
-            ws.theta[regions] = clone.theta[regions]
-            dsum_total += d
-            acc_t += at
-            acc_h += ah
-    elif executor == "thread":
-        def task(regions):
-            clone = _patch_clone(ws, snap_tau, snap_theta, snap_tau, snap_theta, regions)
-            d, at, ah = sweep_regions(clone, regions, sweep, config)
-            return regions, clone, d, at, ah
-
-        results = list(pool.map(task, part.patches))
-        for regions, clone, d, at, ah in results:
-            ws.tau[regions] = clone.tau[regions]
-            ws.theta[regions] = clone.theta[regions]
-            dsum_total += d
-            acc_t += at
-            acc_h += ah
-    else:
-        args = [
-            (sweep, regions, snap_tau, snap_theta, ws.pred[regions], ws.sigma2, ws.kappa)
-            for regions in part.patches
-        ]
-        results = list(pool.map(_process_task, args))
-        for regions, (tau_r, theta_r, pred_r, d, at, ah) in zip(part.patches, results):
-            ws.tau[regions] = tau_r
-            ws.theta[regions] = theta_r
-            ws.pred[regions] = pred_r
-            dsum_total += d
-            acc_t += at
-            acc_h += ah
-    return dsum_total, acc_t, acc_h
+    for regions, (tau_r, theta_r, pred_r, d, at, ah) in zip(part.patches, results):
+        ws.tau[regions] = tau_r
+        ws.theta[regions] = theta_r
+        ws.pred[regions] = pred_r
+        dsum += d
+        acc_t += at
+        acc_h += ah
+    return dsum, acc_t, acc_h

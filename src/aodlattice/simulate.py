@@ -101,26 +101,14 @@ def gen_truth(
 
 def render(truth_tau: np.ndarray, truth_theta: np.ndarray, table,
            region_size_km: float = 4.4) -> Scene:
-    """Render observations of a truth field through the forward model."""
-    tau = np.asarray(truth_tau, dtype=float)
-    theta = np.asarray(truth_theta, dtype=float)
-    P = tau.size
-    radiance = table.eval_batch(tau, theta)
+    """Render observations of a square truth field through the forward model."""
+    P = np.asarray(truth_tau).size
     side = int(round(P ** 0.5))
-    if side * side == P:
-        width = height = side
-    else:
+    if side * side != P:
         raise ConfigurationError(
             "render infers a square grid; pass width/height via make_sim_scene"
         )
-    return Scene(
-        width=width,
-        height=height,
-        channels=table.n_channels,
-        radiance=radiance,
-        channel_mask=np.ones(table.n_channels, dtype=bool),
-        region_size_km=region_size_km,
-    )
+    return render_grid(truth_tau, truth_theta, table, side, side, region_size_km)
 
 
 def render_grid(truth_tau, truth_theta, table, width: int, height: int,

@@ -66,6 +66,18 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(tmp_path / "none.ini"),
                        "--out", str(tmp_path / "x")) == 2
 
+    def test_truth_outside_table_range_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli("simulate", *SMALL, "--set", "truth.tau_hi=9", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_invalid_scene_is_not_written(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli("simulate", *SMALL, "--set", "scene.channels=40", "--out", str(out)) == 2
+        assert "36 channels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_applies(self, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(

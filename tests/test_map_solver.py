@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import aodlattice as al
-from aodlattice.map_solver import proposal_rng
+from aodlattice.map_solver import Workspace, proposal_rng, sweep_regions
 from aodlattice.model import gmrf_roughness
 
 from conftest import random_scene, random_state
@@ -91,6 +91,38 @@ class TestProposeTheta:
         a = al.propose_theta(state, lat, 0, 1e-3, proposal_rng(3, 2, 0))
         b = al.propose_theta(state, lat, 0, 1e-3, proposal_rng(3, 2, 0))
         np.testing.assert_array_equal(a, b)
+
+
+class TestSweepKernel:
+    def test_accepted_moves_are_the_public_draws_and_deltas(self, small_table):
+        """A greedy step that accepts both moves draws what propose_tau and
+        propose_theta draw, and its delta is the public deltas' sum, bitwise."""
+        rng = np.random.default_rng(11)
+        scene = random_scene(small_table, rng, 4, 4)
+        lat = al.build_lattice(4, 4)
+        hyper = al.HyperParams(alpha=np.array([0.7, 1.3, 2.0]))
+        cfg = al.SolverConfig(hyper=hyper, seed=3)
+        init = al.init_state(scene, small_table, "flat", hyper)
+        sweep = 1
+        for p in range(lat.n_regions):
+            ws = Workspace(scene, small_table, lat, hyper, init)
+            dsum, acc_t, acc_h = sweep_regions(ws, [p], sweep, cfg)
+            if acc_t == 1 and acc_h == 1:
+                break
+        else:
+            pytest.fail("no region accepted both moves")
+        tau_new, theta_new = ws.tau[p], ws.theta[p]
+
+        draws = proposal_rng(cfg.seed, sweep, p)
+        assert al.propose_tau(init, lat, p, cfg.delta, draws, tau_max=hyper.tau_max) == tau_new
+        np.testing.assert_array_equal(
+            al.propose_theta(init, lat, p, cfg.gamma_shape_floor, draws), theta_new
+        )
+        d_tau = al.delta_log_posterior_tau(init, scene, lat, small_table, p, tau_new)
+        moved = init.copy()
+        moved.tau[p] = tau_new
+        d_theta = al.delta_log_posterior_theta(moved, scene, lat, small_table, p, theta_new, hyper)
+        assert dsum == d_tau + d_theta
 
 
 class TestUpdateKappa:
