@@ -30,7 +30,6 @@ from .forward import (
     RadianceTable,
     build_synthetic_table,
     default_library,
-    eval_radiance,
 )
 from .map_solver import (
     SolverConfig,
@@ -84,7 +83,6 @@ __all__ = [
     "delta_log_posterior_tau",
     "delta_log_posterior_theta",
     "dominance_map",
-    "eval_radiance",
     "gen_truth",
     "grid_search_retrieve",
     "init_state",

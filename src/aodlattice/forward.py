@@ -22,6 +22,7 @@ prior-comparison experiments probe.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -129,6 +130,7 @@ class RadianceTable:
             raise ConfigurationError("values must be M x K x C with K = len(tau_knots)")
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
             raise ConfigurationError("table values must be finite and >= 0")
+        self._knots = self.tau_knots.tolist()  # a scalar search is faster on a list
 
     @property
     def n_components(self) -> int:
@@ -146,11 +148,17 @@ class RadianceTable:
     def tau_max(self) -> float:
         return float(self.tau_knots[-1])
 
-    def _segment(self, tau):
-        knots = self.tau_knots
-        idx = np.clip(np.searchsorted(knots, tau, side="right") - 1, 0, knots.size - 2)
+    def _curves(self, tau) -> np.ndarray:
+        """Every component's curve interpolated at one AOD (M x C): the one
+        interpolation, whose rows eval, eval_batch and eval_grid all mix."""
+        knots = self._knots
+        idx = bisect.bisect_right(knots, tau) - 1
+        if idx < 0:
+            idx = 0
+        elif idx > len(knots) - 2:
+            idx = len(knots) - 2
         w = (tau - knots[idx]) / (knots[idx + 1] - knots[idx])
-        return idx, w
+        return self.values[:, idx, :] * (1.0 - w) + self.values[:, idx + 1, :] * w
 
     def eval(self, tau: float, theta: np.ndarray) -> np.ndarray:
         """Radiance C-vector for one region: linear mix of interpolated curves."""
@@ -158,15 +166,7 @@ class RadianceTable:
             raise DomainError(
                 f"tau={tau} outside table range [{self.tau_min}, {self.tau_max}]"
             )
-        knots = self.tau_knots
-        idx = int(np.searchsorted(knots, tau, side="right")) - 1
-        if idx < 0:
-            idx = 0
-        elif idx > knots.size - 2:
-            idx = knots.size - 2
-        w = (tau - knots[idx]) / (knots[idx + 1] - knots[idx])
-        v = self.values[:, idx, :] * (1.0 - w) + self.values[:, idx + 1, :] * w
-        return np.asarray(theta, dtype=float) @ v
+        return np.asarray(theta, dtype=float) @ self._curves(tau)
 
     def eval_batch(self, tau: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Radiance for P regions at once: tau (P,), theta (P, M) -> (P, C).
@@ -178,31 +178,24 @@ class RadianceTable:
         theta = np.asarray(theta, dtype=float)
         if np.any(tau < self.tau_min) or np.any(tau > self.tau_max):
             raise DomainError("tau values outside table range")
-        knots = self.tau_knots
-        idx = np.clip(np.searchsorted(knots, tau, side="right") - 1, 0, knots.size - 2)
-        w = (tau - knots[idx]) / (knots[idx + 1] - knots[idx])
         out = np.empty((tau.size, self.n_channels))
-        for p in range(tau.size):
-            i = idx[p]
-            v = self.values[:, i, :] * (1.0 - w[p]) + self.values[:, i + 1, :] * w[p]
-            out[p] = theta[p] @ v
+        for p, t in enumerate(tau.tolist()):
+            out[p] = theta[p] @ self._curves(t)
         return out
 
     def eval_grid(self, tau_levels: np.ndarray, mixtures: np.ndarray) -> np.ndarray:
-        """Radiance over a (tau level x mixture) grid: -> (T, G, C)."""
+        """Radiance over a (tau level x mixture) grid: -> (T, G, C), each
+        cell bitwise identical to eval() at that level and mixture."""
         tau_levels = np.asarray(tau_levels, dtype=float)
+        mixtures = np.asarray(mixtures, dtype=float)
         if np.any(tau_levels < self.tau_min) or np.any(tau_levels > self.tau_max):
             raise DomainError("tau levels outside table range")
-        idx, w = self._segment(tau_levels)
-        v = (
-            self.values[:, idx, :] * (1.0 - w)[None, :, None]
-            + self.values[:, idx + 1, :] * w[None, :, None]
-        )
-        return np.einsum("gm,mtc->tgc", np.asarray(mixtures, dtype=float), v)
-
-
-def eval_radiance(table: RadianceTable, tau: float, theta: np.ndarray) -> np.ndarray:
-    return table.eval(tau, theta)
+        out = np.empty((tau_levels.size, mixtures.shape[0], self.n_channels))
+        for t, tau in enumerate(tau_levels.tolist()):
+            curves = self._curves(tau)
+            for g, row in enumerate(mixtures):
+                out[t, g] = row @ curves
+        return out
 
 
 # Band wavelengths (nm) and camera view angles (degrees from nadir) used to

@@ -92,22 +92,26 @@ def load_scene(directory):
     records = meta.get("component_library", "default")
     library = default_library() if records == "default" else ComponentLibrary.from_records(records)
     radiance = read_matrix_csv(directory / meta.get("radiance_csv", RADIANCE_CSV))
-    scene = Scene(
-        width=int(meta["width"]),
-        height=int(meta["height"]),
-        channels=int(meta["channels"]),
-        radiance=radiance,
-        channel_mask=np.asarray(meta["channel_mask"], dtype=bool),
-        region_size_km=float(meta.get("region_size_km", 4.4)),
-    )
+    try:
+        scene = Scene(
+            width=int(meta["width"]),
+            height=int(meta["height"]),
+            channels=int(meta["channels"]),
+            radiance=radiance,
+            channel_mask=np.asarray(meta["channel_mask"], dtype=bool),
+            region_size_km=float(meta.get("region_size_km", 4.4)),
+        )
+        t = meta["table"]
+        knots, tau_max, seed = int(t["knots"]), float(t["tau_max"]), int(t["seed"])
+    except KeyError as exc:
+        raise ConfigurationError(f"{meta_path}: missing required key {exc.args[0]!r}") from None
     scene.validate()
-    t = meta["table"]
     table = build_synthetic_table(
         library,
         channels=int(t.get("channels", scene.channels)),
-        knots=int(t["knots"]),
-        tau_max=float(t["tau_max"]),
-        seed=int(t["seed"]),
+        knots=knots,
+        tau_max=tau_max,
+        seed=seed,
     )
     return scene, library, table
 

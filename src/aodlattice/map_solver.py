@@ -39,6 +39,7 @@ from .model import (
     RetrievalState,
     Scene,
     _assemble_terms,
+    _channel_sse,
     _safe_log_theta,
     _tau_delta,
     _theta_delta,
@@ -217,6 +218,11 @@ def _kappa_from_roughness(S: float, P: int, kappa_cap: float):
     return min((P - 3) / S, kappa_cap), False
 
 
+def _sigma2_from_sse(sse, P: int, floor: float):
+    """The closed-form sigma2 maximizer SSE_c / (P+2) per channel, floored."""
+    return np.maximum(sse / (P + 2), floor)
+
+
 def update_kappa(
     state: RetrievalState, lattice: LatticeTopology, kappa_cap: float = 1e12
 ):
@@ -237,12 +243,10 @@ def update_sigma(
     Floored at sigma2_floor (a perfect fit would otherwise divide later
     evaluations by zero); masked-out channels keep their current value.
     """
-    pred = forward.eval_batch(state.tau, state.theta)
-    resid = scene.radiance - pred
-    sse = np.sum(resid**2, axis=0)
+    sse = _channel_sse(scene.radiance, forward.eval_batch(state.tau, state.theta))
     out = state.sigma2.copy()
     mask = scene.channel_mask
-    out[mask] = np.maximum(sse[mask] / (scene.n_regions + 2), sigma2_floor)
+    out[mask] = _sigma2_from_sse(sse[mask], scene.n_regions, sigma2_floor)
     return out
 
 
@@ -302,10 +306,10 @@ class Workspace:
 
     pred holds the forward radiance of every region for the current
     (tau, theta); S the GMRF roughness; sse the per-channel squared
-    residual sums.  All three are kept consistent with the field by the
-    sweep kernel and resynced from scratch at sweep boundaries.  A caller
-    that already holds the predictions passes them as pred, which skips
-    the forward evaluation of every region.
+    residual sums.  S and sse are first filled by resync(), which the run
+    start and every sweep boundary call; the kernel keeps all three
+    consistent in between.  A caller that already holds the predictions
+    passes them as pred, which skips the forward evaluation of every region.
     """
 
     def __init__(self, scene: Scene, forward, lattice: LatticeTopology,
@@ -324,20 +328,17 @@ class Workspace:
         self.tau_lo = max(0.0, getattr(forward, "tau_min", 0.0))
         self.tau_hi = min(hyper.tau_max, getattr(forward, "tau_max", hyper.tau_max))
         self.pred = forward.eval_batch(self.tau, self.theta) if pred is None else pred
-        self.S = 0.0
-        self.sse = np.zeros(scene.channels)
-        self.resync()
+        self.S = self.sse = None
 
     def resync(self) -> None:
         self.S = gmrf_roughness(self.tau, self.lattice)
-        resid = self.obs - self.pred
-        self.sse = np.sum(resid**2, axis=0)
+        self.sse = _channel_sse(self.obs, self.pred)
 
     def cached_log_posterior(self) -> float:
-        """Joint log-posterior of the field, from the sse and S caches."""
-        mask = self.mask
-        misfit = float(np.sum(self.sse[mask] / (2.0 * self.sigma2[mask])))
-        terms = _assemble_terms(self.lattice.n_regions, misfit, self.S, self, self.hyper, mask)
+        """Joint log-posterior from the sse and S caches; right after
+        resync() it equals log_posterior of to_state() bitwise."""
+        terms = _assemble_terms(self.lattice.n_regions, self.sse, self.S, self, self.hyper,
+                                self.mask)
         return float(sum(terms.values()))
 
     def to_state(self) -> RetrievalState:
@@ -373,12 +374,12 @@ def _kappa_update_delta(ws: Workspace):
 def _sigma_update_delta(ws: Workspace) -> float:
     """Apply the guarded closed-form sigma2 update; return its delta."""
     P = ws.lattice.n_regions
-    floor = ws.hyper.sigma2_floor
+    closed_form = _sigma2_from_sse(ws.sse, P, ws.hyper.sigma2_floor)
     dtotal = 0.0
     for c in np.flatnonzero(ws.mask):
         sse_c = float(ws.sse[c])
         s_old = float(ws.sigma2[c])
-        s_new = max(sse_c / (P + 2), floor)
+        s_new = float(closed_form[c])
         if s_new == s_old:
             continue
         dc = -0.5 * (P + 2) * (math.log(s_new) - math.log(s_old)) - 0.5 * sse_c * (
@@ -388,12 +389,6 @@ def _sigma_update_delta(ws: Workspace) -> float:
             ws.sigma2[c] = s_new
             dtotal += dc
     return dtotal
-
-
-def _hyper_update_deltas(ws: Workspace):
-    """Kappa then sigma2 closed-form updates; returns (delta, degenerate)."""
-    dk, degenerate = _kappa_update_delta(ws)
-    return dk + _sigma_update_delta(ws), degenerate
 
 
 def sweep_regions(
@@ -499,16 +494,18 @@ def sweep_regions(
 
 
 def _start(scene, forward, lattice, config, init):
-    """Check the initial state; returns (workspace, trace holding its value)."""
+    """Check the initial state; returns (workspace, trace holding its value,
+    taken from the resynced caches: log_posterior(init) bitwise)."""
     validate_state(init, config.hyper)
-    f0 = log_posterior(scene, init, config.hyper, forward)
+    ws = Workspace(scene, forward, lattice, config.hyper, init)
+    ws.resync()
+    f0 = ws.cached_log_posterior()
     if not math.isfinite(f0):
         bad = describe_nonfinite_terms(scene, init, config.hyper, forward)
         raise InitializationError(
             f"log-posterior non-finite at the initial state (offending terms: {bad})"
         )
-    trace = SweepTrace(n_regions=lattice.n_regions, initial_log_posterior=f0)
-    return Workspace(scene, forward, lattice, config.hyper, init), trace
+    return ws, SweepTrace(n_regions=lattice.n_regions, initial_log_posterior=f0)
 
 
 def _sweep_step(ws: Workspace, run_sweep, sweep: int, per_region: bool = False):
@@ -523,8 +520,8 @@ def _sweep_step(ws: Workspace, run_sweep, sweep: int, per_region: bool = False):
     ws.resync()
     if per_region:
         return dsum, 0.0, acc_t, acc_h, ws.S <= 0.0
-    dh, degenerate = _hyper_update_deltas(ws)
-    return dsum, dh, acc_t, acc_h, degenerate
+    dk, degenerate = _kappa_update_delta(ws)
+    return dsum, dk + _sigma_update_delta(ws), acc_t, acc_h, degenerate
 
 
 def _sweep_loop(ws: Workspace, trace: SweepTrace, sweeps: int, run_sweep,

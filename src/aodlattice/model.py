@@ -230,6 +230,8 @@ def validate_state(state: RetrievalState, hyper: HyperParams) -> None:
         raise ValueError("tau out of [0, tau_max]")
     if not np.all(np.isfinite(state.tau)):
         raise ValueError("tau contains non-finite values")
+    if not np.all(np.isfinite(state.theta)):
+        raise ValueError("theta contains non-finite values")
     if np.any(state.theta < 0):
         raise ValueError("theta has negative entries")
     row_sums = state.theta.sum(axis=1)
@@ -283,22 +285,26 @@ def log_posterior_terms(
     Used for initialization diagnostics and posterior reporting; the sum of
     the values equals log_posterior.
     """
-    mask = scene.channel_mask
-    pred = forward.eval_batch(state.tau, state.theta)
-    resid = scene.radiance - pred
-    misfit = float(np.sum(resid[:, mask] ** 2 / (2.0 * state.sigma2[mask])))
+    sse = _channel_sse(scene.radiance, forward.eval_batch(state.tau, state.theta))
     roughness = gmrf_roughness(state.tau, lattice=_scene_lattice(scene))
-    return _assemble_terms(scene.n_regions, misfit, roughness, state, hyper, mask)
+    return _assemble_terms(scene.n_regions, sse, roughness, state, hyper, scene.channel_mask)
+
+
+def _channel_sse(obs: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """Per-channel sums of squared residuals over regions: the one misfit
+    reduction, behind the log-posterior, the workspace cache and sigma2."""
+    return np.sum((obs - pred) ** 2, axis=0)
 
 
 def _assemble_terms(
-    P: int, misfit: float, roughness: float, state, hyper: HyperParams, mask: np.ndarray
+    P: int, sse: np.ndarray, roughness: float, state, hyper: HyperParams, mask: np.ndarray
 ) -> dict:
-    """The log-posterior terms from a misfit sum and the GMRF roughness S.
+    """The log-posterior terms from the per-channel sse and the GMRF roughness S.
 
     `state` is anything carrying kappa, sigma2 and theta: a RetrievalState,
-    or a solver workspace whose sse and S caches give misfit and roughness.
+    or a solver workspace whose sse and S caches are passed alongside.
     """
+    misfit = float(np.sum(sse[mask] / (2.0 * state.sigma2[mask])))
     kappa_term = 0.5 * (P - 3) * math.log(state.kappa) if state.kappa > 0 else -math.inf
     noise_norm = -0.5 * (P + 2) * float(
         np.sum(np.log(2.0 * math.pi * state.sigma2[mask]))

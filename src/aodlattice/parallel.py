@@ -206,14 +206,14 @@ def run_map_parallel(
     config: SolverConfig,
     n_patches: int,
     init: RetrievalState,
-    executor: str = "thread",
+    executor: str = "serial",
 ):
     """Full MAP loop with patch-parallel sweeps.
 
     Returns (state, trace, speedup_record).  Results are deterministic in
-    (seed, n_patches) and independent of the executor: "process" runs the
-    patches in a process pool, while "serial" and its alias "thread" run
-    them in-process.  With n_patches = 1 the final state is bitwise equal
+    (seed, n_patches) and independent of the executor: "serial" (the
+    default) and its alias "thread" run the patches in-process, "process"
+    in a process pool.  With n_patches = 1 the final state is bitwise equal
     to the sequential solver's.
 
     The trace's log_posterior column telescopes accepted deltas when no

@@ -159,6 +159,18 @@ class TestRetrieve:
         assert run_cli("retrieve", "--scene", str(tmp_path / "none"), "--method", "map",
                        "--out", str(tmp_path / "o")) == 2
 
+    def test_scene_missing_key_exits_2(self, scene_dir, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        meta = json.loads((scene_dir / "scene.json").read_text())
+        del meta["table"]
+        (broken / "scene.json").write_text(json.dumps(meta))
+        (broken / "radiance.csv").write_bytes((scene_dir / "radiance.csv").read_bytes())
+        code = run_cli("retrieve", "--scene", str(broken), "--method", "grid",
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "'table'" in capsys.readouterr().err
+
     def test_solver_failure_exits_3(self, scene_dir, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise al.InitializationError("log-posterior non-finite at the initial state")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import aodlattice as al
+from aodlattice.baselines import default_candidate_mixtures
 from aodlattice.forward import export_table, import_table
 
 from conftest import tiny_library
@@ -75,6 +76,17 @@ class TestEvalRadiance:
         batch = small_table.eval_batch(tau, theta)
         for p in range(11):
             np.testing.assert_array_equal(batch[p], small_table.eval(float(tau[p]), theta[p]))
+
+    def test_grid_matches_scalar_bitwise(self, table36):
+        """Every (level, mixture) cell of the grid the baseline scores is
+        the radiance eval gives at that level and mixture."""
+        levels = np.linspace(table36.tau_min, table36.tau_max, 13)
+        mixtures = default_candidate_mixtures(table36.n_components)
+        grid = table36.eval_grid(levels, mixtures)
+        assert grid.shape == (13, mixtures.shape[0], table36.n_channels)
+        for t, tau in enumerate(levels):
+            for g, row in enumerate(mixtures):
+                np.testing.assert_array_equal(grid[t, g], table36.eval(float(tau), row))
 
     def test_matches_loop_oracle(self, table36):
         rng = np.random.default_rng(3)

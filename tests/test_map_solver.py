@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import aodlattice as al
-from aodlattice.map_solver import Workspace, proposal_rng, sweep_regions
+from aodlattice.map_solver import Workspace, _sigma_update_delta, proposal_rng, sweep_regions
 from aodlattice.model import gmrf_roughness
 
 from conftest import random_scene, random_state
@@ -196,6 +196,26 @@ class TestUpdateSigma:
         state = random_state(rng, 9, 3, 4)
         out = al.update_sigma(state, scene, small_table)
         assert out[2] == state.sigma2[2]
+
+    def test_matches_kernel_step(self, small_table):
+        """The solver's guarded per-sweep sigma2 step moves every channel it
+        does not skip to exactly update_sigma's value."""
+        rng = np.random.default_rng(16)
+        lat = al.build_lattice(3, 3)
+        hyper = al.HyperParams.uniform(3)
+        moved = 0
+        for _ in range(40):
+            scene = random_scene(small_table, rng)
+            state = random_state(rng, 9, 3, 4)
+            want = al.update_sigma(state, scene, small_table)
+            ws = Workspace(scene, small_table, lat, hyper, state)
+            ws.resync()
+            _sigma_update_delta(ws)
+            for c in range(4):
+                if ws.sigma2[c] != state.sigma2[c]:
+                    assert ws.sigma2[c] == want[c]
+                    moved += 1
+        assert moved > 100  # the guard skips only rounding-level steps
 
     def test_matches_golden_section_argmax(self, small_table):
         rng = np.random.default_rng(10)

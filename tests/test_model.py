@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import aodlattice as al
+from aodlattice.map_solver import Workspace
 from aodlattice.model import log_posterior_terms
 
 from conftest import random_scene, random_state
@@ -127,6 +128,19 @@ class TestLogPosterior:
         f = al.log_posterior(scene, state, hyper, small_table)
         assert math.isfinite(f)
 
+    def test_equals_resynced_workspace_bitwise(self, table36):
+        """The whole-state evaluation and the solver's cached value (the
+        run's initial objective) share one misfit reduction."""
+        rng = np.random.default_rng(61)
+        scene = random_scene(table36, rng, 6, 6)
+        lat = al.build_lattice(6, 6)
+        for _ in range(40):
+            state = random_state(rng, 36, table36.n_components, 36)
+            hyper = al.HyperParams(alpha=rng.uniform(0.3, 3.0, table36.n_components))
+            ws = Workspace(scene, table36, lat, hyper, state)
+            ws.resync()
+            assert al.log_posterior(scene, state, hyper, table36) == ws.cached_log_posterior()
+
 
 class TestDeltas:
     def _setup(self, table, seed):
@@ -222,6 +236,13 @@ class TestValidation:
         nomask = al.Scene(3, 3, 4, scene.radiance, np.zeros(4, dtype=bool))
         with pytest.raises(al.ConfigurationError):
             nomask.validate()
+
+    def test_nonfinite_theta_rejected(self):
+        rng = np.random.default_rng(15)
+        state = random_state(rng, 9, 3, 4)
+        state.theta[0] = np.array([np.nan, 0.5, 0.5])
+        with pytest.raises(ValueError, match="theta"):
+            al.validate_state(state, al.HyperParams.uniform(3))
 
     def test_state_invariants(self):
         rng = np.random.default_rng(14)
