@@ -46,7 +46,6 @@ DEFAULTS = {
         "max_sweeps": "200",
         "alpha": "1.0",
         "tau_max": "6.0",
-        "cadence": "per_sweep",
         "init": "flat",
     },
     "mcmc": {"iterations": "1000", "burn_in": "200", "thin": "5", "dump_samples": "false"},
@@ -73,7 +72,6 @@ _KEY_DOC = """configuration keys (section.key = default):
   solver.max_sweeps = 200      sweep cap
   solver.alpha = 1.0           symmetric Dirichlet concentration of the prior
   solver.tau_max = 6.0         AOD bound of the retrieval
-  solver.cadence = per_sweep   per_sweep | per_region hyperparameter updates
   solver.init = flat           flat | coarse_grid | random initialization
   mcmc.iterations = 1000       chain length (sweeps)
   mcmc.burn_in = 200           discarded prefix
@@ -163,7 +161,6 @@ def _solver_config(cfg, n_components):
         epsilon_rel=_getf(cfg, "solver", "epsilon_rel"),
         max_sweeps=_geti(cfg, "solver", "max_sweeps"),
         seed=_geti(cfg, "run", "seed"),
-        kappa_sigma_update_cadence=cfg["solver"]["cadence"],
     )
 
 
@@ -187,7 +184,7 @@ def cmd_simulate(args) -> int:
     )
     clean = render_grid(tau, theta, table, width, height, _getf(cfg, "scene", "region_size_km"))
     level = _getf(cfg, "noise", "level")
-    scene = add_noise(clean, level, seed) if level > 0 else clean
+    scene = add_noise(clean, level, seed)
     scene.validate()
     out = Path(args.out)
     io.save_scene(

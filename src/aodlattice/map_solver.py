@@ -8,9 +8,8 @@ draw with the neighbor means as concentration).  A proposal is accepted
 only when it strictly increases the joint log-posterior, which makes the
 recorded objective non-decreasing by construction.  The smoothness
 precision kappa and the channel noise variances sigma2 have closed-form
-conditional maximizers and are updated either once per sweep (default) or
-after every region (the literal reading of the update schedule); both
-cadences share the same fixed point.
+conditional maximizers and are moved once per sweep, after the region
+loop, by guarded steps that never lower the objective.
 
 The run stops when the absolute per-sweep objective change drops below
 epsilon, or after max_sweeps.
@@ -86,7 +85,8 @@ class SolverConfig:
     """Knobs of the stochastic-search run.
 
     epsilon=None resolves to epsilon_rel * |objective after first sweep|.
-    kappa_sigma_update_cadence is "per_sweep" (default) or "per_region".
+    delta, epsilon, epsilon_rel and gamma_shape_floor must be finite and
+    positive.
     """
 
     hyper: HyperParams
@@ -96,21 +96,15 @@ class SolverConfig:
     max_sweeps: int = MAX_SWEEPS_DEFAULT
     seed: int = 0
     gamma_shape_floor: float = SHAPE_FLOOR_DEFAULT
-    kappa_sigma_update_cadence: str = "per_sweep"
-    validate_each_sweep: bool = False
 
     def validate(self) -> None:
         self.hyper.validate()
-        if self.delta <= 0:
-            raise ConfigurationError("delta must be > 0")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ConfigurationError("epsilon must be > 0")
+        for name in ("delta", "epsilon", "epsilon_rel", "gamma_shape_floor"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
         if self.max_sweeps < 1:
             raise ConfigurationError("max_sweeps must be >= 1")
-        if self.gamma_shape_floor <= 0:
-            raise ConfigurationError("gamma_shape_floor must be > 0")
-        if self.kappa_sigma_update_cadence not in ("per_sweep", "per_region"):
-            raise ConfigurationError("cadence must be per_sweep or per_region")
 
 
 @dataclass
@@ -306,10 +300,11 @@ class Workspace:
 
     pred holds the forward radiance of every region for the current
     (tau, theta); S the GMRF roughness; sse the per-channel squared
-    residual sums.  S and sse are first filled by resync(), which the run
-    start and every sweep boundary call; the kernel keeps all three
-    consistent in between.  A caller that already holds the predictions
-    passes them as pred, which skips the forward evaluation of every region.
+    residual sums.  The kernel keeps pred consistent with every accepted
+    move; S and sse are recomputed by resync(), which the run start and
+    every sweep boundary call before the closed-form kappa and sigma2
+    steps read them.  A caller that already holds the predictions passes
+    them as pred, which skips the forward evaluation of every region.
     """
 
     def __init__(self, scene: Scene, forward, lattice: LatticeTopology,
@@ -397,7 +392,6 @@ def sweep_regions(
     sweep_idx: int,
     config: SolverConfig,
     mode: str = "greedy",
-    per_region_hypers: bool = False,
 ):
     """Visit `regions` in order, updating tau then theta for each.
 
@@ -407,9 +401,11 @@ def sweep_regions(
     coordinate value, so the correction is the density ratio at the old
     and new points).
 
-    Neighbor reads resolve against the workspace arrays; the patch-parallel
-    scheduler passes per-patch copies of the sweep-start field, which is
-    what gives cross-patch reads their snapshot-surrogate semantics.
+    kappa and sigma2 stay fixed for the whole visit, so the misfit weights
+    mask / (2 sigma2) are built once.  Neighbor reads resolve against the
+    workspace arrays; the patch-parallel scheduler passes per-patch copies
+    of the sweep-start field, which is what gives cross-patch reads their
+    snapshot-surrogate semantics.
 
     Returns (delta_sum, tau_accepts, theta_accepts).  delta_sum telescopes
     to the true objective change only when no stale reads occurred.
@@ -424,12 +420,11 @@ def sweep_regions(
     delta = config.delta
     shape_floor = config.gamma_shape_floor
     seed = config.seed
-    weights = None  # misfit weights mask/(2 sigma2); rebuilt when sigma2 changes
+    w = mask / (2.0 * ws.sigma2)
     mh = mode == "mh"
     delta_sum = 0.0
     acc_t = 0
     acc_h = 0
-    track_sse = per_region_hypers
 
     for p in regions:
         rng = proposal_rng(seed, sweep_idx, p)
@@ -440,8 +435,6 @@ def sweep_regions(
         # --- tau step ---
         mean, raw = _draw_tau(ntau, delta, rng)
         t_old = tau[p]
-        w = mask / (2.0 * ws.sigma2) if weights is None else weights
-        weights = w
         if mh:
             cand = raw
             log_q = _tau_log_q_ratio(raw, t_old, mean, delta, ws.tau_lo, ws.tau_hi)
@@ -450,30 +443,20 @@ def sweep_regions(
             log_q = 0.0
         if log_q is not None:
             pred_new = fwd.eval(cand, theta[p])
-            df, dsq, ds = _tau_delta(obs[p], ws.pred[p], pred_new, w, t_old, cand, ntau,
-                                     ws.kappa)
+            df = _tau_delta(obs[p], ws.pred[p], pred_new, w, t_old, cand, ntau, ws.kappa)
             accept = mh_accept(arng, df, log_q) if mh else df > 0.0
             if accept:
                 tau[p] = cand
                 ws.pred[p] = pred_new
-                if track_sse:
-                    ws.sse += dsq
-                    ws.S += ds
                 delta_sum += df
                 acc_t += 1
-
-        if per_region_hypers:
-            dk, _deg = _kappa_update_delta(ws)
-            delta_sum += dk
 
         # --- theta step ---
         conc, row = _draw_theta(theta[nbrs], shape_floor, rng)
         pred_new = fwd.eval(tau[p], row)
-        w = mask / (2.0 * ws.sigma2) if weights is None else weights
-        weights = w
         log_old = _safe_log_theta(theta[p])
         log_new = _safe_log_theta(row)
-        df, dsq = _theta_delta(obs[p], ws.pred[p], pred_new, w, log_old, log_new, alpha_m1)
+        df = _theta_delta(obs[p], ws.pred[p], pred_new, w, log_old, log_new, alpha_m1)
         if mh:
             accept = mh_accept(arng, df, float((conc - 1.0) @ (log_old - log_new)))
         else:
@@ -481,14 +464,8 @@ def sweep_regions(
         if accept:
             theta[p] = row
             ws.pred[p] = pred_new
-            if track_sse:
-                ws.sse += dsq
             delta_sum += df
             acc_h += 1
-
-        if per_region_hypers:
-            delta_sum += _sigma_update_delta(ws)
-            weights = None  # sigma2 changed; rebuild the misfit weights
 
     return delta_sum, acc_t, acc_h
 
@@ -508,25 +485,22 @@ def _start(scene, forward, lattice, config, init):
     return ws, SweepTrace(n_regions=lattice.n_regions, initial_log_posterior=f0)
 
 
-def _sweep_step(ws: Workspace, run_sweep, sweep: int, per_region: bool = False):
-    """One sweep, a cache resync, then the per-sweep closed-form updates.
+def _sweep_step(ws: Workspace, run_sweep, sweep: int):
+    """One sweep, a cache resync, then the closed-form kappa and sigma2 steps:
+    the only place the hyper-parameters move.
 
     run_sweep(sweep) returns (delta_sum, tau_accepts, theta_accepts).
     Returns (delta_sum, hyper delta, tau_accepts, theta_accepts, kappa
-    degenerate); with per_region the kernel has already moved kappa and
-    sigma2 after every region.
+    degenerate).
     """
     dsum, acc_t, acc_h = run_sweep(sweep)
     ws.resync()
-    if per_region:
-        return dsum, 0.0, acc_t, acc_h, ws.S <= 0.0
     dk, degenerate = _kappa_update_delta(ws)
     return dsum, dk + _sigma_update_delta(ws), acc_t, acc_h, degenerate
 
 
 def _sweep_loop(ws: Workspace, trace: SweepTrace, sweeps: int, run_sweep,
-                config: SolverConfig | None = None, per_region: bool = False,
-                recompute: bool = False):
+                config: SolverConfig | None = None, recompute: bool = False):
     """The driver loop shared by run_map, run_map_parallel and run_mcmc.
 
     Each sweep is one _sweep_step.  The objective telescopes the step's
@@ -542,7 +516,7 @@ def _sweep_loop(ws: Workspace, trace: SweepTrace, sweeps: int, run_sweep,
     eps = None if config is None else config.epsilon
     for sweep in range(1, sweeps + 1):
         t0 = time.perf_counter()
-        dsum, dh, acc_t, acc_h, degenerate = _sweep_step(ws, run_sweep, sweep, per_region)
+        dsum, dh, acc_t, acc_h, degenerate = _sweep_step(ws, run_sweep, sweep)
         prev = f
         f = ws.cached_log_posterior() if recompute else f + dsum + dh
         elapsed = (time.perf_counter() - t0) * 1000.0
@@ -581,16 +555,12 @@ def run_map(
     """
     config.validate()
     ws, trace = _start(scene, forward, lattice, config, init)
-    per_region = config.kappa_sigma_update_cadence == "per_region"
     all_regions = range(lattice.n_regions)
 
     def run_sweep(sweep):
-        return sweep_regions(ws, all_regions, sweep, config, per_region_hypers=per_region)
+        return sweep_regions(ws, all_regions, sweep, config)
 
-    for sweep, f, _ in _sweep_loop(ws, trace, config.max_sweeps, run_sweep, config,
-                                   per_region=per_region):
-        if config.validate_each_sweep:
-            validate_state(ws.to_state(), config.hyper)
+    for sweep, f, _ in _sweep_loop(ws, trace, config.max_sweeps, run_sweep, config):
         if on_sweep is not None:
             on_sweep(sweep, ws.to_state(), f)
     final = ws.to_state()

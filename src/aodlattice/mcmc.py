@@ -54,15 +54,13 @@ class McmcConfig:
     gamma_shape_floor: float = 1e-3
 
     def validate(self) -> None:
-        self.hyper.validate()
+        _kernel_config(self).validate()  # hyper, delta and gamma_shape_floor
         if self.iterations < 1:
             raise ConfigurationError("iterations must be >= 1")
         if not 0 <= self.burn_in < self.iterations:
             raise ConfigurationError("burn_in must satisfy 0 <= burn_in < iterations")
         if self.thin < 1:
             raise ConfigurationError("thin must be >= 1")
-        if self.delta <= 0:
-            raise ConfigurationError("delta must be > 0")
 
 
 def _kernel_config(config: McmcConfig) -> SolverConfig:

@@ -60,7 +60,8 @@ class HyperParams:
 
     alpha is the Dirichlet concentration vector (length M, all entries > 0).
     tau_max bounds the AOD search range; sigma2_floor and kappa_cap guard
-    the degenerate closed-form updates.
+    the degenerate closed-form updates.  All three must be finite and
+    positive.
     """
 
     alpha: np.ndarray
@@ -86,8 +87,10 @@ class HyperParams:
             raise ConfigurationError("alpha must be a vector of length >= 2")
         if not np.all(np.isfinite(self.alpha)) or np.any(self.alpha <= 0):
             raise ConfigurationError("alpha entries must be finite and > 0")
-        if self.tau_max <= 0 or self.sigma2_floor <= 0 or self.kappa_cap <= 0:
-            raise ConfigurationError("tau_max, sigma2_floor, kappa_cap must be positive")
+        for name in ("tau_max", "sigma2_floor", "kappa_cap"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass
@@ -286,7 +289,7 @@ def log_posterior_terms(
     the values equals log_posterior.
     """
     sse = _channel_sse(scene.radiance, forward.eval_batch(state.tau, state.theta))
-    roughness = gmrf_roughness(state.tau, lattice=_scene_lattice(scene))
+    roughness = gmrf_roughness(state.tau, build_lattice(scene.width, scene.height))
     return _assemble_terms(scene.n_regions, sse, roughness, state, hyper, scene.channel_mask)
 
 
@@ -324,20 +327,6 @@ def _assemble_terms(
     }
 
 
-# Lattices are immutable per (width, height); cache the ones built
-# implicitly for whole-posterior evaluation.
-_LATTICE_CACHE: dict = {}
-
-
-def _scene_lattice(scene: Scene) -> LatticeTopology:
-    key = (scene.width, scene.height)
-    lat = _LATTICE_CACHE.get(key)
-    if lat is None:
-        lat = build_lattice(scene.width, scene.height)
-        _LATTICE_CACHE[key] = lat
-    return lat
-
-
 def log_posterior(
     scene: Scene, state: RetrievalState, hyper: HyperParams, forward
 ) -> float:
@@ -347,32 +336,28 @@ def log_posterior(
 
 
 def _misfit_change(obs_p, pred_old, pred_new, weights):
-    """Per-channel change of the squared residuals, and its weighted sum."""
+    """Weighted sum of the per-channel change of the squared residuals."""
     r_new = obs_p - pred_new
     r_old = obs_p - pred_old
-    dsq = r_new * r_new - r_old * r_old
-    return dsq, float(np.sum(dsq * weights))
+    return float(np.sum((r_new * r_new - r_old * r_old) * weights))
 
 
 def _tau_delta(obs_p, pred_old, pred_new, weights, tau_old, tau_new, ntau, kappa):
     """Log-posterior change of tau_p <- tau_new, from region p's radiance.
 
-    weights are mask / (2 sigma2) and ntau the neighbor values.  Returns
-    (delta, per-channel squared-residual change, roughness change) so the
-    sweep kernel can update its sse and S caches without recomputing them.
+    weights are mask / (2 sigma2) and ntau the neighbor values: the misfit
+    change of region p plus the roughness change of its incident edges.
     """
-    dsq, dchi = _misfit_change(obs_p, pred_old, pred_new, weights)
+    dchi = _misfit_change(obs_p, pred_old, pred_new, weights)
     ds = float(np.sum((tau_new - ntau) ** 2 - (tau_old - ntau) ** 2))
-    return -dchi - 0.5 * kappa * ds, dsq, ds
+    return -dchi - 0.5 * kappa * ds
 
 
 def _theta_delta(obs_p, pred_old, pred_new, weights, log_old, log_new, alpha_m1):
-    """Log-posterior change of theta_p, given both rows' floored logs.
-
-    Returns (delta, per-channel squared-residual change).
-    """
-    dsq, dchi = _misfit_change(obs_p, pred_old, pred_new, weights)
-    return -dchi + float(alpha_m1 @ (log_new - log_old)), dsq
+    """Log-posterior change of theta_p, given both rows' floored logs: the
+    misfit change of region p plus the change of its Dirichlet term."""
+    dchi = _misfit_change(obs_p, pred_old, pred_new, weights)
+    return -dchi + float(alpha_m1 @ (log_new - log_old))
 
 
 def delta_log_posterior_tau(
@@ -391,7 +376,7 @@ def delta_log_posterior_tau(
     """
     tau_old = state.tau[p]
     theta_p = state.theta[p]
-    delta, _, _ = _tau_delta(
+    return _tau_delta(
         scene.radiance[p],
         forward.eval(tau_old, theta_p),
         forward.eval(tau_new, theta_p),
@@ -401,7 +386,6 @@ def delta_log_posterior_tau(
         state.tau[lattice.neighbors(p)],
         state.kappa,
     )
-    return delta
 
 
 def delta_log_posterior_theta(
@@ -419,7 +403,7 @@ def delta_log_posterior_theta(
     arithmetic is the sweep kernel's own.
     """
     theta_old = state.theta[p]
-    delta, _ = _theta_delta(
+    return _theta_delta(
         scene.radiance[p],
         forward.eval(state.tau[p], theta_old),
         forward.eval(state.tau[p], theta_new),
@@ -428,7 +412,6 @@ def delta_log_posterior_theta(
         _safe_log_theta(theta_new),
         hyper.alpha - 1.0,
     )
-    return delta
 
 
 def describe_nonfinite_terms(

@@ -224,10 +224,6 @@ def run_map_parallel(
     config.validate()
     if executor not in EXECUTORS:
         raise ConfigurationError(f"executor must be one of {EXECUTORS}")
-    if config.kappa_sigma_update_cadence != "per_sweep":
-        raise ConfigurationError(
-            "patch-parallel runs update kappa/sigma2 per sweep (global reductions)"
-        )
     part = partition(lattice, n_patches)
     ws, trace = _start(scene, forward, lattice, config, init)
     speedup = SpeedupRecord()

@@ -166,5 +166,5 @@ def make_sim_scene(
         tau_range=tau_range, blob_size=blob_size,
     )
     clean = render_grid(tau, theta, table, width, height, region_size_km)
-    scene = add_noise(clean, noise_level, seed) if noise_level > 0 else clean
+    scene = add_noise(clean, noise_level, seed)
     return SimScene(truth_tau=tau, truth_theta=theta, scene=scene, noise_level=noise_level)

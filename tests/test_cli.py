@@ -61,6 +61,14 @@ class TestSimulate:
 
     def test_unknown_key_exits_2(self, tmp_path):
         assert run_cli("simulate", "--set", "solver.bogus=1", "--out", str(tmp_path / "x")) == 2
+        assert run_cli("simulate", "--set", "solver.cadence=per_sweep",
+                       "--out", str(tmp_path / "x")) == 2
+
+    def test_negative_noise_level_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli("simulate", *SMALL, "--set", "noise.level=-0.5", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run_cli("simulate", "--config", str(tmp_path / "none.ini"),
@@ -170,6 +178,16 @@ class TestRetrieve:
                        "--out", str(tmp_path / "o"))
         assert code == 2
         assert "'table'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [
+        "solver.delta=nan", "solver.epsilon=nan", "solver.epsilon_rel=-1", "solver.tau_max=nan",
+    ])
+    def test_nonfinite_or_negative_solver_setting_exits_2(self, scene_dir, tmp_path, capsys,
+                                                           setting):
+        code = run_cli("retrieve", "--scene", str(scene_dir), "--method", "map",
+                       *SMALL, "--set", setting, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_solver_failure_exits_3(self, scene_dir, tmp_path, monkeypatch):
         def boom(*args, **kwargs):

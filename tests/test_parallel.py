@@ -141,12 +141,6 @@ class TestRunMapParallel:
         np.testing.assert_array_equal(a.tau, b.tau)
         np.testing.assert_array_equal(a.theta, b.theta)
 
-    def test_per_region_cadence_rejected(self, small_table):
-        scene, lat, cfg, init = self._problem(small_table, 7)
-        cfg = replace(cfg, kappa_sigma_update_cadence="per_region")
-        with pytest.raises(al.ConfigurationError):
-            al.run_map_parallel(scene, small_table, lat, cfg, 2, init)
-
     def test_speedup_record_rows(self, small_table):
         scene, lat, cfg, init = self._problem(small_table, 8)
         _, trace, speedup = al.run_map_parallel(

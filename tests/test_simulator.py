@@ -162,3 +162,5 @@ class TestAddNoise:
         sim = al.make_sim_scene(small_table, 4, 4, seed=17)
         with pytest.raises(al.ConfigurationError):
             al.add_noise(sim.scene, 1.5, seed=0)
+        with pytest.raises(al.ConfigurationError):
+            al.make_sim_scene(small_table, 4, 4, noise_level=-0.5, seed=17)
