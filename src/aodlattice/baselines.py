@@ -18,6 +18,8 @@ import numpy as np
 
 from .model import ConfigurationError, Scene, floor_simplex
 
+ASSUMED_REL_NOISE = 0.05  # relative noise behind the fixed grid-search variances
+
 
 def default_candidate_mixtures(n_components: int) -> np.ndarray:
     """One-hot, pairwise 50/50 and equal-thirds candidate mixtures.
@@ -53,18 +55,17 @@ class GridSearchConfig:
 
     @classmethod
     def defaults(cls, table, scene: Scene, n_tau_levels: int = 13,
-                 success_threshold: float | None = None,
-                 assumed_rel_noise: float = 0.05) -> "GridSearchConfig":
+                 success_threshold: float | None = None) -> "GridSearchConfig":
         """13 AOD levels over the table range, combinatorial mixtures.
 
-        The fixed noise variances default to (assumed_rel_noise * mean
-        channel radiance)^2, so a candidate fitting within the assumed
-        noise scores about C/2; the threshold defaults to the available
-        channel count (roughly 1.4 assumed noise units per channel).
+        The fixed noise variances are (ASSUMED_REL_NOISE * mean channel
+        radiance)^2, so a candidate fitting within the assumed noise scores
+        about C/2; the threshold defaults to the available channel count
+        (roughly 1.4 assumed noise units per channel).
         """
         if success_threshold is None:
             success_threshold = float(scene.channel_mask.sum())
-        level = np.maximum(assumed_rel_noise * scene.radiance.mean(axis=0), 1e-6)
+        level = np.maximum(ASSUMED_REL_NOISE * scene.radiance.mean(axis=0), 1e-6)
         return cls(
             tau_levels=np.linspace(table.tau_min, table.tau_max, n_tau_levels),
             candidate_mixtures=default_candidate_mixtures(table.n_components),
@@ -80,8 +81,11 @@ class GridSearchConfig:
         sums = self.candidate_mixtures.sum(axis=1)
         if np.any(self.candidate_mixtures < 0) or np.any(np.abs(sums - 1.0) > 1e-9):
             raise ConfigurationError("candidate mixtures must lie on the simplex")
-        if np.any(self.sigma2_fixed <= 0):
-            raise ConfigurationError("sigma2_fixed must be positive")
+        if not np.all(np.isfinite(self.sigma2_fixed)) or np.any(self.sigma2_fixed <= 0):
+            raise ConfigurationError("sigma2_fixed must be finite and positive")
+        # inf is legal: every region succeeds and returns the grid mean
+        if not self.success_threshold > 0:
+            raise ConfigurationError(f"success_threshold must be > 0, got {self.success_threshold}")
 
 
 def grid_search_retrieve(scene: Scene, table, config: GridSearchConfig):
@@ -205,10 +209,10 @@ def stability_bounds(
     config,
     n_inits: int,
     seeds=None,
-    init_strategy: str = "random",
 ) -> StabilityResult:
     """Run the MAP solver from several random initializations.
 
+    Each run starts from init_state's "random" strategy under its own seed.
     Returns the per-region mean and population standard deviation of the
     retrieved AOD over the runs that converged within max_sweeps; runs
     that did not converge are excluded and their seeds reported.
@@ -225,7 +229,7 @@ def stability_bounds(
     excluded = []
     for sd in seeds:
         cfg = replace(config, seed=int(sd))
-        init = init_state(scene, forward, init_strategy, config.hyper, seed=int(sd))
+        init = init_state(scene, forward, "random", config.hyper, seed=int(sd))
         state, trace = run_map(scene, forward, lattice, cfg, init)
         if trace.converged:
             fields.append(state.tau)

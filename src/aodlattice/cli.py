@@ -154,7 +154,7 @@ def _solver_config(cfg, n_components):
     alpha = _getf(cfg, "solver", "alpha")
     hyper = HyperParams.dirichlet(n_components, alpha, tau_max=_getf(cfg, "solver", "tau_max"))
     eps_raw = cfg["solver"]["epsilon"].strip()
-    return SolverConfig(
+    config = SolverConfig(
         hyper=hyper,
         delta=_getf(cfg, "solver", "delta"),
         epsilon=float(eps_raw) if eps_raw else None,
@@ -162,6 +162,8 @@ def _solver_config(cfg, n_components):
         max_sweeps=_geti(cfg, "solver", "max_sweeps"),
         seed=_geti(cfg, "run", "seed"),
     )
+    config.validate()
+    return config
 
 
 def cmd_simulate(args) -> int:
@@ -202,25 +204,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _write_metrics(out, tau, scene_dir):
-    truth = io.load_truth(scene_dir)
-    if truth is None:
-        return None
-    report = compute_metrics(tau, truth[0])
-    io.save_metrics(out / "metrics.json", report)
-    io.write_matrix_csv(out / "error.csv", report.per_region_error.reshape(-1, 1))
-    return report
-
-
 def cmd_retrieve(args) -> int:
+    """Run one retrieval method; the output directory is created only once
+    every result, metrics included, has been computed."""
     cfg = load_config(args.config, args.set)
     t0 = time.perf_counter()
     scene, library, table = io.load_scene(args.scene)
     lattice = build_lattice(scene.width, scene.height)
     solver_cfg = _solver_config(cfg, library.n_components)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     trace = None
+    speedup = None
+    matrices = {}  # method-specific CSV outputs
     if args.method == "grid":
         thr = cfg["grid"]["success_threshold"].strip()
         gcfg = GridSearchConfig.defaults(
@@ -229,7 +223,7 @@ def cmd_retrieve(args) -> int:
             success_threshold=float(thr) if thr else None,
         )
         tau, theta, success = grid_search_retrieve(scene, table, gcfg)
-        io.write_matrix_csv(out / "success.csv", success.astype(float).reshape(-1, 1))
+        matrices["success.csv"] = success.astype(float).reshape(-1, 1)
     else:
         init = init_state(
             scene, table, cfg["solver"]["init"], solver_cfg.hyper,
@@ -243,7 +237,6 @@ def cmd_retrieve(args) -> int:
                 _geti(cfg, "parallel", "patches"), init,
                 executor=cfg["parallel"]["executor"],
             )
-            io.save_speedup(out / "speedup.csv", speedup)
         elif args.method == "mcmc":
             mcfg = McmcConfig(
                 hyper=solver_cfg.hyper,
@@ -256,17 +249,27 @@ def cmd_retrieve(args) -> int:
             samples = [] if cfg["mcmc"]["dump_samples"].lower() == "true" else None
             sink = (lambda sweep, tau: samples.append(tau)) if samples is not None else None
             state, tau_std, trace = run_mcmc(scene, table, lattice, mcfg, init, sample_sink=sink)
-            io.write_matrix_csv(out / "tau_std.csv", tau_std.reshape(-1, 1))
+            matrices["tau_std.csv"] = tau_std.reshape(-1, 1)
             if samples is not None:
-                io.write_matrix_csv(out / "tau_samples.csv", np.asarray(samples))
+                matrices["tau_samples.csv"] = np.asarray(samples)
         else:
             raise ConfigurationError(f"unknown method: {args.method}")
         tau, theta = state.tau, state.theta
+    truth = io.load_truth(args.scene)
+    report = None if truth is None else compute_metrics(tau, truth[0])
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, matrix in matrices.items():
+        io.write_matrix_csv(out / name, matrix)
+    if speedup is not None:
+        io.save_speedup(out / "speedup.csv", speedup)
     io.write_matrix_csv(out / "tau.csv", tau.reshape(-1, 1))
     io.write_matrix_csv(out / "theta.csv", theta)
     if trace is not None:
         io.save_trace(out / "trace.csv", trace)
-    report = _write_metrics(out, tau, args.scene)
+    if report is not None:
+        io.save_metrics(out / "metrics.json", report)
+        io.write_matrix_csv(out / "error.csv", report.per_region_error.reshape(-1, 1))
     io.write_manifest(
         out / "manifest.json", cfg, solver_cfg.seed,
         {"retrieve": (time.perf_counter() - t0) * 1000.0},
@@ -284,8 +287,6 @@ def cmd_benchmark(args) -> int:
     patch_counts = [int(x) for x in args.patches.split(",") if x.strip()]
     if not patch_counts:
         raise ConfigurationError("empty patch count list")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     init = init_state(scene, table, cfg["solver"]["init"], solver_cfg.hyper,
                       seed=solver_cfg.seed, lattice=lattice)
     rows = []
@@ -298,6 +299,8 @@ def cmd_benchmark(args) -> int:
         rows.extend(speedup.rows)
         timings[f"patches_{n}"] = speedup.total_ms()
         print(f"patches={n}: {trace.sweeps} sweeps, {speedup.total_ms():.1f} ms total")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     io.save_speedup(out / "speedup.csv", SpeedupRecord(rows=rows))
     io.write_manifest(out / "manifest.json", cfg, solver_cfg.seed, timings)
     return 0

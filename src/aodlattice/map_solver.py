@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
+    KAPPA_CAP,
+    SIGMA2_FLOOR,
     ConfigurationError,
     HyperParams,
     InitializationError,
@@ -60,7 +62,7 @@ _STREAM_ACC = 2
 DELTA_DEFAULT = 0.05
 EPSILON_REL_DEFAULT = 1e-4
 MAX_SWEEPS_DEFAULT = 200
-SHAPE_FLOOR_DEFAULT = 1e-3
+SHAPE_FLOOR = 1e-3  # Gamma shape floor of the theta proposal: absent components can return
 
 
 def proposal_rng(seed: int, sweep: int, p: int) -> np.random.Generator:
@@ -85,8 +87,8 @@ class SolverConfig:
     """Knobs of the stochastic-search run.
 
     epsilon=None resolves to epsilon_rel * |objective after first sweep|.
-    delta, epsilon, epsilon_rel and gamma_shape_floor must be finite and
-    positive.
+    delta, epsilon and epsilon_rel must be finite and positive.  The theta
+    proposal's Gamma shape floor is the module constant SHAPE_FLOOR.
     """
 
     hyper: HyperParams
@@ -95,11 +97,10 @@ class SolverConfig:
     epsilon_rel: float = EPSILON_REL_DEFAULT
     max_sweeps: int = MAX_SWEEPS_DEFAULT
     seed: int = 0
-    gamma_shape_floor: float = SHAPE_FLOOR_DEFAULT
 
     def validate(self) -> None:
         self.hyper.validate()
-        for name in ("delta", "epsilon", "epsilon_rel", "gamma_shape_floor"):
+        for name in ("delta", "epsilon", "epsilon_rel"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
@@ -154,9 +155,9 @@ def _draw_tau(ntau: np.ndarray, delta: float, rng: np.random.Generator):
     return mean, mean + delta * rng.standard_normal()
 
 
-def _draw_theta(nrows: np.ndarray, shape_floor: float, rng: np.random.Generator):
+def _draw_theta(nrows: np.ndarray, rng: np.random.Generator):
     """The normalized-Gamma theta draw; returns (concentration, row)."""
-    conc = np.maximum(nrows.mean(axis=0), shape_floor)
+    conc = np.maximum(nrows.mean(axis=0), SHAPE_FLOOR)
     draw = rng.gamma(conc)
     total = draw.sum()
     if total <= 0.0:
@@ -195,74 +196,66 @@ def propose_theta(
     state: RetrievalState,
     lattice: LatticeTopology,
     p: int,
-    shape_floor: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw theta* from Gamma(neighbor-mean shapes, 1), normalized.
 
     Equivalent to a Dirichlet draw whose concentration is the neighbor
-    mean of each component, floored at shape_floor.
+    mean of each component, floored at SHAPE_FLOOR: the kernel's own draw.
     """
-    return _draw_theta(state.theta[lattice.neighbors(p)], shape_floor, rng)[1]
+    return _draw_theta(state.theta[lattice.neighbors(p)], rng)[1]
 
 
-def _kappa_from_roughness(S: float, P: int, kappa_cap: float):
+def _kappa_from_roughness(S: float, P: int):
     if S <= 0.0:
-        return kappa_cap, True
-    return min((P - 3) / S, kappa_cap), False
+        return KAPPA_CAP, True
+    return min((P - 3) / S, KAPPA_CAP), False
 
 
-def _sigma2_from_sse(sse, P: int, floor: float):
+def _sigma2_from_sse(sse, P: int):
     """The closed-form sigma2 maximizer SSE_c / (P+2) per channel, floored."""
-    return np.maximum(sse / (P + 2), floor)
+    return np.maximum(sse / (P + 2), SIGMA2_FLOOR)
 
 
-def update_kappa(
-    state: RetrievalState, lattice: LatticeTopology, kappa_cap: float = 1e12
-):
+def update_kappa(state: RetrievalState, lattice: LatticeTopology):
     """Closed-form smoothness update (P-3)/S, S summing each edge once.
 
-    Returns (kappa, degenerate): a perfectly constant field has S = 0, in
-    which case the cap is returned with the degenerate flag set.
+    Returns (kappa, degenerate), kappa capped at KAPPA_CAP: a perfectly
+    constant field has S = 0 and returns the cap with the flag set.
     """
     S = gmrf_roughness(state.tau, lattice)
-    return _kappa_from_roughness(S, lattice.n_regions, kappa_cap)
+    return _kappa_from_roughness(S, lattice.n_regions)
 
 
-def update_sigma(
-    state: RetrievalState, scene: Scene, forward, sigma2_floor: float = 1e-12
-) -> np.ndarray:
+def update_sigma(state: RetrievalState, scene: Scene, forward) -> np.ndarray:
     """Closed-form noise update SSE_c / (P+2) per available channel.
 
-    Floored at sigma2_floor (a perfect fit would otherwise divide later
+    Floored at SIGMA2_FLOOR (a perfect fit would otherwise divide later
     evaluations by zero); masked-out channels keep their current value.
     """
     sse = _channel_sse(scene.radiance, forward.eval_batch(state.tau, state.theta))
     out = state.sigma2.copy()
     mask = scene.channel_mask
-    out[mask] = _sigma2_from_sse(sse[mask], scene.n_regions, sigma2_floor)
+    out[mask] = _sigma2_from_sse(sse[mask], scene.n_regions)
     return out
 
 
 def init_state(
     scene: Scene,
     forward,
-    strategy: str = "flat",
-    hyper: HyperParams | None = None,
+    strategy: str,
+    hyper: HyperParams,
     seed: int = 0,
     lattice: LatticeTopology | None = None,
-    grid_config=None,
 ) -> RetrievalState:
     """Build a starting state.
 
     flat: tau = 0.2 everywhere, uniform theta, sigma2 from its closed form,
-    kappa = 1.  coarse_grid: per-region winner of the grid-search baseline,
-    then one neighbor-averaging pass over tau.  random: uniform tau and
-    Dirichlet(1) theta rows, for multi-start stability runs.
+    kappa = 1.  coarse_grid: per-region winner of the default grid-search
+    baseline, then one neighbor-averaging pass over tau.  random: uniform
+    tau and Dirichlet(1) theta rows, for multi-start stability runs.
     """
     M = forward.n_components
-    if hyper is None:
-        hyper = HyperParams.uniform(M)
     P = scene.n_regions
     tau_hi = min(hyper.tau_max, forward.tau_max)
     if strategy == "flat":
@@ -277,9 +270,7 @@ def init_state(
 
         if lattice is None:
             lattice = build_lattice(scene.width, scene.height)
-        cfg = grid_config if grid_config is not None else GridSearchConfig.defaults(
-            forward, scene
-        )
+        cfg = GridSearchConfig.defaults(forward, scene)
         tau_g, theta_g, _success = grid_search_retrieve(scene, forward, cfg)
         tau = np.clip(tau_g, 0.0, tau_hi)
         smoothed = tau.copy()
@@ -291,7 +282,7 @@ def init_state(
     else:
         raise ConfigurationError(f"unknown init strategy: {strategy}")
     state = RetrievalState(tau=tau, theta=theta, sigma2=np.ones(scene.channels), kappa=1.0)
-    state.sigma2 = update_sigma(state, scene, forward, hyper.sigma2_floor)
+    state.sigma2 = update_sigma(state, scene, forward)
     return state
 
 
@@ -320,8 +311,8 @@ class Workspace:
         self.theta = state.theta.astype(float).copy()
         self.sigma2 = state.sigma2.astype(float).copy()
         self.kappa = float(state.kappa)
-        self.tau_lo = max(0.0, getattr(forward, "tau_min", 0.0))
-        self.tau_hi = min(hyper.tau_max, getattr(forward, "tau_max", hyper.tau_max))
+        self.tau_lo = max(0.0, forward.tau_min)
+        self.tau_hi = min(hyper.tau_max, forward.tau_max)
         self.pred = forward.eval_batch(self.tau, self.theta) if pred is None else pred
         self.S = self.sse = None
 
@@ -354,7 +345,7 @@ def _kappa_update_delta(ws: Workspace):
     which keeps greedy ascent exact.
     """
     P = ws.lattice.n_regions
-    kappa_new, degenerate = _kappa_from_roughness(ws.S, P, ws.hyper.kappa_cap)
+    kappa_new, degenerate = _kappa_from_roughness(ws.S, P)
     if kappa_new == ws.kappa:
         return 0.0, degenerate
     dk = 0.5 * (P - 3) * (math.log(kappa_new) - math.log(ws.kappa)) - 0.5 * ws.S * (
@@ -369,7 +360,7 @@ def _kappa_update_delta(ws: Workspace):
 def _sigma_update_delta(ws: Workspace) -> float:
     """Apply the guarded closed-form sigma2 update; return its delta."""
     P = ws.lattice.n_regions
-    closed_form = _sigma2_from_sse(ws.sse, P, ws.hyper.sigma2_floor)
+    closed_form = _sigma2_from_sse(ws.sse, P)
     dtotal = 0.0
     for c in np.flatnonzero(ws.mask):
         sse_c = float(ws.sse[c])
@@ -418,7 +409,6 @@ def sweep_regions(
     alpha_m1 = ws.alpha_m1
     fwd = ws.forward
     delta = config.delta
-    shape_floor = config.gamma_shape_floor
     seed = config.seed
     w = mask / (2.0 * ws.sigma2)
     mh = mode == "mh"
@@ -452,7 +442,7 @@ def sweep_regions(
                 acc_t += 1
 
         # --- theta step ---
-        conc, row = _draw_theta(theta[nbrs], shape_floor, rng)
+        conc, row = _draw_theta(theta[nbrs], rng)
         pred_new = fwd.eval(tau[p], row)
         log_old = _safe_log_theta(theta[p])
         log_new = _safe_log_theta(row)

@@ -43,7 +43,8 @@ from . import map_solver
 
 @dataclass
 class McmcConfig:
-    """Chain length and kernel knobs for the MCMC baseline."""
+    """Chain length and kernel knobs for the MCMC baseline; the theta
+    proposal's Gamma shape floor is the MAP solver's SHAPE_FLOOR."""
 
     hyper: HyperParams
     iterations: int = 1000
@@ -51,10 +52,9 @@ class McmcConfig:
     thin: int = 5
     delta: float = 0.05
     seed: int = 0
-    gamma_shape_floor: float = 1e-3
 
     def validate(self) -> None:
-        _kernel_config(self).validate()  # hyper, delta and gamma_shape_floor
+        _kernel_config(self).validate()  # hyper and delta
         if self.iterations < 1:
             raise ConfigurationError("iterations must be >= 1")
         if not 0 <= self.burn_in < self.iterations:
@@ -64,12 +64,7 @@ class McmcConfig:
 
 
 def _kernel_config(config: McmcConfig) -> SolverConfig:
-    return SolverConfig(
-        hyper=config.hyper,
-        delta=config.delta,
-        seed=config.seed,
-        gamma_shape_floor=config.gamma_shape_floor,
-    )
+    return SolverConfig(hyper=config.hyper, delta=config.delta, seed=config.seed)
 
 
 def mh_sweep(
@@ -167,7 +162,6 @@ def toy_tau_chain(
     seed: int = 0,
     lo: float = 0.0,
     hi: float = 6.0,
-    init: float | None = None,
     warmup: int = 0,
 ):
     """Drive the tau MH kernel on a standalone 1-D target density.
@@ -175,7 +169,8 @@ def toy_tau_chain(
     This is the single-coordinate slice of the sweep kernel: a Gaussian
     proposal centered at a fixed surrogate neighbor mean, with the
     kernel's own proposal-density correction and rejection outside
-    [lo, hi] (the support of the AOD prior).  Used to validate the chain's
+    [lo, hi] (the support of the AOD prior).  The chain starts at the
+    proposal mean clamped into [lo, hi].  Used to validate the chain's
     stationary distribution against direct normalization of the target.
 
     Returns (samples after warmup, acceptance rate over those samples).
@@ -185,7 +180,7 @@ def toy_tau_chain(
     total = warmup + n_samples
     raws = proposal_mean + delta * prop.standard_normal(total)
     log_t = log_target(np.clip(raws, lo, hi))  # values outside support unused
-    x = float(init) if init is not None else min(max(proposal_mean, lo), hi)
+    x = min(max(proposal_mean, lo), hi)
     lt_x = float(log_target(np.array([x]))[0])
     samples = np.empty(n_samples)
     accepted = 0

@@ -36,10 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Numerical guards.  theta entries are clamped up to THETA_FLOOR before any
-# log (the Dirichlet term is -inf on the simplex boundary when alpha_m < 1);
-# sigma2 is floored and kappa capped so perfect-fit and constant-field
-# degeneracies never divide by zero.
+# Numerical guards, one value for every caller.  THETA_FLOOR: theta entries
+# are clamped up to it before any log (the Dirichlet term is -inf on the
+# simplex boundary when alpha_m < 1).  SIGMA2_FLOOR and KAPPA_CAP bound the
+# closed-form sigma2 and kappa, so perfect-fit and constant-field
+# degeneracies never divide by zero.  The theta proposal's Gamma shape floor
+# is map_solver.SHAPE_FLOOR.
 THETA_FLOOR = 1e-12
 SIGMA2_FLOOR = 1e-12
 KAPPA_CAP = 1e12
@@ -59,15 +61,13 @@ class HyperParams:
     """Fixed hyperparameters of the hierarchical model.
 
     alpha is the Dirichlet concentration vector (length M, all entries > 0).
-    tau_max bounds the AOD search range; sigma2_floor and kappa_cap guard
-    the degenerate closed-form updates.  All three must be finite and
-    positive.
+    tau_max bounds the AOD search range and must be finite and positive.
+    The guards of the closed-form sigma2 and kappa updates are the module
+    constants SIGMA2_FLOOR and KAPPA_CAP.
     """
 
     alpha: np.ndarray
     tau_max: float = TAU_MAX
-    sigma2_floor: float = SIGMA2_FLOOR
-    kappa_cap: float = KAPPA_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
@@ -87,10 +87,8 @@ class HyperParams:
             raise ConfigurationError("alpha must be a vector of length >= 2")
         if not np.all(np.isfinite(self.alpha)) or np.any(self.alpha <= 0):
             raise ConfigurationError("alpha entries must be finite and > 0")
-        for name in ("tau_max", "sigma2_floor", "kappa_cap"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.tau_max) and self.tau_max > 0):
+            raise ConfigurationError(f"tau_max must be finite and > 0, got {self.tau_max}")
 
 
 @dataclass
@@ -100,7 +98,7 @@ class Scene:
     radiance is P x C, row-major in region index (region p = row * width +
     column), channel columns ascending.  channel_mask marks the channels
     that are available; masked-out channels are excluded from every sum.
-    region_size_km is carried as metadata only.
+    region_size_km is carried as metadata only; it must be finite and > 0.
     """
 
     width: int
@@ -136,6 +134,9 @@ class Scene:
             raise ConfigurationError("channel_mask length must equal channels")
         if not self.channel_mask.any():
             raise ConfigurationError("at least one channel must be available")
+        size = self.region_size_km
+        if not (math.isfinite(size) and size > 0):
+            raise ConfigurationError(f"region_size_km must be finite and > 0, got {size}")
 
 
 @dataclass(frozen=True)
@@ -240,7 +241,7 @@ def validate_state(state: RetrievalState, hyper: HyperParams) -> None:
     row_sums = state.theta.sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > 1e-12):
         raise ValueError("theta rows must sum to 1 within 1e-12")
-    if np.any(state.sigma2 < hyper.sigma2_floor):
+    if np.any(state.sigma2 < SIGMA2_FLOOR):
         raise ValueError("sigma2 below floor")
     if not np.all(np.isfinite(state.sigma2)):
         raise ValueError("sigma2 contains non-finite values")
@@ -248,9 +249,9 @@ def validate_state(state: RetrievalState, hyper: HyperParams) -> None:
         raise ValueError("kappa must be finite and >= 0")
 
 
-def floor_simplex(theta: np.ndarray, floor: float = THETA_FLOOR) -> np.ndarray:
-    """Clamp entries up to the floor and renormalize rows to the simplex."""
-    out = np.maximum(np.asarray(theta, dtype=float), floor)
+def floor_simplex(theta: np.ndarray) -> np.ndarray:
+    """Clamp entries up to THETA_FLOOR and renormalize rows to the simplex."""
+    out = np.maximum(np.asarray(theta, dtype=float), THETA_FLOOR)
     if out.ndim == 1:
         return out / out.sum()
     return out / out.sum(axis=1, keepdims=True)

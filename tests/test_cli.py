@@ -64,9 +64,12 @@ class TestSimulate:
         assert run_cli("simulate", "--set", "solver.cadence=per_sweep",
                        "--out", str(tmp_path / "x")) == 2
 
-    def test_negative_noise_level_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("setting", [
+        "noise.level=-0.5", "scene.region_size_km=nan", "scene.region_size_km=-3",
+    ])
+    def test_negative_noise_level_exits_2(self, tmp_path, capsys, setting):
         out = tmp_path / "x"
-        assert run_cli("simulate", *SMALL, "--set", "noise.level=-0.5", "--out", str(out)) == 2
+        assert run_cli("simulate", *SMALL, "--set", setting, "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
@@ -179,15 +182,27 @@ class TestRetrieve:
         assert code == 2
         assert "'table'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", [
-        "solver.delta=nan", "solver.epsilon=nan", "solver.epsilon_rel=-1", "solver.tau_max=nan",
-    ])
+    BAD_SETTINGS = [
+        ("map", "solver.delta=nan"), ("map", "solver.epsilon=nan"),
+        ("map", "solver.epsilon_rel=-1"), ("map", "solver.tau_max=nan"),
+        ("map", "solver.init=bogus"),
+        ("grid", "solver.delta=nan"), ("grid", "solver.alpha=nan"),
+        ("grid", "grid.success_threshold=nan"), ("grid", "grid.success_threshold=-1"),
+        ("map-parallel", "parallel.patches=0"), ("map-parallel", "parallel.executor=bogus"),
+        ("mcmc", "mcmc.burn_in=-1"),
+    ]
+
+    # map cases keep the bare setting as their id
+    @pytest.mark.parametrize("method, setting", BAD_SETTINGS,
+                             ids=[s if m == "map" else f"{m}-{s}" for m, s in BAD_SETTINGS])
     def test_nonfinite_or_negative_solver_setting_exits_2(self, scene_dir, tmp_path, capsys,
-                                                           setting):
-        code = run_cli("retrieve", "--scene", str(scene_dir), "--method", "map",
-                       *SMALL, "--set", setting, "--out", str(tmp_path / "o"))
+                                                           method, setting):
+        out = tmp_path / "o"
+        code = run_cli("retrieve", "--scene", str(scene_dir), "--method", method,
+                       *SMALL, "--set", setting, "--out", str(out))
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_solver_failure_exits_3(self, scene_dir, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -218,6 +233,10 @@ class TestBenchmark:
         assert counts == {1, 2, 4}
         assert all(float(r.split(",")[2]) >= 0 for r in rows)
 
-    def test_empty_patch_list_exits_2(self, scene_dir, tmp_path):
-        assert run_cli("benchmark", "--scene", str(scene_dir), "--patches", ",",
-                       "--out", str(tmp_path / "o")) == 2
+    def test_empty_patch_list_exits_2(self, scene_dir, tmp_path, capsys):
+        for patches in (",", "0"):
+            out = tmp_path / "o"
+            assert run_cli("benchmark", "--scene", str(scene_dir), "--patches", patches,
+                           "--out", str(out)) == 2
+            assert capsys.readouterr().err.startswith("error:")
+            assert not out.exists()

@@ -66,7 +66,7 @@ class TestProposeTheta:
         state = random_state(rng, 9, 3, 4)
         lat = al.build_lattice(3, 3)
         for p in range(9):
-            row = al.propose_theta(state, lat, p, 1e-3, proposal_rng(1, 1, p))
+            row = al.propose_theta(state, lat, p, proposal_rng(1, 1, p))
             assert np.all(row >= 0)
             assert abs(row.sum() - 1.0) <= 1e-12
 
@@ -79,7 +79,7 @@ class TestProposeTheta:
         )
         lat = al.build_lattice(2, 2)
         rng = np.random.default_rng(6)
-        rows = np.array([al.propose_theta(state, lat, 0, 1e-3, rng) for _ in range(100_000)])
+        rows = np.array([al.propose_theta(state, lat, 0, rng) for _ in range(100_000)])
         means = rows.mean(axis=0)
         assert means[0] > means[1] and means[0] > means[2]
 
@@ -88,8 +88,8 @@ class TestProposeTheta:
             tau=np.full(4, 0.2), theta=np.full((4, 3), 1 / 3), sigma2=np.ones(4), kappa=1.0
         )
         lat = al.build_lattice(2, 2)
-        a = al.propose_theta(state, lat, 0, 1e-3, proposal_rng(3, 2, 0))
-        b = al.propose_theta(state, lat, 0, 1e-3, proposal_rng(3, 2, 0))
+        a = al.propose_theta(state, lat, 0, proposal_rng(3, 2, 0))
+        b = al.propose_theta(state, lat, 0, proposal_rng(3, 2, 0))
         np.testing.assert_array_equal(a, b)
 
 
@@ -116,7 +116,7 @@ class TestSweepKernel:
         draws = proposal_rng(cfg.seed, sweep, p)
         assert al.propose_tau(init, lat, p, cfg.delta, draws, tau_max=hyper.tau_max) == tau_new
         np.testing.assert_array_equal(
-            al.propose_theta(init, lat, p, cfg.gamma_shape_floor, draws), theta_new
+            al.propose_theta(init, lat, p, draws), theta_new
         )
         d_tau = al.delta_log_posterior_tau(init, scene, lat, small_table, p, tau_new)
         moved = init.copy()
@@ -144,7 +144,7 @@ class TestUpdateKappa:
             tau=np.full(4, 0.3), theta=np.full((4, 3), 1 / 3), sigma2=np.ones(4), kappa=1.0
         )
         lat = al.build_lattice(2, 2)
-        kappa, degenerate = al.update_kappa(state, lat, kappa_cap=1e12)
+        kappa, degenerate = al.update_kappa(state, lat)
         assert degenerate
         assert kappa == 1e12
 
@@ -171,7 +171,7 @@ class TestUpdateSigma:
         state = random_state(rng, 9, 3, 4)
         radiance = small_table.eval_batch(state.tau, state.theta)
         scene = al.Scene(3, 3, 4, radiance, np.ones(4, dtype=bool))
-        out = al.update_sigma(state, scene, small_table, sigma2_floor=1e-12)
+        out = al.update_sigma(state, scene, small_table)
         np.testing.assert_array_equal(out, np.full(4, 1e-12))
 
     def test_direct_arithmetic_two_regions(self, small_table):

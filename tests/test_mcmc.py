@@ -171,5 +171,3 @@ class TestRunMcmc:
             al.McmcConfig(hyper=hyper, thin=0).validate()
         with pytest.raises(al.ConfigurationError):
             al.McmcConfig(hyper=hyper, delta=float("nan")).validate()
-        with pytest.raises(al.ConfigurationError):
-            al.McmcConfig(hyper=hyper, gamma_shape_floor=float("nan")).validate()

@@ -236,6 +236,10 @@ class TestValidation:
         nomask = al.Scene(3, 3, 4, scene.radiance, np.zeros(4, dtype=bool))
         with pytest.raises(al.ConfigurationError):
             nomask.validate()
+        nosize = al.Scene(3, 3, 4, scene.radiance, np.ones(4, dtype=bool),
+                          region_size_km=float("nan"))
+        with pytest.raises(al.ConfigurationError, match="region_size_km"):
+            nosize.validate()
 
     def test_nonfinite_theta_rejected(self):
         rng = np.random.default_rng(15)
