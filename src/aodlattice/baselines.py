@@ -63,6 +63,8 @@ class GridSearchConfig:
         about C/2; the threshold defaults to the available channel count
         (roughly 1.4 assumed noise units per channel).
         """
+        if n_tau_levels < 2:
+            raise ConfigurationError(f"n_tau_levels must be >= 2, got {n_tau_levels}")
         if success_threshold is None:
             success_threshold = float(scene.channel_mask.sum())
         level = np.maximum(ASSUMED_REL_NOISE * scene.radiance.mean(axis=0), 1e-6)

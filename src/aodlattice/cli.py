@@ -135,6 +135,14 @@ def _getf(cfg, sec, key):
         raise ConfigurationError(f"[{sec}] {key}: expected number, got {cfg[sec][key]!r}") from exc
 
 
+def _getb(cfg, sec, key):
+    word = cfg[sec][key].strip().lower()
+    if word not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ConfigurationError(f"[{sec}] {key}: expected 1/yes/true/on or 0/no/false/off, "
+                                 f"got {cfg[sec][key]!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[word]
+
+
 def _library(cfg):
     spec = cfg["components"]["library"]
     return default_library() if spec == "default" else load_library(spec)
@@ -246,7 +254,7 @@ def cmd_retrieve(args) -> int:
                 delta=solver_cfg.delta,
                 seed=solver_cfg.seed,
             )
-            samples = [] if cfg["mcmc"]["dump_samples"].lower() == "true" else None
+            samples = [] if _getb(cfg, "mcmc", "dump_samples") else None
             sink = (lambda sweep, tau: samples.append(tau)) if samples is not None else None
             state, tau_std, trace = run_mcmc(scene, table, lattice, mcfg, init, sample_sink=sink)
             matrices["tau_std.csv"] = tau_std.reshape(-1, 1)
@@ -287,6 +295,8 @@ def cmd_benchmark(args) -> int:
     patch_counts = [int(x) for x in args.patches.split(",") if x.strip()]
     if not patch_counts:
         raise ConfigurationError("empty patch count list")
+    if len(set(patch_counts)) < len(patch_counts):
+        raise ConfigurationError(f"repeated patch count in {args.patches!r}")
     init = init_state(scene, table, cfg["solver"]["init"], solver_cfg.hyper,
                       seed=solver_cfg.seed, lattice=lattice)
     rows = []

@@ -1,8 +1,9 @@
 """MAP retrieval by coordinate-wise stochastic search.
 
-One sweep visits every region p in index order and, per region, proposes a
-new AOD value tau_p (Gaussian centered on the neighbor mean, width delta)
-and a new composition row theta_p (independent Gamma draws with the
+One sweep visits every region p in lattice.sweep_order (the checkerboard
+colour classes in turn) and, per region, proposes a new AOD value tau_p
+(Gaussian centered on the neighbor mean, width delta) and a new
+composition row theta_p (independent Gamma draws with the
 neighbor-mean shapes, normalized to the simplex; equivalently a Dirichlet
 draw with the neighbor means as concentration).  A proposal is accepted
 only when it strictly increases the joint log-posterior, which makes the
@@ -15,11 +16,13 @@ The run stops when the absolute per-sweep objective change drops below
 epsilon, or after max_sweeps.
 
 Randomness discipline: every (seed, sweep, region) triple owns its own
-proposal stream, so the draws a region sees do not depend on how the
-lattice is partitioned or scheduled.  The patch-parallel scheduler and the
-MCMC baseline reuse this module's sweep kernel, per-sweep step and driver
-loop, which is what makes their exact-equivalence contracts (single-patch
-== sequential, greedy-filtered MH == MAP) hold bitwise.
+proposal stream, and a region's update reads only its neighbors, which
+lie in the other colour class; so any split of one class across patches
+or workers computes what the sequential visit computes.  The
+patch-parallel scheduler and the MCMC baseline reuse this module's sweep
+kernel, visit order, per-sweep step and sweep loop, so their
+exact-equivalence contracts (patch-parallel == sequential, greedy-filtered
+MH == MAP) hold bitwise.
 """
 
 from __future__ import annotations
@@ -112,11 +115,9 @@ class SolverConfig:
 class SweepTrace:
     """Per-sweep run telemetry.
 
-    For sequential greedy runs the log_posterior sequence is non-decreasing
-    (every recorded increment is an accepted improvement or a closed-form
-    maximizer step).  Patch-parallel runs recompute the value from the
-    merged field instead, where stale reads may dent monotonicity
-    transiently.
+    For greedy runs, sequential or patch-parallel, the log_posterior
+    sequence is non-decreasing: every recorded increment is an accepted
+    improvement or a closed-form maximizer step.
     """
 
     n_regions: int
@@ -295,7 +296,7 @@ class Workspace:
     move; S and sse are recomputed by resync(), which the run start and
     every sweep boundary call before the closed-form kappa and sigma2
     steps read them.  A caller that already holds the predictions passes
-    them as pred, which skips the forward evaluation of every region.
+    them as pred (a process-pool worker fills only the rows it sweeps).
     """
 
     def __init__(self, scene: Scene, forward, lattice: LatticeTopology,
@@ -394,12 +395,11 @@ def sweep_regions(
 
     kappa and sigma2 stay fixed for the whole visit, so the misfit weights
     mask / (2 sigma2) are built once.  Neighbor reads resolve against the
-    workspace arrays; the patch-parallel scheduler passes per-patch copies
-    of the sweep-start field, which is what gives cross-patch reads their
-    snapshot-surrogate semantics.
+    workspace arrays.  Every solver passes lattice.sweep_order, or (in a
+    process-pool worker) one patch's share of one colour class.
 
-    Returns (delta_sum, tau_accepts, theta_accepts).  delta_sum telescopes
-    to the true objective change only when no stale reads occurred.
+    Returns (delta_sum, tau_accepts, theta_accepts); delta_sum is the
+    exact objective change of the visit.
     """
     lat = ws.lattice
     obs = ws.obs
@@ -490,17 +490,16 @@ def _sweep_step(ws: Workspace, run_sweep, sweep: int):
 
 
 def _sweep_loop(ws: Workspace, trace: SweepTrace, sweeps: int, run_sweep,
-                config: SolverConfig | None = None, recompute: bool = False):
+                config: SolverConfig | None = None):
     """The driver loop shared by run_map, run_map_parallel and run_mcmc.
 
     Each sweep is one _sweep_step.  The objective telescopes the step's
-    deltas from trace.initial_log_posterior, or with recompute (patch runs,
-    whose stale cross-patch reads break the telescoping) is re-evaluated
-    from the workspace caches.  Every sweep appends a trace row and yields
-    (sweep, objective, elapsed_ms).  Given a config the loop then stops
-    once the objective moved by less than epsilon, where epsilon=None
-    resolves to epsilon_rel * |objective after the first sweep|; without
-    one it runs all sweeps.
+    deltas from trace.initial_log_posterior, so a greedy trace is exactly
+    non-decreasing.  Every sweep appends a trace row and yields (sweep,
+    objective, elapsed_ms).  Given a config the loop then stops once the
+    objective moved by less than epsilon, where epsilon=None resolves to
+    epsilon_rel * |objective after the first sweep|; without one it runs
+    all sweeps.
     """
     f = trace.initial_log_posterior
     eps = None if config is None else config.epsilon
@@ -508,7 +507,7 @@ def _sweep_loop(ws: Workspace, trace: SweepTrace, sweeps: int, run_sweep,
         t0 = time.perf_counter()
         dsum, dh, acc_t, acc_h, degenerate = _sweep_step(ws, run_sweep, sweep)
         prev = f
-        f = ws.cached_log_posterior() if recompute else f + dsum + dh
+        f = f + dsum + dh
         elapsed = (time.perf_counter() - t0) * 1000.0
         trace.log_posterior.append(f)
         trace.tau_accepts.append(acc_t)
@@ -545,10 +544,9 @@ def run_map(
     """
     config.validate()
     ws, trace = _start(scene, forward, lattice, config, init)
-    all_regions = range(lattice.n_regions)
 
     def run_sweep(sweep):
-        return sweep_regions(ws, all_regions, sweep, config)
+        return sweep_regions(ws, lattice.sweep_order, sweep, config)
 
     for sweep, f, _ in _sweep_loop(ws, trace, config.max_sweeps, run_sweep, config):
         if on_sweep is not None:

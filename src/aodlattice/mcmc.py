@@ -88,7 +88,7 @@ def mh_sweep(
     mode = "greedy" if greedy else "mh"
 
     def run_sweep(sweep):
-        return map_solver.sweep_regions(ws, range(lattice.n_regions), sweep, kcfg, mode=mode)
+        return map_solver.sweep_regions(ws, lattice.sweep_order, sweep, kcfg, mode=mode)
 
     _sweep_step(ws, run_sweep, sweep)
     return ws.to_state()
@@ -124,7 +124,7 @@ def run_mcmc(
     n_kept = 0
 
     def run_sweep(sweep):
-        return map_solver.sweep_regions(ws, range(P), sweep, kcfg, mode="mh")
+        return map_solver.sweep_regions(ws, lattice.sweep_order, sweep, kcfg, mode="mh")
 
     for sweep, _, _ in _sweep_loop(ws, trace, config.iterations, run_sweep):
         if sweep > config.burn_in and (sweep - config.burn_in - 1) % config.thin == 0:

@@ -145,6 +145,9 @@ class LatticeTopology:
 
     neighbor_lists[p] holds the region indices adjacent to p (borders
     truncated).  edges lists every unordered neighbor pair exactly once.
+    colours holds the two checkerboard classes, (row + col) even then odd,
+    each ascending; no edge joins two regions of one class.  sweep_order,
+    their concatenation, is every sweep's visit order.  All are int tuples.
     """
 
     width: int
@@ -152,6 +155,8 @@ class LatticeTopology:
     neighbor_lists: tuple
     n_p: np.ndarray
     edges: np.ndarray
+    colours: tuple
+    sweep_order: tuple
 
     @property
     def n_regions(self) -> int:
@@ -174,9 +179,11 @@ def build_lattice(width: int, height: int) -> LatticeTopology:
         )
     nbrs = []
     edges = []
+    classes = ([], [])
     for r in range(height):
         for c in range(width):
             p = r * width + c
+            classes[(r + c) % 2].append(p)
             lst = []
             if r > 0:
                 lst.append(p - width)
@@ -196,6 +203,8 @@ def build_lattice(width: int, height: int) -> LatticeTopology:
         neighbor_lists=tuple(nbrs),
         n_p=n_p,
         edges=np.asarray(edges, dtype=np.intp),
+        colours=(tuple(classes[0]), tuple(classes[1])),
+        sweep_order=tuple(classes[0] + classes[1]),
     )
 
 

@@ -1,22 +1,17 @@
 """Patch-parallel MAP sweeps.
 
-The lattice is partitioned into contiguous rectangular patches; each sweep
-updates every patch concurrently against an immutable snapshot of the
-previous iteration.  Within a patch, regions are visited sequentially in
-index order and neighbor reads see the patch's live values; reads that
-cross a patch border resolve to the snapshot.  A barrier separates sweeps;
-kappa and sigma2 are global reductions and are recomputed once per sweep
-from the merged field.
+The lattice is partitioned into contiguous rectangular patches, and every
+sweep visits the lattice's colour classes in turn (lattice.sweep_order).
+A region's update reads only its neighbors, which lie in the other class,
+so a class split across patches in any way computes what the sequential
+sweep computes.  kappa and sigma2 move once per sweep from the merged field.
 
-Execution realizes the neighbor-surrogate rule by giving each patch a
-private copy of the sweep-start field and writing only its own region
-indices, so the merge is a deterministic concatenation.  One per-patch
-task runs either in-process ("serial"; "thread" is an alias kept for
-existing callers, since threads give no speedup to this Python-bound
-kernel) or in a process pool ("process"), with identical results.
-Proposal randomness is keyed by (seed, sweep, region), never by patch or
-worker, so a region sees the same draws under any partitioning; with a
-single patch the run is bitwise identical to the sequential solver.
+Without a pool ("serial", or its alias "thread", kept for existing callers
+since threads give no speedup to this Python-bound kernel) a sweep is the
+sequential kernel call.  With a process pool ("process") each colour class
+is one round trip of one job per patch, merged in patch order.  Proposal
+randomness is keyed by (seed, sweep, region), never by patch or worker, so
+the final state is bitwise independent of the patch count and executor.
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -155,35 +149,19 @@ def parallel_sweep(
     config: SolverConfig,
     sweep: int = 1,
 ) -> RetrievalState:
-    """One barrier-synchronized patch-parallel sweep; returns the merged state.
+    """One sweep in colour order, then the closed-form kappa and sigma2
+    steps; returns the new state, bitwise equal to mh_sweep(greedy=True).
 
-    Each patch updates its regions sequentially; neighbor reads resolve to
-    the live in-patch value and to `snapshot` outside the patch.  kappa and
-    sigma2 are recomputed once from the merged field afterwards.
+    snapshot and part are accepted and unused: colour-ordered sweeps read
+    no sweep-start snapshot, and every partition gives the same result.
     """
     ws = Workspace(scene, forward, lattice, config.hyper, state)
 
     def run_sweep(sweep):
-        return _one_parallel_sweep(ws, part, sweep, config, None, snapshot.tau, snapshot.theta)
+        return _one_parallel_sweep(ws, part, sweep, config, None)
 
     _sweep_step(ws, run_sweep, sweep)
     return ws.to_state()
-
-
-def _sweep_patch(ctx, job):
-    """Sweep one patch on a private workspace; returns its rows and counts.
-
-    The workspace field is the job's (snapshot outside the patch, live
-    inside); only the patch's own prediction rows are filled, because the
-    kernel reads no other.
-    """
-    scene, forward, lattice, config = ctx
-    sweep, regions, patch_field, pred_rows = job
-    pred = np.zeros((lattice.n_regions, scene.channels))
-    pred[regions] = pred_rows
-    ws = Workspace(scene, forward, lattice, config.hyper, patch_field, pred=pred)
-    dsum, acc_t, acc_h = sweep_regions(ws, regions, sweep, config)
-    return ws.tau[regions], ws.theta[regions], ws.pred[regions], dsum, acc_t, acc_h
 
 
 # Static context for process-pool workers, installed once per pool by fork
@@ -196,7 +174,16 @@ def _process_init(ctx):
 
 
 def _process_task(job):
-    return _sweep_patch(_WORKER_CTX["ctx"], job)
+    """Sweep one patch's regions of one colour in a worker; returns their
+    rows and counts.  Only those regions' prediction rows are filled,
+    because the kernel reads no other."""
+    scene, forward, lattice, config = _WORKER_CTX["ctx"]
+    sweep, regions, current, pred_rows = job
+    pred = np.zeros((lattice.n_regions, scene.channels))
+    pred[regions] = pred_rows
+    ws = Workspace(scene, forward, lattice, config.hyper, current, pred=pred)
+    dsum, acc_t, acc_h = sweep_regions(ws, regions, sweep, config)
+    return ws.tau[regions], ws.theta[regions], ws.pred[regions], dsum, acc_t, acc_h
 
 
 def run_map_parallel(
@@ -210,16 +197,13 @@ def run_map_parallel(
 ):
     """Full MAP loop with patch-parallel sweeps.
 
-    Returns (state, trace, speedup_record).  Results are deterministic in
-    (seed, n_patches) and independent of the executor: "serial" (the
-    default) and its alias "thread" run the patches in-process, "process"
-    in a process pool.  With n_patches = 1 the final state is bitwise equal
-    to the sequential solver's.
-
-    The trace's log_posterior column telescopes accepted deltas when no
-    stale reads can occur (single patch) and is otherwise recomputed per
-    sweep from the merged field, where stale reads may dent monotonicity
-    transiently.
+    Returns (state, trace, speedup_record).  The final state, sweep count
+    and convergence flag equal run_map's bitwise for every n_patches and
+    executor: "serial" (the default) and its alias "thread" make
+    run_map's own kernel call, "process" sweeps the patches in a process
+    pool.  The trace telescopes accepted deltas as run_map's does, so it
+    is exactly non-decreasing; under "process" the per-patch delta sums
+    are added in another order, which can move its last bits.
     """
     config.validate()
     if executor not in EXECUTORS:
@@ -236,12 +220,10 @@ def run_map_parallel(
         )
 
     def run_sweep(sweep):
-        # the sweep-start field is ws's own: every job copies it before the merge
-        return _one_parallel_sweep(ws, part, sweep, config, pool, ws.tau, ws.theta)
+        return _one_parallel_sweep(ws, part, sweep, config, pool)
 
     try:
-        for sweep, _, elapsed in _sweep_loop(ws, trace, config.max_sweeps, run_sweep, config,
-                                             recompute=n_patches > 1):
+        for sweep, _, elapsed in _sweep_loop(ws, trace, config.max_sweeps, run_sweep, config):
             speedup.add(n_patches, sweep, elapsed)
     finally:
         if pool is not None:
@@ -251,35 +233,30 @@ def run_map_parallel(
     return final, trace, speedup
 
 
-def _one_parallel_sweep(ws, part, sweep, config, pool, snap_tau, snap_theta):
-    """Sweep every patch against the snapshot and merge into ws.
+def _one_parallel_sweep(ws, part, sweep, config, pool):
+    """Sweep the lattice in colour order into ws; returns (delta_sum,
+    tau_accepts, theta_accepts).
 
-    Each patch's field is the snapshot with the patch's own regions taken
-    live from ws; all jobs are built before any merge writes into ws.  The
-    task runs under map in-process, or under pool.map when a process pool
-    is given.  Returns (delta_sum, tau_accepts, theta_accepts).
+    Without a pool this is the sequential kernel call.  With one, each
+    colour class is split by patch into jobs sharing ws's current field;
+    they read only the other colour, and merge once all have returned.
     """
-    jobs = []
-    for regions in part.patches:
-        tau = snap_tau.copy()
-        theta = snap_theta.copy()
-        tau[regions] = ws.tau[regions]
-        theta[regions] = ws.theta[regions]
-        patch_field = RetrievalState(tau=tau, theta=theta, sigma2=ws.sigma2, kappa=ws.kappa)
-        jobs.append((sweep, regions, patch_field, ws.pred[regions]))
     if pool is None:
-        ctx = (ws.scene, ws.forward, ws.lattice, config)
-        results = list(map(partial(_sweep_patch, ctx), jobs))
-    else:
+        return sweep_regions(ws, ws.lattice.sweep_order, sweep, config)
+    current = RetrievalState(tau=ws.tau, theta=ws.theta, sigma2=ws.sigma2, kappa=ws.kappa)
+    dsum, acc_t, acc_h = 0.0, 0, 0
+    for colour in ws.lattice.colours:
+        members = np.asarray(colour)
+        owner = part.assignment[members]
+        shares = [members[owner == k] for k in range(part.n_patches)]
+        jobs = [(sweep, regions.tolist(), current, ws.pred[regions])
+                for regions in shares if regions.size]
         results = list(pool.map(_process_task, jobs))
-    dsum = 0.0
-    acc_t = 0
-    acc_h = 0
-    for regions, (tau_r, theta_r, pred_r, d, at, ah) in zip(part.patches, results):
-        ws.tau[regions] = tau_r
-        ws.theta[regions] = theta_r
-        ws.pred[regions] = pred_r
-        dsum += d
-        acc_t += at
-        acc_h += ah
+        for (_, regions, _, _), (tau_r, theta_r, pred_r, d, at, ah) in zip(jobs, results):
+            ws.tau[regions] = tau_r
+            ws.theta[regions] = theta_r
+            ws.pred[regions] = pred_r
+            dsum += d
+            acc_t += at
+            acc_h += ah
     return dsum, acc_t, acc_h

@@ -70,7 +70,7 @@ def gen_truth(
     range midpoint, so the large-smoothness limit is a constant field).
     theta: one Dirichlet draw per blob_size x blob_size tile; "dense" uses
     concentration 1 (every entry strictly positive almost surely), "sparse"
-    concentration 0.125 (near-one-hot rows).
+    concentration 0.125 (near-one-hot rows).  blob_size must be >= 1.
     """
     if width < 2 or height < 2:
         raise ConfigurationError("truth grid dimensions must be >= 2")
@@ -79,6 +79,9 @@ def gen_truth(
     lo, hi = float(tau_range[0]), float(tau_range[1])
     if not 0 <= lo <= hi:
         raise ConfigurationError("tau_range must satisfy 0 <= lo <= hi")
+    b = int(blob_size)
+    if b < 1:
+        raise ConfigurationError(f"blob_size must be >= 1, got {blob_size}")
     rng = np.random.default_rng([seed, 11])
     noise = rng.standard_normal((height, width))
     smooth = _box_smooth(noise, int(round(max(smoothness, 0.0))))
@@ -89,7 +92,6 @@ def gen_truth(
         tau = (lo + (smooth - smooth.min()) * (hi - lo) / spread).ravel()
 
     conc = 1.0 if sparsity == "dense" else 0.125
-    b = max(int(blob_size), 1)
     rows = np.arange(height) // b
     cols = np.arange(width) // b
     blob_id = (rows[:, None] * (int(np.ceil(width / b))) + cols[None, :]).ravel()

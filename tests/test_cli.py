@@ -66,6 +66,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("setting", [
         "noise.level=-0.5", "scene.region_size_km=nan", "scene.region_size_km=-3",
+        "truth.blob_size=0", "truth.blob_size=-2",
     ])
     def test_negative_noise_level_exits_2(self, tmp_path, capsys, setting):
         out = tmp_path / "x"
@@ -154,6 +155,14 @@ class TestRetrieve:
         samples = io.read_matrix_csv(out / "tau_samples.csv")
         assert samples.shape == (10, 64)
 
+    def test_mcmc_dump_samples_takes_boolean_words(self, scene_dir, tmp_path):
+        out = tmp_path / "mcmc"
+        assert run_cli("retrieve", "--scene", str(scene_dir), "--method", "mcmc",
+                       *SMALL, "--set", "mcmc.iterations=6", "--set", "mcmc.burn_in=2",
+                       "--set", "mcmc.thin=1", "--set", "mcmc.dump_samples=YES",
+                       "--out", str(out)) == 0
+        assert io.read_matrix_csv(out / "tau_samples.csv").shape == (4, 64)
+
     def test_map_beats_grid_on_noisy_scene(self, tmp_path):
         noisy = tmp_path / "noisy"
         args = SMALL + ["--set", "noise.level=0.5"]
@@ -189,7 +198,8 @@ class TestRetrieve:
         ("grid", "solver.delta=nan"), ("grid", "solver.alpha=nan"),
         ("grid", "grid.success_threshold=nan"), ("grid", "grid.success_threshold=-1"),
         ("map-parallel", "parallel.patches=0"), ("map-parallel", "parallel.executor=bogus"),
-        ("mcmc", "mcmc.burn_in=-1"),
+        ("grid", "grid.tau_levels=1"),
+        ("mcmc", "mcmc.burn_in=-1"), ("mcmc", "mcmc.dump_samples=maybe"),
     ]
 
     # map cases keep the bare setting as their id
@@ -234,7 +244,7 @@ class TestBenchmark:
         assert all(float(r.split(",")[2]) >= 0 for r in rows)
 
     def test_empty_patch_list_exits_2(self, scene_dir, tmp_path, capsys):
-        for patches in (",", "0"):
+        for patches in (",", "0", "1,1", "2,1,2"):
             out = tmp_path / "o"
             assert run_cli("benchmark", "--scene", str(scene_dir), "--patches", patches,
                            "--out", str(out)) == 2

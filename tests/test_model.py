@@ -46,6 +46,25 @@ class TestBuildLattice:
             pairs = {tuple(e) for e in lat.edges}
             assert len(pairs) == len(lat.edges)  # each unordered pair once
 
+    def test_colour_classes_and_sweep_order_random_shapes(self):
+        """Two ascending classes partition the regions, the sweep order is
+        their concatenation, and no edge stays inside one class."""
+        rng = np.random.default_rng(1)
+        for _ in range(30):
+            w = int(rng.integers(2, 14))
+            h = int(rng.integers(2, 14))
+            lat = al.build_lattice(w, h)
+            even, odd = lat.colours
+            assert sorted(even + odd) == list(range(w * h))
+            assert list(even) == sorted(even) and list(odd) == sorted(odd)
+            assert lat.sweep_order == even + odd
+            assert all(type(p) is int for p in lat.sweep_order)
+            colour = np.empty(w * h, dtype=int)
+            colour[list(even)] = 0
+            colour[list(odd)] = 1
+            assert np.all(colour[lat.edges[:, 0]] != colour[lat.edges[:, 1]])
+            assert colour[0] == 0
+
 
 class TestChiSquareRegion:
     def test_exact_fit_is_zero(self, small_table):

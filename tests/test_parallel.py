@@ -68,25 +68,21 @@ class TestParallelSweep:
         out = al.parallel_sweep(init, init.copy(), scene, small_table, lat, part, cfg, sweep=1)
         al.validate_state(out, cfg.hyper)
 
-    def test_only_cross_patch_rows_of_snapshot_are_read(self, small_table):
-        """Perturbing snapshot entries that are not cross-patch neighbors
-        of any patch must not change the sweep result."""
+    def test_any_patch_count_equals_greedy_mh_sweep(self, small_table):
+        """Colour-ordered sweeps read no snapshot: the snapshot and the
+        partition change nothing, and the sweep is the greedy MH sweep."""
         scene, lat, cfg, init = self._problem(small_table, 2)
-        part = partition(lat, 4)
-        base = al.parallel_sweep(init, init.copy(), scene, small_table, lat, part, cfg, sweep=1)
-
-        # regions whose neighbors all live in their own patch
-        interior = [
-            p for p in range(lat.n_regions)
-            if all(part.assignment[q] == part.assignment[p] for q in lat.neighbors(p))
-        ]
-        assert interior  # the test needs some fully-interior regions
-        doctored = init.copy()
-        doctored.tau[interior] = 5.5  # garbage snapshot rows, never read
-        doctored.theta[interior] = np.eye(small_table.n_components)[0]
-        out = al.parallel_sweep(init, doctored, scene, small_table, lat, part, cfg, sweep=1)
-        np.testing.assert_array_equal(out.tau, base.tau)
-        np.testing.assert_array_equal(out.theta, base.theta)
+        mcfg = al.McmcConfig(hyper=cfg.hyper, delta=cfg.delta, seed=cfg.seed)
+        ref = al.mh_sweep(init, scene, small_table, lat, mcfg, sweep=3, greedy=True)
+        garbage = init.copy()
+        garbage.tau[:] = 5.5
+        for n in (1, 2, 4):
+            out = al.parallel_sweep(init, garbage, scene, small_table, lat, partition(lat, n),
+                                    cfg, sweep=3)
+            np.testing.assert_array_equal(out.tau, ref.tau)
+            np.testing.assert_array_equal(out.theta, ref.theta)
+            np.testing.assert_array_equal(out.sigma2, ref.sigma2)
+            assert out.kappa == ref.kappa
 
 
 class TestRunMapParallel:
@@ -110,6 +106,34 @@ class TestRunMapParallel:
         np.testing.assert_array_equal(st_seq.sigma2, st_par.sigma2)
         assert st_seq.kappa == st_par.kappa
         assert tr_seq.log_posterior == tr_par.log_posterior
+
+    @pytest.mark.parametrize("width, height", [(6, 6), (5, 7)])
+    def test_every_patch_count_and_executor_equals_run_map(self, small_table, width, height):
+        """State, sweeps and convergence equal run_map's bitwise; in-process
+        traces equal its trace exactly, process traces to rounding, and
+        every greedy trace is non-decreasing."""
+        rng = np.random.default_rng(width * height)
+        scene = random_scene(small_table, rng, width, height)
+        lat = al.build_lattice(width, height)
+        hyper = al.HyperParams.uniform(small_table.n_components)
+        cfg = al.SolverConfig(hyper=hyper, seed=21, max_sweeps=40, epsilon_rel=1e-5)
+        init = al.init_state(scene, small_table, "flat", hyper)
+        ref, ref_trace = al.run_map(scene, small_table, lat, cfg, init)
+        runs = [("serial", n) for n in (1, 2, 4, 9)] + [("process", n) for n in (2, 4)]
+        for executor, n in runs:
+            state, trace, _ = al.run_map_parallel(scene, small_table, lat, cfg, n, init,
+                                                  executor=executor)
+            np.testing.assert_array_equal(state.tau, ref.tau)
+            np.testing.assert_array_equal(state.theta, ref.theta)
+            np.testing.assert_array_equal(state.sigma2, ref.sigma2)
+            assert state.kappa == ref.kappa
+            assert (trace.sweeps, trace.converged) == (ref_trace.sweeps, ref_trace.converged)
+            if executor == "serial":
+                assert trace.log_posterior == ref_trace.log_posterior
+            else:
+                np.testing.assert_allclose(trace.log_posterior, ref_trace.log_posterior,
+                                           rtol=1e-12, atol=0.0)
+            assert np.all(np.diff([trace.initial_log_posterior] + trace.log_posterior) >= 0)
 
     def test_executors_agree_bitwise(self, small_table):
         scene, lat, cfg, init = self._problem(small_table, 4)
