@@ -42,7 +42,7 @@ from .map_solver import (
     update_sigma,
 )
 from .mcmc import McmcConfig, mh_sweep, run_mcmc
-from .parallel import PatchPartition, SpeedupRecord, parallel_sweep, partition, run_map_parallel
+from .parallel import PatchPartition, SpeedupRecord, partition, run_map_parallel
 from .simulate import SimScene, add_noise, gen_truth, make_sim_scene, render
 from .baselines import (
     GridSearchConfig,
@@ -90,7 +90,6 @@ __all__ = [
     "log_posterior_terms",
     "make_sim_scene",
     "mh_sweep",
-    "parallel_sweep",
     "partition",
     "posterior_slice",
     "propose_tau",

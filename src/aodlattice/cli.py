@@ -23,7 +23,7 @@ from .forward import build_synthetic_table, default_library, load_library
 from .map_solver import SolverConfig, init_state, run_map
 from .mcmc import McmcConfig, run_mcmc
 from .model import ConfigurationError, HyperParams, InitializationError, build_lattice
-from .parallel import SpeedupRecord, run_map_parallel
+from .parallel import SpeedupRecord, partition, run_map_parallel
 from .simulate import add_noise, gen_truth, render_grid
 
 DEFAULTS = {
@@ -135,6 +135,11 @@ def _getf(cfg, sec, key):
         raise ConfigurationError(f"[{sec}] {key}: expected number, got {cfg[sec][key]!r}") from exc
 
 
+def _getf_optional(cfg, sec, key):
+    """A number, or None for an empty value."""
+    return _getf(cfg, sec, key) if cfg[sec][key].strip() else None
+
+
 def _getb(cfg, sec, key):
     word = cfg[sec][key].strip().lower()
     if word not in configparser.ConfigParser.BOOLEAN_STATES:
@@ -161,11 +166,10 @@ def _table(cfg, library):
 def _solver_config(cfg, n_components):
     alpha = _getf(cfg, "solver", "alpha")
     hyper = HyperParams.dirichlet(n_components, alpha, tau_max=_getf(cfg, "solver", "tau_max"))
-    eps_raw = cfg["solver"]["epsilon"].strip()
     config = SolverConfig(
         hyper=hyper,
         delta=_getf(cfg, "solver", "delta"),
-        epsilon=float(eps_raw) if eps_raw else None,
+        epsilon=_getf_optional(cfg, "solver", "epsilon"),
         epsilon_rel=_getf(cfg, "solver", "epsilon_rel"),
         max_sweeps=_geti(cfg, "solver", "max_sweeps"),
         seed=_geti(cfg, "run", "seed"),
@@ -224,11 +228,10 @@ def cmd_retrieve(args) -> int:
     speedup = None
     matrices = {}  # method-specific CSV outputs
     if args.method == "grid":
-        thr = cfg["grid"]["success_threshold"].strip()
         gcfg = GridSearchConfig.defaults(
             table, scene,
             n_tau_levels=_geti(cfg, "grid", "tau_levels"),
-            success_threshold=float(thr) if thr else None,
+            success_threshold=_getf_optional(cfg, "grid", "success_threshold"),
         )
         tau, theta, success = grid_search_retrieve(scene, table, gcfg)
         matrices["success.csv"] = success.astype(float).reshape(-1, 1)
@@ -292,11 +295,18 @@ def cmd_benchmark(args) -> int:
     scene, library, table = io.load_scene(args.scene)
     lattice = build_lattice(scene.width, scene.height)
     solver_cfg = _solver_config(cfg, library.n_components)
-    patch_counts = [int(x) for x in args.patches.split(",") if x.strip()]
+    try:
+        patch_counts = [int(x) for x in args.patches.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"--patches: expected a comma list of integers, got {args.patches!r}"
+        ) from exc
     if not patch_counts:
         raise ConfigurationError("empty patch count list")
     if len(set(patch_counts)) < len(patch_counts):
         raise ConfigurationError(f"repeated patch count in {args.patches!r}")
+    for n in patch_counts:
+        partition(lattice, n)  # range check before the first run
     init = init_state(scene, table, cfg["solver"]["init"], solver_cfg.hyper,
                       seed=solver_cfg.seed, lattice=lattice)
     rows = []

@@ -1,10 +1,11 @@
 """Patch-parallel MAP sweeps.
 
-The lattice is partitioned into contiguous rectangular patches, and every
-sweep visits the lattice's colour classes in turn (lattice.sweep_order).
-A region's update reads only its neighbors, which lie in the other class,
-so a class split across patches in any way computes what the sequential
-sweep computes.  kappa and sigma2 move once per sweep from the merged field.
+The lattice's regions are split into runs of consecutive indices, one
+per patch, and every sweep visits the lattice's colour classes in turn
+(lattice.sweep_order).  A region's update reads only its neighbors, which
+lie in the other class, so a class split across patches in any way
+computes what the sequential sweep computes.  kappa and sigma2 move once
+per sweep from the merged field.
 
 Without a pool ("serial", or its alias "thread", kept for existing callers
 since threads give no speedup to this Python-bound kernel) a sweep is the
@@ -16,7 +17,6 @@ the final state is bitwise independent of the patch count and executor.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -27,7 +27,6 @@ from .map_solver import (
     Workspace,
     _start,
     _sweep_loop,
-    _sweep_step,
     sweep_regions,
 )
 from .model import (
@@ -43,12 +42,11 @@ EXECUTORS = ("serial", "thread", "process")
 
 @dataclass(frozen=True)
 class PatchPartition:
-    """Disjoint rectangular patches covering the whole lattice."""
+    """Disjoint runs of consecutive region indices covering the lattice."""
 
     n_patches: int
     assignment: np.ndarray
     patches: tuple
-    rects: tuple
 
     def validate(self, lattice: LatticeTopology) -> None:
         P = lattice.n_regions
@@ -62,65 +60,19 @@ class PatchPartition:
 
 
 def partition(lattice: LatticeTopology, n_patches: int) -> PatchPartition:
-    """Split the lattice into n_patches contiguous rectangles.
-
-    Recursive proportional bisection: each rectangle is cut so the two
-    sides' cells-per-patch stay as close as possible, preferring cuts
-    across the longer axis and balanced patch counts.  Areas stay within a
-    factor 2 of each other.
-    """
+    """Split the regions, in row-major index order, into n_patches
+    ascending runs whose sizes differ by at most 1."""
     P = lattice.n_regions
     if not 1 <= n_patches <= P:
         raise ConfigurationError(
             f"n_patches must be in [1, {P}], got {n_patches}"
         )
-    rects = []
-    stack = [(0, lattice.height, 0, lattice.width, n_patches)]
-    while stack:
-        r0, r1, c0, c1, n = stack.pop()
-        if n == 1:
-            rects.append((r0, r1, c0, c1))
-            continue
-        h, w = r1 - r0, c1 - c0
-        cells = h * w
-        best = None
-        for axis in ("c", "r"):
-            length = h if axis == "r" else w
-            other = w if axis == "r" else h
-            prefer = 0 if length >= other else 1
-            for cut in range(1, length):
-                cells1 = cut * other
-                exact = n * cells1 / cells
-                for n1 in {int(math.floor(exact)), int(math.ceil(exact))}:
-                    n1 = min(max(n1, 1), n - 1)
-                    a1 = cells1 / n1
-                    a2 = (cells - cells1) / (n - n1)
-                    imb = max(a1, a2) / min(a1, a2)
-                    key = (imb, prefer, abs(n1 - n / 2), axis, cut, n1)
-                    if best is None or key < best:
-                        best = key
-        _, _, _, axis, cut, n1 = best
-        if axis == "r":
-            stack.append((r0, r0 + cut, c0, c1, n1))
-            stack.append((r0 + cut, r1, c0, c1, n - n1))
-        else:
-            stack.append((r0, r1, c0, c0 + cut, n1))
-            stack.append((r0, r1, c0 + cut, c1, n - n1))
-    rects.sort()
-    assignment = np.empty(P, dtype=np.intp)
-    patches = []
-    for k, (r0, r1, c0, c1) in enumerate(rects):
-        rows = np.arange(r0, r1)
-        cols = np.arange(c0, c1)
-        regions = (rows[:, None] * lattice.width + cols[None, :]).ravel()
-        regions.sort()
-        patches.append(regions)
-        assignment[regions] = k
+    patches = tuple(np.array_split(np.arange(P), n_patches))
+    sizes = [len(regions) for regions in patches]
     part = PatchPartition(
         n_patches=n_patches,
-        assignment=assignment,
-        patches=tuple(patches),
-        rects=tuple(rects),
+        assignment=np.repeat(np.arange(n_patches), sizes),
+        patches=patches,
     )
     part.validate(lattice)
     return part
@@ -137,31 +89,6 @@ class SpeedupRecord:
 
     def total_ms(self) -> float:
         return float(sum(r[2] for r in self.rows))
-
-
-def parallel_sweep(
-    state: RetrievalState,
-    snapshot: RetrievalState,
-    scene: Scene,
-    forward,
-    lattice: LatticeTopology,
-    part: PatchPartition,
-    config: SolverConfig,
-    sweep: int = 1,
-) -> RetrievalState:
-    """One sweep in colour order, then the closed-form kappa and sigma2
-    steps; returns the new state, bitwise equal to mh_sweep(greedy=True).
-
-    snapshot and part are accepted and unused: colour-ordered sweeps read
-    no sweep-start snapshot, and every partition gives the same result.
-    """
-    ws = Workspace(scene, forward, lattice, config.hyper, state)
-
-    def run_sweep(sweep):
-        return _one_parallel_sweep(ws, part, sweep, config, None)
-
-    _sweep_step(ws, run_sweep, sweep)
-    return ws.to_state()
 
 
 # Static context for process-pool workers, installed once per pool by fork

@@ -200,6 +200,7 @@ class TestRetrieve:
         ("map-parallel", "parallel.patches=0"), ("map-parallel", "parallel.executor=bogus"),
         ("grid", "grid.tau_levels=1"),
         ("mcmc", "mcmc.burn_in=-1"), ("mcmc", "mcmc.dump_samples=maybe"),
+        ("map", "solver.epsilon=abc"), ("grid", "grid.success_threshold=abc"),
     ]
 
     # map cases keep the bare setting as their id
@@ -211,7 +212,9 @@ class TestRetrieve:
         code = run_cli("retrieve", "--scene", str(scene_dir), "--method", method,
                        *SMALL, "--set", setting, "--out", str(out))
         assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert setting[setting.index(".") + 1:setting.index("=")] in err
         assert not out.exists()
 
     def test_solver_failure_exits_3(self, scene_dir, tmp_path, monkeypatch):
@@ -244,9 +247,12 @@ class TestBenchmark:
         assert all(float(r.split(",")[2]) >= 0 for r in rows)
 
     def test_empty_patch_list_exits_2(self, scene_dir, tmp_path, capsys):
-        for patches in (",", "0", "1,1", "2,1,2"):
+        # the scene has 64 regions
+        for patches in (",", "0", "1,1", "2,1,2", "1,x", "2,0", "2,65"):
             out = tmp_path / "o"
             assert run_cli("benchmark", "--scene", str(scene_dir), "--patches", patches,
                            "--out", str(out)) == 2
-            assert capsys.readouterr().err.startswith("error:")
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:")
+            assert "patches=" not in captured.out
             assert not out.exists()

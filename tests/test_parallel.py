@@ -1,4 +1,4 @@
-"""Patch partitioning and parallel sweep semantics."""
+"""Patch partitioning and patch-parallel MAP runs."""
 
 import os
 from dataclasses import replace
@@ -19,13 +19,11 @@ class TestPartition:
         assert part.n_patches == 1
         assert len(part.patches[0]) == 20
 
-    def test_16x16_quadrants(self):
+    def test_16x16_four_runs(self):
         lat = al.build_lattice(16, 16)
         part = partition(lat, 4)
-        sizes = sorted(len(p) for p in part.patches)
-        assert sizes == [64, 64, 64, 64]
-        rect_shapes = {(r1 - r0, c1 - c0) for r0, r1, c0, c1 in part.rects}
-        assert rect_shapes == {(8, 8)}
+        for k, regions in enumerate(part.patches):
+            np.testing.assert_array_equal(regions, np.arange(64 * k, 64 * k + 64))
 
     def test_one_region_per_patch_limit(self):
         lat = al.build_lattice(3, 3)
@@ -49,40 +47,11 @@ class TestPartition:
             part = partition(lat, n)
             part.validate(lat)  # coverage + disjointness
             sizes = np.array([len(p) for p in part.patches])
-            assert sizes.max() / sizes.min() <= 2.0
-
-
-class TestParallelSweep:
-    def _problem(self, table, seed, side=6):
-        rng = np.random.default_rng(seed)
-        scene = random_scene(table, rng, side, side)
-        lat = al.build_lattice(side, side)
-        hyper = al.HyperParams.uniform(table.n_components)
-        cfg = al.SolverConfig(hyper=hyper, seed=seed, max_sweeps=12, epsilon=1e-9)
-        init = al.init_state(scene, table, "flat", hyper)
-        return scene, lat, cfg, init
-
-    def test_single_patch_sweep_matches_snapshotless_semantics(self, small_table):
-        scene, lat, cfg, init = self._problem(small_table, 1)
-        part = partition(lat, 1)
-        out = al.parallel_sweep(init, init.copy(), scene, small_table, lat, part, cfg, sweep=1)
-        al.validate_state(out, cfg.hyper)
-
-    def test_any_patch_count_equals_greedy_mh_sweep(self, small_table):
-        """Colour-ordered sweeps read no snapshot: the snapshot and the
-        partition change nothing, and the sweep is the greedy MH sweep."""
-        scene, lat, cfg, init = self._problem(small_table, 2)
-        mcfg = al.McmcConfig(hyper=cfg.hyper, delta=cfg.delta, seed=cfg.seed)
-        ref = al.mh_sweep(init, scene, small_table, lat, mcfg, sweep=3, greedy=True)
-        garbage = init.copy()
-        garbage.tau[:] = 5.5
-        for n in (1, 2, 4):
-            out = al.parallel_sweep(init, garbage, scene, small_table, lat, partition(lat, n),
-                                    cfg, sweep=3)
-            np.testing.assert_array_equal(out.tau, ref.tau)
-            np.testing.assert_array_equal(out.theta, ref.theta)
-            np.testing.assert_array_equal(out.sigma2, ref.sigma2)
-            assert out.kappa == ref.kappa
+            assert sizes.max() - sizes.min() <= 1
+            for k, regions in enumerate(part.patches):
+                np.testing.assert_array_equal(np.diff(regions), 1)
+                assert np.all(part.assignment[regions] == k)
+            np.testing.assert_array_equal(np.concatenate(part.patches), np.arange(w * h))
 
 
 class TestRunMapParallel:

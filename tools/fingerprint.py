@@ -121,10 +121,6 @@ def _lib_runs() -> None:
     truth = al.RetrievalState(tau=clean.truth_tau, theta=clean.truth_theta,
                               sigma2=np.ones(small.n_channels), kappa=1.0)
     emit("update_sigma.perfect_fit", al.update_sigma(truth, clean.scene, small))
-    for n in (2, 4):
-        part = al.partition(lat, n)
-        emit(f"parallel_sweep.{n}", al.parallel_sweep(rand, rand.copy(), scene, small, lat,
-                                                      part, cfg, sweep=3))
     for executor in ("serial", "thread", "process"):
         for n in (1, 2, 4):
             for eps_name, run_cfg in (("fixed", replace(cfg, epsilon=1e-9, max_sweeps=6)),
