@@ -4,8 +4,13 @@ The retrieval treats the radiative transfer solution as a black box that
 maps (tau, theta) to a C-vector of top-of-atmosphere radiances.  Here that
 black box is a per-component lookup table: piecewise-linear interpolation
 in tau through each component's knot values, mixed linearly over
-components with the simplex weights theta.  Any object exposing the same
-eval / eval_batch surface (for instance a reader over a precomputed
+components with the simplex weights theta.  One batched interpolation
+(RadianceTable._mix) serves eval (one region), eval_batch (many regions;
+the sweep kernel evaluates a whole colour class per call) and eval_grid;
+it works row by row elementwise, adding the components in a fixed order,
+so one row and n rows give the same bits and a rendered scene
+re-evaluates to zero misfit.  Any object exposing the same eval /
+eval_batch surface (for instance a reader over a precomputed
 radiative-transfer dataset) can replace the synthetic table without
 touching the solvers.
 
@@ -22,7 +27,6 @@ prior-comparison experiments probe.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -130,7 +134,6 @@ class RadianceTable:
             raise ConfigurationError("values must be M x K x C with K = len(tau_knots)")
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
             raise ConfigurationError("table values must be finite and >= 0")
-        self._knots = self.tau_knots.tolist()  # a scalar search is faster on a list
 
     @property
     def n_components(self) -> int:
@@ -148,17 +151,34 @@ class RadianceTable:
     def tau_max(self) -> float:
         return float(self.tau_knots[-1])
 
-    def _curves(self, tau) -> np.ndarray:
-        """Every component's curve interpolated at one AOD (M x C): the one
-        interpolation, whose rows eval, eval_batch and eval_grid all mix."""
-        knots = self._knots
-        idx = bisect.bisect_right(knots, tau) - 1
-        if idx < 0:
-            idx = 0
-        elif idx > len(knots) - 2:
-            idx = len(knots) - 2
+    def _mix(self, tau: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """The one interpolation: n AODs and n x M weights -> n x C.
+
+        Each component's curve is interpolated between the knots around
+        tau, weighted, and added to the sum in component order, all
+        elementwise, so a row's bits do not depend on the other rows.  Rows
+        go in blocks of _MIX_BLOCK, which bounds the temporaries.
+        """
+        knots = self.tau_knots
+        idx = np.searchsorted(knots, tau, side="right") - 1
+        np.clip(idx, 0, knots.size - 2, out=idx)
         w = (tau - knots[idx]) / (knots[idx + 1] - knots[idx])
-        return self.values[:, idx, :] * (1.0 - w) + self.values[:, idx + 1, :] * w
+        out = np.empty((tau.size, self.n_channels))
+        for start in range(0, tau.size, _MIX_BLOCK):
+            rows = slice(start, start + _MIX_BLOCK)
+            lo, hi = idx[rows], idx[rows] + 1
+            w_hi = w[rows, None]
+            w_lo = 1.0 - w_hi
+            acc = out[rows]
+            for m, curve_knots in enumerate(self.values):
+                curve = curve_knots[lo] * w_lo
+                curve += curve_knots[hi] * w_hi
+                curve *= theta[rows, m, None]
+                if m == 0:
+                    acc[...] = curve
+                else:
+                    acc += curve
+        return out
 
     def eval(self, tau: float, theta: np.ndarray) -> np.ndarray:
         """Radiance C-vector for one region: linear mix of interpolated curves."""
@@ -166,7 +186,8 @@ class RadianceTable:
             raise DomainError(
                 f"tau={tau} outside table range [{self.tau_min}, {self.tau_max}]"
             )
-        return np.asarray(theta, dtype=float) @ self._curves(tau)
+        theta = np.asarray(theta, dtype=float).reshape(1, -1)
+        return self._mix(np.array([tau], dtype=float), theta)[0]
 
     def eval_batch(self, tau: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Radiance for P regions at once: tau (P,), theta (P, M) -> (P, C).
@@ -178,10 +199,7 @@ class RadianceTable:
         theta = np.asarray(theta, dtype=float)
         if np.any(tau < self.tau_min) or np.any(tau > self.tau_max):
             raise DomainError("tau values outside table range")
-        out = np.empty((tau.size, self.n_channels))
-        for p, t in enumerate(tau.tolist()):
-            out[p] = theta[p] @ self._curves(t)
-        return out
+        return self._mix(tau, theta)
 
     def eval_grid(self, tau_levels: np.ndarray, mixtures: np.ndarray) -> np.ndarray:
         """Radiance over a (tau level x mixture) grid: -> (T, G, C), each
@@ -190,12 +208,12 @@ class RadianceTable:
         mixtures = np.asarray(mixtures, dtype=float)
         if np.any(tau_levels < self.tau_min) or np.any(tau_levels > self.tau_max):
             raise DomainError("tau levels outside table range")
-        out = np.empty((tau_levels.size, mixtures.shape[0], self.n_channels))
-        for t, tau in enumerate(tau_levels.tolist()):
-            curves = self._curves(tau)
-            for g, row in enumerate(mixtures):
-                out[t, g] = row @ curves
-        return out
+        T, G = tau_levels.size, mixtures.shape[0]
+        out = self._mix(np.repeat(tau_levels, G), np.tile(mixtures, (T, 1)))
+        return out.reshape(T, G, self.n_channels)
+
+
+_MIX_BLOCK = 1024  # rows per interpolation block; its temporaries are a few 1024 x C
 
 
 # Band wavelengths (nm) and camera view angles (degrees from nadir) used to

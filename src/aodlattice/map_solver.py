@@ -1,28 +1,35 @@
 """MAP retrieval by coordinate-wise stochastic search.
 
-One sweep visits every region p in lattice.sweep_order (the checkerboard
-colour classes in turn) and, per region, proposes a new AOD value tau_p
-(Gaussian centered on the neighbor mean, width delta) and a new
-composition row theta_p (independent Gamma draws with the
-neighbor-mean shapes, normalized to the simplex; equivalently a Dirichlet
-draw with the neighbor means as concentration).  A proposal is accepted
-only when it strictly increases the joint log-posterior, which makes the
-recorded objective non-decreasing by construction.  The smoothness
-precision kappa and the channel noise variances sigma2 have closed-form
-conditional maximizers and are moved once per sweep, after the region
-loop, by guarded steps that never lower the objective.
+Every region p draws a new AOD value tau_p (Gaussian centered on the
+neighbor mean, width delta) and a new composition row theta_p
+(independent Gamma draws with the neighbor-mean shapes, normalized to the
+simplex; equivalently a Dirichlet draw with the neighbor means as
+concentration).  A proposal is accepted only when it strictly increases
+the joint log-posterior, which makes the recorded objective
+non-decreasing by construction.  The smoothness precision kappa and the
+channel noise variances sigma2 have closed-form conditional maximizers
+and are moved once per sweep, after the region updates, by guarded steps
+that never lower the objective.
+
+A sweep visits the two checkerboard colour classes of lattice.sweep_order
+in turn.  With four neighbors, a region's neighbors all lie in the other
+class, so one class is conditionally independent given the other: the
+kernel updates a whole class in one vectorised pass (a tau step on all its
+rows, then a theta step), with exact per-row deltas and an accept mask.
+The result is what a region-by-region visit of the class would give.
 
 The run stops when the absolute per-sweep objective change drops below
 epsilon, or after max_sweeps.
 
-Randomness discipline: every (seed, sweep, region) triple owns its own
-proposal stream, and a region's update reads only its neighbors, which
-lie in the other colour class; so any split of one class across patches
-or workers computes what the sequential visit computes.  The
-patch-parallel scheduler and the MCMC baseline reuse this module's sweep
-kernel, visit order, per-sweep step and sweep loop, so their
-exact-equivalence contracts (patch-parallel == sequential, greedy-filtered
-MH == MAP) hold bitwise.
+Randomness discipline: every (seed, sweep, colour) triple owns one
+proposal stream (and, in MH mode, one accept stream) that draws a block
+for the whole class, one row per region in class order.  A class's
+neighbor means depend only on the other class, so any caller, the whole
+sweep or one patch's share of a class in a worker, draws the same block
+and takes its own rows.  The patch-parallel scheduler and the MCMC
+baseline reuse this module's sweep kernel, visit order, per-sweep step
+and sweep loop, so their exact-equivalence contracts (patch-parallel ==
+sequential, greedy-filtered MH == MAP) hold bitwise.
 """
 
 from __future__ import annotations
@@ -44,7 +51,9 @@ from .model import (
     Scene,
     _assemble_terms,
     _channel_sse,
+    _gather_neighbours,
     _safe_log_theta,
+    _slot_sum,
     _tau_delta,
     _theta_delta,
     build_lattice,
@@ -68,21 +77,24 @@ MAX_SWEEPS_DEFAULT = 200
 SHAPE_FLOOR = 1e-3  # Gamma shape floor of the theta proposal: absent components can return
 
 
-def proposal_rng(seed: int, sweep: int, p: int) -> np.random.Generator:
-    return np.random.default_rng([seed, _STREAM_PROP, sweep, int(p)])
+def proposal_rng(seed: int, sweep: int, colour: int) -> np.random.Generator:
+    return np.random.default_rng([seed, _STREAM_PROP, sweep, int(colour)])
 
 
-def accept_rng(seed: int, sweep: int, p: int) -> np.random.Generator:
-    return np.random.default_rng([seed, _STREAM_ACC, sweep, int(p)])
+def accept_rng(seed: int, sweep: int, colour: int) -> np.random.Generator:
+    return np.random.default_rng([seed, _STREAM_ACC, sweep, int(colour)])
 
 
-def mh_accept(arng: np.random.Generator, delta_f: float, log_q_ratio: float) -> bool:
-    """Metropolis-Hastings accept: log u < delta_f + log q(old)/q(new).
+def mh_accept(u, delta_f, log_q_ratio):
+    """Metropolis-Hastings accept, elementwise: log u < delta_f + log q(old)/q(new).
 
-    With delta_f = 0 and a symmetric proposal (log_q_ratio = 0) this
-    accepts with probability exactly 1, since u < 1 almost surely.
+    u are uniforms in [0, 1).  With delta_f = 0 and a symmetric proposal
+    (log_q_ratio = 0) this accepts with probability exactly 1; a zero
+    uniform has log -inf and accepts every finite right-hand side, while
+    log_q_ratio = -inf (a proposal outside the support) never accepts.
     """
-    return math.log(arng.random()) < delta_f + log_q_ratio
+    with np.errstate(divide="ignore"):
+        return np.log(u) < delta_f + log_q_ratio
 
 
 @dataclass
@@ -150,34 +162,60 @@ class SweepTrace:
             )
 
 
-def _draw_tau(ntau: np.ndarray, delta: float, rng: np.random.Generator):
-    """The Gaussian tau draw around the neighbor mean; returns (mean, raw)."""
-    mean = float(ntau.mean())
-    return mean, mean + delta * rng.standard_normal()
+def _draw_tau(ntau: np.ndarray, n_p: np.ndarray, delta: float, z: np.ndarray):
+    """The Gaussian tau draw around the neighbor mean for k rows, from k
+    standard normals z; returns (mean, raw)."""
+    mean = _slot_sum(ntau) / n_p
+    return mean, mean + delta * z
 
 
-def _draw_theta(nrows: np.ndarray, rng: np.random.Generator):
-    """The normalized-Gamma theta draw; returns (concentration, row)."""
-    conc = np.maximum(nrows.mean(axis=0), SHAPE_FLOOR)
-    draw = rng.gamma(conc)
-    total = draw.sum()
-    if total <= 0.0:
-        row = np.full(conc.size, 1.0 / conc.size)
-    else:
-        row = draw / total
-    return conc, floor_simplex(row)
+def _theta_conc(ntheta: np.ndarray, n_p: np.ndarray) -> np.ndarray:
+    """Concentration of the theta proposal: the neighbor-mean rows (k x M),
+    floored at SHAPE_FLOOR."""
+    return np.maximum(_slot_sum(ntheta) / n_p[:, None], SHAPE_FLOOR)
 
 
-def _tau_log_q_ratio(raw: float, old: float, mean: float, delta: float,
-                     lo: float, hi: float):
-    """MH correction log q(old)/q(raw) of the Gaussian tau proposal.
+def _draw_theta(gammas: np.ndarray) -> np.ndarray:
+    """The normalized-Gamma theta draw: k x M Gamma(conc) variates ->
+    simplex rows, uniform where a row's total is zero, then floored."""
+    total = gammas.sum(axis=1, keepdims=True)
+    positive = total > 0.0
+    rows = np.where(positive, gammas / np.where(positive, total, 1.0), 1.0 / gammas.shape[1])
+    return floor_simplex(rows)
 
-    Returns None when raw falls outside [lo, hi], the support of the AOD
-    prior: such proposals are rejected without drawing an accept variate.
+
+def _draw_block(seed: int, sweep: int, colour: int, conc: np.ndarray, mh: bool):
+    """The randomness of one colour pass, for the whole class at once.
+
+    conc is the class's n x M theta concentration.  From proposal_rng:
+    n standard normals, then n x M Gamma(conc) variates; in MH mode, from
+    accept_rng, a 2 x n block of uniforms (tau accepts, theta accepts).
+    Row i belongs to the class's i-th region in ascending order, and the
+    block depends only on the other class, so every caller (the whole
+    sweep, or one worker's share of the class) draws the same block.
+    Returns (normals, gammas, uniforms or None).
     """
-    if raw < lo or raw > hi:
-        return None
-    return ((raw - mean) ** 2 - (old - mean) ** 2) / (2.0 * delta * delta)
+    rng = proposal_rng(seed, sweep, colour)
+    z = rng.standard_normal(conc.shape[0])
+    gammas = rng.standard_gamma(conc)
+    u = accept_rng(seed, sweep, colour).random((2, conc.shape[0])) if mh else None
+    return z, gammas, u
+
+
+def _tau_log_q_ratio(raw, old, mean, delta: float, lo: float, hi: float):
+    """MH correction log q(old)/q(raw) of the Gaussian tau proposal, per row.
+
+    -inf where raw falls outside [lo, hi], the support of the AOD prior,
+    so mh_accept rejects those proposals whatever their uniform.
+    """
+    log_q = ((raw - mean) ** 2 - (old - mean) ** 2) / (2.0 * delta * delta)
+    return np.where((raw >= lo) & (raw <= hi), log_q, -np.inf)
+
+
+def _theta_log_q_ratio(conc, log_old, log_new):
+    """MH correction log q(old)/q(new) of the Dirichlet(conc) theta
+    proposal, per row, from both rows' floored logs."""
+    return np.sum((conc - 1.0) * (log_old - log_new), axis=-1)
 
 
 def propose_tau(
@@ -189,8 +227,10 @@ def propose_tau(
     tau_max: float = 6.0,
 ) -> float:
     """Draw tau* ~ Normal(neighbor mean, delta^2), clamped into [0, tau_max]."""
-    _, raw = _draw_tau(state.tau[lattice.neighbors(p)], delta, rng)
-    return min(max(raw, 0.0), tau_max)
+    rows = [p]
+    ntau = _gather_neighbours(state.tau, lattice, rows)
+    _, raw = _draw_tau(ntau, lattice.n_p[rows], delta, rng.standard_normal(1))
+    return min(max(float(raw[0]), 0.0), tau_max)
 
 
 def propose_theta(
@@ -204,7 +244,9 @@ def propose_theta(
     Equivalent to a Dirichlet draw whose concentration is the neighbor
     mean of each component, floored at SHAPE_FLOOR: the kernel's own draw.
     """
-    return _draw_theta(state.theta[lattice.neighbors(p)], rng)[1]
+    rows = [p]
+    conc = _theta_conc(_gather_neighbours(state.theta, lattice, rows), lattice.n_p[rows])
+    return _draw_theta(rng.standard_gamma(conc))[0]
 
 
 def _kappa_from_roughness(S: float, P: int):
@@ -274,11 +316,8 @@ def init_state(
         cfg = GridSearchConfig.defaults(forward, scene)
         tau_g, theta_g, _success = grid_search_retrieve(scene, forward, cfg)
         tau = np.clip(tau_g, 0.0, tau_hi)
-        smoothed = tau.copy()
-        for p in range(P):
-            nb = lattice.neighbors(p)
-            smoothed[p] = (tau[p] + tau[nb].sum()) / (1 + nb.size)
-        tau = smoothed
+        neighbours = _gather_neighbours(tau, lattice, slice(None))
+        tau = (tau + _slot_sum(neighbours)) / (1 + lattice.n_p)
         theta = floor_simplex(theta_g)
     else:
         raise ConfigurationError(f"unknown init strategy: {strategy}")
@@ -385,7 +424,7 @@ def sweep_regions(
     config: SolverConfig,
     mode: str = "greedy",
 ):
-    """Visit `regions` in order, updating tau then theta for each.
+    """Update tau then theta for `regions`, one vectorised pass per colour.
 
     mode "greedy" accepts only strict improvements; mode "mh" accepts with
     the Metropolis-Hastings probability, including the proposal-density
@@ -393,71 +432,84 @@ def sweep_regions(
     coordinate value, so the correction is the density ratio at the old
     and new points).
 
-    kappa and sigma2 stay fixed for the whole visit, so the misfit weights
-    mask / (2 sigma2) are built once.  Neighbor reads resolve against the
-    workspace arrays.  Every solver passes lattice.sweep_order, or (in a
-    process-pool worker) one patch's share of one colour class.
+    `regions` is lattice.sweep_order, or (in a process-pool worker) one
+    patch's share of one colour class.  They are grouped by colour in
+    visit order.  A region's proposals read only its neighbors, which lie
+    in the other class, so all rows of a class move at once, exactly as a
+    region-by-region visit would move them.  kappa and sigma2 stay fixed,
+    so the misfit weights mask / (2 sigma2) are built once.
 
     Returns (delta_sum, tau_accepts, theta_accepts); delta_sum is the
-    exact objective change of the visit.
+    exact objective change of the visit, the sum of the accepted deltas.
     """
     lat = ws.lattice
-    obs = ws.obs
-    mask = ws.mask
-    tau = ws.tau
-    theta = ws.theta
-    alpha_m1 = ws.alpha_m1
-    fwd = ws.forward
-    delta = config.delta
-    seed = config.seed
-    w = mask / (2.0 * ws.sigma2)
+    regions = np.asarray(regions, dtype=np.intp)
+    colour = lat.colour[regions]
+    w = ws.mask / (2.0 * ws.sigma2)
     mh = mode == "mh"
     delta_sum = 0.0
     acc_t = 0
     acc_h = 0
-
-    for p in regions:
-        rng = proposal_rng(seed, sweep_idx, p)
-        arng = accept_rng(seed, sweep_idx, p) if mh else None
-        nbrs = lat.neighbor_lists[p]
-        ntau = tau[nbrs]
-
-        # --- tau step ---
-        mean, raw = _draw_tau(ntau, delta, rng)
-        t_old = tau[p]
-        if mh:
-            cand = raw
-            log_q = _tau_log_q_ratio(raw, t_old, mean, delta, ws.tau_lo, ws.tau_hi)
-        else:
-            cand = min(max(raw, ws.tau_lo), ws.tau_hi)
-            log_q = 0.0
-        if log_q is not None:
-            pred_new = fwd.eval(cand, theta[p])
-            df = _tau_delta(obs[p], ws.pred[p], pred_new, w, t_old, cand, ntau, ws.kappa)
-            accept = mh_accept(arng, df, log_q) if mh else df > 0.0
-            if accept:
-                tau[p] = cand
-                ws.pred[p] = pred_new
-                delta_sum += df
-                acc_t += 1
-
-        # --- theta step ---
-        conc, row = _draw_theta(theta[nbrs], rng)
-        pred_new = fwd.eval(tau[p], row)
-        log_old = _safe_log_theta(theta[p])
-        log_new = _safe_log_theta(row)
-        df = _theta_delta(obs[p], ws.pred[p], pred_new, w, log_old, log_new, alpha_m1)
-        if mh:
-            accept = mh_accept(arng, df, float((conc - 1.0) @ (log_old - log_new)))
-        else:
-            accept = df > 0.0
-        if accept:
-            theta[p] = row
-            ws.pred[p] = pred_new
-            delta_sum += df
-            acc_h += 1
-
+    for c in dict.fromkeys(colour.tolist()):
+        d, at, ah = _colour_pass(ws, regions[colour == c], c, sweep_idx, config, w, mh)
+        delta_sum += d
+        acc_t += at
+        acc_h += ah
     return delta_sum, acc_t, acc_h
+
+
+def _colour_pass(ws: Workspace, rows, colour: int, sweep_idx: int, config: SolverConfig,
+                 w, mh: bool):
+    """One vectorised tau step, then one theta step, on `rows`, all of one
+    colour; returns (delta_sum, tau_accepts, theta_accepts)."""
+    lat = ws.lattice
+    tau = ws.tau
+    theta = ws.theta
+    fwd = ws.forward
+    delta = config.delta
+    members = np.flatnonzero(lat.colour == colour)
+    conc = _theta_conc(_gather_neighbours(theta, lat, members), lat.n_p[members])
+    z, gammas, u = _draw_block(config.seed, sweep_idx, colour, conc, mh)
+    pos = lat.class_pos[rows]
+    obs = ws.obs[rows]
+    nmask = lat.nbr_mask[rows]
+
+    # --- tau step ---
+    ntau = _gather_neighbours(tau, lat, rows)
+    mean, raw = _draw_tau(ntau, lat.n_p[rows], delta, z[pos])
+    t_old = tau[rows]
+    cand = np.minimum(np.maximum(raw, ws.tau_lo), ws.tau_hi)
+    pred_old = ws.pred[rows]
+    pred_new = fwd.eval_batch(cand, theta[rows])
+    df = _tau_delta(obs, pred_old, pred_new, w, t_old, cand, ntau, nmask, ws.kappa)
+    if mh:
+        log_q = _tau_log_q_ratio(raw, t_old, mean, delta, ws.tau_lo, ws.tau_hi)
+        accept = mh_accept(u[0, pos], df, log_q)
+    else:
+        accept = df > 0.0
+    moved = rows[accept]
+    tau[moved] = cand[accept]
+    pred_old[accept] = pred_new[accept]
+    ws.pred[moved] = pred_new[accept]
+    delta_sum = float(np.sum(df[accept]))
+    acc_t = int(np.count_nonzero(accept))
+
+    # --- theta step ---
+    new_rows = _draw_theta(gammas[pos])
+    th_old = theta[rows]
+    pred_new = fwd.eval_batch(tau[rows], new_rows)
+    log_old = _safe_log_theta(th_old)
+    log_new = _safe_log_theta(new_rows)
+    df = _theta_delta(obs, pred_old, pred_new, w, log_old, log_new, ws.alpha_m1)
+    if mh:
+        accept = mh_accept(u[1, pos], df, _theta_log_q_ratio(conc[pos], log_old, log_new))
+    else:
+        accept = df > 0.0
+    moved = rows[accept]
+    theta[moved] = new_rows[accept]
+    ws.pred[moved] = pred_new[accept]
+    delta_sum += float(np.sum(df[accept]))
+    return delta_sum, acc_t, int(np.count_nonzero(accept))
 
 
 def _start(scene, forward, lattice, config, init):

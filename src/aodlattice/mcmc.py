@@ -4,10 +4,13 @@ Each sweep applies an MH update to every tau_p and theta_p using the same
 proposal kernels as the MAP solver; the greedy accept test is replaced by
 the MH rule with the proposal-density correction (both proposals depend
 only on the neighbor values, never on the current coordinate, so the
-correction is the density ratio at the old and new points).  kappa and
-sigma2 are moved by their closed-form conditional maximizers once per
-sweep, keeping the MAP/MCMC comparison about the tau/theta inference
-method alone.
+correction is the density ratio at the old and new points).  The kernel
+moves one checkerboard colour class at a time, all its regions at once:
+given the other class they are conditionally independent, so this is a
+blocked MH-within-Gibbs scan with one accept uniform per region and
+move.  kappa and sigma2 are moved by their closed-form conditional
+maximizers once per sweep, keeping the MAP/MCMC comparison about the
+tau/theta inference method alone.
 
 A greedy-filtered run of this chain (accept only strict improvements,
 never drawing accept variates) reproduces the MAP solver's trajectory
@@ -168,8 +171,8 @@ def toy_tau_chain(
 
     This is the single-coordinate slice of the sweep kernel: a Gaussian
     proposal centered at a fixed surrogate neighbor mean, with the
-    kernel's own proposal-density correction and rejection outside
-    [lo, hi] (the support of the AOD prior).  The chain starts at the
+    kernel's own proposal-density correction, rejection outside [lo, hi]
+    (the support of the AOD prior) and accept rule, one uniform per step.  The chain starts at the
     proposal mean clamped into [lo, hi].  Used to validate the chain's
     stationary distribution against direct normalization of the target.
 
@@ -179,6 +182,7 @@ def toy_tau_chain(
     acc = np.random.default_rng([seed, 2])
     total = warmup + n_samples
     raws = proposal_mean + delta * prop.standard_normal(total)
+    uniforms = acc.random(total)
     log_t = log_target(np.clip(raws, lo, hi))  # values outside support unused
     x = min(max(proposal_mean, lo), hi)
     lt_x = float(log_target(np.array([x]))[0])
@@ -187,7 +191,7 @@ def toy_tau_chain(
     for i in range(total):
         raw = float(raws[i])
         log_q = _tau_log_q_ratio(raw, x, proposal_mean, delta, lo, hi)
-        if log_q is not None and mh_accept(acc, float(log_t[i]) - lt_x, log_q):
+        if mh_accept(uniforms[i], float(log_t[i]) - lt_x, log_q):
             x = raw
             lt_x = float(log_t[i])
             if i >= warmup:

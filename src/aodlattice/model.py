@@ -26,13 +26,16 @@ is fixed; they are included so reported posterior values are complete.
 This module owns the delta evaluations used by all solvers: changing a
 single tau_p or theta_p touches only region p's misfit, the edges incident
 to p, and the Dirichlet term of row p, so accept tests cost O(n_p + C)
-instead of O(P*C).
+instead of O(P*C).  The deltas work on k rows at once, so the sweep
+kernel computes a whole colour class in one call; the public
+single-region deltas call them with one row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,19 +144,27 @@ class Scene:
 
 @dataclass(frozen=True)
 class LatticeTopology:
-    """4-neighbor topology of the region lattice.
+    """4-neighbor topology of the region lattice, as numpy arrays.
 
-    neighbor_lists[p] holds the region indices adjacent to p (borders
-    truncated).  edges lists every unordered neighbor pair exactly once.
-    colours holds the two checkerboard classes, (row + col) even then odd,
-    each ascending; no edge joins two regions of one class.  sweep_order,
-    their concatenation, is every sweep's visit order.  All are int tuples.
+    nbr_index is P x 4: slot j of row p holds p's neighbor above, left,
+    right and below (j = 0..3); a slot with no neighbor (lattice border)
+    holds p itself and is False in nbr_mask.  n_p counts the neighbors.
+    colour is each region's checkerboard class, (row + col) % 2, and
+    class_pos its position within that class in ascending region order.
+    Derived from these: edges lists every unordered neighbor pair exactly
+    once; colours holds the two classes, each ascending, as int tuples, and
+    no edge joins two regions of one class; sweep_order, their
+    concatenation, is every sweep's visit order; neighbor_lists[p] holds
+    p's neighbors in slot order.
     """
 
     width: int
     height: int
-    neighbor_lists: tuple
+    nbr_index: np.ndarray
+    nbr_mask: np.ndarray
     n_p: np.ndarray
+    colour: np.ndarray
+    class_pos: np.ndarray
     edges: np.ndarray
     colours: tuple
     sweep_order: tuple
@@ -161,6 +172,11 @@ class LatticeTopology:
     @property
     def n_regions(self) -> int:
         return self.width * self.height
+
+    @cached_property
+    def neighbor_lists(self) -> tuple:
+        flat = self.nbr_index[self.nbr_mask]
+        return tuple(np.split(flat, np.cumsum(self.n_p)[:-1]))
 
     def neighbors(self, p: int) -> np.ndarray:
         return self.neighbor_lists[p]
@@ -177,35 +193,51 @@ def build_lattice(width: int, height: int) -> LatticeTopology:
         raise ConfigurationError(
             f"lattice dimensions must both be >= 2, got {width}x{height}"
         )
-    nbrs = []
-    edges = []
-    classes = ([], [])
-    for r in range(height):
-        for c in range(width):
-            p = r * width + c
-            classes[(r + c) % 2].append(p)
-            lst = []
-            if r > 0:
-                lst.append(p - width)
-            if c > 0:
-                lst.append(p - 1)
-            if c < width - 1:
-                lst.append(p + 1)
-                edges.append((p, p + 1))
-            if r < height - 1:
-                lst.append(p + width)
-                edges.append((p, p + width))
-            nbrs.append(np.asarray(lst, dtype=np.intp))
-    n_p = np.asarray([len(l) for l in nbrs], dtype=np.intp)
+    P = width * height
+    p = np.arange(P, dtype=np.intp)
+    r, c = np.divmod(p, width)
+    mask = np.stack([r > 0, c > 0, c < width - 1, r < height - 1], axis=1)
+    index = np.stack([p - width, p - 1, p + 1, p + width], axis=1)
+    index = np.where(mask, index, p[:, None])
+    colour = (r + c) % 2
+    classes = [np.flatnonzero(colour == k) for k in (0, 1)]
+    class_pos = np.empty(P, dtype=np.intp)
+    for members in classes:
+        class_pos[members] = np.arange(members.size)
+    # right then down neighbor of each region, row-major: each pair once
+    fwd = mask[:, 2:].ravel()
+    edges = np.stack([np.repeat(p, 2)[fwd], index[:, 2:].ravel()[fwd]], axis=1)
+    colours = tuple(tuple(members.tolist()) for members in classes)
     return LatticeTopology(
         width=width,
         height=height,
-        neighbor_lists=tuple(nbrs),
-        n_p=n_p,
-        edges=np.asarray(edges, dtype=np.intp),
-        colours=(tuple(classes[0]), tuple(classes[1])),
-        sweep_order=tuple(classes[0] + classes[1]),
+        nbr_index=index,
+        nbr_mask=mask,
+        n_p=mask.sum(axis=1).astype(np.intp),
+        colour=colour,
+        class_pos=class_pos,
+        edges=edges,
+        colours=colours,
+        sweep_order=colours[0] + colours[1],
     )
+
+
+def _slot_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 1, the four neighbor slots, left to right.
+
+    Empty slots hold 0.0, so each row's sum equals the left-to-right sum
+    of its neighbors alone (numpy's sum of a vector that short) bit for
+    bit, whichever slots are empty.
+    """
+    return ((x[:, 0] + x[:, 1]) + x[:, 2]) + x[:, 3]
+
+
+def _gather_neighbours(values: np.ndarray, lattice: LatticeTopology, rows) -> np.ndarray:
+    """values of the neighbor slots of `rows`: k x 4 (x M for row-valued
+    fields), 0.0 in empty slots."""
+    gathered = values[lattice.nbr_index[rows]]
+    mask = lattice.nbr_mask[rows]
+    return np.where(mask.reshape(mask.shape + (1,) * (gathered.ndim - 2)), gathered, 0.0)
 
 
 @dataclass
@@ -345,29 +377,32 @@ def log_posterior(
     return float(sum(terms.values()))
 
 
-def _misfit_change(obs_p, pred_old, pred_new, weights):
-    """Weighted sum of the per-channel change of the squared residuals."""
-    r_new = obs_p - pred_new
-    r_old = obs_p - pred_old
-    return float(np.sum((r_new * r_new - r_old * r_old) * weights))
+def _misfit_change(obs, pred_old, pred_new, weights):
+    """Weighted sum over channels of the change of the squared residuals,
+    one value per row."""
+    r_new = obs - pred_new
+    r_old = obs - pred_old
+    return np.sum((r_new * r_new - r_old * r_old) * weights, axis=-1)
 
 
-def _tau_delta(obs_p, pred_old, pred_new, weights, tau_old, tau_new, ntau, kappa):
-    """Log-posterior change of tau_p <- tau_new, from region p's radiance.
+def _tau_delta(obs, pred_old, pred_new, weights, tau_old, tau_new, ntau, nmask, kappa):
+    """Log-posterior change of tau_p <- tau_new for k rows at once.
 
-    weights are mask / (2 sigma2) and ntau the neighbor values: the misfit
-    change of region p plus the roughness change of its incident edges.
+    obs and the predictions are k x C; weights are mask / (2 sigma2);
+    ntau and nmask are the k x 4 neighbor slots and their mask (see
+    _gather_neighbours): the misfit change of each region plus the
+    roughness change of its incident edges.
     """
-    dchi = _misfit_change(obs_p, pred_old, pred_new, weights)
-    ds = float(np.sum((tau_new - ntau) ** 2 - (tau_old - ntau) ** 2))
-    return -dchi - 0.5 * kappa * ds
+    dchi = _misfit_change(obs, pred_old, pred_new, weights)
+    d = ((tau_new[:, None] - ntau) ** 2 - (tau_old[:, None] - ntau) ** 2) * nmask
+    return -dchi - 0.5 * kappa * _slot_sum(d)
 
 
-def _theta_delta(obs_p, pred_old, pred_new, weights, log_old, log_new, alpha_m1):
-    """Log-posterior change of theta_p, given both rows' floored logs: the
-    misfit change of region p plus the change of its Dirichlet term."""
-    dchi = _misfit_change(obs_p, pred_old, pred_new, weights)
-    return -dchi + float(alpha_m1 @ (log_new - log_old))
+def _theta_delta(obs, pred_old, pred_new, weights, log_old, log_new, alpha_m1):
+    """Log-posterior change of theta_p for k rows, given both rows' floored
+    logs: the misfit change of each region plus that of its Dirichlet term."""
+    dchi = _misfit_change(obs, pred_old, pred_new, weights)
+    return -dchi + np.sum(alpha_m1 * (log_new - log_old), axis=-1)
 
 
 def delta_log_posterior_tau(
@@ -382,20 +417,22 @@ def delta_log_posterior_tau(
 
     Touches only region p's misfit and the edges incident to p; equal to
     the difference of two full log_posterior evaluations.  The arithmetic
-    is the sweep kernel's own.
+    is the sweep kernel's own, on one row.
     """
-    tau_old = state.tau[p]
+    rows = [p]
+    tau_old = state.tau[rows]
     theta_p = state.theta[p]
-    return _tau_delta(
-        scene.radiance[p],
-        forward.eval(tau_old, theta_p),
-        forward.eval(tau_new, theta_p),
+    return float(_tau_delta(
+        scene.radiance[rows],
+        forward.eval(tau_old[0], theta_p)[None],
+        forward.eval(tau_new, theta_p)[None],
         scene.channel_mask / (2.0 * state.sigma2),
         tau_old,
-        tau_new,
-        state.tau[lattice.neighbors(p)],
+        np.array([tau_new], dtype=float),
+        _gather_neighbours(state.tau, lattice, rows),
+        lattice.nbr_mask[rows],
         state.kappa,
-    )
+    )[0])
 
 
 def delta_log_posterior_theta(
@@ -410,18 +447,19 @@ def delta_log_posterior_theta(
     """Change in log-posterior from setting theta_p <- theta_new.
 
     Touches only region p's misfit and the Dirichlet term of row p.  The
-    arithmetic is the sweep kernel's own.
+    arithmetic is the sweep kernel's own, on one row.
     """
     theta_old = state.theta[p]
-    return _theta_delta(
-        scene.radiance[p],
-        forward.eval(state.tau[p], theta_old),
-        forward.eval(state.tau[p], theta_new),
+    theta_new = np.asarray(theta_new, dtype=float)
+    return float(_theta_delta(
+        scene.radiance[[p]],
+        forward.eval(state.tau[p], theta_old)[None],
+        forward.eval(state.tau[p], theta_new)[None],
         scene.channel_mask / (2.0 * state.sigma2),
-        _safe_log_theta(theta_old),
-        _safe_log_theta(theta_new),
+        _safe_log_theta(theta_old)[None],
+        _safe_log_theta(theta_new)[None],
         hyper.alpha - 1.0,
-    )
+    )[0])
 
 
 def describe_nonfinite_terms(

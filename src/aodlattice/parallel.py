@@ -7,12 +7,14 @@ lie in the other class, so a class split across patches in any way
 computes what the sequential sweep computes.  kappa and sigma2 move once
 per sweep from the merged field.
 
-Without a pool ("serial", or its alias "thread", kept for existing callers
-since threads give no speedup to this Python-bound kernel) a sweep is the
-sequential kernel call.  With a process pool ("process") each colour class
-is one round trip of one job per patch, merged in patch order.  Proposal
-randomness is keyed by (seed, sweep, region), never by patch or worker, so
-the final state is bitwise independent of the patch count and executor.
+Without a pool ("serial", or its alias "thread", kept for existing
+callers) a sweep is the sequential kernel call: one vectorised pass per
+colour class.  With a process pool ("process") each colour class is one
+round trip of one job per patch, merged in patch order.  Proposal
+randomness is keyed by (seed, sweep, colour) and drawn for the whole
+class, one row per region, so every worker draws the same block and
+takes its own rows: the final state is bitwise independent of the patch
+count and executor.
 """
 
 from __future__ import annotations

@@ -96,3 +96,85 @@ def pearson_textbook(x, y):
     sxx = sum((xi - mx) ** 2 for xi in x)
     syy = sum((yi - my) ** 2 for yi in y)
     return sxy / math.sqrt(sxx * syy)
+
+
+def oracle_sweep_regions(ws, regions, sweep, config, mode="greedy"):
+    """The region-by-region colour-ordered sweep the vectorised kernel
+    replaces, fed the same draw blocks.
+
+    Visits `regions` one at a time, tau then theta per region, and takes
+    region p's draws from row class_pos[p] of its colour's block, drawn
+    when the first region of that colour comes up.  Neighbor slots are
+    rebuilt from lattice.neighbors(p), packed to the left, and every
+    library helper sees a single row.  Returns (delta_sum, tau_accepts,
+    theta_accepts), the sum added region by region.
+    """
+    from aodlattice.map_solver import (
+        _draw_block,
+        _draw_tau,
+        _draw_theta,
+        _tau_log_q_ratio,
+        _theta_conc,
+        _theta_log_q_ratio,
+        mh_accept,
+    )
+    from aodlattice.model import _safe_log_theta, _tau_delta, _theta_delta
+
+    lat = ws.lattice
+    tau, theta, fwd = ws.tau, ws.theta, ws.forward
+    w = ws.mask / (2.0 * ws.sigma2)
+    mh = mode == "mh"
+
+    def slots(values, p):
+        nb = lat.neighbors(p)
+        out = np.zeros((1, 4) + values.shape[1:])
+        out[0, : nb.size] = values[nb]
+        mask = np.zeros((1, 4), dtype=bool)
+        mask[0, : nb.size] = True
+        return out, mask, np.array([nb.size])
+
+    blocks = {}
+    dsum, acc_t, acc_h = 0.0, 0, 0
+    for p in regions:
+        c = int(lat.colour[p])
+        if c not in blocks:
+            members = [q for q in range(lat.n_regions) if lat.colour[q] == c]
+            conc = np.concatenate([_theta_conc(*slots(theta, q)[::2]) for q in members])
+            blocks[c] = (conc,) + _draw_block(config.seed, sweep, c, conc, mh)
+        conc, z, gammas, u = blocks[c]
+        i = int(lat.class_pos[p])
+
+        ntau, nmask, n_p = slots(tau, p)
+        mean, raw = _draw_tau(ntau, n_p, config.delta, z[[i]])
+        t_old = tau[[p]]
+        cand = np.array([min(max(float(raw[0]), ws.tau_lo), ws.tau_hi)])
+        pred_new = fwd.eval(float(cand[0]), theta[p])
+        df = _tau_delta(ws.obs[[p]], ws.pred[[p]], pred_new[None], w, t_old, cand, ntau,
+                        nmask, ws.kappa)[0]
+        if mh:
+            log_q = _tau_log_q_ratio(raw, t_old, mean, config.delta, ws.tau_lo, ws.tau_hi)
+            accept = mh_accept(u[0, i], df, log_q[0])
+        else:
+            accept = df > 0.0
+        if accept:
+            tau[p] = cand[0]
+            ws.pred[p] = pred_new
+            dsum += df
+            acc_t += 1
+
+        row = _draw_theta(gammas[[i]])[0]
+        pred_new = fwd.eval(float(tau[p]), row)
+        log_old = _safe_log_theta(theta[p])
+        log_new = _safe_log_theta(row)
+        df = _theta_delta(ws.obs[[p]], ws.pred[[p]], pred_new[None], w, log_old[None],
+                          log_new[None], ws.alpha_m1)[0]
+        if mh:
+            accept = mh_accept(u[1, i], df, _theta_log_q_ratio(conc[i], log_old, log_new))
+        else:
+            accept = df > 0.0
+        if accept:
+            theta[p] = row
+            ws.pred[p] = pred_new
+            dsum += df
+            acc_h += 1
+    return dsum, acc_t, acc_h

@@ -7,11 +7,18 @@ import numpy as np
 import pytest
 
 import aodlattice as al
-from aodlattice.map_solver import Workspace, _sigma_update_delta, proposal_rng, sweep_regions
-from aodlattice.model import gmrf_roughness
+from aodlattice.map_solver import (
+    SHAPE_FLOOR,
+    Workspace,
+    _draw_block,
+    _sigma_update_delta,
+    proposal_rng,
+    sweep_regions,
+)
+from aodlattice.model import floor_simplex, gmrf_roughness
 
 from conftest import random_scene, random_state
-from oracles import golden_max
+from oracles import golden_max, oracle_sweep_regions
 
 
 class TestProposeTau:
@@ -95,34 +102,95 @@ class TestProposeTheta:
 
 class TestSweepKernel:
     def test_accepted_moves_are_the_public_draws_and_deltas(self, small_table):
-        """A greedy step that accepts both moves draws what propose_tau and
-        propose_theta draw, and its delta is the public deltas' sum, bitwise."""
+        """A greedy step that accepts both moves takes region p's row of its
+        colour's draw block, and its delta is the public deltas' sum, bitwise."""
         rng = np.random.default_rng(11)
         scene = random_scene(small_table, rng, 4, 4)
         lat = al.build_lattice(4, 4)
         hyper = al.HyperParams(alpha=np.array([0.7, 1.3, 2.0]))
         cfg = al.SolverConfig(hyper=hyper, seed=3)
         init = al.init_state(scene, small_table, "flat", hyper)
+        init.tau[:] = rng.uniform(0.1, 0.4, lat.n_regions)
+        init.theta[:] = rng.dirichlet(np.ones(3), size=lat.n_regions)
         sweep = 1
-        for p in range(lat.n_regions):
+        for p in reversed(range(lat.n_regions)):  # late rows: class_pos > 0
             ws = Workspace(scene, small_table, lat, hyper, init)
             dsum, acc_t, acc_h = sweep_regions(ws, [p], sweep, cfg)
-            if acc_t == 1 and acc_h == 1:
+            if acc_t == 1 and acc_h == 1 and lat.class_pos[p] > 0:
                 break
         else:
             pytest.fail("no region accepted both moves")
         tau_new, theta_new = ws.tau[p], ws.theta[p]
 
-        draws = proposal_rng(cfg.seed, sweep, p)
-        assert al.propose_tau(init, lat, p, cfg.delta, draws, tau_max=hyper.tau_max) == tau_new
-        np.testing.assert_array_equal(
-            al.propose_theta(init, lat, p, draws), theta_new
+        # the class's concentration from plain per-region neighbor means
+        members = lat.colours[lat.colour[p]]
+        conc = np.maximum(
+            np.stack([init.theta[lat.neighbors(q)].mean(axis=0) for q in members]), SHAPE_FLOOR
         )
+        z, gammas, u = _draw_block(cfg.seed, sweep, lat.colour[p], conc, mh=False)
+        assert u is None
+        i = lat.class_pos[p]
+        mean = init.tau[lat.neighbors(p)].mean()
+        assert tau_new == min(max(mean + cfg.delta * z[i], 0.0), hyper.tau_max)
+        np.testing.assert_array_equal(theta_new, floor_simplex(gammas[i] / gammas[i].sum()))
+
         d_tau = al.delta_log_posterior_tau(init, scene, lat, small_table, p, tau_new)
         moved = init.copy()
         moved.tau[p] = tau_new
         d_theta = al.delta_log_posterior_theta(moved, scene, lat, small_table, p, theta_new, hyper)
         assert dsum == d_tau + d_theta
+
+    @pytest.mark.parametrize("mode", ["greedy", "mh"])
+    def test_matches_scalar_oracle_random_shapes(self, small_table, mode):
+        """Three sweeps of the vectorised kernel against the region-by-region
+        loop on the same draw blocks: state bitwise, delta sums to 1e-12."""
+        rng = np.random.default_rng(40 if mode == "greedy" else 41)
+        accepted = 0
+        for trial in range(8):
+            w, h = (int(x) for x in rng.integers(2, 9, size=2))
+            scene = random_scene(small_table, rng, w, h)
+            lat = al.build_lattice(w, h)
+            hyper = al.HyperParams(alpha=rng.uniform(0.5, 2.0, 3))
+            cfg = al.SolverConfig(hyper=hyper, seed=trial, delta=0.2)
+            init = random_state(rng, lat.n_regions, 3, small_table.n_channels)
+            ws = Workspace(scene, small_table, lat, hyper, init)
+            ref = Workspace(scene, small_table, lat, hyper, init)
+            for sweep in (1, 2, 3):
+                got = sweep_regions(ws, lat.sweep_order, sweep, cfg, mode)
+                want = oracle_sweep_regions(ref, lat.sweep_order, sweep, cfg, mode)
+                np.testing.assert_array_equal(ws.tau, ref.tau)
+                np.testing.assert_array_equal(ws.theta, ref.theta)
+                np.testing.assert_array_equal(ws.pred, ref.pred)
+                assert got[1:] == want[1:]
+                assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+                accepted += got[1] + got[2]
+        assert accepted > 100
+
+    def test_patch_shares_equal_the_whole_class(self, small_table):
+        """Sweeping each colour class in arbitrary shares, as process workers
+        do, gives the whole-class visit's state bitwise."""
+        rng = np.random.default_rng(42)
+        scene = random_scene(small_table, rng, 7, 5)
+        lat = al.build_lattice(7, 5)
+        hyper = al.HyperParams.uniform(3)
+        init = random_state(rng, lat.n_regions, 3, small_table.n_channels)
+        for mode in ("greedy", "mh"):
+            cfg = al.SolverConfig(hyper=hyper, seed=5)
+            whole = Workspace(scene, small_table, lat, hyper, init)
+            sweep_regions(whole, lat.sweep_order, 1, cfg, mode)
+            split = Workspace(scene, small_table, lat, hyper, init)
+            for members in lat.colours:
+                shares = np.array_split(rng.permutation(members), 3)
+                before = (split.tau.copy(), split.theta.copy())
+                for share in shares:
+                    # each share reads the field as it stood before the class moved
+                    part = Workspace(scene, small_table, lat, hyper,
+                                     al.RetrievalState(*before, init.sigma2, init.kappa))
+                    sweep_regions(part, share, 1, cfg, mode)
+                    split.tau[share] = part.tau[share]
+                    split.theta[share] = part.theta[share]
+            np.testing.assert_array_equal(split.tau, whole.tau)
+            np.testing.assert_array_equal(split.theta, whole.theta)
 
 
 class TestUpdateKappa:
@@ -275,13 +343,27 @@ class TestRunMap:
         assert len(seen) >= 1
 
     def test_fixed_point_returns_after_one_sweep(self, small_table):
-        scene, lat, cfg, init = self._problem(small_table, 13)
-        full_cfg = replace(cfg, max_sweeps=60, epsilon=None, epsilon_rel=1e-3)
-        state, trace = al.run_map(scene, small_table, lat, full_cfg, init)
-        again_cfg = replace(full_cfg, epsilon=max(trace.epsilon, 1e-6))
+        """On a perfect-fit scene with floored noise every proposal raises
+        the misfit, so a run converges once kappa reaches its closed form;
+        restarted from that state it stops after one sweep, unchanged."""
+        rng = np.random.default_rng(13)
+        lat = al.build_lattice(6, 6)
+        truth = random_state(rng, lat.n_regions, 3, small_table.n_channels)
+        radiance = small_table.eval_batch(truth.tau, truth.theta)
+        scene = al.Scene(6, 6, small_table.n_channels, radiance,
+                         np.ones(small_table.n_channels, dtype=bool))
+        hyper = al.HyperParams.uniform(3)
+        cfg = al.SolverConfig(hyper=hyper, seed=13, max_sweeps=60, epsilon_rel=1e-3)
+        init = al.RetrievalState(tau=truth.tau, theta=truth.theta,
+                                 sigma2=al.update_sigma(truth, scene, small_table), kappa=1.0)
+        state, trace = al.run_map(scene, small_table, lat, cfg, init)
+        assert trace.converged
+        again_cfg = replace(cfg, epsilon=max(trace.epsilon, 1e-6))
         state2, trace2 = al.run_map(scene, small_table, lat, again_cfg, state)
         assert trace2.converged
         assert trace2.sweeps == 1
+        np.testing.assert_array_equal(state2.tau, state.tau)
+        np.testing.assert_array_equal(state2.theta, state.theta)
 
     def test_incremental_matches_full_recomputation(self, small_table):
         scene, lat, cfg, init = self._problem(small_table, 14)
@@ -337,6 +419,27 @@ class TestInitState:
         scene = random_scene(small_table, rng)
         with pytest.raises(al.ConfigurationError):
             al.init_state(scene, small_table, "bogus", al.HyperParams.uniform(3))
+
+    def test_coarse_grid_smoothing_equals_region_loop(self, small_table):
+        """The masked-gather neighbor averaging of the coarse-grid start is
+        the per-region loop's, bitwise, on random lattice shapes."""
+        from aodlattice.baselines import GridSearchConfig, grid_search_retrieve
+
+        rng = np.random.default_rng(23)
+        hyper = al.HyperParams.uniform(3)
+        for _ in range(12):
+            w, h = (int(x) for x in rng.integers(2, 10, size=2))
+            scene = random_scene(small_table, rng, w, h)
+            lat = al.build_lattice(w, h)
+            tau_g, _, _ = grid_search_retrieve(
+                scene, small_table, GridSearchConfig.defaults(small_table, scene))
+            tau = np.clip(tau_g, 0.0, min(hyper.tau_max, small_table.tau_max))
+            want = tau.copy()
+            for p in range(lat.n_regions):
+                nb = lat.neighbors(p)
+                want[p] = (tau[p] + tau[nb].sum()) / (1 + nb.size)
+            got = al.init_state(scene, small_table, "coarse_grid", hyper, lattice=lat)
+            np.testing.assert_array_equal(got.tau, want)
 
     def test_coarse_grid_no_worse_than_flat(self, table36, library):
         sim = al.make_sim_scene(table36, 8, 8, seed=21)

@@ -1,13 +1,21 @@
 """MCMC baseline: accept rule, toy-chain calibration, greedy equivalence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import aodlattice as al
-from aodlattice.map_solver import mh_accept
+from aodlattice import map_solver
+from aodlattice.map_solver import (
+    Workspace,
+    _draw_theta,
+    _theta_log_q_ratio,
+    mh_accept,
+)
 from aodlattice.mcmc import toy_tau_chain
+from aodlattice.model import _safe_log_theta, _theta_delta
 
 from conftest import random_scene
 
@@ -47,11 +55,45 @@ def _quadrature_acceptance(mean, delta, lo, hi, n=1500):
 class TestAcceptRule:
     def test_zero_delta_symmetric_accepts_with_probability_one(self):
         rng = np.random.default_rng(0)
-        assert all(mh_accept(rng, 0.0, 0.0) for _ in range(100_000))
+        assert mh_accept(rng.random(100_000), 0.0, 0.0).all()
 
     def test_large_negative_delta_rejects(self):
         rng = np.random.default_rng(1)
-        assert not any(mh_accept(rng, -50.0, 0.0) for _ in range(10_000))
+        assert not mh_accept(rng.random(10_000), -50.0, 0.0).any()
+
+    def test_zero_uniform_accepts_without_error(self):
+        """Generator.random() can return 0.0: its log is -inf, which accepts
+        any finite right-hand side and rejects an out-of-support -inf."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mh_accept(0.0, -1e300, 0.0)
+            got = mh_accept(np.zeros(3), np.array([-50.0, 0.0, 5.0]), np.array([0.0, -7.0, -np.inf]))
+        np.testing.assert_array_equal(got, [True, True, False])
+
+    def test_kernel_with_zero_uniforms_accepts_every_supported_proposal(self, small_table,
+                                                                        monkeypatch):
+        """An accept stream that returns only 0.0 makes the MH sweep accept
+        every in-support tau proposal and every theta proposal."""
+
+        class ZeroUniforms:
+            def random(self, size=None):
+                return np.zeros(size) if size is not None else 0.0
+
+        monkeypatch.setattr(map_solver, "accept_rng", lambda seed, sweep, colour: ZeroUniforms())
+        rng = np.random.default_rng(9)
+        scene = random_scene(small_table, rng, 5, 4)
+        lat = al.build_lattice(5, 4)
+        hyper = al.HyperParams.uniform(3)
+        init = al.init_state(scene, small_table, "flat", hyper)
+        init.tau[:] = 0.02  # proposals of width 0.05 leave [0, 6] often
+        ws = Workspace(scene, small_table, lat, hyper, init)
+        cfg = al.SolverConfig(hyper=hyper, seed=4)
+        _, acc_t, acc_h = map_solver.sweep_regions(ws, lat.sweep_order, 1, cfg, mode="mh")
+        assert acc_h == lat.n_regions
+        assert 0 < acc_t < lat.n_regions
+        assert np.all(ws.tau >= 0.0)
+        changed = np.count_nonzero(ws.tau != init.tau)
+        assert changed == acc_t
 
 
 class TestToyChain:
@@ -85,6 +127,52 @@ class TestToyChain:
         emp = hist / hist.sum()
         tv = 0.5 * np.abs(emp - target).sum()
         assert tv < 0.1
+
+
+def _beta_bin_probs(a, b, edges, n=4000):
+    """Bin probabilities of Beta(a, b) by midpoint quadrature per bin."""
+    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    probs = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        x = lo + (np.arange(n) + 0.5) * (hi - lo) / n
+        pdf = np.exp(log_norm + (a - 1) * np.log(x) + (b - 1) * np.log1p(-x))
+        probs.append(pdf.mean() * (hi - lo))
+    return np.array(probs)
+
+
+class TestDirichletChain:
+    def test_stationary_marginal_total_variation(self):
+        """One region's composition under the kernel's MH theta move: the
+        Dirichlet(conc) proposal of _draw_theta, the Hastings term of
+        _theta_log_q_ratio and the Dirichlet delta of _theta_delta, with no
+        misfit.  The target is Dirichlet(alpha); the chain's marginal of
+        each component must match its Beta marginal within TV 0.05."""
+        alpha = np.array([2.0, 3.0, 1.5])
+        conc = np.array([1.0, 1.5, 2.0])  # >= 1: no floor or zero-total fallback fires
+        n = 60_000
+        rng = np.random.default_rng(77)
+        rows = _draw_theta(rng.standard_gamma(np.tile(conc, (n, 1))))
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert rows.min() > 1e-9
+        log_rows = _safe_log_theta(rows)
+        uniforms = rng.random(n)
+        pred = np.zeros((1, 1))
+        x = np.full(3, 1.0 / 3.0)
+        log_x = _safe_log_theta(x)
+        samples = np.empty((n, 3))
+        for i in range(n):
+            log_new = log_rows[i]
+            df = _theta_delta(pred, pred, pred, 0.0, log_x[None], log_new[None], alpha - 1.0)[0]
+            if mh_accept(uniforms[i], df, _theta_log_q_ratio(conc, log_x, log_new)):
+                x, log_x = rows[i], log_new
+            samples[i] = x
+        samples = samples[2_000:]
+        edges = np.linspace(0.0, 1.0, 21)
+        for m in range(3):
+            hist, _ = np.histogram(samples[:, m], bins=edges)
+            target = _beta_bin_probs(alpha[m], alpha.sum() - alpha[m], edges)
+            tv = 0.5 * np.abs(hist / hist.sum() - target / target.sum()).sum()
+            assert tv < 0.05, (m, tv)
 
 
 class TestMhSweep:

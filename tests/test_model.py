@@ -66,6 +66,44 @@ class TestBuildLattice:
             assert colour[0] == 0
 
 
+    def test_padded_index_matches_loop_construction(self):
+        """Neighbor lists, edges, colours and class positions equal the
+        region-by-region construction, in the same order."""
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            w = int(rng.integers(2, 12))
+            h = int(rng.integers(2, 12))
+            lat = al.build_lattice(w, h)
+            nbrs, edges, classes = [], [], ([], [])
+            for r in range(h):
+                for c in range(w):
+                    p = r * w + c
+                    classes[(r + c) % 2].append(p)
+                    lst = []
+                    if r > 0:
+                        lst.append(p - w)
+                    if c > 0:
+                        lst.append(p - 1)
+                    if c < w - 1:
+                        lst.append(p + 1)
+                        edges.append((p, p + 1))
+                    if r < h - 1:
+                        lst.append(p + w)
+                        edges.append((p, p + w))
+                    nbrs.append(lst)
+            assert [list(lst) for lst in lat.neighbor_lists] == nbrs
+            assert [list(lat.neighbors(p)) for p in range(w * h)] == nbrs
+            assert lat.edges.tolist() == [list(e) for e in edges]
+            assert lat.colours == (tuple(classes[0]), tuple(classes[1]))
+            assert lat.n_p.tolist() == [len(lst) for lst in nbrs]
+            for k in (0, 1):
+                assert lat.class_pos[classes[k]].tolist() == list(range(len(classes[k])))
+                assert np.all(lat.colour[classes[k]] == k)
+            rows = np.arange(w * h)[:, None]
+            assert np.all(lat.nbr_index[~lat.nbr_mask] == np.broadcast_to(rows, (w * h, 4))[
+                ~lat.nbr_mask])
+
+
 class TestChiSquareRegion:
     def test_exact_fit_is_zero(self, small_table):
         rng = np.random.default_rng(1)

@@ -48,9 +48,10 @@ def test_instrument_wraps_and_restores_every_attribute(tracing):
 
 
 def test_traced_run_map_counts(tracing, small_table):
-    """run_map through the table proxy: two single-region evaluations per
-    region and sweep, one whole-state pass to start and one final
-    log_posterior."""
+    """run_map through the table proxy: no single-region evaluations, two
+    batched passes over each colour class per sweep (2P rows), one proposal
+    generator per colour and sweep, one whole-state pass to start and one
+    final log_posterior."""
     rng = np.random.default_rng(17)
     scene = random_scene(small_table, rng, 4, 4)
     lat = al.build_lattice(4, 4)
@@ -65,7 +66,10 @@ def test_traced_run_map_counts(tracing, small_table):
     np.testing.assert_array_equal(state.tau, plain.tau)
     calls = {name: v[0] for name, v in tracer.summary().items()}
     P = lat.n_regions
-    assert calls["forward.eval"] == 2 * P * trace.sweeps
+    assert "forward.eval" not in calls
+    assert calls["forward.eval_batch"] == 2 + 4 * trace.sweeps
+    assert tracer.counts["forward.eval_batch.rows"] == 2 * P + 2 * P * trace.sweeps
+    assert calls["map_solver.proposal_rng"] == 2 * trace.sweeps
+    assert "mcmc.accept_rng" not in calls
     assert calls["map_solver.sweep_regions"] == trace.sweeps
     assert calls["model.log_posterior"] == 1
-    assert tracer.counts["forward.eval_batch.rows"] == 2 * P
