@@ -18,8 +18,9 @@ kernel updates a whole class in one vectorised pass (a tau step on all its
 rows, then a theta step), with exact per-row deltas and an accept mask.
 The result is what a region-by-region visit of the class would give.
 
-The run stops when the absolute per-sweep objective change drops below
-epsilon, or after max_sweeps.
+The run stops when the absolute per-sweep objective change stays below
+epsilon for two successive sweeps (or for the run's first sweep), or after
+max_sweeps.
 
 Randomness discipline: every (seed, sweep, colour) triple owns one
 proposal stream (and, in MH mode, one accept stream) that draws a block
@@ -549,12 +550,16 @@ def _sweep_loop(ws: Workspace, trace: SweepTrace, sweeps: int, run_sweep,
     deltas from trace.initial_log_posterior, so a greedy trace is exactly
     non-decreasing.  Every sweep appends a trace row and yields (sweep,
     objective, elapsed_ms).  Given a config the loop then stops once the
-    objective moved by less than epsilon, where epsilon=None resolves to
+    objective moved by less than epsilon in each of the last two sweeps, or
+    in the first sweep of the run, where epsilon=None resolves to
     epsilon_rel * |objective after the first sweep|; without one it runs
-    all sweeps.
+    all sweeps.  A single small gain between large ones is a lull of the
+    stochastic search, not convergence; a start that one sweep leaves in
+    place is already converged.
     """
     f = trace.initial_log_posterior
     eps = None if config is None else config.epsilon
+    settled = True  # the sweep before the first counts as small
     for sweep in range(1, sweeps + 1):
         t0 = time.perf_counter()
         dsum, dh, acc_t, acc_h, degenerate = _sweep_step(ws, run_sweep, sweep)
@@ -572,9 +577,11 @@ def _sweep_loop(ws: Workspace, trace: SweepTrace, sweeps: int, run_sweep,
             continue
         if eps is None:
             eps = config.epsilon_rel * abs(f)
-        if abs(f - prev) < eps:
+        small = abs(f - prev) < eps
+        if small and settled:
             trace.converged = True
             break
+        settled = small
     if config is not None:
         trace.epsilon = eps
 

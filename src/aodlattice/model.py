@@ -419,20 +419,27 @@ def delta_log_posterior_tau(
     the difference of two full log_posterior evaluations.  The arithmetic
     is the sweep kernel's own, on one row.
     """
+    return float(_region_tau_deltas(state, scene, lattice, forward, p, np.array([tau_new]))[0])
+
+
+def _region_tau_deltas(state, scene, lattice, forward, p, tau_new: np.ndarray) -> np.ndarray:
+    """delta_log_posterior_tau for each of the k values tau_new, from one
+    eval_batch; each value is bitwise the one-value call's."""
     rows = [p]
     tau_old = state.tau[rows]
-    theta_p = state.theta[p]
-    return float(_tau_delta(
+    theta_p = state.theta[rows]
+    tau_new = np.asarray(tau_new, dtype=float)
+    return _tau_delta(
         scene.radiance[rows],
-        forward.eval(tau_old[0], theta_p)[None],
-        forward.eval(tau_new, theta_p)[None],
+        forward.eval(tau_old[0], theta_p[0])[None],
+        forward.eval_batch(tau_new, np.broadcast_to(theta_p, (tau_new.size, theta_p.shape[1]))),
         scene.channel_mask / (2.0 * state.sigma2),
         tau_old,
-        np.array([tau_new], dtype=float),
+        tau_new,
         _gather_neighbours(state.tau, lattice, rows),
         lattice.nbr_mask[rows],
         state.kappa,
-    )[0])
+    )
 
 
 def delta_log_posterior_theta(

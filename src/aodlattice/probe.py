@@ -17,7 +17,7 @@ from .model import (
     LatticeTopology,
     RetrievalState,
     Scene,
-    delta_log_posterior_tau,
+    _region_tau_deltas,
     delta_log_posterior_theta,
     log_posterior,
 )
@@ -77,10 +77,8 @@ def posterior_slice(
         row = rebalance_row(state.theta[p], m, tv)
         d_theta = delta_log_posterior_theta(state, scene, lattice, forward, p, row, hyper)
         work.theta[p] = row
-        for i, tau_v in enumerate(tau_axis):
-            d_tau = delta_log_posterior_tau(work, scene, lattice, forward, p, float(tau_v))
-            out[i, j] = -(f_base + d_theta + d_tau)
-        work.theta[p] = state.theta[p]
+        d_tau = _region_tau_deltas(work, scene, lattice, forward, p, tau_axis)
+        out[:, j] = -(f_base + d_theta + d_tau)
     return out, tau_axis, theta_axis
 
 

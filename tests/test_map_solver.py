@@ -343,6 +343,28 @@ class TestRunMap:
         assert len(seen) >= 1
 
     def test_fixed_point_returns_after_one_sweep(self, small_table):
+        scene, lat, cfg, init = self._problem(small_table, 13)
+        full_cfg = replace(cfg, max_sweeps=60, epsilon=None, epsilon_rel=1e-3)
+        state, trace = al.run_map(scene, small_table, lat, full_cfg, init)
+        again_cfg = replace(full_cfg, epsilon=max(trace.epsilon, 1e-6))
+        state2, trace2 = al.run_map(scene, small_table, lat, again_cfg, state)
+        assert trace2.converged
+        assert trace2.sweeps == 1
+
+    def test_one_small_gain_does_not_stop(self, small_table):
+        """A run stops only on two successive sweeps below epsilon: every
+        converged trace ends so, and no earlier pair of sweeps does."""
+        for seed in (13, 20, 21):
+            scene, lat, cfg, init = self._problem(small_table, seed)
+            full_cfg = replace(cfg, max_sweeps=60, epsilon=None, epsilon_rel=1e-3)
+            _, trace = al.run_map(scene, small_table, lat, full_cfg, init)
+            assert trace.converged
+            gains = np.abs(np.diff([trace.initial_log_posterior] + trace.log_posterior))
+            small = gains < trace.epsilon
+            assert small[-1] and small[-2]
+            assert not np.any(small[:-2] & small[1:-1])
+
+    def test_perfect_fit_truth_is_a_fixed_point(self, small_table):
         """On a perfect-fit scene with floored noise every proposal raises
         the misfit, so a run converges once kappa reaches its closed form;
         restarted from that state it stops after one sweep, unchanged."""

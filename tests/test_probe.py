@@ -48,6 +48,29 @@ class TestPosteriorSlice:
             want = -al.log_posterior(scene, mod, hyper, small_table)
             assert abs(values[i, j] - want) <= 1e-10 * max(1.0, abs(want))
 
+    def test_cells_are_the_public_deltas_bitwise(self, small_table):
+        """A column takes one eval_batch over the tau axis, yet each cell is
+        -(f + delta_theta + delta_tau) of the one-row public deltas, bit for bit."""
+        rng = np.random.default_rng(5)
+        scene = random_scene(small_table, rng, 4, 3)
+        state = random_state(rng, 12, 3, 4)
+        lat = al.build_lattice(4, 3)
+        hyper = al.HyperParams(alpha=np.array([0.8, 1.2, 1.0]))
+        p, m = 5, 2
+        values, tau_axis, theta_axis = al.posterior_slice(
+            scene, small_table, lat, state, hyper, p, m,
+            tau_range=(0.0, 3.0), theta_range=(0.0, 1.0), resolution=(9, 7),
+        )
+        f_base = al.log_posterior(scene, state, hyper, small_table)
+        for j, tv in enumerate(theta_axis):
+            row = rebalance_row(state.theta[p], m, float(tv))
+            d_theta = al.delta_log_posterior_theta(state, scene, lat, small_table, p, row, hyper)
+            mod = state.copy()
+            mod.theta[p] = row
+            for i, tau_v in enumerate(tau_axis):
+                d_tau = al.delta_log_posterior_tau(mod, scene, lat, small_table, p, float(tau_v))
+                assert values[i, j] == -(f_base + d_theta + d_tau)
+
     def test_optimum_cell_is_grid_minimum_along_axes(self, small_table):
         """Sliced at a coordinate-wise optimum (the inverse-crime truth with
         closed-form hypers), the optimum's cell is the minimum of its row

@@ -1,11 +1,12 @@
 """Paired benchmark: a parent source tree against this one, in alternating runs.
 
-For every workload and seed, runs `perfbench/run.py --trace 0` in the parent
-tree and in the change tree, `--pairs` times each, alternating which side
-goes first, and writes BENCH_<label>.json at the root of the change tree:
+For every workload in BENCHMARK.json and each of the seeds 7 and 11, runs
+`perfbench/run.py --trace 0` for BENCHMARK.json's run_seconds in the parent
+tree and in the change tree, 10 times each, alternating which side goes
+first, and writes BENCH_<label>.json at the root of this tree:
 
     python3 tools/bench_pair.py --parent <checkout of the parent commit> \
-        --label redblack --pairs 10 --seeds 7,11
+        --label redblack [--change <copy of this tree>]
 
 Each side gets the median and the quartiles of every end-to-end metric
 declared in BENCHMARK.json, its per-run values and its failed-operation
@@ -26,6 +27,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (7, 11)  # the benchmark's default seed and one held out
+PAIRS = 10
 
 
 def _git_rev(tree: Path) -> str:
@@ -87,40 +90,28 @@ def main(argv=None):
     parser.add_argument("--change", type=Path, default=ROOT,
                         help="root of the changed source tree (default: this tree)")
     parser.add_argument("--label", required=True)
-    parser.add_argument("--workloads", default=None,
-                        help="comma list (default: every workload in BENCHMARK.json)")
-    parser.add_argument("--seeds", default="7,11")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="--seconds of each run (default: BENCHMARK.json run_seconds)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="output file (default: BENCH_<label>.json in this tree)")
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
-    seeds = [int(s) for s in args.seeds.split(",")]
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    out_path = args.out or ROOT / f"BENCH_{args.label}.json"
+    out_path = ROOT / f"BENCH_{args.label}.json"
     report = {
         "label": args.label,
-        "command": (f"python3 tools/bench_pair.py --parent PARENT --label {args.label}"
-                    f" --workloads {','.join(workloads)} --seeds {args.seeds}"
-                    f" --pairs {args.pairs} --seconds {seconds:g}"),
+        "command": f"python3 tools/bench_pair.py --parent PARENT --label {args.label}",
         "run": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}"
                " --trace 0",
         "revisions": {side: _git_rev(tree) for side, tree in trees.items()},
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "order": "pair i runs the parent first when i is even, the change first when odd",
         "environment": None,
         "results": {},
     }
     for workload in workloads:
-        for seed in seeds:
+        for seed in SEEDS:
             runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     t0 = time.perf_counter()
