@@ -23,7 +23,7 @@ from .forward import build_synthetic_table, default_library, load_library
 from .map_solver import SolverConfig, init_state, run_map
 from .mcmc import McmcConfig, run_mcmc
 from .model import ConfigurationError, HyperParams, InitializationError, build_lattice
-from .parallel import SpeedupRecord, partition, run_map_parallel
+from .parallel import SpeedupRecord, check_executor, partition, run_map_parallel
 from .simulate import add_noise, gen_truth, render_grid
 
 DEFAULTS = {
@@ -80,7 +80,7 @@ _KEY_DOC = """configuration keys (section.key = default):
   grid.tau_levels = 13         AOD levels of the grid-search baseline
   grid.success_threshold =     misfit threshold (empty = channel count)
   parallel.patches = 1         patch count for map-parallel / benchmark
-  parallel.executor = serial   serial | process (thread: alias of serial)
+  parallel.executor = serial   serial | thread | process: accepted, has no effect
 """
 
 
@@ -224,6 +224,10 @@ def cmd_retrieve(args) -> int:
     scene, library, table = io.load_scene(args.scene)
     lattice = build_lattice(scene.width, scene.height)
     solver_cfg = _solver_config(cfg, library.n_components)
+    if args.method == "map-parallel":
+        # checked before init_state, which may run a full grid search
+        partition(lattice, _geti(cfg, "parallel", "patches"))
+        check_executor(cfg["parallel"]["executor"])
     trace = None
     speedup = None
     matrices = {}  # method-specific CSV outputs
@@ -307,6 +311,7 @@ def cmd_benchmark(args) -> int:
         raise ConfigurationError(f"repeated patch count in {args.patches!r}")
     for n in patch_counts:
         partition(lattice, n)  # range check before the first run
+    check_executor(cfg["parallel"]["executor"])
     init = init_state(scene, table, cfg["solver"]["init"], solver_cfg.hyper,
                       seed=solver_cfg.seed, lattice=lattice)
     rows = []

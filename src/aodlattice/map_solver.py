@@ -25,12 +25,14 @@ max_sweeps.
 Randomness discipline: every (seed, sweep, colour) triple owns one
 proposal stream (and, in MH mode, one accept stream) that draws a block
 for the whole class, one row per region in class order.  A class's
-neighbor means depend only on the other class, so any caller, the whole
-sweep or one patch's share of a class in a worker, draws the same block
-and takes its own rows.  The patch-parallel scheduler and the MCMC
-baseline reuse this module's sweep kernel, visit order, per-sweep step
-and sweep loop, so their exact-equivalence contracts (patch-parallel ==
-sequential, greedy-filtered MH == MAP) hold bitwise.
+neighbor means depend only on the other class, so the block is drawn
+once per class, and the tau and theta steps then run over one or more
+disjoint shares of the class on the one workspace: the whole class for
+run_map and run_mcmc, one share per patch in a thread pool for the
+patch-parallel scheduler.  All of them reuse this module's sweep kernel,
+visit order, per-sweep step and sweep loop, so their exact-equivalence
+contracts (patch-parallel == sequential, greedy-filtered MH == MAP) hold
+bitwise.
 """
 
 from __future__ import annotations
@@ -192,8 +194,8 @@ def _draw_block(seed: int, sweep: int, colour: int, conc: np.ndarray, mh: bool):
     n standard normals, then n x M Gamma(conc) variates; in MH mode, from
     accept_rng, a 2 x n block of uniforms (tau accepts, theta accepts).
     Row i belongs to the class's i-th region in ascending order, and the
-    block depends only on the other class, so every caller (the whole
-    sweep, or one worker's share of the class) draws the same block.
+    block depends only on the other class, so it is drawn once per class
+    and every share of the class takes its own rows.
     Returns (normals, gammas, uniforms or None).
     """
     rng = proposal_rng(seed, sweep, colour)
@@ -335,12 +337,11 @@ class Workspace:
     residual sums.  The kernel keeps pred consistent with every accepted
     move; S and sse are recomputed by resync(), which the run start and
     every sweep boundary call before the closed-form kappa and sigma2
-    steps read them.  A caller that already holds the predictions passes
-    them as pred (a process-pool worker fills only the rows it sweeps).
+    steps read them.
     """
 
     def __init__(self, scene: Scene, forward, lattice: LatticeTopology,
-                 hyper: HyperParams, state: RetrievalState, pred=None):
+                 hyper: HyperParams, state: RetrievalState):
         self.scene = scene
         self.forward = forward
         self.lattice = lattice
@@ -354,7 +355,7 @@ class Workspace:
         self.kappa = float(state.kappa)
         self.tau_lo = max(0.0, forward.tau_min)
         self.tau_hi = min(hyper.tau_max, forward.tau_max)
-        self.pred = forward.eval_batch(self.tau, self.theta) if pred is None else pred
+        self.pred = forward.eval_batch(self.tau, self.theta)
         self.S = self.sse = None
 
     def resync(self) -> None:
@@ -433,44 +434,67 @@ def sweep_regions(
     coordinate value, so the correction is the density ratio at the old
     and new points).
 
-    `regions` is lattice.sweep_order, or (in a process-pool worker) one
-    patch's share of one colour class.  They are grouped by colour in
-    visit order.  A region's proposals read only its neighbors, which lie
-    in the other class, so all rows of a class move at once, exactly as a
-    region-by-region visit would move them.  kappa and sigma2 stay fixed,
-    so the misfit weights mask / (2 sigma2) are built once.
+    `regions` (normally lattice.sweep_order) is grouped by colour in visit
+    order; each colour's regions are one share of that class.
 
     Returns (delta_sum, tau_accepts, theta_accepts); delta_sum is the
     exact objective change of the visit, the sum of the accepted deltas.
     """
-    lat = ws.lattice
     regions = np.asarray(regions, dtype=np.intp)
-    colour = lat.colour[regions]
+    colour = ws.lattice.colour[regions]
+    classes = [(c, [regions[colour == c]]) for c in dict.fromkeys(colour.tolist())]
+    return _sweep_classes(ws, classes, sweep_idx, config, mode, map)
+
+
+def _sweep_classes(ws: Workspace, classes, sweep_idx: int, config: SolverConfig, mode: str,
+                   mapper):
+    """The sweep kernel: for each (colour, shares) of `classes`, in order,
+    one colour pass.  The class part, its theta concentration and draw
+    block, runs here once; the row part, _share_pass, runs over the
+    shares through mapper (the builtin map, or a thread pool's).
+
+    A region's proposals read only its neighbors, which lie in the other
+    class, and each share writes only its own rows, so the shares of a
+    class may run in any order or at once on the one workspace: all rows
+    move as a region-by-region visit would move them.  kappa and sigma2
+    stay fixed, so the misfit weights mask / (2 sigma2) are built once.
+    The accepted deltas are summed in share order; shares that are
+    ascending runs of the class in ascending order sum them as one share
+    holding the whole class does.  Returns (delta_sum, tau_accepts,
+    theta_accepts).
+    """
+    lat = ws.lattice
     w = ws.mask / (2.0 * ws.sigma2)
     mh = mode == "mh"
     delta_sum = 0.0
     acc_t = 0
     acc_h = 0
-    for c in dict.fromkeys(colour.tolist()):
-        d, at, ah = _colour_pass(ws, regions[colour == c], c, sweep_idx, config, w, mh)
+    for colour, shares in classes:
+        members = np.flatnonzero(lat.colour == colour)
+        conc = _theta_conc(_gather_neighbours(ws.theta, lat, members), lat.n_p[members])
+        block = (conc, *_draw_block(config.seed, sweep_idx, colour, conc, mh))
+        steps = list(mapper(lambda rows: _share_pass(ws, rows, block, config.delta, w, mh),
+                            shares))
+        d_tau = np.concatenate([dt for dt, _ in steps])
+        d_theta = np.concatenate([dh for _, dh in steps])
+        d = float(np.sum(d_tau))
+        d += float(np.sum(d_theta))
         delta_sum += d
-        acc_t += at
-        acc_h += ah
+        acc_t += d_tau.size
+        acc_h += d_theta.size
     return delta_sum, acc_t, acc_h
 
 
-def _colour_pass(ws: Workspace, rows, colour: int, sweep_idx: int, config: SolverConfig,
-                 w, mh: bool):
-    """One vectorised tau step, then one theta step, on `rows`, all of one
-    colour; returns (delta_sum, tau_accepts, theta_accepts)."""
+def _share_pass(ws: Workspace, rows, block, delta: float, w, mh: bool):
+    """The row part of a colour pass: one vectorised tau step, then one
+    theta step, on `rows`, all of the class that `block` (conc, normals,
+    gammas, uniforms or None) was drawn for.  Writes only those rows of
+    ws; returns the accepted per-row (tau deltas, theta deltas)."""
+    conc, z, gammas, u = block
     lat = ws.lattice
     tau = ws.tau
     theta = ws.theta
     fwd = ws.forward
-    delta = config.delta
-    members = np.flatnonzero(lat.colour == colour)
-    conc = _theta_conc(_gather_neighbours(theta, lat, members), lat.n_p[members])
-    z, gammas, u = _draw_block(config.seed, sweep_idx, colour, conc, mh)
     pos = lat.class_pos[rows]
     obs = ws.obs[rows]
     nmask = lat.nbr_mask[rows]
@@ -492,8 +516,7 @@ def _colour_pass(ws: Workspace, rows, colour: int, sweep_idx: int, config: Solve
     tau[moved] = cand[accept]
     pred_old[accept] = pred_new[accept]
     ws.pred[moved] = pred_new[accept]
-    delta_sum = float(np.sum(df[accept]))
-    acc_t = int(np.count_nonzero(accept))
+    d_tau = df[accept]
 
     # --- theta step ---
     new_rows = _draw_theta(gammas[pos])
@@ -509,8 +532,7 @@ def _colour_pass(ws: Workspace, rows, colour: int, sweep_idx: int, config: Solve
     moved = rows[accept]
     theta[moved] = new_rows[accept]
     ws.pred[moved] = pred_new[accept]
-    delta_sum += float(np.sum(df[accept]))
-    return delta_sum, acc_t, int(np.count_nonzero(accept))
+    return d_tau, df[accept]
 
 
 def _start(scene, forward, lattice, config, init):

@@ -7,27 +7,30 @@ lie in the other class, so a class split across patches in any way
 computes what the sequential sweep computes.  kappa and sigma2 move once
 per sweep from the merged field.
 
-Without a pool ("serial", or its alias "thread", kept for existing
-callers) a sweep is the sequential kernel call: one vectorised pass per
-colour class.  With a process pool ("process") each colour class is one
-round trip of one job per patch, merged in patch order.  Proposal
-randomness is keyed by (seed, sweep, colour) and drawn for the whole
-class, one row per region, so every worker draws the same block and
-takes its own rows: the final state is bitwise independent of the patch
-count and executor.
+With one patch a sweep is the sequential kernel call.  With more, a
+thread pool of min(n_patches, 8) threads sweeps each colour class: the
+calling thread computes the class's concentration and draw block once,
+then each patch's share of the class runs its tau and theta steps in a
+thread, directly on the one shared workspace.  Shares are disjoint rows
+and read only the other colour, so no thread writes where another
+reads; the colour passes are large numpy operations that release the
+GIL.  The shares' accepted deltas are summed in patch order, which for
+ascending runs is the class order, so the final state and the trace are
+bitwise independent of the patch count.  The executor name ("serial",
+"thread" or "process") is checked and otherwise has no effect.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .map_solver import (
     SolverConfig,
-    Workspace,
     _start,
+    _sweep_classes,
     _sweep_loop,
     sweep_regions,
 )
@@ -40,6 +43,11 @@ from .model import (
 )
 
 EXECUTORS = ("serial", "thread", "process")
+
+
+def check_executor(executor: str) -> None:
+    if executor not in EXECUTORS:
+        raise ConfigurationError(f"executor must be one of {EXECUTORS}, got {executor!r}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +88,17 @@ def partition(lattice: LatticeTopology, n_patches: int) -> PatchPartition:
     return part
 
 
+def _patch_shares(lattice: LatticeTopology, part: PatchPartition):
+    """Each colour class in visit order with its non-empty patch shares,
+    in patch order: [(colour, [rows, ...]), ...]."""
+    classes = []
+    for colour, members in enumerate(lattice.colours):
+        members = np.asarray(members, dtype=np.intp)
+        owner = part.assignment[members]
+        classes.append((colour, np.split(members, np.flatnonzero(np.diff(owner)) + 1)))
+    return classes
+
+
 @dataclass
 class SpeedupRecord:
     """Per-sweep wall time rows for throughput reporting."""
@@ -93,28 +112,6 @@ class SpeedupRecord:
         return float(sum(r[2] for r in self.rows))
 
 
-# Static context for process-pool workers, installed once per pool by fork
-# or by the initializer; sweeps then ship only the dynamic field.
-_WORKER_CTX: dict = {}
-
-
-def _process_init(ctx):
-    _WORKER_CTX["ctx"] = ctx
-
-
-def _process_task(job):
-    """Sweep one patch's regions of one colour in a worker; returns their
-    rows and counts.  Only those regions' prediction rows are filled,
-    because the kernel reads no other."""
-    scene, forward, lattice, config = _WORKER_CTX["ctx"]
-    sweep, regions, current, pred_rows = job
-    pred = np.zeros((lattice.n_regions, scene.channels))
-    pred[regions] = pred_rows
-    ws = Workspace(scene, forward, lattice, config.hyper, current, pred=pred)
-    dsum, acc_t, acc_h = sweep_regions(ws, regions, sweep, config)
-    return ws.tau[regions], ws.theta[regions], ws.pred[regions], dsum, acc_t, acc_h
-
-
 def run_map_parallel(
     scene: Scene,
     forward,
@@ -126,30 +123,20 @@ def run_map_parallel(
 ):
     """Full MAP loop with patch-parallel sweeps.
 
-    Returns (state, trace, speedup_record).  The final state, sweep count
-    and convergence flag equal run_map's bitwise for every n_patches and
-    executor: "serial" (the default) and its alias "thread" make
-    run_map's own kernel call, "process" sweeps the patches in a process
-    pool.  The trace telescopes accepted deltas as run_map's does, so it
-    is exactly non-decreasing; under "process" the per-patch delta sums
-    are added in another order, which can move its last bits.
+    Returns (state, trace, speedup_record).  The final state, sweep count,
+    convergence flag and trace equal run_map's bitwise for every n_patches;
+    every executor name runs the same way.
     """
     config.validate()
-    if executor not in EXECUTORS:
-        raise ConfigurationError(f"executor must be one of {EXECUTORS}")
+    check_executor(executor)
     part = partition(lattice, n_patches)
     ws, trace = _start(scene, forward, lattice, config, init)
     speedup = SpeedupRecord()
-    pool = None
-    if executor == "process" and n_patches > 1:
-        pool = ProcessPoolExecutor(
-            max_workers=min(n_patches, 8),
-            initializer=_process_init,
-            initargs=((scene, forward, lattice, config),),
-        )
+    classes = _patch_shares(lattice, part)
+    pool = ThreadPoolExecutor(max_workers=min(n_patches, 8)) if n_patches > 1 else None
 
     def run_sweep(sweep):
-        return _one_parallel_sweep(ws, part, sweep, config, pool)
+        return _one_parallel_sweep(ws, classes, sweep, config, pool)
 
     try:
         for sweep, _, elapsed in _sweep_loop(ws, trace, config.max_sweeps, run_sweep, config):
@@ -162,30 +149,13 @@ def run_map_parallel(
     return final, trace, speedup
 
 
-def _one_parallel_sweep(ws, part, sweep, config, pool):
+def _one_parallel_sweep(ws, classes, sweep, config, pool):
     """Sweep the lattice in colour order into ws; returns (delta_sum,
     tau_accepts, theta_accepts).
 
-    Without a pool this is the sequential kernel call.  With one, each
-    colour class is split by patch into jobs sharing ws's current field;
-    they read only the other colour, and merge once all have returned.
+    Without a pool this is the sequential kernel call; with one, each
+    colour class's patch shares run in the pool's threads.
     """
     if pool is None:
         return sweep_regions(ws, ws.lattice.sweep_order, sweep, config)
-    current = RetrievalState(tau=ws.tau, theta=ws.theta, sigma2=ws.sigma2, kappa=ws.kappa)
-    dsum, acc_t, acc_h = 0.0, 0, 0
-    for colour in ws.lattice.colours:
-        members = np.asarray(colour)
-        owner = part.assignment[members]
-        shares = [members[owner == k] for k in range(part.n_patches)]
-        jobs = [(sweep, regions.tolist(), current, ws.pred[regions])
-                for regions in shares if regions.size]
-        results = list(pool.map(_process_task, jobs))
-        for (_, regions, _, _), (tau_r, theta_r, pred_r, d, at, ah) in zip(jobs, results):
-            ws.tau[regions] = tau_r
-            ws.theta[regions] = theta_r
-            ws.pred[regions] = pred_r
-            dsum += d
-            acc_t += at
-            acc_h += ah
-    return dsum, acc_t, acc_h
+    return _sweep_classes(ws, classes, sweep, config, "greedy", pool.map)

@@ -124,13 +124,18 @@ class TestRetrieve:
         assert metrics["rmse"] < 0.2
         assert (out / "error.csv").exists()
 
-    def test_map_parallel_single_patch_matches_map(self, scene_dir, tmp_path):
+    # 2-process is the pipeline128 benchmark's setting
+    @pytest.mark.parametrize("patches, executor", [(1, "serial"), (2, "process")],
+                             ids=["1-serial", "2-process"])
+    def test_map_parallel_single_patch_matches_map(self, scene_dir, tmp_path, patches,
+                                                   executor):
         a = tmp_path / "map"
         b = tmp_path / "par"
         assert run_cli("retrieve", "--scene", str(scene_dir), "--method", "map",
                        *SMALL, "--out", str(a)) == 0
         assert run_cli("retrieve", "--scene", str(scene_dir), "--method", "map-parallel",
-                       *SMALL, "--set", "parallel.patches=1", "--out", str(b)) == 0
+                       *SMALL, "--set", f"parallel.patches={patches}",
+                       "--set", f"parallel.executor={executor}", "--out", str(b)) == 0
         for name in ("tau.csv", "theta.csv", "metrics.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
         # trace matches except the wall-time column
@@ -215,6 +220,21 @@ class TestRetrieve:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert setting[setting.index(".") + 1:setting.index("=")] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["parallel.patches=0", "parallel.executor=bogus"])
+    def test_parallel_settings_checked_before_init(self, scene_dir, tmp_path, capsys,
+                                                   monkeypatch, setting):
+        def no_init(*args, **kwargs):
+            raise AssertionError("init_state ran before the parallel settings were checked")
+
+        monkeypatch.setattr(cli, "init_state", no_init)
+        out = tmp_path / "o"
+        code = run_cli("retrieve", "--scene", str(scene_dir), "--method", "map-parallel",
+                       *SMALL, "--set", "solver.init=coarse_grid", "--set", setting,
+                       "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
     def test_solver_failure_exits_3(self, scene_dir, tmp_path, monkeypatch):

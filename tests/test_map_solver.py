@@ -12,6 +12,7 @@ from aodlattice.map_solver import (
     Workspace,
     _draw_block,
     _sigma_update_delta,
+    _sweep_classes,
     proposal_rng,
     sweep_regions,
 )
@@ -167,8 +168,10 @@ class TestSweepKernel:
         assert accepted > 100
 
     def test_patch_shares_equal_the_whole_class(self, small_table):
-        """Sweeping each colour class in arbitrary shares, as process workers
-        do, gives the whole-class visit's state bitwise."""
+        """The share path the patch threads run, on one shared workspace:
+        each colour class split into shares in any order gives the
+        whole-class visit's state bitwise; ascending runs in ascending
+        order also give its delta_sum bitwise."""
         rng = np.random.default_rng(42)
         scene = random_scene(small_table, rng, 7, 5)
         lat = al.build_lattice(7, 5)
@@ -177,20 +180,22 @@ class TestSweepKernel:
         for mode in ("greedy", "mh"):
             cfg = al.SolverConfig(hyper=hyper, seed=5)
             whole = Workspace(scene, small_table, lat, hyper, init)
-            sweep_regions(whole, lat.sweep_order, 1, cfg, mode)
-            split = Workspace(scene, small_table, lat, hyper, init)
-            for members in lat.colours:
-                shares = np.array_split(rng.permutation(members), 3)
-                before = (split.tau.copy(), split.theta.copy())
-                for share in shares:
-                    # each share reads the field as it stood before the class moved
-                    part = Workspace(scene, small_table, lat, hyper,
-                                     al.RetrievalState(*before, init.sigma2, init.kappa))
-                    sweep_regions(part, share, 1, cfg, mode)
-                    split.tau[share] = part.tau[share]
-                    split.theta[share] = part.theta[share]
-            np.testing.assert_array_equal(split.tau, whole.tau)
-            np.testing.assert_array_equal(split.theta, whole.theta)
+            want = sweep_regions(whole, lat.sweep_order, 1, cfg, mode)
+            for contiguous in (False, True):
+                classes = []
+                for colour, members in enumerate(lat.colours):
+                    members = np.asarray(members, dtype=np.intp)
+                    if not contiguous:
+                        members = rng.permutation(members)
+                    classes.append((colour, np.array_split(members, 3)))
+                split = Workspace(scene, small_table, lat, hyper, init)
+                got = _sweep_classes(split, classes, 1, cfg, mode, map)
+                np.testing.assert_array_equal(split.tau, whole.tau)
+                np.testing.assert_array_equal(split.theta, whole.theta)
+                np.testing.assert_array_equal(split.pred, whole.pred)
+                assert got[1:] == want[1:]
+                if contiguous:
+                    assert got[0] == want[0]
 
 
 class TestUpdateKappa:

@@ -1,13 +1,13 @@
 """Patch partitioning and patch-parallel MAP runs."""
 
 import os
-from dataclasses import replace
+import sys
 
 import numpy as np
 import pytest
 
 import aodlattice as al
-from aodlattice.parallel import partition
+from aodlattice.parallel import EXECUTORS, partition
 
 from conftest import random_scene
 
@@ -78,9 +78,9 @@ class TestRunMapParallel:
 
     @pytest.mark.parametrize("width, height", [(6, 6), (5, 7)])
     def test_every_patch_count_and_executor_equals_run_map(self, small_table, width, height):
-        """State, sweeps and convergence equal run_map's bitwise; in-process
-        traces equal its trace exactly, process traces to rounding, and
-        every greedy trace is non-decreasing."""
+        """State, sweeps, convergence and trace equal run_map's bitwise for
+        every patch count and executor name.  On 6x6, 36 one-region patches
+        queue more shares than the pool has threads."""
         rng = np.random.default_rng(width * height)
         scene = random_scene(small_table, rng, width, height)
         lat = al.build_lattice(width, height)
@@ -88,44 +88,34 @@ class TestRunMapParallel:
         cfg = al.SolverConfig(hyper=hyper, seed=21, max_sweeps=40, epsilon_rel=1e-5)
         init = al.init_state(scene, small_table, "flat", hyper)
         ref, ref_trace = al.run_map(scene, small_table, lat, cfg, init)
-        runs = [("serial", n) for n in (1, 2, 4, 9)] + [("process", n) for n in (2, 4)]
-        for executor, n in runs:
-            state, trace, _ = al.run_map_parallel(scene, small_table, lat, cfg, n, init,
-                                                  executor=executor)
-            np.testing.assert_array_equal(state.tau, ref.tau)
-            np.testing.assert_array_equal(state.theta, ref.theta)
-            np.testing.assert_array_equal(state.sigma2, ref.sigma2)
-            assert state.kappa == ref.kappa
-            assert (trace.sweeps, trace.converged) == (ref_trace.sweeps, ref_trace.converged)
-            if executor == "serial":
+        assert np.all(np.diff([ref_trace.initial_log_posterior] + ref_trace.log_posterior) >= 0)
+        counts = [n for n in (1, 2, 4, 9, 36) if n <= lat.n_regions]
+        for executor in EXECUTORS:
+            for n in counts:
+                state, trace, _ = al.run_map_parallel(scene, small_table, lat, cfg, n, init,
+                                                      executor=executor)
+                np.testing.assert_array_equal(state.tau, ref.tau)
+                np.testing.assert_array_equal(state.theta, ref.theta)
+                np.testing.assert_array_equal(state.sigma2, ref.sigma2)
+                assert state.kappa == ref.kappa
+                assert (trace.sweeps, trace.converged) == (ref_trace.sweeps,
+                                                           ref_trace.converged)
                 assert trace.log_posterior == ref_trace.log_posterior
-            else:
-                np.testing.assert_allclose(trace.log_posterior, ref_trace.log_posterior,
-                                           rtol=1e-12, atol=0.0)
-            assert np.all(np.diff([trace.initial_log_posterior] + trace.log_posterior) >= 0)
 
-    def test_executors_agree_bitwise(self, small_table):
-        scene, lat, cfg, init = self._problem(small_table, 4)
-        st_serial, _, _ = al.run_map_parallel(
-            scene, small_table, lat, cfg, 4, init, executor="serial"
-        )
-        st_thread, _, _ = al.run_map_parallel(
-            scene, small_table, lat, cfg, 4, init, executor="thread"
-        )
-        np.testing.assert_array_equal(st_serial.tau, st_thread.tau)
-        np.testing.assert_array_equal(st_serial.theta, st_thread.theta)
-
-    def test_process_executor_agrees(self, small_table):
-        scene, lat, cfg, init = self._problem(small_table, 5)
-        cfg = replace(cfg, max_sweeps=5)
-        st_serial, _, _ = al.run_map_parallel(
-            scene, small_table, lat, cfg, 2, init, executor="serial"
-        )
-        st_proc, _, _ = al.run_map_parallel(
-            scene, small_table, lat, cfg, 2, init, executor="process"
-        )
-        np.testing.assert_array_equal(st_serial.tau, st_proc.tau)
-        np.testing.assert_array_equal(st_serial.theta, st_proc.theta)
+    def test_shared_workspace_under_fast_thread_switching(self, small_table):
+        """36 patches on 8 threads with a 1 us switch interval: an update lost
+        or crossed between patch threads would break bitwise equality."""
+        scene, lat, cfg, init = self._problem(small_table, 7)
+        ref, ref_trace = al.run_map(scene, small_table, lat, cfg, init)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            state, trace, _ = al.run_map_parallel(scene, small_table, lat, cfg, 36, init)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(state.tau, ref.tau)
+        np.testing.assert_array_equal(state.theta, ref.theta)
+        assert trace.log_posterior == ref_trace.log_posterior
 
     def test_deterministic_reruns(self, small_table):
         scene, lat, cfg, init = self._problem(small_table, 6)

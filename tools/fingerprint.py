@@ -12,8 +12,8 @@ trees compute the same numbers exactly when every line matches:
 Only long-standing public API is called (no optional argument a refactor
 might remove), so the script runs unchanged on both sides of a change.
 It is not a test: a change that reorders floating-point work may change
-bits on purpose.  It takes about five seconds on 2 cores and starts at
-most four worker processes.
+bits on purpose.  It takes about two seconds on 2 cores; its patch runs
+start at most four threads.
 """
 
 from __future__ import annotations
