@@ -90,6 +90,39 @@ class GridSearchConfig:
             raise ConfigurationError(f"success_threshold must be > 0, got {self.success_threshold}")
 
 
+_GRID_CELLS = 1 << 18  # misfit cells (rows x T*G) per row block; bounds its temporaries
+_TIE_ULPS = 16  # candidates of one level within this many ulps of its scale tie
+
+
+def _tie_theta(pred: np.ndarray, mixtures: np.ndarray) -> np.ndarray:
+    """Fallback theta of every grid cell, (T*G, M).
+
+    At each level, candidate j ties with the first candidate i whose
+    prediction differs from j's by at most _TIE_ULPS * eps times the
+    level's largest radiance on every channel, and its tie group is every
+    candidate that ties with the same i.  A cell alone in its group keeps its mixture; a larger
+    group gives each member floor_simplex of the group's mean mixture.
+    """
+    T, G, _ = pred.shape
+    out = np.tile(mixtures, (T, 1)).reshape(T, G, -1)
+    for t, level in enumerate(pred):
+        tol = _TIE_ULPS * np.finfo(float).eps * np.abs(level).max()
+        dist = np.zeros((G, G))
+        for channel in level.T:
+            np.maximum(dist, np.abs(channel[:, None] - channel[None, :]), out=dist)
+        label = np.argmax(dist <= tol, axis=0)
+        for lead in np.flatnonzero(np.bincount(label, minlength=G) > 1):
+            members = label == lead
+            out[t, members] = floor_simplex(mixtures[members].mean(axis=0))
+    return out.reshape(T * G, -1)
+
+
+def _direct_chi2(obs: np.ndarray, pred: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise weighted misfit sum_c w_c (obs - pred)^2 in residual form."""
+    resid = obs - pred
+    return np.einsum("kc,c->k", resid * resid, w)
+
+
 def grid_search_retrieve(scene: Scene, table, config: GridSearchConfig):
     """Independent per-region grid search; returns (tau, theta, success).
 
@@ -97,39 +130,76 @@ def grid_search_retrieve(scene: Scene, table, config: GridSearchConfig):
     misfit with the configured fixed noise variances, over available
     channels only.  Regions whose best misfit clears success_threshold
     return the mean of all clearing pairs (theta renormalized); the rest
-    return the argmin pair with success False.
+    return the argmin pair with success False.  When the argmin pair ties
+    with other mixtures at its level (at tau = 0 every mixture gives the
+    same surface radiance), the region returns floor_simplex of the tie
+    group's mean mixture instead (see _tie_theta), so rounding does not
+    pick the composition.
+
+    The misfit is expanded as ||o||^2_w - 2 (o*w).p + ||p||^2_w, so a row
+    block of regions is scored by one (B x C).(C x T*G) matrix product.
+    The block holds at most _GRID_CELLS misfits, so memory does not grow
+    with the scene and a long tau grid only shrinks the block.  The
+    expanded form loses digits when the misfit is small against
+    ||o||^2_w + ||p||^2_w; every cell within that rounding bound of the
+    threshold, and every cell within twice the bound of a failing row's
+    minimum, is scored again in residual form, so success and the argmin
+    are decided as the residual form decides them.  The clearing means
+    sum per-level and per-mixture counts of the clearing cells times the
+    levels and the mixtures, row by row, so a region's output does not
+    depend on the other regions in its block.
     """
     config.validate(table)
-    T = config.tau_levels.size
-    G = config.candidate_mixtures.shape[0]
-    pred = table.eval_grid(config.tau_levels, config.candidate_mixtures)  # (T, G, C)
-    mask = scene.channel_mask
-    w = mask / (2.0 * config.sigma2_fixed)
+    levels, mixtures = config.tau_levels, config.candidate_mixtures
+    thr = config.success_threshold
+    T, G = levels.size, mixtures.shape[0]
+    pred = table.eval_grid(levels, mixtures)  # (T, G, C)
     flat_pred = pred.reshape(T * G, -1)
+    tau_grid = np.repeat(levels, G)
+    fallback_theta = _tie_theta(pred, mixtures)
+    obs_all = scene.radiance
+    w = scene.channel_mask / (2.0 * config.sigma2_fixed)
+    cross = -2.0 * (flat_pred * w).T  # (C, T*G)
+    p_norm = np.einsum("jc,jc,c->j", flat_pred, flat_pred, w)
+    o_norm = np.einsum("ic,ic,c->i", obs_all, obs_all, w)
+    bound = 2 * (scene.channels + 2) * np.finfo(float).eps * (o_norm + p_norm.max())
     P = scene.n_regions
-    M = table.n_components
     tau_out = np.empty(P)
-    theta_out = np.empty((P, M))
+    theta_out = np.empty((P, mixtures.shape[1]))
     success = np.zeros(P, dtype=bool)
-    tau_grid = np.repeat(config.tau_levels, G)
-    mix_grid = np.tile(config.candidate_mixtures, (T, 1))
-    # cap the residual tensor (block x T*G x C) at ~4M elements
-    block = max(1, 4_000_000 // max(T * G * scene.channels, 1))
+    block = max(1, _GRID_CELLS // (T * G))
     for start in range(0, P, block):
-        obs = scene.radiance[start : start + block]  # (B, C)
-        resid = obs[:, None, :] - flat_pred[None, :, :]  # (B, TG, C)
-        chi2 = np.einsum("btc,c->bt", resid * resid, w)
-        for i in range(chi2.shape[0]):
-            row = chi2[i]
-            below = row < config.success_threshold
-            if below.any():
-                success[start + i] = True
-                tau_out[start + i] = tau_grid[below].mean()
-                theta_out[start + i] = floor_simplex(mix_grid[below].mean(axis=0))
-            else:
-                j = int(np.argmin(row))
-                tau_out[start + i] = tau_grid[j]
-                theta_out[start + i] = mix_grid[j]
+        rows = slice(start, start + block)
+        obs, rb = obs_all[rows], bound[rows]
+        chi2 = obs @ cross
+        chi2 += o_norm[rows, None]
+        chi2 += p_norm
+        best = chi2.argmin(axis=1)
+        low = np.take_along_axis(chi2, best[:, None], axis=1)[:, 0]
+        # rows whose best cell may clear the threshold: decide each cell
+        hit = np.flatnonzero(low < thr + rb)
+        sub = chi2[hit]
+        below = sub < thr
+        i, j = np.nonzero(np.abs(sub - thr) <= rb[hit, None])
+        below[i, j] = _direct_chi2(obs[hit[i]], flat_pred[j], w) < thr
+        count = below.sum(axis=1)
+        ok = count > 0
+        hits, n, won = below[ok].reshape(-1, T, G), count[ok], hit[ok]
+        tau_out[rows][won] = (hits.sum(axis=2) * levels).sum(axis=1) / n
+        mix_sum = (hits.sum(axis=1)[:, :, None] * mixtures).sum(axis=1)
+        theta_out[rows][won] = floor_simplex(mix_sum / n[:, None])
+        success[rows][won] = True
+        # failing rows whose minimum is not clear of the runner-up: argmin
+        # over the near-minimal cells in residual form
+        near = chi2 <= (low + 2.0 * rb)[:, None]
+        redo = np.flatnonzero((near.sum(axis=1) > 1) & ~success[rows])
+        i, j = np.nonzero(near[redo])
+        exact = np.full((redo.size, T * G), np.inf)
+        exact[i, j] = _direct_chi2(obs[redo[i]], flat_pred[j], w)
+        best[redo] = exact.argmin(axis=1)
+        fail = ~success[rows]
+        tau_out[rows][fail] = tau_grid[best[fail]]
+        theta_out[rows][fail] = fallback_theta[best[fail]]
     return tau_out, theta_out, success
 
 

@@ -58,16 +58,6 @@ class PatchPartition:
     assignment: np.ndarray
     patches: tuple
 
-    def validate(self, lattice: LatticeTopology) -> None:
-        P = lattice.n_regions
-        seen = np.zeros(P, dtype=bool)
-        for regions in self.patches:
-            if seen[regions].any():
-                raise ConfigurationError("patches overlap")
-            seen[regions] = True
-        if not seen.all():
-            raise ConfigurationError("patches do not cover the lattice")
-
 
 def partition(lattice: LatticeTopology, n_patches: int) -> PatchPartition:
     """Split the regions, in row-major index order, into n_patches
@@ -79,13 +69,11 @@ def partition(lattice: LatticeTopology, n_patches: int) -> PatchPartition:
         )
     patches = tuple(np.array_split(np.arange(P), n_patches))
     sizes = [len(regions) for regions in patches]
-    part = PatchPartition(
+    return PatchPartition(
         n_patches=n_patches,
         assignment=np.repeat(np.arange(n_patches), sizes),
         patches=patches,
     )
-    part.validate(lattice)
-    return part
 
 
 def _patch_shares(lattice: LatticeTopology, part: PatchPartition):

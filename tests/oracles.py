@@ -178,3 +178,77 @@ def oracle_sweep_regions(ws, regions, sweep, config, mode="greedy"):
             dsum += df
             acc_h += 1
     return dsum, acc_t, acc_h
+
+
+def oracle_grid_search(scene, table, config):
+    """The region-by-region grid search the blocked matrix product replaces.
+
+    Builds the residual tensor (block x T*G x C) and scores every cell in
+    residual form, then walks the block's regions one at a time: the mean
+    of the clearing cells, or the argmin cell with success False.  An
+    argmin cell takes its theta from oracle_tie_theta.
+    """
+    from aodlattice.model import floor_simplex
+
+    config.validate(table)
+    T = config.tau_levels.size
+    G = config.candidate_mixtures.shape[0]
+    pred = table.eval_grid(config.tau_levels, config.candidate_mixtures)
+    mask = scene.channel_mask
+    w = mask / (2.0 * config.sigma2_fixed)
+    flat_pred = pred.reshape(T * G, -1)
+    P = scene.n_regions
+    M = table.n_components
+    tau_out = np.empty(P)
+    theta_out = np.empty((P, M))
+    success = np.zeros(P, dtype=bool)
+    tau_grid = np.repeat(config.tau_levels, G)
+    mix_grid = np.tile(config.candidate_mixtures, (T, 1))
+    labels = {}
+    block = max(1, 4_000_000 // max(T * G * scene.channels, 1))
+    for start in range(0, P, block):
+        obs = scene.radiance[start : start + block]
+        resid = obs[:, None, :] - flat_pred[None, :, :]
+        chi2 = np.einsum("btc,c->bt", resid * resid, w)
+        for i in range(chi2.shape[0]):
+            row = chi2[i]
+            below = row < config.success_threshold
+            if below.any():
+                success[start + i] = True
+                tau_out[start + i] = tau_grid[below].mean()
+                theta_out[start + i] = floor_simplex(mix_grid[below].mean(axis=0))
+            else:
+                j = int(np.argmin(row))
+                tau_out[start + i] = tau_grid[j]
+                theta_out[start + i] = oracle_tie_theta(pred, config.candidate_mixtures, j,
+                                                        labels)
+    return tau_out, theta_out, success
+
+
+def oracle_tie_theta(pred, mixtures, j, labels):
+    """Theta of argmin cell j under the tie rule, candidate by candidate.
+
+    Candidate k of level t ties with the first candidate i whose radiance
+    is within _TIE_ULPS ulps of the level's largest radiance on every
+    channel; k's group is every candidate tying with the same i.  labels
+    caches each level's first-tie indices.
+    """
+    from aodlattice.baselines import _TIE_ULPS
+    from aodlattice.model import floor_simplex
+
+    G = pred.shape[1]
+    t, g = divmod(j, G)
+    level = pred[t]
+    if t not in labels:
+        tol = _TIE_ULPS * np.finfo(float).eps * np.abs(level).max()
+        first = []
+        for k in range(G):
+            i = 0
+            while np.abs(level[i] - level[k]).max() > tol:
+                i += 1
+            first.append(i)
+        labels[t] = np.array(first)
+    members = labels[t] == labels[t][g]
+    if members.sum() == 1:
+        return mixtures[g]
+    return floor_simplex(mixtures[members].mean(axis=0))

