@@ -100,8 +100,9 @@ def _tie_theta(pred: np.ndarray, mixtures: np.ndarray) -> np.ndarray:
     At each level, candidate j ties with the first candidate i whose
     prediction differs from j's by at most _TIE_ULPS * eps times the
     level's largest radiance on every channel, and its tie group is every
-    candidate that ties with the same i.  A cell alone in its group keeps its mixture; a larger
-    group gives each member floor_simplex of the group's mean mixture.
+    candidate that ties with the same i.  A cell alone in its group keeps
+    its mixture; a larger group gives each member floor_simplex of the
+    group's mean mixture.
     """
     T, G, _ = pred.shape
     out = np.tile(mixtures, (T, 1)).reshape(T, G, -1)
@@ -164,8 +165,9 @@ def grid_search_retrieve(scene: Scene, table, config: GridSearchConfig):
     o_norm = np.einsum("ic,ic,c->i", obs_all, obs_all, w)
     bound = 2 * (scene.channels + 2) * np.finfo(float).eps * (o_norm + p_norm.max())
     P = scene.n_regions
+    M = table.n_components
     tau_out = np.empty(P)
-    theta_out = np.empty((P, mixtures.shape[1]))
+    theta_out = np.empty((P, M))
     success = np.zeros(P, dtype=bool)
     block = max(1, _GRID_CELLS // (T * G))
     for start in range(0, P, block):

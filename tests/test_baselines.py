@@ -202,12 +202,11 @@ class TestGridSearchOracle:
         above or below it, decides success and the means as the oracle
         does, also where the expanded form has lost most of its digits."""
         rng = np.random.default_rng(9)
-        cfg0 = GridSearchConfig.defaults(table36, al.make_sim_scene(table36, 2, 2).scene)
-        T, G = cfg0.tau_levels.size, cfg0.candidate_mixtures.shape[0]
+        pred = table36.eval_grid(np.linspace(0.0, 6.0, 13), default_candidate_mixtures(8))
+        pred = pred.reshape(-1, 36)  # the default grid's cells
         P = 6
-        cell = rng.integers(0, T * G, P)
+        cell = rng.integers(0, pred.shape[0], P)
         rel = 1e-8 if fit == "near_exact" else 0.05
-        pred = table36.eval_grid(cfg0.tau_levels, cfg0.candidate_mixtures).reshape(T * G, -1)
         radiance = pred[cell] * (1.0 + rel * rng.standard_normal((P, 36)))
         scene = al.Scene(3, 2, 36, radiance, np.ones(36, dtype=bool))
         cfg = GridSearchConfig.defaults(table36, scene)
