@@ -16,7 +16,6 @@ from .model import (
     RetrievalState,
     Scene,
     build_lattice,
-    chi_square_region,
     delta_log_posterior_tau,
     delta_log_posterior_theta,
     log_posterior,
@@ -35,15 +34,13 @@ from .map_solver import (
     SolverConfig,
     SweepTrace,
     init_state,
-    propose_tau,
-    propose_theta,
     run_map,
     update_kappa,
     update_sigma,
 )
 from .mcmc import McmcConfig, mh_sweep, run_mcmc
-from .parallel import PatchPartition, SpeedupRecord, partition, run_map_parallel
-from .simulate import SimScene, add_noise, gen_truth, make_sim_scene, render
+from .parallel import PatchPartition, partition, run_map_parallel
+from .simulate import SimScene, add_noise, gen_truth, make_sim_scene
 from .baselines import (
     GridSearchConfig,
     MetricsReport,
@@ -71,13 +68,11 @@ __all__ = [
     "Scene",
     "SimScene",
     "SolverConfig",
-    "SpeedupRecord",
     "StabilityResult",
     "SweepTrace",
     "add_noise",
     "build_lattice",
     "build_synthetic_table",
-    "chi_square_region",
     "compute_metrics",
     "default_library",
     "delta_log_posterior_tau",
@@ -92,9 +87,6 @@ __all__ = [
     "mh_sweep",
     "partition",
     "posterior_slice",
-    "propose_tau",
-    "propose_theta",
-    "render",
     "run_map",
     "run_map_parallel",
     "run_mcmc",

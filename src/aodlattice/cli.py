@@ -23,7 +23,7 @@ from .forward import build_synthetic_table, default_library, load_library
 from .map_solver import SolverConfig, init_state, run_map
 from .mcmc import McmcConfig, run_mcmc
 from .model import ConfigurationError, HyperParams, InitializationError, build_lattice
-from .parallel import SpeedupRecord, check_executor, partition, run_map_parallel
+from .parallel import check_executor, partition, run_map_parallel
 from .simulate import add_noise, gen_truth, render_grid
 
 DEFAULTS = {
@@ -229,7 +229,6 @@ def cmd_retrieve(args) -> int:
         partition(lattice, _geti(cfg, "parallel", "patches"))
         check_executor(cfg["parallel"]["executor"])
     trace = None
-    speedup = None
     matrices = {}  # method-specific CSV outputs
     if args.method == "grid":
         gcfg = GridSearchConfig.defaults(
@@ -247,7 +246,7 @@ def cmd_retrieve(args) -> int:
         if args.method == "map":
             state, trace = run_map(scene, table, lattice, solver_cfg, init)
         elif args.method == "map-parallel":
-            state, trace, speedup = run_map_parallel(
+            state, trace, part = run_map_parallel(
                 scene, table, lattice, solver_cfg,
                 _geti(cfg, "parallel", "patches"), init,
                 executor=cfg["parallel"]["executor"],
@@ -276,8 +275,8 @@ def cmd_retrieve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for name, matrix in matrices.items():
         io.write_matrix_csv(out / name, matrix)
-    if speedup is not None:
-        io.save_speedup(out / "speedup.csv", speedup)
+    if args.method == "map-parallel":
+        io.save_speedup(out / "speedup.csv", [(part.n_patches, trace)])
     io.write_matrix_csv(out / "tau.csv", tau.reshape(-1, 1))
     io.write_matrix_csv(out / "theta.csv", theta)
     if trace is not None:
@@ -314,19 +313,20 @@ def cmd_benchmark(args) -> int:
     check_executor(cfg["parallel"]["executor"])
     init = init_state(scene, table, cfg["solver"]["init"], solver_cfg.hyper,
                       seed=solver_cfg.seed, lattice=lattice)
-    rows = []
+    runs = []
     timings = {}
     for n in patch_counts:
-        state, trace, speedup = run_map_parallel(
+        _, trace, _ = run_map_parallel(
             scene, table, lattice, solver_cfg, n, init,
             executor=cfg["parallel"]["executor"],
         )
-        rows.extend(speedup.rows)
-        timings[f"patches_{n}"] = speedup.total_ms()
-        print(f"patches={n}: {trace.sweeps} sweeps, {speedup.total_ms():.1f} ms total")
+        runs.append((n, trace))
+        total_ms = float(sum(trace.elapsed_ms))
+        timings[f"patches_{n}"] = total_ms
+        print(f"patches={n}: {trace.sweeps} sweeps, {total_ms:.1f} ms total")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    io.save_speedup(out / "speedup.csv", SpeedupRecord(rows=rows))
+    io.save_speedup(out / "speedup.csv", runs)
     io.write_manifest(out / "manifest.json", cfg, solver_cfg.seed, timings)
     return 0
 

@@ -9,10 +9,12 @@ components with the simplex weights theta.  One batched interpolation
 the sweep kernel evaluates a whole colour class per call) and eval_grid;
 it works row by row elementwise, adding the components in a fixed order,
 so one row and n rows give the same bits and a rendered scene
-re-evaluates to zero misfit.  Any object exposing the same eval /
-eval_batch surface (for instance a reader over a precomputed
+re-evaluates to zero misfit.  The library calls only eval_batch and
+eval_grid and reads n_components, n_channels, tau_min and tau_max, so any
+object with that surface (for instance a reader over a precomputed
 radiative-transfer dataset) can replace the synthetic table without
-touching the solvers.
+touching the solvers; eval is the one-row reference the tests compare
+against.
 
 The synthetic table is deterministic in its seed and built so that
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -92,6 +94,22 @@ class ComponentLibrary:
 
     @classmethod
     def from_records(cls, records) -> "ComponentLibrary":
+        """Build and validate a library from a list of component records,
+        each a mapping with exactly AerosolComponent's fields, numbers
+        everywhere but the category."""
+        if not isinstance(records, list):
+            raise ConfigurationError(
+                f"component library must be a list of records, got {type(records).__name__}"
+            )
+        keys = {f.name for f in fields(AerosolComponent)}
+        for i, r in enumerate(records):
+            if not isinstance(r, dict) or set(r) != keys:
+                raise ConfigurationError(
+                    f"component record {i} must have exactly the keys {sorted(keys)}"
+                )
+            if not all(isinstance(r[k], (int, float)) and not isinstance(r[k], bool)
+                       for k in keys - {"category"}):
+                raise ConfigurationError(f"component record {i}: non-numeric field")
         lib = cls(components=tuple(AerosolComponent(**r) for r in records))
         lib.validate()
         return lib
@@ -106,12 +124,6 @@ def default_library() -> ComponentLibrary:
 def load_library(path) -> ComponentLibrary:
     with open(path) as fh:
         return ComponentLibrary.from_records(json.load(fh))
-
-
-def save_library(library: ComponentLibrary, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(library.to_records(), fh, indent=1)
-        fh.write("\n")
 
 
 class RadianceTable:

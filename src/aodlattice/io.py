@@ -79,7 +79,9 @@ def load_scene(directory):
 
     The forward table is rebuilt deterministically from the parameters
     recorded in scene.json, so a retrieval sees the exact forward model
-    the scene was rendered with.
+    the scene was rendered with.  Metadata of the wrong shape (a
+    non-object scene.json or table, a malformed component library) raises
+    ConfigurationError.
     """
     directory = Path(directory)
     meta_path = directory / SCENE_JSON
@@ -87,7 +89,7 @@ def load_scene(directory):
         raise ConfigurationError(f"missing {meta_path}")
     with open(meta_path) as fh:
         meta = json.load(fh)
-    if meta.get("format") != "aodlattice-scene/1":
+    if not isinstance(meta, dict) or meta.get("format") != "aodlattice-scene/1":
         raise ConfigurationError(f"unrecognized scene format in {meta_path}")
     records = meta.get("component_library", "default")
     library = default_library() if records == "default" else ComponentLibrary.from_records(records)
@@ -102,9 +104,13 @@ def load_scene(directory):
             region_size_km=float(meta.get("region_size_km", 4.4)),
         )
         t = meta["table"]
+        if not isinstance(t, dict):
+            raise ConfigurationError(f"{meta_path}: table must be an object")
         knots, tau_max, seed = int(t["knots"]), float(t["tau_max"]), int(t["seed"])
     except KeyError as exc:
         raise ConfigurationError(f"{meta_path}: missing required key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ConfigurationError(f"{meta_path}: malformed value: {exc}") from None
     scene.validate()
     table = build_synthetic_table(
         library,
@@ -145,11 +151,14 @@ def save_trace(path, trace) -> None:
             )
 
 
-def save_speedup(path, record) -> None:
+def save_speedup(path, runs) -> None:
+    """Per-sweep wall times of patch runs, from (n_patches, SweepTrace) pairs:
+    one n_patches,sweep,elapsed_ms row per sweep, runs in the given order."""
     with open(path, "w") as fh:
         fh.write("n_patches,sweep,elapsed_ms\n")
-        for n, sweep, ms in record.rows:
-            fh.write(f"{n},{sweep},{_fmt(ms)}\n")
+        for n, trace in runs:
+            for sweep, ms in enumerate(trace.elapsed_ms, start=1):
+                fh.write(f"{n},{sweep},{_fmt(ms)}\n")
 
 
 def save_slice(directory, values: np.ndarray, tau_axis: np.ndarray,

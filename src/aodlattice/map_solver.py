@@ -1,11 +1,16 @@
 """MAP retrieval by coordinate-wise stochastic search.
 
 Every region p draws a new AOD value tau_p (Gaussian centered on the
-neighbor mean, width delta) and a new composition row theta_p
-(independent Gamma draws with the neighbor-mean shapes, normalized to the
-simplex; equivalently a Dirichlet draw with the neighbor means as
-concentration).  A proposal is accepted only when it strictly increases
-the joint log-posterior, which makes the recorded objective
+neighbor mean, width delta, clamped into [tau_lo, tau_hi], where the AOD
+prior's [0, tau_max] meets the forward table's range) and a new
+composition row theta_p (independent Gamma draws with the neighbor-mean
+shapes, floored at SHAPE_FLOOR and normalized to the simplex;
+equivalently a Dirichlet draw with the neighbor means as concentration).
+The draws exist only in the sweep kernel, a block of rows at a time:
+per colour class, _theta_conc gives the concentration and _draw_block the
+randomness, and _share_pass turns their rows into candidates through
+_draw_tau and _draw_theta.  A proposal is accepted only when it strictly
+increases the joint log-posterior, which makes the recorded objective
 non-decreasing by construction.  The smoothness precision kappa and the
 channel noise variances sigma2 have closed-form conditional maximizers
 and are moved once per sweep, after the region updates, by guarded steps
@@ -219,37 +224,6 @@ def _theta_log_q_ratio(conc, log_old, log_new):
     """MH correction log q(old)/q(new) of the Dirichlet(conc) theta
     proposal, per row, from both rows' floored logs."""
     return np.sum((conc - 1.0) * (log_old - log_new), axis=-1)
-
-
-def propose_tau(
-    state: RetrievalState,
-    lattice: LatticeTopology,
-    p: int,
-    delta: float,
-    rng: np.random.Generator,
-    tau_max: float = 6.0,
-) -> float:
-    """Draw tau* ~ Normal(neighbor mean, delta^2), clamped into [0, tau_max]."""
-    rows = [p]
-    ntau = _gather_neighbours(state.tau, lattice, rows)
-    _, raw = _draw_tau(ntau, lattice.n_p[rows], delta, rng.standard_normal(1))
-    return min(max(float(raw[0]), 0.0), tau_max)
-
-
-def propose_theta(
-    state: RetrievalState,
-    lattice: LatticeTopology,
-    p: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw theta* from Gamma(neighbor-mean shapes, 1), normalized.
-
-    Equivalent to a Dirichlet draw whose concentration is the neighbor
-    mean of each component, floored at SHAPE_FLOOR: the kernel's own draw.
-    """
-    rows = [p]
-    conc = _theta_conc(_gather_neighbours(state.theta, lattice, rows), lattice.n_p[rows])
-    return _draw_theta(rng.standard_gamma(conc))[0]
 
 
 def _kappa_from_roughness(S: float, P: int):

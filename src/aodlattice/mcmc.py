@@ -40,6 +40,7 @@ from .model import (
     Scene,
     floor_simplex,
     log_posterior,
+    validate_state,
 )
 from . import map_solver
 
@@ -84,8 +85,11 @@ def mh_sweep(
     With greedy=True the accept rule degenerates to "improvements only"
     and no accept variates are drawn, which is the MAP solver's update;
     kappa and sigma2 are refreshed by their closed forms after the sweep
-    in both modes.
+    in both modes.  The config and the state are checked as run_mcmc
+    checks them.
     """
+    config.validate()
+    validate_state(state, config.hyper)
     kcfg = _kernel_config(config)
     ws = Workspace(scene, forward, lattice, config.hyper, state)
     mode = "greedy" if greedy else "mh"

@@ -13,11 +13,13 @@ Up to a data-independent constant the log-posterior is
 
     f = (P-3)/2 * log(kappa)
         - (P+2)/2 * sum_c log(2 pi sigma2_c)          (available channels)
-        - sum_p chi2_p                                 (misfit, see chi_square_region)
+        - sum_p chi2_p                                 (misfit, see below)
         - kappa/2 * sum_edges (tau_q - tau_p)^2        (each unordered pair once)
         + sum_p sum_m (alpha_m - 1) log theta_pm
         + lgamma(sum_m alpha_m) - sum_m lgamma(alpha_m)
 
+with chi2_p = sum_c (L_pc - Lrt_c(tau_p, theta_p))^2 / (2 sigma2_c) over
+the available channels, the per-region term of the likelihood exponent.
 The edge convention (each unordered neighbor pair counted once) makes the
 closed-form kappa update in the MAP solver the exact argmax of the
 kappa-dependent terms.  The Gamma-function terms are constants while alpha
@@ -28,14 +30,14 @@ single tau_p or theta_p touches only region p's misfit, the edges incident
 to p, and the Dirichlet term of row p, so accept tests cost O(n_p + C)
 instead of O(P*C).  The deltas work on k rows at once, so the sweep
 kernel computes a whole colour class in one call; the public
-single-region deltas call them with one row.
+single-region deltas call them with one row, on eval_batch predictions
+as the kernel does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -154,8 +156,7 @@ class LatticeTopology:
     Derived from these: edges lists every unordered neighbor pair exactly
     once; colours holds the two classes, each ascending, as int tuples, and
     no edge joins two regions of one class; sweep_order, their
-    concatenation, is every sweep's visit order; neighbor_lists[p] holds
-    p's neighbors in slot order.
+    concatenation, is every sweep's visit order.
     """
 
     width: int
@@ -172,14 +173,6 @@ class LatticeTopology:
     @property
     def n_regions(self) -> int:
         return self.width * self.height
-
-    @cached_property
-    def neighbor_lists(self) -> tuple:
-        flat = self.nbr_index[self.nbr_mask]
-        return tuple(np.split(flat, np.cumsum(self.n_p)[:-1]))
-
-    def neighbors(self, p: int) -> np.ndarray:
-        return self.neighbor_lists[p]
 
 
 def build_lattice(width: int, height: int) -> LatticeTopology:
@@ -303,18 +296,6 @@ def _safe_log_theta(theta: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(theta, THETA_FLOOR))
 
 
-def chi_square_region(scene: Scene, state: RetrievalState, forward, p: int) -> float:
-    """Weighted least-square misfit of region p over available channels.
-
-    Returns sum_c (L_pc - Lrt_c(tau_p, theta_p))^2 / (2 sigma2_c), the
-    per-region term of the likelihood exponent.
-    """
-    pred = forward.eval(state.tau[p], state.theta[p])
-    resid = scene.radiance[p] - pred
-    mask = scene.channel_mask
-    return float(np.sum(resid[mask] ** 2 / (2.0 * state.sigma2[mask])))
-
-
 def gmrf_roughness(tau: np.ndarray, lattice: LatticeTopology) -> float:
     """Sum of squared AOD differences over the edge list (each pair once)."""
     e = lattice.edges
@@ -431,7 +412,7 @@ def _region_tau_deltas(state, scene, lattice, forward, p, tau_new: np.ndarray) -
     tau_new = np.asarray(tau_new, dtype=float)
     return _tau_delta(
         scene.radiance[rows],
-        forward.eval(tau_old[0], theta_p[0])[None],
+        forward.eval_batch(tau_old, theta_p),
         forward.eval_batch(tau_new, np.broadcast_to(theta_p, (tau_new.size, theta_p.shape[1]))),
         scene.channel_mask / (2.0 * state.sigma2),
         tau_old,
@@ -456,15 +437,17 @@ def delta_log_posterior_theta(
     Touches only region p's misfit and the Dirichlet term of row p.  The
     arithmetic is the sweep kernel's own, on one row.
     """
-    theta_old = state.theta[p]
-    theta_new = np.asarray(theta_new, dtype=float)
+    rows = [p]
+    tau_p = state.tau[rows]
+    theta_old = state.theta[rows]
+    theta_new = np.asarray(theta_new, dtype=float)[None]
     return float(_theta_delta(
-        scene.radiance[[p]],
-        forward.eval(state.tau[p], theta_old)[None],
-        forward.eval(state.tau[p], theta_new)[None],
+        scene.radiance[rows],
+        forward.eval_batch(tau_p, theta_old),
+        forward.eval_batch(tau_p, theta_new),
         scene.channel_mask / (2.0 * state.sigma2),
-        _safe_log_theta(theta_old)[None],
-        _safe_log_theta(theta_new)[None],
+        _safe_log_theta(theta_old),
+        _safe_log_theta(theta_new),
         hyper.alpha - 1.0,
     )[0])
 

@@ -23,7 +23,7 @@ bitwise independent of the patch count.  The executor name ("serial",
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,19 +87,6 @@ def _patch_shares(lattice: LatticeTopology, part: PatchPartition):
     return classes
 
 
-@dataclass
-class SpeedupRecord:
-    """Per-sweep wall time rows for throughput reporting."""
-
-    rows: list = field(default_factory=list)  # (n_patches, sweep, elapsed_ms)
-
-    def add(self, n_patches: int, sweep: int, elapsed_ms: float) -> None:
-        self.rows.append((n_patches, sweep, elapsed_ms))
-
-    def total_ms(self) -> float:
-        return float(sum(r[2] for r in self.rows))
-
-
 def run_map_parallel(
     scene: Scene,
     forward,
@@ -111,15 +98,16 @@ def run_map_parallel(
 ):
     """Full MAP loop with patch-parallel sweeps.
 
-    Returns (state, trace, speedup_record).  The final state, sweep count,
-    convergence flag and trace equal run_map's bitwise for every n_patches;
-    every executor name runs the same way.
+    Returns (state, trace, partition), the partition being the one the
+    sweeps split the lattice by; per-sweep wall times are in
+    trace.elapsed_ms.  The final state, sweep count, convergence flag and
+    trace equal run_map's bitwise for every n_patches; every executor name
+    runs the same way.
     """
     config.validate()
     check_executor(executor)
     part = partition(lattice, n_patches)
     ws, trace = _start(scene, forward, lattice, config, init)
-    speedup = SpeedupRecord()
     classes = _patch_shares(lattice, part)
     pool = ThreadPoolExecutor(max_workers=min(n_patches, 8)) if n_patches > 1 else None
 
@@ -127,14 +115,14 @@ def run_map_parallel(
         return _one_parallel_sweep(ws, classes, sweep, config, pool)
 
     try:
-        for sweep, _, elapsed in _sweep_loop(ws, trace, config.max_sweeps, run_sweep, config):
-            speedup.add(n_patches, sweep, elapsed)
+        for _ in _sweep_loop(ws, trace, config.max_sweeps, run_sweep, config):
+            pass  # the loop records every sweep in trace
     finally:
         if pool is not None:
             pool.shutdown()
     final = ws.to_state()
     trace.final_log_posterior = log_posterior(scene, final, config.hyper, forward)
-    return final, trace, speedup
+    return final, trace, part
 
 
 def _one_parallel_sweep(ws, classes, sweep, config, pool):

@@ -101,18 +101,6 @@ def gen_truth(
     return tau, theta
 
 
-def render(truth_tau: np.ndarray, truth_theta: np.ndarray, table,
-           region_size_km: float = 4.4) -> Scene:
-    """Render observations of a square truth field through the forward model."""
-    P = np.asarray(truth_tau).size
-    side = int(round(P ** 0.5))
-    if side * side != P:
-        raise ConfigurationError(
-            "render infers a square grid; pass width/height via make_sim_scene"
-        )
-    return render_grid(truth_tau, truth_theta, table, side, side, region_size_km)
-
-
 def render_grid(truth_tau, truth_theta, table, width: int, height: int,
                 region_size_km: float = 4.4) -> Scene:
     """render() for non-square grids."""

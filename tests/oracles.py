@@ -68,6 +68,26 @@ def oracle_log_posterior(scene, state, hyper, table):
     return f
 
 
+def oracle_neighbours(width, height):
+    """Each region's 4-neighbours in slot order (above, left, right,
+    below), built cell by cell from the grid shape alone."""
+    out = []
+    for r in range(height):
+        for c in range(width):
+            p = r * width + c
+            nbrs = []
+            if r > 0:
+                nbrs.append(p - width)
+            if c > 0:
+                nbrs.append(p - 1)
+            if c < width - 1:
+                nbrs.append(p + 1)
+            if r < height - 1:
+                nbrs.append(p + width)
+            out.append(nbrs)
+    return out
+
+
 def golden_max(fn, lo, hi, iters=300):
     """Golden-section maximization of a unimodal function on [lo, hi]."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -103,11 +123,12 @@ def oracle_sweep_regions(ws, regions, sweep, config, mode="greedy"):
     replaces, fed the same draw blocks.
 
     Visits `regions` one at a time, tau then theta per region, and takes
-    region p's draws from row class_pos[p] of its colour's block, drawn
-    when the first region of that colour comes up.  Neighbor slots are
-    rebuilt from lattice.neighbors(p), packed to the left, and every
-    library helper sees a single row.  Returns (delta_sum, tau_accepts,
-    theta_accepts), the sum added region by region.
+    region p's draws from its row of its colour's block (its rank among
+    the regions of its colour), drawn when the first region of that
+    colour comes up.  Colours and neighbor slots are rebuilt from the
+    grid shape (oracle_neighbours), the slots packed to the left, and
+    every library helper sees a single row.  Returns (delta_sum,
+    tau_accepts, theta_accepts), the sum added region by region.
     """
     from aodlattice.map_solver import (
         _draw_block,
@@ -120,29 +141,32 @@ def oracle_sweep_regions(ws, regions, sweep, config, mode="greedy"):
     )
     from aodlattice.model import _safe_log_theta, _tau_delta, _theta_delta
 
-    lat = ws.lattice
+    width, height = ws.lattice.width, ws.lattice.height
+    P = width * height
+    neighbours = oracle_neighbours(width, height)
+    colour = [(p // width + p % width) % 2 for p in range(P)]
+    members = [[q for q in range(P) if colour[q] == c] for c in (0, 1)]
     tau, theta, fwd = ws.tau, ws.theta, ws.forward
     w = ws.mask / (2.0 * ws.sigma2)
     mh = mode == "mh"
 
     def slots(values, p):
-        nb = lat.neighbors(p)
+        nb = neighbours[p]
         out = np.zeros((1, 4) + values.shape[1:])
-        out[0, : nb.size] = values[nb]
+        out[0, : len(nb)] = values[nb]
         mask = np.zeros((1, 4), dtype=bool)
-        mask[0, : nb.size] = True
-        return out, mask, np.array([nb.size])
+        mask[0, : len(nb)] = True
+        return out, mask, np.array([len(nb)])
 
     blocks = {}
     dsum, acc_t, acc_h = 0.0, 0, 0
     for p in regions:
-        c = int(lat.colour[p])
+        c = colour[p]
         if c not in blocks:
-            members = [q for q in range(lat.n_regions) if lat.colour[q] == c]
-            conc = np.concatenate([_theta_conc(*slots(theta, q)[::2]) for q in members])
+            conc = np.concatenate([_theta_conc(*slots(theta, q)[::2]) for q in members[c]])
             blocks[c] = (conc,) + _draw_block(config.seed, sweep, c, conc, mh)
         conc, z, gammas, u = blocks[c]
-        i = int(lat.class_pos[p])
+        i = members[c].index(p)
 
         ntau, nmask, n_p = slots(tau, p)
         mean, raw = _draw_tau(ntau, n_p, config.delta, z[[i]])

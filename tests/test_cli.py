@@ -247,6 +247,43 @@ class TestRetrieve:
         assert code == 3
 
 
+_GOOD_RECORD = al.default_library().to_records()[0]
+MALFORMED_METADATA = {
+    "library-records-lack-keys": ("library", [{"id": 1}]),
+    "library-is-object": ("library", {"components": [_GOOD_RECORD]}),
+    "library-non-numeric-field": ("library", [_GOOD_RECORD, {**_GOOD_RECORD, "id": 2,
+                                                             "r_min": "0.001"}]),
+    "scene-library-lacks-keys": ("component_library", [{"id": 1}]),
+    "scene-library-is-number": ("component_library", 5),
+    "scene-table-is-string": ("table", "knots=25"),
+    "scene-width-is-null": ("width", None),
+    "scene-is-list": (None, []),
+}
+
+
+@pytest.mark.parametrize("field, value", list(MALFORMED_METADATA.values()),
+                         ids=list(MALFORMED_METADATA))
+def test_malformed_metadata_exits_2(scene_dir, tmp_path, capsys, field, value):
+    """A component-library file (simulate) or a scene.json (retrieve) of the
+    wrong shape is an input error, not a traceback."""
+    out = tmp_path / "o"
+    if field == "library":
+        path = tmp_path / "library.json"
+        path.write_text(json.dumps(value))
+        argv = ["simulate", *SMALL, "--set", f"components.library={path}", "--out", str(out)]
+    else:
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        meta = json.loads((scene_dir / "scene.json").read_text())
+        (broken / "scene.json").write_text(json.dumps(value if field is None
+                                                      else {**meta, field: value}))
+        (broken / "radiance.csv").write_bytes((scene_dir / "radiance.csv").read_bytes())
+        argv = ["retrieve", "--scene", str(broken), "--method", "grid", "--out", str(out)]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 class TestBenchmark:
     def test_single_patch_rows(self, scene_dir, tmp_path):
         out = tmp_path / "bench"

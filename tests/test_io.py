@@ -7,7 +7,6 @@ import pytest
 
 import aodlattice as al
 from aodlattice import io
-from aodlattice.parallel import SpeedupRecord
 
 
 class TestSceneRoundtrip:
@@ -69,12 +68,12 @@ class TestTraceAndRecords:
         assert float(first[1]) == trace.log_posterior[0]
 
     def test_speedup_csv(self, tmp_path):
-        rec = SpeedupRecord(rows=[(1, 1, 5.0), (1, 2, 4.5)])
+        one = al.SweepTrace(n_regions=4, elapsed_ms=[5.0, 4.5])
+        two = al.SweepTrace(n_regions=4, elapsed_ms=[2.25])
         path = tmp_path / "speedup.csv"
-        io.save_speedup(path, rec)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n_patches,sweep,elapsed_ms"
-        assert len(lines) == 3
+        io.save_speedup(path, [(1, one), (2, two)])
+        assert path.read_text().splitlines() == [
+            "n_patches,sweep,elapsed_ms", "1,1,5.0", "1,2,4.5", "2,1,2.25"]
 
     def test_metrics_json(self, tmp_path):
         rep = al.compute_metrics(np.array([0.1, 0.2, 0.4]), np.array([0.1, 0.25, 0.35]))

@@ -11,93 +11,164 @@ from aodlattice.map_solver import (
     SHAPE_FLOOR,
     Workspace,
     _draw_block,
+    _draw_tau,
+    _draw_theta,
     _sigma_update_delta,
     _sweep_classes,
-    proposal_rng,
+    _theta_conc,
     sweep_regions,
 )
-from aodlattice.model import floor_simplex, gmrf_roughness
+from aodlattice.model import _gather_neighbours, floor_simplex, gmrf_roughness
 
 from conftest import random_scene, random_state
-from oracles import golden_max, oracle_sweep_regions
+from oracles import golden_max, oracle_neighbours, oracle_sweep_regions
+
+
+def _class_tau_draw(state, lat, colour, seed, sweep, delta):
+    """The kernel's tau draw for a whole colour class: (members, mean, raw)."""
+    members = np.flatnonzero(lat.colour == colour)
+    conc = _theta_conc(_gather_neighbours(state.theta, lat, members), lat.n_p[members])
+    z, _, _ = _draw_block(seed, sweep, colour, conc, mh=False)
+    mean, raw = _draw_tau(_gather_neighbours(state.tau, lat, members), lat.n_p[members],
+                          delta, z)
+    return members, mean, raw
 
 
 class TestProposeTau:
+    """The tau proposal as the sweep kernel draws it, a class at a time."""
+
     def test_tiny_width_limit_hits_neighbor_mean(self, small_table):
         rng = np.random.default_rng(0)
-        state = random_state(rng, 9, 3, 4)
-        lat = al.build_lattice(3, 3)
-        state.tau[lat.neighbors(4)] = 0.3
-        draw = al.propose_tau(state, lat, 4, 1e-12, np.random.default_rng(1))
-        assert draw == pytest.approx(0.3, abs=1e-9)
+        lat = al.build_lattice(5, 4)
+        state = random_state(rng, lat.n_regions, 3, 4)
+        nbrs = oracle_neighbours(5, 4)
+        for colour in (0, 1):
+            members, mean, raw = _class_tau_draw(state, lat, colour, 1, 1, 1e-12)
+            want = [state.tau[nbrs[p]].mean() for p in members]
+            np.testing.assert_allclose(mean, want, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(raw, want, rtol=0.0, atol=1e-9)
+        # through the kernel: every accepted tau of one class is its mean
+        scene = random_scene(small_table, rng, 5, 4)
+        hyper = al.HyperParams.uniform(3)
+        cfg = al.SolverConfig(hyper=hyper, seed=1, delta=1e-12)
+        members, mean, _ = _class_tau_draw(state, lat, 0, cfg.seed, 1, cfg.delta)
+        ws = Workspace(scene, small_table, lat, hyper, state)
+        _, acc_t, _ = sweep_regions(ws, members, 1, cfg)
+        moved = ws.tau[members] != state.tau[members]
+        assert acc_t == moved.sum()
+        assert acc_t > 0
+        np.testing.assert_allclose(ws.tau[members][moved], mean[moved], rtol=0.0, atol=1e-9)
 
     def test_deterministic_given_seed(self, small_table):
+        """Draws are a function of (seed, sweep, colour): two sweeps from
+        one state agree bitwise, and changing any key changes the block."""
         rng = np.random.default_rng(2)
-        state = random_state(rng, 9, 3, 4)
-        lat = al.build_lattice(3, 3)
-        a = [al.propose_tau(state, lat, p, 0.05, proposal_rng(7, 1, p)) for p in range(9)]
-        b = [al.propose_tau(state, lat, p, 0.05, proposal_rng(7, 1, p)) for p in range(9)]
-        assert a == b
+        scene = random_scene(small_table, rng, 4, 4)
+        lat = al.build_lattice(4, 4)
+        hyper = al.HyperParams.uniform(3)
+        cfg = al.SolverConfig(hyper=hyper, seed=7, delta=0.05)
+        init = random_state(rng, lat.n_regions, 3, 4)
+        runs = []
+        for _ in range(2):
+            ws = Workspace(scene, small_table, lat, hyper, init)
+            runs.append((sweep_regions(ws, lat.sweep_order, 3, cfg, "mh"), ws.tau, ws.theta))
+        assert runs[0][0] == runs[1][0]
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+        np.testing.assert_array_equal(runs[0][2], runs[1][2])
+        conc = np.full((8, 3), 0.5)
+        block = _draw_block(7, 3, 0, conc, mh=True)
+        again = _draw_block(7, 3, 0, conc, mh=True)
+        for a, b in zip(block, again):
+            np.testing.assert_array_equal(a, b)
+        for key in ((8, 3, 0), (7, 4, 0), (7, 3, 1)):
+            other = _draw_block(*key, conc, mh=True)
+            for a, b in zip(block, other):
+                assert not np.array_equal(a, b)
 
     def test_monte_carlo_mean(self):
         # neighbors {0.1, 0.3}, width 0.05 -> mean 0.2 within 3 standard errors
-        state = al.RetrievalState(
-            tau=np.array([0.1, 0.3, 0.2, 0.2]),
-            theta=np.full((4, 3), 1.0 / 3.0),
-            sigma2=np.ones(4),
-            kappa=1.0,
-        )
-        lat = al.build_lattice(2, 2)
-        # region 0 has neighbors 1 and 2 on a 2x2 grid
-        state.tau[1] = 0.1
-        state.tau[2] = 0.3
-        rng = np.random.default_rng(3)
         n = 100_000
-        draws = np.array([al.propose_tau(state, lat, 0, 0.05, rng) for _ in range(n)])
+        ntau = np.tile([0.1, 0.3, 0.0, 0.0], (n, 1))
+        z, _, _ = _draw_block(3, 1, 0, np.ones((n, 3)), mh=False)
+        mean, raw = _draw_tau(ntau, np.full(n, 2), 0.05, z)
+        assert np.all(mean == 0.2)
         se = 0.05 / math.sqrt(n)
-        assert abs(draws.mean() - 0.2) < 3 * se
+        assert abs(raw.mean() - 0.2) < 3 * se
+        assert raw.std() == pytest.approx(0.05, rel=0.02)
 
-    def test_clamped_to_bounds(self):
-        state = al.RetrievalState(
-            tau=np.zeros(4), theta=np.full((4, 3), 1 / 3), sigma2=np.ones(4), kappa=1.0
-        )
-        lat = al.build_lattice(2, 2)
-        rng = np.random.default_rng(4)
-        draws = [al.propose_tau(state, lat, 0, 3.0, rng, tau_max=6.0) for _ in range(200)]
-        assert all(0.0 <= d <= 6.0 for d in draws)
-        assert any(d == 0.0 for d in draws)  # wide proposals hit the clamp
+    def test_clamped_to_bounds(self, small_table):
+        """Wide proposals leave [tau_lo, tau_hi]; the kernel clamps them to
+        the workspace's bounds, here hyper.tau_max = 1 below the table's 6,
+        and a truth on a bound makes the clamped candidates win."""
+        lat = al.build_lattice(6, 6)
+        hyper = al.HyperParams(alpha=np.ones(3), tau_max=1.0)
+        cfg = al.SolverConfig(hyper=hyper, seed=4, delta=3.0)
+        theta = np.full((lat.n_regions, 3), 1 / 3)
+        for bound in (0.0, 1.0):
+            radiance = small_table.eval_batch(np.full(lat.n_regions, bound), theta)
+            scene = al.Scene(6, 6, 4, radiance, np.ones(4, dtype=bool))
+            init = al.RetrievalState(tau=np.full(lat.n_regions, 0.5), theta=theta,
+                                     sigma2=np.full(4, 1e-2), kappa=1e-6)
+            ws = Workspace(scene, small_table, lat, hyper, init)
+            assert (ws.tau_lo, ws.tau_hi) == (0.0, 1.0)
+            _, _, raw = _class_tau_draw(init, lat, 0, cfg.seed, 1, cfg.delta)
+            assert np.any(raw < 0.0) and np.any(raw > 1.0)
+            sweep_regions(ws, lat.sweep_order, 1, cfg)
+            assert np.all((ws.tau >= 0.0) & (ws.tau <= 1.0))
+            assert np.any(ws.tau == bound)
 
 
 class TestProposeTheta:
+    """The theta proposal as the sweep kernel draws it, a class at a time."""
+
     def test_always_on_simplex(self, small_table):
         rng = np.random.default_rng(5)
-        state = random_state(rng, 9, 3, 4)
-        lat = al.build_lattice(3, 3)
-        for p in range(9):
-            row = al.propose_theta(state, lat, p, proposal_rng(1, 1, p))
-            assert np.all(row >= 0)
-            assert abs(row.sum() - 1.0) <= 1e-12
+        lat = al.build_lattice(8, 8)
+        state = random_state(rng, lat.n_regions, 3, 4)
+        # near-corner rows in class 1 push class 0's Gamma shapes to SHAPE_FLOOR
+        odd = np.flatnonzero(lat.colour == 1)
+        state.theta[odd] = floor_simplex(rng.dirichlet(np.full(3, 0.01), size=odd.size))
+        for colour in (0, 1):
+            members = np.flatnonzero(lat.colour == colour)
+            conc = _theta_conc(_gather_neighbours(state.theta, lat, members),
+                               lat.n_p[members])
+            assert np.all(conc >= SHAPE_FLOOR)
+            if colour == 0:
+                assert conc.min() == SHAPE_FLOOR
+            rows = _draw_theta(_draw_block(1, 1, colour, conc, mh=False)[1])
+            assert np.all(rows > 0.0)
+            np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        # the uniform fallback for a row whose gammas all underflow
+        rows = _draw_theta(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 3.0]]))
+        np.testing.assert_array_equal(rows[0], np.full(3, 1 / 3))
+        assert abs(rows[1].sum() - 1.0) <= 1e-12
+        scene = random_scene(small_table, rng, 8, 8)
+        ws = Workspace(scene, small_table, lat, al.HyperParams.uniform(3), state)
+        _, _, acc_h = sweep_regions(ws, lat.sweep_order, 1,
+                                    al.SolverConfig(hyper=al.HyperParams.uniform(3)), "mh")
+        assert acc_h > 0
+        al.validate_state(ws.to_state(), al.HyperParams.uniform(3))
 
     def test_concentrates_on_dominant_neighbor_component(self):
-        state = al.RetrievalState(
-            tau=np.full(4, 0.2),
-            theta=np.tile(np.array([0.98, 0.01, 0.01]), (4, 1)),
-            sigma2=np.ones(4),
-            kappa=1.0,
-        )
         lat = al.build_lattice(2, 2)
-        rng = np.random.default_rng(6)
-        rows = np.array([al.propose_theta(state, lat, 0, rng) for _ in range(100_000)])
+        theta = np.tile(np.array([0.98, 0.01, 0.01]), (4, 1))
+        members = np.flatnonzero(lat.colour == 0)
+        conc = _theta_conc(_gather_neighbours(theta, lat, members), lat.n_p[members])
+        np.testing.assert_allclose(conc, theta[:2], rtol=1e-15)
+        n = 100_000
+        rows = _draw_theta(_draw_block(6, 1, 0, np.repeat(conc, n // 2, axis=0), mh=False)[1])
         means = rows.mean(axis=0)
         assert means[0] > means[1] and means[0] > means[2]
+        # the Dirichlet(conc) mean, conc / sum(conc)
+        np.testing.assert_allclose(means, [0.98, 0.01, 0.01], atol=0.005)
 
     def test_deterministic_given_seed(self):
-        state = al.RetrievalState(
-            tau=np.full(4, 0.2), theta=np.full((4, 3), 1 / 3), sigma2=np.ones(4), kappa=1.0
-        )
-        lat = al.build_lattice(2, 2)
-        a = al.propose_theta(state, lat, 0, proposal_rng(3, 2, 0))
-        b = al.propose_theta(state, lat, 0, proposal_rng(3, 2, 0))
+        lat = al.build_lattice(3, 3)
+        theta = np.random.default_rng(6).dirichlet(np.ones(3), size=9)
+        members = np.flatnonzero(lat.colour == 1)
+        conc = _theta_conc(_gather_neighbours(theta, lat, members), lat.n_p[members])
+        a = _draw_theta(_draw_block(3, 2, 1, conc, mh=False)[1])
+        b = _draw_theta(_draw_block(3, 2, 1, conc, mh=False)[1])
         np.testing.assert_array_equal(a, b)
 
 
@@ -124,14 +195,15 @@ class TestSweepKernel:
         tau_new, theta_new = ws.tau[p], ws.theta[p]
 
         # the class's concentration from plain per-region neighbor means
+        nbrs = oracle_neighbours(4, 4)
         members = lat.colours[lat.colour[p]]
         conc = np.maximum(
-            np.stack([init.theta[lat.neighbors(q)].mean(axis=0) for q in members]), SHAPE_FLOOR
+            np.stack([init.theta[nbrs[q]].mean(axis=0) for q in members]), SHAPE_FLOOR
         )
         z, gammas, u = _draw_block(cfg.seed, sweep, lat.colour[p], conc, mh=False)
         assert u is None
         i = lat.class_pos[p]
-        mean = init.tau[lat.neighbors(p)].mean()
+        mean = init.tau[nbrs[p]].mean()
         assert tau_new == min(max(mean + cfg.delta * z[i], 0.0), hyper.tau_max)
         np.testing.assert_array_equal(theta_new, floor_simplex(gammas[i] / gammas[i].sum()))
 
@@ -462,9 +534,8 @@ class TestInitState:
                 scene, small_table, GridSearchConfig.defaults(small_table, scene))
             tau = np.clip(tau_g, 0.0, min(hyper.tau_max, small_table.tau_max))
             want = tau.copy()
-            for p in range(lat.n_regions):
-                nb = lat.neighbors(p)
-                want[p] = (tau[p] + tau[nb].sum()) / (1 + nb.size)
+            for p, nb in enumerate(oracle_neighbours(w, h)):
+                want[p] = (tau[p] + tau[nb].sum()) / (1 + len(nb))
             got = al.init_state(scene, small_table, "coarse_grid", hyper, lattice=lat)
             np.testing.assert_array_equal(got.tau, want)
 

@@ -211,6 +211,30 @@ class TestMhSweep:
         mh = al.mh_sweep(init, scene, small_table, lat, mcfg, 1, greedy=False)
         assert not np.array_equal(greedy.tau, mh.tau)
 
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, float("nan")])
+    def test_invalid_delta_rejected(self, small_table, delta):
+        rng = np.random.default_rng(9)
+        scene = random_scene(small_table, rng, 4, 4)
+        lat = al.build_lattice(4, 4)
+        hyper = al.HyperParams.uniform(3)
+        mcfg = al.McmcConfig(hyper=hyper, delta=delta)
+        init = al.init_state(scene, small_table, "flat", hyper)
+        for greedy in (False, True):
+            with pytest.raises(al.ConfigurationError, match="delta"):
+                al.mh_sweep(init, scene, small_table, lat, mcfg, 1, greedy=greedy)
+
+    def test_off_simplex_state_rejected(self, small_table):
+        """A theta row of [2, 0, 0] is refused, not silently overwritten."""
+        rng = np.random.default_rng(10)
+        scene = random_scene(small_table, rng, 4, 4)
+        lat = al.build_lattice(4, 4)
+        hyper = al.HyperParams.uniform(3)
+        mcfg = al.McmcConfig(hyper=hyper)
+        init = al.init_state(scene, small_table, "flat", hyper)
+        init.theta[0] = [2.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="theta rows must sum to 1"):
+            al.mh_sweep(init, scene, small_table, lat, mcfg, 1)
+
 
 class TestRunMcmc:
     def test_zero_variance_chain_when_all_rejected(self, small_table):

@@ -7,7 +7,7 @@ import pytest
 
 import aodlattice as al
 from aodlattice.map_solver import Workspace
-from aodlattice.model import log_posterior_terms
+from aodlattice.model import _misfit_change, log_posterior_terms
 
 from conftest import random_scene, random_state
 from oracles import oracle_chi2_region, oracle_log_posterior
@@ -33,8 +33,8 @@ class TestBuildLattice:
     def test_symmetry(self):
         lat = al.build_lattice(5, 4)
         for p in range(lat.n_regions):
-            for q in lat.neighbors(p):
-                assert p in lat.neighbors(q)
+            for q in lat.nbr_index[p][lat.nbr_mask[p]]:
+                assert p in lat.nbr_index[q][lat.nbr_mask[q]]
 
     def test_edge_count_identity_random_shapes(self):
         rng = np.random.default_rng(0)
@@ -67,7 +67,7 @@ class TestBuildLattice:
 
 
     def test_padded_index_matches_loop_construction(self):
-        """Neighbor lists, edges, colours and class positions equal the
+        """Neighbor slots, edges, colours and class positions equal the
         region-by-region construction, in the same order."""
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -91,8 +91,7 @@ class TestBuildLattice:
                         lst.append(p + w)
                         edges.append((p, p + w))
                     nbrs.append(lst)
-            assert [list(lst) for lst in lat.neighbor_lists] == nbrs
-            assert [list(lat.neighbors(p)) for p in range(w * h)] == nbrs
+            assert [lat.nbr_index[p][lat.nbr_mask[p]].tolist() for p in range(w * h)] == nbrs
             assert lat.edges.tolist() == [list(e) for e in edges]
             assert lat.colours == (tuple(classes[0]), tuple(classes[1]))
             assert lat.n_p.tolist() == [len(lst) for lst in nbrs]
@@ -104,6 +103,14 @@ class TestBuildLattice:
                 ~lat.nbr_mask])
 
 
+def _kernel_chi2(scene, state, table):
+    """Each region's chi2 by the sweep kernel's misfit arithmetic: the
+    misfit change from a perfect fit to the state's prediction."""
+    w = scene.channel_mask / (2.0 * state.sigma2)
+    return _misfit_change(scene.radiance, scene.radiance,
+                          table.eval_batch(state.tau, state.theta), w)
+
+
 class TestChiSquareRegion:
     def test_exact_fit_is_zero(self, small_table):
         rng = np.random.default_rng(1)
@@ -111,7 +118,10 @@ class TestChiSquareRegion:
         radiance = small_table.eval_batch(state.tau, state.theta)
         scene = al.Scene(3, 3, 4, radiance, np.ones(4, dtype=bool))
         for p in range(9):
-            assert al.chi_square_region(scene, state, small_table, p) == 0.0
+            assert oracle_chi2_region(scene, state, small_table, p) == 0.0
+        np.testing.assert_array_equal(_kernel_chi2(scene, state, small_table), np.zeros(9))
+        hyper = al.HyperParams.uniform(3)
+        assert log_posterior_terms(scene, state, hyper, small_table)["misfit"] == 0.0
 
     def test_single_term_arithmetic(self, small_table):
         # one channel open, residual 0.5, sigma2 0.25 -> 0.5^2/(2*0.25) = 0.5
@@ -122,16 +132,17 @@ class TestChiSquareRegion:
         radiance[:, 0] += 0.5
         mask = np.array([True, False, False, False])
         scene = al.Scene(3, 3, 4, radiance, mask)
-        assert al.chi_square_region(scene, state, small_table, 0) == pytest.approx(0.5, rel=1e-12)
+        assert oracle_chi2_region(scene, state, small_table, 0) == pytest.approx(0.5, rel=1e-12)
+        np.testing.assert_allclose(_kernel_chi2(scene, state, small_table), 0.5, rtol=1e-12)
 
     def test_full_36_channel_oracle(self, table36):
         rng = np.random.default_rng(3)
         scene = random_scene(table36, rng, 3, 3)
         state = random_state(rng, 9, table36.n_components, 36)
+        got = _kernel_chi2(scene, state, table36)
         for p in range(9):
-            got = al.chi_square_region(scene, state, table36, p)
             want = oracle_chi2_region(scene, state, table36, p)
-            assert got == pytest.approx(want, rel=1e-12)
+            assert got[p] == pytest.approx(want, rel=1e-12)
 
 
 class TestLogPosterior:
@@ -173,7 +184,7 @@ class TestLogPosterior:
         state = random_state(rng, 9, 3, 4)
         hyper = al.HyperParams.uniform(3)
         terms = log_posterior_terms(scene, state, hyper, small_table)
-        total = sum(al.chi_square_region(scene, state, small_table, p) for p in range(9))
+        total = sum(oracle_chi2_region(scene, state, small_table, p) for p in range(9))
         assert -terms["misfit"] == pytest.approx(total, rel=1e-12)
 
     def test_boundary_theta_never_nan(self, small_table):
@@ -237,10 +248,10 @@ class TestDeltas:
         state.kappa = 0.0
         p, tau_new = 4, 1.3
         d = al.delta_log_posterior_tau(state, scene, lat, small_table, p, tau_new)
-        old = al.chi_square_region(scene, state, small_table, p)
+        old = oracle_chi2_region(scene, state, small_table, p)
         mod = state.copy()
         mod.tau[p] = tau_new
-        new = al.chi_square_region(scene, mod, small_table, p)
+        new = oracle_chi2_region(scene, mod, small_table, p)
         assert d == pytest.approx(-(new - old), abs=1e-12)
 
     def test_theta_delta_with_uniform_alpha_is_pure_misfit(self, small_table):
@@ -249,10 +260,10 @@ class TestDeltas:
         p = 2
         theta_new = rng.dirichlet(np.ones(3))
         d = al.delta_log_posterior_theta(state, scene, lat, small_table, p, theta_new, hyper)
-        old = al.chi_square_region(scene, state, small_table, p)
+        old = oracle_chi2_region(scene, state, small_table, p)
         mod = state.copy()
         mod.theta[p] = theta_new
-        new = al.chi_square_region(scene, mod, small_table, p)
+        new = oracle_chi2_region(scene, mod, small_table, p)
         assert d == pytest.approx(-(new - old), abs=1e-12)
 
 

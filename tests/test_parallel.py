@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import aodlattice as al
+from aodlattice import io
 from aodlattice.parallel import EXECUTORS, partition
 
 from conftest import random_scene
@@ -125,13 +126,24 @@ class TestRunMapParallel:
         np.testing.assert_array_equal(a.tau, b.tau)
         np.testing.assert_array_equal(a.theta, b.theta)
 
-    def test_speedup_record_rows(self, small_table):
+    def test_speedup_record_rows(self, small_table, tmp_path):
+        """The third return value is the partition swept; with the trace it
+        gives speedup.csv one row per sweep."""
         scene, lat, cfg, init = self._problem(small_table, 8)
-        _, trace, speedup = al.run_map_parallel(
+        _, trace, part = al.run_map_parallel(
             scene, small_table, lat, cfg, 2, init, executor="serial"
         )
-        assert len(speedup.rows) == trace.sweeps
-        assert all(n == 2 and ms >= 0 for n, _, ms in speedup.rows)
+        assert isinstance(part, al.PatchPartition)
+        assert part.n_patches == 2
+        np.testing.assert_array_equal(part.assignment, partition(lat, 2).assignment)
+        assert len(trace.elapsed_ms) == trace.sweeps
+        path = tmp_path / "speedup.csv"
+        io.save_speedup(path, [(part.n_patches, trace)])
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [(int(n), int(sweep)) for n, sweep, _ in rows] == [
+            (2, s) for s in range(1, trace.sweeps + 1)]
+        assert [float(ms) for _, _, ms in rows] == trace.elapsed_ms
+        assert all(ms >= 0 for ms in trace.elapsed_ms)
 
     @pytest.mark.skipif(os.cpu_count() is None or os.cpu_count() < 8,
                         reason="throughput check needs >= 8 hardware threads")
@@ -141,6 +153,6 @@ class TestRunMapParallel:
         hyper = al.HyperParams.uniform(8)
         cfg = al.SolverConfig(hyper=hyper, seed=9, max_sweeps=6, epsilon=1e-12)
         init = al.init_state(sim.scene, table36, "flat", hyper)
-        _, _, sp1 = al.run_map_parallel(sim.scene, table36, lat, cfg, 1, init, executor="process")
-        _, _, sp8 = al.run_map_parallel(sim.scene, table36, lat, cfg, 8, init, executor="process")
-        assert sp1.total_ms() / sp8.total_ms() > 1.0
+        _, t1, _ = al.run_map_parallel(sim.scene, table36, lat, cfg, 1, init, executor="process")
+        _, t8, _ = al.run_map_parallel(sim.scene, table36, lat, cfg, 8, init, executor="process")
+        assert sum(t1.elapsed_ms) / sum(t8.elapsed_ms) > 1.0

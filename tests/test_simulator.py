@@ -79,8 +79,11 @@ class TestRender:
             sigma2=np.ones(small_table.n_channels),
             kappa=1.0,
         )
-        for p in range(25):
-            assert al.chi_square_region(sim.scene, state, small_table, p) == 0.0
+        np.testing.assert_array_equal(small_table.eval_batch(state.tau, state.theta),
+                                      sim.scene.radiance)
+        hyper = al.HyperParams.uniform(small_table.n_components)
+        terms = al.log_posterior_terms(sim.scene, state, hyper, small_table)
+        assert terms["misfit"] == 0.0
 
     def test_rendered_values_within_component_envelope(self, small_table):
         sim = al.make_sim_scene(small_table, 4, 4, seed=9)

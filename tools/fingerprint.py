@@ -30,7 +30,6 @@ import numpy as np
 
 import aodlattice as al
 from aodlattice import cli, io
-from aodlattice.map_solver import proposal_rng
 from aodlattice.mcmc import toy_tau_chain
 from aodlattice.model import floor_simplex
 
@@ -96,8 +95,6 @@ def _lib_runs() -> None:
     emit("delta_log_posterior_theta",
          [al.delta_log_posterior_theta(rand, scene, lat, small, p, theta_new[p], hyper)
           for p in range(lat.n_regions)])
-    emit("propose_tau", [al.propose_tau(rand, lat, p, 0.05, proposal_rng(7, 1, p))
-                         for p in range(lat.n_regions)])
 
     gcfg = al.GridSearchConfig.defaults(small, scene)
     emit("grid_search_retrieve", al.grid_search_retrieve(scene, small, gcfg))
@@ -125,10 +122,10 @@ def _lib_runs() -> None:
         for n in (1, 2, 4):
             for eps_name, run_cfg in (("fixed", replace(cfg, epsilon=1e-9, max_sweeps=6)),
                                       ("relative", replace(cfg, max_sweeps=12))):
-                state, trace, speedup = al.run_map_parallel(scene, small, lat, run_cfg, n,
-                                                            flat, executor=executor)
+                state, trace, _ = al.run_map_parallel(scene, small, lat, run_cfg, n, flat,
+                                                      executor=executor)
                 emit(f"run_map_parallel.{executor}.{n}.{eps_name}", state, trace,
-                     [row[:2] for row in speedup.rows])
+                     [(n, sweep) for sweep in range(1, trace.sweeps + 1)])
     stab = al.stability_bounds(scene, small, lat, replace(cfg, max_sweeps=40), 3,
                                seeds=[1, 2, 3])
     emit("stability_bounds", stab.mean, stab.std, stab.n_used, stab.excluded_seeds)
