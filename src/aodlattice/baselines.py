@@ -154,10 +154,9 @@ def grid_search_retrieve(scene: Scene, table, config: GridSearchConfig):
     levels, mixtures = config.tau_levels, config.candidate_mixtures
     thr = config.success_threshold
     T, G = levels.size, mixtures.shape[0]
-    pred = table.eval_grid(levels, mixtures)  # (T, G, C)
-    flat_pred = pred.reshape(T * G, -1)
     tau_grid = np.repeat(levels, G)
-    fallback_theta = _tie_theta(pred, mixtures)
+    flat_pred = table.eval_batch(tau_grid, np.tile(mixtures, (T, 1)))  # level-major cells
+    fallback_theta = _tie_theta(flat_pred.reshape(T, G, -1), mixtures)
     obs_all = scene.radiance
     w = scene.channel_mask / (2.0 * config.sigma2_fixed)
     cross = -2.0 * (flat_pred * w).T  # (C, T*G)

@@ -4,17 +4,16 @@ The retrieval treats the radiative transfer solution as a black box that
 maps (tau, theta) to a C-vector of top-of-atmosphere radiances.  Here that
 black box is a per-component lookup table: piecewise-linear interpolation
 in tau through each component's knot values, mixed linearly over
-components with the simplex weights theta.  One batched interpolation
-(RadianceTable._mix) serves eval (one region), eval_batch (many regions;
-the sweep kernel evaluates a whole colour class per call) and eval_grid;
-it works row by row elementwise, adding the components in a fixed order,
-so one row and n rows give the same bits and a rendered scene
-re-evaluates to zero misfit.  The library calls only eval_batch and
-eval_grid and reads n_components, n_channels, tau_min and tau_max, so any
-object with that surface (for instance a reader over a precomputed
-radiative-transfer dataset) can replace the synthetic table without
-touching the solvers; eval is the one-row reference the tests compare
-against.
+components with the simplex weights theta.
+
+The forward interface is RadianceTable.eval_batch (n AODs and n x M
+weights -> n x C radiances) plus the attributes n_components, n_channels,
+tau_min and tau_max; the solvers, the grid search and the renderer use
+nothing else, so any object with that surface (for instance a reader over
+a precomputed radiative-transfer dataset) can replace the synthetic table
+without touching them.  eval_batch works row by row elementwise, adding
+the components in a fixed order, so one row and n rows give the same
+bits and a rendered scene re-evaluates to zero misfit.
 
 The synthetic table is deterministic in its seed and built so that
 
@@ -131,13 +130,11 @@ class RadianceTable:
 
     tau_knots: strictly ascending AOD grid (length K).
     values: M x K x C radiances, one curve per component and channel.
-    meta: provenance (seed, builder parameters) carried for export.
     """
 
-    def __init__(self, tau_knots: np.ndarray, values: np.ndarray, meta: dict | None = None):
+    def __init__(self, tau_knots: np.ndarray, values: np.ndarray):
         self.tau_knots = np.asarray(tau_knots, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        self.meta = dict(meta or {})
         if self.tau_knots.ndim != 1 or self.tau_knots.size < 2:
             raise ConfigurationError("need at least 2 tau knots")
         if np.any(np.diff(self.tau_knots) <= 0):
@@ -163,14 +160,20 @@ class RadianceTable:
     def tau_max(self) -> float:
         return float(self.tau_knots[-1])
 
-    def _mix(self, tau: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """The one interpolation: n AODs and n x M weights -> n x C.
+    def eval_batch(self, tau: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Radiance for n regions at once: tau (n,), theta (n, M) -> (n, C).
 
         Each component's curve is interpolated between the knots around
         tau, weighted, and added to the sum in component order, all
-        elementwise, so a row's bits do not depend on the other rows.  Rows
-        go in blocks of _MIX_BLOCK, which bounds the temporaries.
+        elementwise, so a row's bits do not depend on the other rows: one
+        row alone, any split of the rows and the whole batch give the same
+        bits.  Rows go in blocks of _MIX_BLOCK, which bounds the
+        temporaries.
         """
+        tau = np.asarray(tau, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        if np.any(tau < self.tau_min) or np.any(tau > self.tau_max):
+            raise DomainError("tau values outside table range")
         knots = self.tau_knots
         idx = np.searchsorted(knots, tau, side="right") - 1
         np.clip(idx, 0, knots.size - 2, out=idx)
@@ -191,38 +194,6 @@ class RadianceTable:
                 else:
                     acc += curve
         return out
-
-    def eval(self, tau: float, theta: np.ndarray) -> np.ndarray:
-        """Radiance C-vector for one region: linear mix of interpolated curves."""
-        if tau < self.tau_min or tau > self.tau_max:
-            raise DomainError(
-                f"tau={tau} outside table range [{self.tau_min}, {self.tau_max}]"
-            )
-        theta = np.asarray(theta, dtype=float).reshape(1, -1)
-        return self._mix(np.array([tau], dtype=float), theta)[0]
-
-    def eval_batch(self, tau: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Radiance for P regions at once: tau (P,), theta (P, M) -> (P, C).
-
-        Per-region results are bitwise identical to eval(), so rendering a
-        scene and re-evaluating the same state gives exactly zero misfit.
-        """
-        tau = np.asarray(tau, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        if np.any(tau < self.tau_min) or np.any(tau > self.tau_max):
-            raise DomainError("tau values outside table range")
-        return self._mix(tau, theta)
-
-    def eval_grid(self, tau_levels: np.ndarray, mixtures: np.ndarray) -> np.ndarray:
-        """Radiance over a (tau level x mixture) grid: -> (T, G, C), each
-        cell bitwise identical to eval() at that level and mixture."""
-        tau_levels = np.asarray(tau_levels, dtype=float)
-        mixtures = np.asarray(mixtures, dtype=float)
-        if np.any(tau_levels < self.tau_min) or np.any(tau_levels > self.tau_max):
-            raise DomainError("tau levels outside table range")
-        T, G = tau_levels.size, mixtures.shape[0]
-        out = self._mix(np.repeat(tau_levels, G), np.tile(mixtures, (T, 1)))
-        return out.reshape(T, G, self.n_channels)
 
 
 _MIX_BLOCK = 1024  # rows per interpolation block; its temporaries are a few 1024 x C
@@ -313,43 +284,5 @@ def build_synthetic_table(
         g = 0.28 * slant * (0.7 + 0.3 * comp.ssa_558) * np.clip(jitter_g, 0.5, 1.5)
         curve = 1.0 - np.exp(-np.outer(tau_knots, g))  # (K, C)
         values[m] = surf[None, :] + amp[None, :] * curve
-    table = RadianceTable(
-        tau_knots,
-        values,
-        meta={"seed": int(seed), "knots": int(knots), "channels": int(channels),
-              "tau_max": float(tau_max), "component_ids": library.ids},
-    )
-    return table
+    return RadianceTable(tau_knots, values)
 
-
-def export_table(table: RadianceTable, json_path, csv_path) -> None:
-    """Write the table as a JSON header plus a flat CSV of values.
-
-    The CSV holds M*K rows (component-major, then knot) of C columns.
-    """
-    header = {
-        "tau_knots": [float(x) for x in table.tau_knots],
-        "n_components": table.n_components,
-        "n_knots": int(table.tau_knots.size),
-        "n_channels": table.n_channels,
-        "meta": table.meta,
-        "values_csv": str(csv_path),
-    }
-    with open(json_path, "w") as fh:
-        json.dump(header, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    flat = table.values.reshape(-1, table.n_channels)
-    with open(csv_path, "w") as fh:
-        for row in flat:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def import_table(json_path, csv_path=None) -> RadianceTable:
-    with open(json_path) as fh:
-        header = json.load(fh)
-    if csv_path is None:
-        csv_path = header["values_csv"]
-    flat = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    M, K, C = header["n_components"], header["n_knots"], header["n_channels"]
-    values = flat.reshape(M, K, C)
-    return RadianceTable(np.asarray(header["tau_knots"]), values, meta=header.get("meta"))

@@ -80,8 +80,8 @@ def load_scene(directory):
     The forward table is rebuilt deterministically from the parameters
     recorded in scene.json, so a retrieval sees the exact forward model
     the scene was rendered with.  Metadata of the wrong shape (a
-    non-object scene.json or table, a malformed component library) raises
-    ConfigurationError.
+    non-object scene.json or table, a malformed component library) or a
+    table channel count other than the scene's raises ConfigurationError.
     """
     directory = Path(directory)
     meta_path = directory / SCENE_JSON
@@ -107,14 +107,19 @@ def load_scene(directory):
         if not isinstance(t, dict):
             raise ConfigurationError(f"{meta_path}: table must be an object")
         knots, tau_max, seed = int(t["knots"]), float(t["tau_max"]), int(t["seed"])
+        channels = int(t.get("channels", scene.channels))
     except KeyError as exc:
         raise ConfigurationError(f"{meta_path}: missing required key {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ConfigurationError(f"{meta_path}: malformed value: {exc}") from None
     scene.validate()
+    if channels != scene.channels:
+        raise ConfigurationError(
+            f"{meta_path}: table has {channels} channels but the scene has {scene.channels}"
+        )
     table = build_synthetic_table(
         library,
-        channels=int(t.get("channels", scene.channels)),
+        channels=channels,
         knots=knots,
         tau_max=tau_max,
         seed=seed,
@@ -159,24 +164,6 @@ def save_speedup(path, runs) -> None:
         for n, trace in runs:
             for sweep, ms in enumerate(trace.elapsed_ms, start=1):
                 fh.write(f"{n},{sweep},{_fmt(ms)}\n")
-
-
-def save_slice(directory, values: np.ndarray, tau_axis: np.ndarray,
-               theta_axis: np.ndarray, stem: str = "slice") -> None:
-    """Posterior slice export: value matrix plus the two axis files."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(directory / f"{stem}.csv", values)
-    write_matrix_csv(directory / f"{stem}_tau_axis.csv", np.reshape(tau_axis, (-1, 1)))
-    write_matrix_csv(directory / f"{stem}_theta_axis.csv", np.reshape(theta_axis, (-1, 1)))
-
-
-def load_slice(directory, stem: str = "slice"):
-    directory = Path(directory)
-    values = read_matrix_csv(directory / f"{stem}.csv")
-    tau_axis = read_matrix_csv(directory / f"{stem}_tau_axis.csv").ravel()
-    theta_axis = read_matrix_csv(directory / f"{stem}_theta_axis.csv").ravel()
-    return values, tau_axis, theta_axis
 
 
 def save_metrics(path, report: MetricsReport) -> None:

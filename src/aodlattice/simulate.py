@@ -103,7 +103,8 @@ def gen_truth(
 
 def render_grid(truth_tau, truth_theta, table, width: int, height: int,
                 region_size_km: float = 4.4) -> Scene:
-    """render() for non-square grids."""
+    """Noiseless scene of a width x height grid: each region's radiance is
+    the table's eval_batch at its true AOD and mixture, on every channel."""
     radiance = table.eval_batch(np.asarray(truth_tau, float), np.asarray(truth_theta, float))
     return Scene(
         width=width,

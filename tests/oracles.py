@@ -172,7 +172,7 @@ def oracle_sweep_regions(ws, regions, sweep, config, mode="greedy"):
         mean, raw = _draw_tau(ntau, n_p, config.delta, z[[i]])
         t_old = tau[[p]]
         cand = np.array([min(max(float(raw[0]), ws.tau_lo), ws.tau_hi)])
-        pred_new = fwd.eval(float(cand[0]), theta[p])
+        pred_new = fwd.eval_batch(cand, theta[[p]])[0]
         df = _tau_delta(ws.obs[[p]], ws.pred[[p]], pred_new[None], w, t_old, cand, ntau,
                         nmask, ws.kappa)[0]
         if mh:
@@ -187,7 +187,7 @@ def oracle_sweep_regions(ws, regions, sweep, config, mode="greedy"):
             acc_t += 1
 
         row = _draw_theta(gammas[[i]])[0]
-        pred_new = fwd.eval(float(tau[p]), row)
+        pred_new = fwd.eval_batch(tau[[p]], row[None])[0]
         log_old = _safe_log_theta(theta[p])
         log_new = _safe_log_theta(row)
         df = _theta_delta(ws.obs[[p]], ws.pred[[p]], pred_new[None], w, log_old[None],
@@ -217,17 +217,17 @@ def oracle_grid_search(scene, table, config):
     config.validate(table)
     T = config.tau_levels.size
     G = config.candidate_mixtures.shape[0]
-    pred = table.eval_grid(config.tau_levels, config.candidate_mixtures)
+    tau_grid = np.repeat(config.tau_levels, G)
+    mix_grid = np.tile(config.candidate_mixtures, (T, 1))
+    flat_pred = table.eval_batch(tau_grid, mix_grid)
+    pred = flat_pred.reshape(T, G, -1)
     mask = scene.channel_mask
     w = mask / (2.0 * config.sigma2_fixed)
-    flat_pred = pred.reshape(T * G, -1)
     P = scene.n_regions
     M = table.n_components
     tau_out = np.empty(P)
     theta_out = np.empty((P, M))
     success = np.zeros(P, dtype=bool)
-    tau_grid = np.repeat(config.tau_levels, G)
-    mix_grid = np.tile(config.candidate_mixtures, (T, 1))
     labels = {}
     block = max(1, 4_000_000 // max(T * G * scene.channels, 1))
     for start in range(0, P, block):

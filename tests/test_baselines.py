@@ -111,11 +111,17 @@ def _assert_matches_oracle(got, want):
     np.testing.assert_allclose(theta, want[1], rtol=0, atol=1e-12)
 
 
+def _grid_cells(table, levels, mixtures):
+    """Radiance of every (level, mixture) cell, level-major: (T*G, C)."""
+    return table.eval_batch(np.repeat(levels, len(mixtures)),
+                            np.tile(mixtures, (len(levels), 1)))
+
+
 def _direct_chi2_rows(scene, table, cfg):
     """Every region's misfit to every grid cell, (P, T*G), computed as the
     oracle computes it."""
-    pred = table.eval_grid(cfg.tau_levels, cfg.candidate_mixtures)
-    resid = scene.radiance[:, None, :] - pred.reshape(-1, scene.channels)[None, :, :]
+    pred = _grid_cells(table, cfg.tau_levels, cfg.candidate_mixtures)
+    resid = scene.radiance[:, None, :] - pred[None, :, :]
     w = scene.channel_mask / (2.0 * cfg.sigma2_fixed)
     return np.einsum("btc,c->bt", resid * resid, w)
 
@@ -183,7 +189,7 @@ class TestGridSearchOracle:
         both cells almost equally well; the argmin is the oracle's cell."""
         mixtures = default_candidate_mixtures(8)[[0, 13, 60]]
         levels = np.linspace(0.0, 6.0, 25)
-        pred = table36.eval_grid(levels, mixtures)  # (T, G, C)
+        pred = _grid_cells(table36, levels, mixtures).reshape(25, 3, 36)  # (T, G, C)
         rng = np.random.default_rng(10)
         P = 64
         t = rng.integers(0, 24, P)
@@ -202,8 +208,8 @@ class TestGridSearchOracle:
         above or below it, decides success and the means as the oracle
         does, also where the expanded form has lost most of its digits."""
         rng = np.random.default_rng(9)
-        pred = table36.eval_grid(np.linspace(0.0, 6.0, 13), default_candidate_mixtures(8))
-        pred = pred.reshape(-1, 36)  # the default grid's cells
+        # the default grid's cells
+        pred = _grid_cells(table36, np.linspace(0.0, 6.0, 13), default_candidate_mixtures(8))
         P = 6
         cell = rng.integers(0, pred.shape[0], P)
         rel = 1e-8 if fit == "near_exact" else 0.05

@@ -284,6 +284,27 @@ def test_malformed_metadata_exits_2(scene_dir, tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["map", "grid"])
+def test_table_channel_mismatch_exits_2(scene_dir, tmp_path, capsys, method):
+    """A scene.json whose table channel count differs from the scene's is an
+    input error that names both counts, not a numpy broadcast failure."""
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    meta = json.loads((scene_dir / "scene.json").read_text())
+    assert meta["channels"] == 12
+    meta["table"]["channels"] = 8
+    (broken / "scene.json").write_text(json.dumps(meta))
+    (broken / "radiance.csv").write_bytes((scene_dir / "radiance.csv").read_bytes())
+    out = tmp_path / "o"
+    assert run_cli("retrieve", "--scene", str(broken), "--method", method, *SMALL,
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "8 channels" in err and "has 12" in err
+    assert "broadcast" not in err
+    assert not out.exists()
+
+
 class TestBenchmark:
     def test_single_patch_rows(self, scene_dir, tmp_path):
         out = tmp_path / "bench"

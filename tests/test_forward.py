@@ -1,14 +1,22 @@
 """Forward table: interpolation/mixing contracts and synthetic construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import aodlattice as al
 from aodlattice.baselines import default_candidate_mixtures
-from aodlattice.forward import export_table, import_table
+from aodlattice.forward import _MIX_BLOCK
 
 from conftest import tiny_library
 from oracles import oracle_eval_radiance
+
+
+def one_row(table, tau, theta):
+    """Radiance of one region: eval_batch on a single row."""
+    return table.eval_batch(np.array([tau], dtype=float),
+                            np.asarray(theta, dtype=float)[None])[0]
 
 
 class TestEvalRadiance:
@@ -17,14 +25,14 @@ class TestEvalRadiance:
             theta = np.zeros(small_table.n_components)
             theta[m] = 1.0
             for k in (0, 3, small_table.tau_knots.size - 1):
-                got = small_table.eval(float(small_table.tau_knots[k]), theta)
+                got = one_row(small_table, small_table.tau_knots[k], theta)
                 np.testing.assert_array_equal(got, small_table.values[m, k, :])
 
     def test_midpoint_is_arithmetic_mean(self, small_table):
         theta = np.array([0.0, 1.0, 0.0])
         k = 2
         mid = 0.5 * (small_table.tau_knots[k] + small_table.tau_knots[k + 1])
-        got = small_table.eval(float(mid), theta)
+        got = one_row(small_table, mid, theta)
         want = 0.5 * (small_table.values[1, k, :] + small_table.values[1, k + 1, :])
         np.testing.assert_allclose(got, want, rtol=1e-15)
 
@@ -34,10 +42,8 @@ class TestEvalRadiance:
         for _ in range(20):
             tau = float(rng.uniform(0, small_table.tau_max))
             theta = rng.dirichlet(np.ones(M))
-            mixed = small_table.eval(tau, theta)
-            per_comp = np.stack(
-                [small_table.eval(tau, np.eye(M)[m]) for m in range(M)]
-            )
+            mixed = one_row(small_table, tau, theta)
+            per_comp = np.stack([one_row(small_table, tau, np.eye(M)[m]) for m in range(M)])
             assert np.all(mixed >= per_comp.min(axis=0) - 1e-12)
             assert np.all(mixed <= per_comp.max(axis=0) + 1e-12)
 
@@ -48,26 +54,29 @@ class TestEvalRadiance:
         t2 = rng.dirichlet(np.ones(M))
         for a in (0.0, 0.25, 0.7, 1.0):
             mix = a * t1 + (1 - a) * t2
-            got = small_table.eval(1.7, mix)
-            want = a * small_table.eval(1.7, t1) + (1 - a) * small_table.eval(1.7, t2)
+            got = one_row(small_table, 1.7, mix)
+            want = a * one_row(small_table, 1.7, t1) + (1 - a) * one_row(small_table, 1.7, t2)
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_continuous_at_knots(self, small_table):
         theta = np.full(3, 1.0 / 3.0)
         for k in range(1, small_table.tau_knots.size - 1):
             knot = float(small_table.tau_knots[k])
-            at = small_table.eval(knot, theta)
-            left = small_table.eval(knot - 1e-9, theta)
-            right = small_table.eval(knot + 1e-9, theta)
+            at = one_row(small_table, knot, theta)
+            left = one_row(small_table, knot - 1e-9, theta)
+            right = one_row(small_table, knot + 1e-9, theta)
             np.testing.assert_allclose(left, at, atol=1e-8)
             np.testing.assert_allclose(right, at, atol=1e-8)
 
     def test_domain_error_outside_range(self, small_table):
         theta = np.full(3, 1.0 / 3.0)
         with pytest.raises(al.DomainError):
-            small_table.eval(-0.01, theta)
+            one_row(small_table, -0.01, theta)
         with pytest.raises(al.DomainError):
-            small_table.eval(small_table.tau_max + 0.01, theta)
+            one_row(small_table, small_table.tau_max + 0.01, theta)
+        with pytest.raises(al.DomainError):
+            small_table.eval_batch(np.array([1.0, small_table.tau_max + 0.01]),
+                                   np.full((2, 3), 1.0 / 3.0))
 
     def test_batch_matches_scalar_bitwise(self, small_table):
         rng = np.random.default_rng(2)
@@ -75,25 +84,45 @@ class TestEvalRadiance:
         theta = rng.dirichlet(np.ones(3), size=11)
         batch = small_table.eval_batch(tau, theta)
         for p in range(11):
-            np.testing.assert_array_equal(batch[p], small_table.eval(float(tau[p]), theta[p]))
+            np.testing.assert_array_equal(batch[p], one_row(small_table, tau[p], theta[p]))
+
+    def test_rows_independent_across_blocks(self, small_table):
+        """Rows spanning three interpolation blocks: the whole batch, each
+        row alone and two interleaved halves (as the sweep kernel's
+        colour-class shares are evaluated) agree bit for bit."""
+        n = 2 * _MIX_BLOCK + 37
+        rng = np.random.default_rng(4)
+        tau = rng.uniform(0, small_table.tau_max, n)
+        tau[:3] = small_table.tau_min, small_table.tau_max, small_table.tau_knots[4]
+        theta = rng.dirichlet(np.ones(3), size=n)
+        batch = small_table.eval_batch(tau, theta)
+        assert batch.shape == (n, small_table.n_channels)
+        alone = np.stack([one_row(small_table, tau[p], theta[p]) for p in range(n)])
+        np.testing.assert_array_equal(batch, alone)
+        halves = np.empty_like(batch)
+        for part in (slice(0, None, 2), slice(1, None, 2)):
+            halves[part] = small_table.eval_batch(tau[part], theta[part])
+        np.testing.assert_array_equal(batch, halves)
 
     def test_grid_matches_scalar_bitwise(self, table36):
-        """Every (level, mixture) cell of the grid the baseline scores is
-        the radiance eval gives at that level and mixture."""
+        """Every (level, mixture) cell of the level-major rows the grid
+        baseline scores in one eval_batch call is the radiance of that level
+        and mixture alone."""
         levels = np.linspace(table36.tau_min, table36.tau_max, 13)
         mixtures = default_candidate_mixtures(table36.n_components)
-        grid = table36.eval_grid(levels, mixtures)
-        assert grid.shape == (13, mixtures.shape[0], table36.n_channels)
+        G = mixtures.shape[0]
+        cells = table36.eval_batch(np.repeat(levels, G), np.tile(mixtures, (13, 1)))
+        assert cells.shape == (13 * G, table36.n_channels)
         for t, tau in enumerate(levels):
             for g, row in enumerate(mixtures):
-                np.testing.assert_array_equal(grid[t, g], table36.eval(float(tau), row))
+                np.testing.assert_array_equal(cells[t * G + g], one_row(table36, tau, row))
 
     def test_matches_loop_oracle(self, table36):
         rng = np.random.default_rng(3)
         for _ in range(10):
             tau = float(rng.uniform(0, table36.tau_max))
             theta = rng.dirichlet(np.ones(table36.n_components))
-            got = table36.eval(tau, theta)
+            got = one_row(table36, tau, theta)
             want = oracle_eval_radiance(table36, tau, theta)
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -158,9 +187,81 @@ class TestDefaultLibrary:
             )
 
 
-class TestTableExport:
-    def test_roundtrip(self, small_table, tmp_path):
-        export_table(small_table, tmp_path / "table.json", tmp_path / "table.csv")
-        loaded = import_table(tmp_path / "table.json", tmp_path / "table.csv")
-        np.testing.assert_array_equal(loaded.tau_knots, small_table.tau_knots)
-        np.testing.assert_array_equal(loaded.values, small_table.values)
+
+class EvalBatchOnly:
+    """A forward object with nothing but the forward interface: eval_batch
+    and the four attributes, no delegation to the table behind it."""
+
+    def __init__(self, table):
+        self._table = table
+        self.n_components = table.n_components
+        self.n_channels = table.n_channels
+        self.tau_min = table.tau_min
+        self.tau_max = table.tau_max
+
+    def eval_batch(self, tau, theta):
+        return self._table.eval_batch(tau, theta)
+
+
+def _assert_same(got, want):
+    """Bitwise equality through dataclasses, sequences and arrays; wall
+    times are left out."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want)
+        for f in dataclasses.fields(want):
+            if f.name != "elapsed_ms":
+                _assert_same(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same(a, b)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def _forward_calls():
+    """Every library entry point that takes a forward object, as a function
+    of that object, on one small noisy scene."""
+    lat = al.build_lattice(6, 6)
+    hyper = al.HyperParams.uniform(3)
+    cfg = al.SolverConfig(hyper=hyper, seed=3, max_sweeps=4, epsilon=1e-300)
+    mcfg = al.McmcConfig(hyper=hyper, iterations=6, burn_in=2, thin=2, seed=4)
+
+    def scene(fwd):
+        return al.make_sim_scene(fwd, 6, 6, noise_level=0.05, seed=3).scene
+
+    def init(fwd, strategy="flat"):
+        return al.init_state(scene(fwd), fwd, strategy, hyper, seed=5, lattice=lat)
+
+    def grid(fwd):
+        s = scene(fwd)
+        return al.grid_search_retrieve(s, fwd, al.GridSearchConfig.defaults(fwd, s))
+
+    return {
+        "make_sim_scene": lambda fwd: al.make_sim_scene(fwd, 6, 6, noise_level=0.05, seed=3),
+        "init_state-flat": lambda fwd: init(fwd, "flat"),
+        "init_state-random": lambda fwd: init(fwd, "random"),
+        "init_state-coarse_grid": lambda fwd: init(fwd, "coarse_grid"),
+        "run_map": lambda fwd: al.run_map(scene(fwd), fwd, lat, cfg, init(fwd)),
+        "run_map_parallel": lambda fwd: al.run_map_parallel(scene(fwd), fwd, lat, cfg, 2,
+                                                            init(fwd))[:2],
+        "run_mcmc": lambda fwd: al.run_mcmc(scene(fwd), fwd, lat, mcfg, init(fwd)),
+        "mh_sweep": lambda fwd: al.mh_sweep(init(fwd), scene(fwd), fwd, lat, mcfg, 1),
+        "grid_search_retrieve": grid,
+        "log_posterior": lambda fwd: al.log_posterior(scene(fwd), init(fwd), hyper, fwd),
+        "posterior_slice": lambda fwd: al.posterior_slice(
+            scene(fwd), fwd, lat, init(fwd), hyper, 7, 1, (0.0, 1.0), (0.1, 0.9), (5, 4)),
+    }
+
+
+class TestForwardInterface:
+    """The library needs nothing of a forward object but eval_batch and
+    n_components, n_channels, tau_min and tau_max."""
+
+    @pytest.mark.parametrize("name", list(_forward_calls()))
+    def test_one_method_object_matches_table_bitwise(self, small_table, name):
+        fwd = EvalBatchOnly(small_table)
+        assert {n for n in dir(fwd) if not n.startswith("_")} == {
+            "eval_batch", "n_components", "n_channels", "tau_min", "tau_max"}
+        call = _forward_calls()[name]
+        _assert_same(call(fwd), call(small_table))

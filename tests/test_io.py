@@ -100,16 +100,3 @@ class TestMatrixCsv:
         io.write_matrix_csv(path, arr)
         back = io.read_matrix_csv(path)
         np.testing.assert_array_equal(back, arr)
-
-
-class TestSliceExport:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        values = rng.standard_normal((7, 5))
-        tau_axis = np.linspace(0.1, 1.0, 7)
-        theta_axis = np.linspace(0.05, 0.9, 5)
-        io.save_slice(tmp_path, values, tau_axis, theta_axis)
-        v, t, h = io.load_slice(tmp_path)
-        np.testing.assert_array_equal(v, values)
-        np.testing.assert_array_equal(t, tau_axis)
-        np.testing.assert_array_equal(h, theta_axis)

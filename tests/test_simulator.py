@@ -89,9 +89,7 @@ class TestRender:
         sim = al.make_sim_scene(small_table, 4, 4, seed=9)
         M = small_table.n_components
         for p in range(16):
-            per_comp = np.stack(
-                [small_table.eval(float(sim.truth_tau[p]), np.eye(M)[m]) for m in range(M)]
-            )
+            per_comp = small_table.eval_batch(np.full(M, sim.truth_tau[p]), np.eye(M))
             assert np.all(sim.scene.radiance[p] >= per_comp.min(axis=0) - 1e-12)
             assert np.all(sim.scene.radiance[p] <= per_comp.max(axis=0) + 1e-12)
 
