@@ -225,7 +225,7 @@ class MetricsReport:
         }
 
 
-def compute_metrics(retrieved, reference, mask=None) -> MetricsReport:
+def compute_metrics(retrieved, reference) -> MetricsReport:
     """RMSE, Pearson correlation and mean bias of retrieved vs reference.
 
     Population (divide-by-N) conventions throughout, so the decomposition
@@ -233,16 +233,12 @@ def compute_metrics(retrieved, reference, mask=None) -> MetricsReport:
     retrieved field leaves the correlation undefined (flagged, stored as
     nan).
     """
-    retrieved = np.asarray(retrieved, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    if retrieved.shape != reference.shape:
+    r = np.asarray(retrieved, dtype=float)
+    t = np.asarray(reference, dtype=float)
+    if r.shape != t.shape:
         raise ConfigurationError("retrieved and reference lengths differ")
-    if mask is None:
-        mask = np.ones(retrieved.shape, dtype=bool)
-    r = retrieved[mask]
-    t = reference[mask]
     if r.size < 2:
-        raise ConfigurationError("need at least 2 valid entries")
+        raise ConfigurationError("need at least 2 entries")
     err = r - t
     rmse = float(np.sqrt(np.mean(err**2)))
     bias = float(np.mean(err))
@@ -253,15 +249,13 @@ def compute_metrics(retrieved, reference, mask=None) -> MetricsReport:
         corr, defined = float("nan"), False
     else:
         corr, defined = float(np.sum(sr * st) / denom), True
-    full_err = np.full(retrieved.shape, np.nan)
-    full_err[mask] = err
     return MetricsReport(
         rmse=rmse,
         correlation=corr,
         correlation_defined=defined,
         mean_bias=bias,
         n=int(r.size),
-        per_region_error=full_err,
+        per_region_error=err,
     )
 
 

@@ -2,9 +2,10 @@
 
 Configuration is a flat INI file (sections of key = value) merged over
 built-in defaults, with individual keys overridable on the command line
-via --set section.key=value.  All randomness flows from the single
-[run] seed key.  Exit codes: 0 success, 2 input/config error, 3 runtime
-solver error.
+via --set section.key=value.  SCHEMA states each key's kind, default and
+help once; every key is parsed before a command does any work.  All
+randomness flows from the single [run] seed key.  Exit codes: 0 success,
+2 input/config error, 3 runtime solver error.
 """
 
 from __future__ import annotations
@@ -26,190 +27,167 @@ from .model import ConfigurationError, HyperParams, InitializationError, build_l
 from .parallel import check_executor, partition, run_map_parallel
 from .simulate import add_noise, gen_truth, render_grid
 
-DEFAULTS = {
-    "run": {"seed": "0"},
-    "scene": {"width": "16", "height": "16", "channels": "36", "region_size_km": "4.4"},
-    "components": {"library": "default"},
-    "table": {"knots": "25", "tau_max": "6.0"},
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+
+# value kinds: (what a malformed value should have been, parser of the text)
+_INT = ("integer", int)
+_NUMBER = ("number", float)
+_NUMBER_OR_EMPTY = ("number or empty", lambda text: float(text) if text.strip() else None)
+_BOOL = ("1/yes/true/on or 0/no/false/off", lambda text: _BOOLEANS[text.strip().lower()])
+_TEXT = ("text", str)
+
+# section -> key -> (kind, default text, help); the only statement of each key
+SCHEMA = {
+    "run": {"seed": (_INT, "0", "master seed; all randomness derives from it")},
+    "scene": {
+        "width": (_INT, "16", "simulated lattice width (regions)"),
+        "height": (_INT, "16", "simulated lattice height (regions)"),
+        "channels": (_INT, "36", "channels rendered by the synthetic table"),
+        "region_size_km": (_NUMBER, "4.4", "metadata carried through the scene files"),
+    },
+    "components": {
+        "library": (_TEXT, "default", 'component library JSON path, or "default"'),
+    },
+    "table": {
+        "knots": (_INT, "25", "AOD knots of the synthetic lookup table"),
+        "tau_max": (_NUMBER, "6.0", "AOD range of the table"),
+    },
     "truth": {
-        "smoothness": "2.0",
-        "sparsity": "dense",
-        "tau_lo": "0.05",
-        "tau_hi": "0.6",
-        "blob_size": "4",
+        "smoothness": (_NUMBER, "2.0", "box-smoothing half-width of the truth AOD field"),
+        "sparsity": (_TEXT, "dense", "dense | sparse composition truth"),
+        "tau_lo": (_NUMBER, "0.05", "lower end of the truth AOD range"),
+        "tau_hi": (_NUMBER, "0.6", "upper end of the truth AOD range"),
+        "blob_size": (_INT, "4", "side of constant-composition tiles (1 = iid)"),
     },
-    "noise": {"level": "0.0"},
+    "noise": {"level": (_NUMBER, "0.0", "relative noise std applied to observations")},
     "solver": {
-        "delta": "0.05",
-        "epsilon": "",
-        "epsilon_rel": "1e-4",
-        "max_sweeps": "200",
-        "alpha": "1.0",
-        "tau_max": "6.0",
-        "init": "flat",
+        "delta": (_NUMBER, "0.05", "AOD proposal width"),
+        "epsilon": (_NUMBER_OR_EMPTY, "", "absolute stop threshold (empty = relative rule)"),
+        "epsilon_rel": (_NUMBER, "1e-4", "relative stop threshold on the first sweep"),
+        "max_sweeps": (_INT, "200", "sweep cap"),
+        "alpha": (_NUMBER, "1.0", "symmetric Dirichlet concentration of the prior"),
+        "tau_max": (_NUMBER, "6.0", "AOD bound of the retrieval"),
+        "init": (_TEXT, "flat", "flat | coarse_grid | random initialization"),
     },
-    "mcmc": {"iterations": "1000", "burn_in": "200", "thin": "5", "dump_samples": "false"},
-    "grid": {"tau_levels": "13", "success_threshold": ""},
-    "parallel": {"patches": "1", "executor": "serial"},
+    "mcmc": {
+        "iterations": (_INT, "1000", "chain length (sweeps)"),
+        "burn_in": (_INT, "200", "discarded prefix"),
+        "thin": (_INT, "5", "retain every thin-th sweep"),
+        "dump_samples": (_BOOL, "false", "also write thinned tau samples as CSV"),
+    },
+    "grid": {
+        "tau_levels": (_INT, "13", "AOD levels of the grid-search baseline"),
+        "success_threshold": (_NUMBER_OR_EMPTY, "", "misfit threshold (empty = channel count)"),
+    },
+    "parallel": {
+        "patches": (_INT, "1", "patch count for map-parallel / benchmark"),
+        "executor": (_TEXT, "serial", "serial | thread | process: accepted, has no effect"),
+    },
 }
 
-_KEY_DOC = """configuration keys (section.key = default):
-  run.seed = 0                 master seed; all randomness derives from it
-  scene.width/height = 16      simulated lattice dimensions
-  scene.channels = 36          channels rendered by the synthetic table
-  scene.region_size_km = 4.4   metadata carried through the scene files
-  components.library = default component library JSON path, or "default"
-  table.knots = 25             AOD knots of the synthetic lookup table
-  table.tau_max = 6.0          AOD range of the table
-  truth.smoothness = 2.0       box-smoothing half-width of the truth AOD field
-  truth.sparsity = dense       dense | sparse composition truth
-  truth.tau_lo/tau_hi          truth AOD range (0.05 / 0.6)
-  truth.blob_size = 4          side of constant-composition tiles (1 = iid)
-  noise.level = 0.0            relative noise std applied to observations
-  solver.delta = 0.05          AOD proposal width
-  solver.epsilon =             absolute stop threshold (empty = relative rule)
-  solver.epsilon_rel = 1e-4    relative stop threshold on the first sweep
-  solver.max_sweeps = 200      sweep cap
-  solver.alpha = 1.0           symmetric Dirichlet concentration of the prior
-  solver.tau_max = 6.0         AOD bound of the retrieval
-  solver.init = flat           flat | coarse_grid | random initialization
-  mcmc.iterations = 1000       chain length (sweeps)
-  mcmc.burn_in = 200           discarded prefix
-  mcmc.thin = 5                retain every thin-th sweep
-  mcmc.dump_samples = false    also write thinned tau samples as CSV
-  grid.tau_levels = 13         AOD levels of the grid-search baseline
-  grid.success_threshold =     misfit threshold (empty = channel count)
-  parallel.patches = 1         patch count for map-parallel / benchmark
-  parallel.executor = serial   serial | thread | process: accepted, has no effect
-"""
+DEFAULTS = {s: {k: spec[1] for k, spec in keys.items()} for s, keys in SCHEMA.items()}
+
+
+def _key_doc() -> str:
+    """The --help key list: one `section.key = default  help` line per key."""
+    rows = [(f"{s}.{k} = {default}", text)
+            for s, keys in SCHEMA.items() for k, (_, default, text) in keys.items()]
+    width = max(len(left) for left, _ in rows) + 2
+    return "configuration keys (section.key = default):\n" + "".join(
+        f"  {left.ljust(width)}{text}\n" for left, text in rows)
 
 
 def load_config(path, overrides):
-    """Merge defaults, the INI file (optional) and --set overrides."""
+    """Merge defaults, the INI file (optional) and --set overrides.
+
+    Returns (text, cfg): the merged values as written, per section and key
+    (what manifest.json records), and the same values parsed by their
+    SCHEMA kinds.  An unknown section or key, or a value of the wrong kind
+    in any key, raises ConfigurationError naming it.
+    """
     parser = configparser.ConfigParser()
     parser.read_dict(DEFAULTS)
-    if path is not None:
-        if not Path(path).exists():
-            raise ConfigurationError(f"config file not found: {path}")
-        try:
+    if path is not None and not Path(path).exists():
+        raise ConfigurationError(f"config file not found: {path}")
+    try:
+        if path is not None:
             with open(path) as fh:
                 parser.read_file(fh, source=str(path))
-        except configparser.Error as exc:
-            raise ConfigurationError(f"malformed config: {exc}") from exc
-    for item in overrides or []:
-        try:
-            key, value = item.split("=", 1)
-            section, option = key.strip().split(".", 1)
-        except ValueError:
-            raise ConfigurationError(
-                f"override must look like section.key=value, got {item!r}"
-            )
-        if not parser.has_section(section):
-            raise ConfigurationError(f"unknown config section: {section}")
-        if option not in DEFAULTS.get(section, {}):
-            raise ConfigurationError(f"unknown config key: {section}.{option}")
-        parser.set(section, option.strip(), value.strip())
-    cfg = {s: dict(parser.items(s)) for s in parser.sections()}
-    for section in cfg:
-        unknown = set(cfg[section]) - set(DEFAULTS.get(section, {}))
-        if section not in DEFAULTS:
-            raise ConfigurationError(f"unknown config section: {section}")
-        if unknown:
-            raise ConfigurationError(
-                f"unknown config keys in [{section}]: {sorted(unknown)}"
-            )
-    return cfg
-
-
-def _geti(cfg, sec, key):
-    try:
-        return int(cfg[sec][key])
-    except ValueError as exc:
-        raise ConfigurationError(f"[{sec}] {key}: expected integer, got {cfg[sec][key]!r}") from exc
-
-
-def _getf(cfg, sec, key):
-    try:
-        return float(cfg[sec][key])
-    except ValueError as exc:
-        raise ConfigurationError(f"[{sec}] {key}: expected number, got {cfg[sec][key]!r}") from exc
-
-
-def _getf_optional(cfg, sec, key):
-    """A number, or None for an empty value."""
-    return _getf(cfg, sec, key) if cfg[sec][key].strip() else None
-
-
-def _getb(cfg, sec, key):
-    word = cfg[sec][key].strip().lower()
-    if word not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise ConfigurationError(f"[{sec}] {key}: expected 1/yes/true/on or 0/no/false/off, "
-                                 f"got {cfg[sec][key]!r}")
-    return configparser.ConfigParser.BOOLEAN_STATES[word]
-
-
-def _library(cfg):
-    spec = cfg["components"]["library"]
-    return default_library() if spec == "default" else load_library(spec)
-
-
-def _table(cfg, library):
-    return build_synthetic_table(
-        library,
-        channels=_geti(cfg, "scene", "channels"),
-        knots=_geti(cfg, "table", "knots"),
-        tau_max=_getf(cfg, "table", "tau_max"),
-        seed=_geti(cfg, "run", "seed"),
-    )
+        for item in overrides or []:
+            key, eq, value = item.partition("=")
+            section, dot, option = key.strip().partition(".")
+            if not (eq and dot):
+                raise ConfigurationError(
+                    f"override must look like section.key=value, got {item!r}"
+                )
+            parser.read_dict({section: {option.strip(): value.strip()}})
+        text = {s: dict(parser.items(s)) for s in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigurationError(f"malformed config: {exc}") from exc
+    if parser.defaults():  # its keys would show up in every section
+        raise ConfigurationError(f"unknown config section: [{parser.default_section}]")
+    cfg = {}
+    for section, values in text.items():
+        if section not in SCHEMA:
+            raise ConfigurationError(f"unknown config section: [{section}]")
+        cfg[section] = {}
+        for key, raw in values.items():
+            if key not in SCHEMA[section]:
+                raise ConfigurationError(f"[{section}] {key}: unknown config key")
+            expected, parse = SCHEMA[section][key][0]
+            try:
+                cfg[section][key] = parse(raw)
+            except (ValueError, KeyError):
+                raise ConfigurationError(
+                    f"[{section}] {key}: expected {expected}, got {raw!r}"
+                ) from None
+    return text, cfg
 
 
 def _solver_config(cfg, n_components):
-    alpha = _getf(cfg, "solver", "alpha")
-    hyper = HyperParams.dirichlet(n_components, alpha, tau_max=_getf(cfg, "solver", "tau_max"))
+    solver = cfg["solver"]
     config = SolverConfig(
-        hyper=hyper,
-        delta=_getf(cfg, "solver", "delta"),
-        epsilon=_getf_optional(cfg, "solver", "epsilon"),
-        epsilon_rel=_getf(cfg, "solver", "epsilon_rel"),
-        max_sweeps=_geti(cfg, "solver", "max_sweeps"),
-        seed=_geti(cfg, "run", "seed"),
+        hyper=HyperParams.dirichlet(n_components, solver["alpha"], tau_max=solver["tau_max"]),
+        delta=solver["delta"],
+        epsilon=solver["epsilon"],
+        epsilon_rel=solver["epsilon_rel"],
+        max_sweeps=solver["max_sweeps"],
+        seed=cfg["run"]["seed"],
     )
     config.validate()
     return config
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, args.set)
+    text, cfg = load_config(args.config, args.set)
     t0 = time.perf_counter()
-    library = _library(cfg)
-    table = _table(cfg, library)
-    width = _geti(cfg, "scene", "width")
-    height = _geti(cfg, "scene", "height")
-    seed = _geti(cfg, "run", "seed")
+    scene_cfg, truth_cfg = cfg["scene"], cfg["truth"]
+    width, height = scene_cfg["width"], scene_cfg["height"]
+    seed = cfg["run"]["seed"]
+    spec = cfg["components"]["library"]
+    library = default_library() if spec == "default" else load_library(spec)
+    table = build_synthetic_table(library, channels=scene_cfg["channels"],
+                                  knots=cfg["table"]["knots"],
+                                  tau_max=cfg["table"]["tau_max"], seed=seed)
     tau, theta = gen_truth(
         width,
         height,
         library.n_components,
-        smoothness=_getf(cfg, "truth", "smoothness"),
-        sparsity=cfg["truth"]["sparsity"],
+        smoothness=truth_cfg["smoothness"],
+        sparsity=truth_cfg["sparsity"],
         seed=seed,
-        tau_range=(_getf(cfg, "truth", "tau_lo"), _getf(cfg, "truth", "tau_hi")),
-        blob_size=_geti(cfg, "truth", "blob_size"),
+        tau_range=(truth_cfg["tau_lo"], truth_cfg["tau_hi"]),
+        blob_size=truth_cfg["blob_size"],
     )
-    clean = render_grid(tau, theta, table, width, height, _getf(cfg, "scene", "region_size_km"))
-    level = _getf(cfg, "noise", "level")
+    clean = render_grid(tau, theta, table, width, height, scene_cfg["region_size_km"])
+    level = cfg["noise"]["level"]
     scene = add_noise(clean, level, seed)
     scene.validate()
     out = Path(args.out)
-    io.save_scene(
-        out, scene, library,
-        {"knots": _geti(cfg, "table", "knots"), "tau_max": _getf(cfg, "table", "tau_max"),
-         "seed": seed},
-        noise_level=level,
-    )
+    io.save_scene(out, scene, library, {**cfg["table"], "seed": seed}, noise_level=level)
     io.save_truth(out, tau, theta)
     io.write_manifest(
-        out / "manifest.json", cfg, seed,
+        out / "manifest.json", text, seed,
         {"simulate": (time.perf_counter() - t0) * 1000.0},
     )
     print(f"wrote scene {width}x{height} (noise {level}) to {out}")
@@ -219,22 +197,23 @@ def cmd_simulate(args) -> int:
 def cmd_retrieve(args) -> int:
     """Run one retrieval method; the output directory is created only once
     every result, metrics included, has been computed."""
-    cfg = load_config(args.config, args.set)
+    text, cfg = load_config(args.config, args.set)
     t0 = time.perf_counter()
     scene, library, table = io.load_scene(args.scene)
     lattice = build_lattice(scene.width, scene.height)
     solver_cfg = _solver_config(cfg, library.n_components)
+    patches, executor = cfg["parallel"]["patches"], cfg["parallel"]["executor"]
     if args.method == "map-parallel":
         # checked before init_state, which may run a full grid search
-        partition(lattice, _geti(cfg, "parallel", "patches"))
-        check_executor(cfg["parallel"]["executor"])
+        partition(lattice, patches)
+        check_executor(executor)
     trace = None
     matrices = {}  # method-specific CSV outputs
     if args.method == "grid":
         gcfg = GridSearchConfig.defaults(
             table, scene,
-            n_tau_levels=_geti(cfg, "grid", "tau_levels"),
-            success_threshold=_getf_optional(cfg, "grid", "success_threshold"),
+            n_tau_levels=cfg["grid"]["tau_levels"],
+            success_threshold=cfg["grid"]["success_threshold"],
         )
         tau, theta, success = grid_search_retrieve(scene, table, gcfg)
         matrices["success.csv"] = success.astype(float).reshape(-1, 1)
@@ -247,20 +226,19 @@ def cmd_retrieve(args) -> int:
             state, trace = run_map(scene, table, lattice, solver_cfg, init)
         elif args.method == "map-parallel":
             state, trace, part = run_map_parallel(
-                scene, table, lattice, solver_cfg,
-                _geti(cfg, "parallel", "patches"), init,
-                executor=cfg["parallel"]["executor"],
+                scene, table, lattice, solver_cfg, patches, init, executor=executor,
             )
         elif args.method == "mcmc":
+            mcmc = cfg["mcmc"]
             mcfg = McmcConfig(
                 hyper=solver_cfg.hyper,
-                iterations=_geti(cfg, "mcmc", "iterations"),
-                burn_in=_geti(cfg, "mcmc", "burn_in"),
-                thin=_geti(cfg, "mcmc", "thin"),
+                iterations=mcmc["iterations"],
+                burn_in=mcmc["burn_in"],
+                thin=mcmc["thin"],
                 delta=solver_cfg.delta,
                 seed=solver_cfg.seed,
             )
-            samples = [] if _getb(cfg, "mcmc", "dump_samples") else None
+            samples = [] if mcmc["dump_samples"] else None
             sink = (lambda sweep, tau: samples.append(tau)) if samples is not None else None
             state, tau_std, trace = run_mcmc(scene, table, lattice, mcfg, init, sample_sink=sink)
             matrices["tau_std.csv"] = tau_std.reshape(-1, 1)
@@ -285,7 +263,7 @@ def cmd_retrieve(args) -> int:
         io.save_metrics(out / "metrics.json", report)
         io.write_matrix_csv(out / "error.csv", report.per_region_error.reshape(-1, 1))
     io.write_manifest(
-        out / "manifest.json", cfg, solver_cfg.seed,
+        out / "manifest.json", text, solver_cfg.seed,
         {"retrieve": (time.perf_counter() - t0) * 1000.0},
     )
     note = f", rmse {report.rmse:.4g}" if report is not None else ""
@@ -294,7 +272,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    cfg = load_config(args.config, args.set)
+    text, cfg = load_config(args.config, args.set)
     scene, library, table = io.load_scene(args.scene)
     lattice = build_lattice(scene.width, scene.height)
     solver_cfg = _solver_config(cfg, library.n_components)
@@ -310,15 +288,15 @@ def cmd_benchmark(args) -> int:
         raise ConfigurationError(f"repeated patch count in {args.patches!r}")
     for n in patch_counts:
         partition(lattice, n)  # range check before the first run
-    check_executor(cfg["parallel"]["executor"])
+    executor = cfg["parallel"]["executor"]
+    check_executor(executor)
     init = init_state(scene, table, cfg["solver"]["init"], solver_cfg.hyper,
                       seed=solver_cfg.seed, lattice=lattice)
     runs = []
     timings = {}
     for n in patch_counts:
         _, trace, _ = run_map_parallel(
-            scene, table, lattice, solver_cfg, n, init,
-            executor=cfg["parallel"]["executor"],
+            scene, table, lattice, solver_cfg, n, init, executor=executor,
         )
         runs.append((n, trace))
         total_ms = float(sum(trace.elapsed_ms))
@@ -327,7 +305,7 @@ def cmd_benchmark(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     io.save_speedup(out / "speedup.csv", runs)
-    io.write_manifest(out / "manifest.json", cfg, solver_cfg.seed, timings)
+    io.write_manifest(out / "manifest.json", text, solver_cfg.seed, timings)
     return 0
 
 
@@ -335,32 +313,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aodlattice",
         description="Bayesian lattice AOD retrieval: simulate, retrieve, benchmark.",
-        epilog=_KEY_DOC,
+        epilog=_key_doc(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None, help="INI config file")
+    config.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
+                        help="override one config key (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="generate a synthetic scene + truth sidecar")
-    p_sim.add_argument("--config", default=None, help="INI config file")
-    p_sim.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
+    p_sim = sub.add_parser("simulate", parents=[config],
+                           help="generate a synthetic scene + truth sidecar")
     p_sim.add_argument("--out", required=True, help="output scene directory")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_ret = sub.add_parser("retrieve", help="run a retrieval method on a scene directory")
+    p_ret = sub.add_parser("retrieve", parents=[config],
+                           help="run a retrieval method on a scene directory")
     p_ret.add_argument("--scene", required=True, help="scene directory")
     p_ret.add_argument(
         "--method", required=True, choices=["map", "map-parallel", "mcmc", "grid"]
     )
-    p_ret.add_argument("--config", default=None)
-    p_ret.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
     p_ret.add_argument("--out", required=True)
     p_ret.set_defaults(func=cmd_retrieve)
 
-    p_bench = sub.add_parser("benchmark", help="time patch-parallel runs over patch counts")
+    p_bench = sub.add_parser("benchmark", parents=[config],
+                             help="time patch-parallel runs over patch counts")
     p_bench.add_argument("--scene", required=True)
     p_bench.add_argument("--patches", required=True, help="comma list, e.g. 1,2,4,8")
-    p_bench.add_argument("--config", default=None)
-    p_bench.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
     p_bench.add_argument("--out", required=True)
     p_bench.set_defaults(func=cmd_benchmark)
     return parser
@@ -370,9 +349,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         # ValueError covers ConfigurationError, the forward table's
-        # DomainError and validate_state's invariant violations
+        # DomainError and validate_state's invariant violations; OSError
+        # an unreadable input or an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InitializationError as exc:

@@ -48,7 +48,8 @@ def save_scene(
     table_params: dict,
     noise_level: float = 0.0,
 ) -> None:
-    """Write scene.json + radiance.csv into `directory`."""
+    """Write scene.json + radiance.csv into `directory`; `table_params`
+    holds the knots, tau_max and seed the forward table was built with."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -60,9 +61,9 @@ def save_scene(
         "channel_mask": [bool(b) for b in scene.channel_mask],
         "component_library": library.to_records(),
         "table": {
-            "knots": int(table_params.get("knots", 25)),
-            "tau_max": float(table_params.get("tau_max", 6.0)),
-            "seed": int(table_params.get("seed", 0)),
+            "knots": int(table_params["knots"]),
+            "tau_max": float(table_params["tau_max"]),
+            "seed": int(table_params["seed"]),
             "channels": scene.channels,
         },
         "noise_level": float(noise_level),
@@ -80,8 +81,9 @@ def load_scene(directory):
     The forward table is rebuilt deterministically from the parameters
     recorded in scene.json, so a retrieval sees the exact forward model
     the scene was rendered with.  Metadata of the wrong shape (a
-    non-object scene.json or table, a malformed component library) or a
-    table channel count other than the scene's raises ConfigurationError.
+    non-object scene.json or table, a malformed component library), an
+    integer field too large to represent (JSON 1e400 reads as infinity) or
+    a table channel count other than the scene's raises ConfigurationError.
     """
     directory = Path(directory)
     meta_path = directory / SCENE_JSON
@@ -110,7 +112,7 @@ def load_scene(directory):
         channels = int(t.get("channels", scene.channels))
     except KeyError as exc:
         raise ConfigurationError(f"{meta_path}: missing required key {exc.args[0]!r}") from None
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ConfigurationError(f"{meta_path}: malformed value: {exc}") from None
     scene.validate()
     if channels != scene.channels:

@@ -65,7 +65,6 @@ from .model import (
     _tau_delta,
     _theta_delta,
     build_lattice,
-    describe_nonfinite_terms,
     floor_simplex,
     gmrf_roughness,
     log_posterior,
@@ -336,12 +335,12 @@ class Workspace:
         self.S = gmrf_roughness(self.tau, self.lattice)
         self.sse = _channel_sse(self.obs, self.pred)
 
-    def cached_log_posterior(self) -> float:
-        """Joint log-posterior from the sse and S caches; right after
-        resync() it equals log_posterior of to_state() bitwise."""
-        terms = _assemble_terms(self.lattice.n_regions, self.sse, self.S, self, self.hyper,
-                                self.mask)
-        return float(sum(terms.values()))
+    def cached_terms(self) -> dict:
+        """The log-posterior terms from the sse and S caches; right after
+        resync() they equal log_posterior_terms of to_state() bitwise, and
+        so their sum equals log_posterior."""
+        return _assemble_terms(self.lattice.n_regions, self.sse, self.S, self, self.hyper,
+                               self.mask)
 
     def to_state(self) -> RetrievalState:
         return RetrievalState(
@@ -515,9 +514,10 @@ def _start(scene, forward, lattice, config, init):
     validate_state(init, config.hyper)
     ws = Workspace(scene, forward, lattice, config.hyper, init)
     ws.resync()
-    f0 = ws.cached_log_posterior()
+    terms = ws.cached_terms()
+    f0 = float(sum(terms.values()))
     if not math.isfinite(f0):
-        bad = describe_nonfinite_terms(scene, init, config.hyper, forward)
+        bad = ", ".join(name for name, v in terms.items() if not math.isfinite(v)) or "none"
         raise InitializationError(
             f"log-posterior non-finite at the initial state (offending terms: {bad})"
         )

@@ -308,8 +308,8 @@ def log_posterior_terms(
 ) -> dict:
     """The five variable terms plus the Dirichlet normalizer, separately.
 
-    Used for initialization diagnostics and posterior reporting; the sum of
-    the values equals log_posterior.
+    Used for posterior reporting; the sum of the values equals
+    log_posterior.
     """
     sse = _channel_sse(scene.radiance, forward.eval_batch(state.tau, state.theta))
     roughness = gmrf_roughness(state.tau, build_lattice(scene.width, scene.height))
@@ -450,12 +450,3 @@ def delta_log_posterior_theta(
         _safe_log_theta(theta_new),
         hyper.alpha - 1.0,
     )[0])
-
-
-def describe_nonfinite_terms(
-    scene: Scene, state: RetrievalState, hyper: HyperParams, forward
-) -> str:
-    """Name the log-posterior terms that are non-finite, for diagnostics."""
-    terms = log_posterior_terms(scene, state, hyper, forward)
-    bad = [name for name, v in terms.items() if not math.isfinite(v)]
-    return ", ".join(bad) if bad else "none"

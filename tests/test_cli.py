@@ -64,6 +64,21 @@ class TestSimulate:
         assert run_cli("simulate", "--set", "solver.cadence=per_sweep",
                        "--out", str(tmp_path / "x")) == 2
 
+    @pytest.mark.parametrize("content, named", [
+        ("[DEFAULT]\nseed = 1\n", "[DEFAULT]"),
+        ("[solver]\ncadence = 1\n", "[solver] cadence"),
+        ("[components]\nlibrary = a%b\n", "'%'"),
+    ], ids=["default-section", "unknown-key", "bare-percent"])
+    def test_unusable_config_file_exits_2(self, tmp_path, capsys, content, named):
+        """Exit 2 naming the section, the key or the bad character."""
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(content)
+        out = tmp_path / "x"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting", [
         "noise.level=-0.5", "scene.region_size_km=nan", "scene.region_size_km=-3",
         "truth.blob_size=0", "truth.blob_size=-2",
@@ -258,6 +273,10 @@ MALFORMED_METADATA = {
     "scene-table-is-string": ("table", "knots=25"),
     "scene-width-is-null": ("width", None),
     "scene-is-list": (None, []),
+    # integers too large to represent: JSON 1e400 and Infinity both read as inf
+    "scene-width-overflows": ("width", float("inf")),
+    "scene-knots-overflow": ("table", {"knots": float("inf"), "tau_max": 6.0, "seed": 0,
+                                       "channels": 12}),
 }
 
 
@@ -302,6 +321,62 @@ def test_table_channel_mismatch_exits_2(scene_dir, tmp_path, capsys, method):
     assert err.startswith("error:")
     assert "8 channels" in err and "has 12" in err
     assert "broadcast" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["library-is-directory", "retrieve-out-is-file",
+                                  "simulate-out-under-file"])
+def test_unusable_path_exits_2(scene_dir, tmp_path, capsys, case):
+    """A path that cannot be read or written is an input error, not a traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = tmp_path / "o"
+    if case == "library-is-directory":
+        argv = ["simulate", *SMALL, "--set", f"components.library={tmp_path}", "--out", str(out)]
+    elif case == "retrieve-out-is-file":
+        argv = ["retrieve", "--scene", str(scene_dir), "--method", "grid", *SMALL,
+                "--out", str(taken)]
+    else:
+        argv = ["simulate", *SMALL, "--out", str(taken / "sub")]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_help_lists_every_key_with_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--help")
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for section, keys in cli.DEFAULTS.items():
+        for key, default in keys.items():
+            assert text.count(f"  {section}.{key} = ") == 1
+            assert f"  {section}.{key} = {default}  " in text
+
+
+# keys whose values are paths or names, checked by the code that reads them
+TEXT_KEYS = {"components.library", "truth.sparsity", "solver.init", "parallel.executor"}
+TYPED_KEYS = [f"{section}.{key}" for section, keys in cli.DEFAULTS.items() for key in keys
+              if f"{section}.{key}" not in TEXT_KEYS]
+
+
+@pytest.mark.parametrize("command", ["simulate", "grid"])
+@pytest.mark.parametrize("key", TYPED_KEYS)
+def test_malformed_typed_value_exits_2(scene_dir, tmp_path, capsys, command, key):
+    """Every integer, number and boolean key is parsed before any work, so a
+    malformed value exits 2 naming it even where the command does not read it."""
+    out = tmp_path / "o"
+    argv = ["--set", f"{key}=abc", "--out", str(out)]
+    if command == "simulate":
+        argv = ["simulate", *argv]
+    else:
+        argv = ["retrieve", "--scene", str(scene_dir), "--method", "grid", *argv]
+    assert run_cli(*argv) == 2
+    section, name = key.split(".")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [{section}] {name}: expected ")
+    assert "'abc'" in err
     assert not out.exists()
 
 

@@ -198,7 +198,8 @@ class TestLogPosterior:
 
     def test_equals_resynced_workspace_bitwise(self, table36):
         """The whole-state evaluation and the solver's cached value (the
-        run's initial objective) share one misfit reduction."""
+        run's initial objective, whose terms also name a non-finite start)
+        share one misfit reduction."""
         rng = np.random.default_rng(61)
         scene = random_scene(table36, rng, 6, 6)
         lat = al.build_lattice(6, 6)
@@ -207,7 +208,9 @@ class TestLogPosterior:
             hyper = al.HyperParams(alpha=rng.uniform(0.3, 3.0, table36.n_components))
             ws = Workspace(scene, table36, lat, hyper, state)
             ws.resync()
-            assert al.log_posterior(scene, state, hyper, table36) == ws.cached_log_posterior()
+            terms = ws.cached_terms()
+            assert al.log_posterior(scene, state, hyper, table36) == float(sum(terms.values()))
+            assert al.log_posterior_terms(scene, state, hyper, table36) == terms
 
 
 class TestDeltas:

@@ -3,8 +3,10 @@
 Runs the solvers, the baselines, the closed-form updates, the deltas, the
 patch-parallel scheduler and the CLI pipeline on small fixed scenes, and
 prints `<run name> <sha256 of its outputs>` per run, then a combined
-digest of all lines.  Wall times are left out of every hash.  Two source
-trees compute the same numbers exactly when every line matches:
+digest of all lines.  Each CLI run also gets a `.manifest` line hashing
+manifest.json's `config` and `config_hash`.  Wall times and versions are
+left out of every hash.  Two source trees compute the same numbers, and
+record the same resolved config, exactly when every line matches:
 
     PYTHONPATH=<tree>/src python3 tools/fingerprint.py > <tree>.txt
     diff parent.txt change.txt
@@ -19,6 +21,7 @@ start at most four threads.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -158,6 +161,13 @@ def _file_digest(path: Path):
     return text
 
 
+def _manifest_config(directory: Path):
+    """manifest.json's resolved config and its hash, without the timings and
+    versions that vary run to run."""
+    manifest = json.loads((directory / "manifest.json").read_text())
+    return manifest["config"], manifest["config_hash"]
+
+
 def _quiet_cli(argv) -> int:
     # the commands print temporary paths, which would differ run to run
     with redirect_stdout(StringIO()):
@@ -180,6 +190,7 @@ def _cli_runs() -> None:
         if _quiet_cli(["simulate", *small, "--out", str(scene_dir)]) != 0:
             raise SystemExit("simulate failed")
         emit("cli.simulate", [(p.name, _file_digest(p)) for p in sorted(scene_dir.iterdir())])
+        emit("cli.simulate.manifest", *_manifest_config(scene_dir))
         for method, extra in runs.items():
             out = Path(tmp) / method
             argv = ["retrieve", "--scene", str(scene_dir), "--method", method,
@@ -188,6 +199,7 @@ def _cli_runs() -> None:
                 raise SystemExit(f"retrieve --method {method} failed")
             emit(f"cli.retrieve.{method}",
                  [(p.name, _file_digest(p)) for p in sorted(out.iterdir())])
+            emit(f"cli.retrieve.{method}.manifest", *_manifest_config(out))
         loaded, _, _ = io.load_scene(scene_dir)
         emit("io.load_scene", loaded.radiance, loaded.channel_mask, loaded.region_size_km)
 
