@@ -21,11 +21,11 @@ import numpy as np
 from . import io
 from .baselines import GridSearchConfig, compute_metrics, grid_search_retrieve
 from .forward import build_synthetic_table, default_library, load_library
-from .map_solver import SolverConfig, init_state, run_map
+from .map_solver import INIT_STRATEGIES, SolverConfig, init_state, run_map
 from .mcmc import McmcConfig, run_mcmc
 from .model import ConfigurationError, HyperParams, InitializationError, build_lattice
-from .parallel import check_executor, partition, run_map_parallel
-from .simulate import add_noise, gen_truth, render_grid
+from .parallel import EXECUTORS, partition, run_map_parallel
+from .simulate import SPARSITY_CONCENTRATION, add_noise, gen_truth, render_grid
 
 _BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
@@ -35,6 +35,15 @@ _NUMBER = ("number", float)
 _NUMBER_OR_EMPTY = ("number or empty", lambda text: float(text) if text.strip() else None)
 _BOOL = ("1/yes/true/on or 0/no/false/off", lambda text: _BOOLEANS[text.strip().lower()])
 _TEXT = ("text", str)
+
+
+def _choice(words, default, text):
+    """A key whose value is one of `words`, a tuple or a mapping's keys
+    owned by the module that gives the words meaning; its help lists them."""
+    words = tuple(words)
+    expected = "one of " + " | ".join(words)
+    return (expected, dict(zip(words, words)).__getitem__), default, f"{text}: {expected}"
+
 
 # section -> key -> (kind, default text, help); the only statement of each key
 SCHEMA = {
@@ -54,7 +63,7 @@ SCHEMA = {
     },
     "truth": {
         "smoothness": (_NUMBER, "2.0", "box-smoothing half-width of the truth AOD field"),
-        "sparsity": (_TEXT, "dense", "dense | sparse composition truth"),
+        "sparsity": _choice(SPARSITY_CONCENTRATION, "dense", "composition truth"),
         "tau_lo": (_NUMBER, "0.05", "lower end of the truth AOD range"),
         "tau_hi": (_NUMBER, "0.6", "upper end of the truth AOD range"),
         "blob_size": (_INT, "4", "side of constant-composition tiles (1 = iid)"),
@@ -67,7 +76,7 @@ SCHEMA = {
         "max_sweeps": (_INT, "200", "sweep cap"),
         "alpha": (_NUMBER, "1.0", "symmetric Dirichlet concentration of the prior"),
         "tau_max": (_NUMBER, "6.0", "AOD bound of the retrieval"),
-        "init": (_TEXT, "flat", "flat | coarse_grid | random initialization"),
+        "init": _choice(INIT_STRATEGIES, "flat", "initialization"),
     },
     "mcmc": {
         "iterations": (_INT, "1000", "chain length (sweeps)"),
@@ -81,7 +90,7 @@ SCHEMA = {
     },
     "parallel": {
         "patches": (_INT, "1", "patch count for map-parallel / benchmark"),
-        "executor": (_TEXT, "serial", "serial | thread | process: accepted, has no effect"),
+        "executor": _choice(EXECUTORS, "serial", "patch executor (has no effect)"),
     },
 }
 
@@ -206,7 +215,6 @@ def cmd_retrieve(args) -> int:
     if args.method == "map-parallel":
         # checked before init_state, which may run a full grid search
         partition(lattice, patches)
-        check_executor(executor)
     trace = None
     matrices = {}  # method-specific CSV outputs
     if args.method == "grid":
@@ -289,7 +297,6 @@ def cmd_benchmark(args) -> int:
     for n in patch_counts:
         partition(lattice, n)  # range check before the first run
     executor = cfg["parallel"]["executor"]
-    check_executor(executor)
     init = init_state(scene, table, cfg["solver"]["init"], solver_cfg.hyper,
                       seed=solver_cfg.seed, lattice=lattice)
     runs = []

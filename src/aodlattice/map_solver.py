@@ -16,8 +16,8 @@ channel noise variances sigma2 have closed-form conditional maximizers
 and are moved once per sweep, after the region updates, by guarded steps
 that never lower the objective.
 
-A sweep visits the two checkerboard colour classes of lattice.sweep_order
-in turn.  With four neighbors, a region's neighbors all lie in the other
+A sweep visits the two checkerboard colour classes of lattice.classes in
+turn.  With four neighbors, a region's neighbors all lie in the other
 class, so one class is conditionally independent given the other: the
 kernel updates a whole class in one vectorised pass (a tau step on all its
 rows, then a theta step), with exact per-row deltas and an accept mask.
@@ -35,9 +35,9 @@ once per class, and the tau and theta steps then run over one or more
 disjoint shares of the class on the one workspace: the whole class for
 run_map and run_mcmc, one share per patch in a thread pool for the
 patch-parallel scheduler.  All of them reuse this module's sweep kernel,
-visit order, per-sweep step and sweep loop, so their exact-equivalence
-contracts (patch-parallel == sequential, greedy-filtered MH == MAP) hold
-bitwise.
+per-sweep step and sweep loop and the one visit order, lattice.classes, so
+their exact-equivalence contracts (patch-parallel == sequential,
+greedy-filtered MH == MAP) hold bitwise.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ DELTA_DEFAULT = 0.05
 EPSILON_REL_DEFAULT = 1e-4
 MAX_SWEEPS_DEFAULT = 200
 SHAPE_FLOOR = 1e-3  # Gamma shape floor of the theta proposal: absent components can return
+INIT_STRATEGIES = ("flat", "coarse_grid", "random")  # init_state's strategies
 
 
 def proposal_rng(seed: int, sweep: int, colour: int) -> np.random.Generator:
@@ -392,14 +393,9 @@ def _sigma_update_delta(ws: Workspace) -> float:
     return dtotal
 
 
-def sweep_regions(
-    ws: Workspace,
-    regions,
-    sweep_idx: int,
-    config: SolverConfig,
-    mode: str = "greedy",
-):
-    """Update tau then theta for `regions`, one vectorised pass per colour.
+def sweep_regions(ws: Workspace, sweep_idx: int, config: SolverConfig, mode: str = "greedy"):
+    """One sweep: update tau then theta of every region, one vectorised pass
+    per colour class of lattice.classes, in order, each class one share.
 
     mode "greedy" accepts only strict improvements; mode "mh" accepts with
     the Metropolis-Hastings probability, including the proposal-density
@@ -407,24 +403,20 @@ def sweep_regions(
     coordinate value, so the correction is the density ratio at the old
     and new points).
 
-    `regions` (normally lattice.sweep_order) is grouped by colour in visit
-    order; each colour's regions are one share of that class.
-
     Returns (delta_sum, tau_accepts, theta_accepts); delta_sum is the
-    exact objective change of the visit, the sum of the accepted deltas.
+    exact objective change of the sweep, the sum of the accepted deltas.
     """
-    regions = np.asarray(regions, dtype=np.intp)
-    colour = ws.lattice.colour[regions]
-    classes = [(c, [regions[colour == c]]) for c in dict.fromkeys(colour.tolist())]
+    classes = [(c, [members]) for c, members in enumerate(ws.lattice.classes)]
     return _sweep_classes(ws, classes, sweep_idx, config, mode, map)
 
 
 def _sweep_classes(ws: Workspace, classes, sweep_idx: int, config: SolverConfig, mode: str,
                    mapper):
     """The sweep kernel: for each (colour, shares) of `classes`, in order,
-    one colour pass.  The class part, its theta concentration and draw
-    block, runs here once; the row part, _share_pass, runs over the
-    shares through mapper (the builtin map, or a thread pool's).
+    one pass over lattice.classes[colour].  The class part, its theta
+    concentration and draw block, runs here once; the row part,
+    _share_pass, runs over the shares through mapper (the builtin map, or
+    a thread pool's).
 
     A region's proposals read only its neighbors, which lie in the other
     class, and each share writes only its own rows, so the shares of a
@@ -443,7 +435,7 @@ def _sweep_classes(ws: Workspace, classes, sweep_idx: int, config: SolverConfig,
     acc_t = 0
     acc_h = 0
     for colour, shares in classes:
-        members = np.flatnonzero(lat.colour == colour)
+        members = lat.classes[colour]
         conc = _theta_conc(_gather_neighbours(ws.theta, lat, members), lat.n_p[members])
         block = (conc, *_draw_block(config.seed, sweep_idx, colour, conc, mh))
         steps = list(mapper(lambda rows: _share_pass(ws, rows, block, config.delta, w, mh),
@@ -601,7 +593,7 @@ def run_map(
     ws, trace = _start(scene, forward, lattice, config, init)
 
     def run_sweep(sweep):
-        return sweep_regions(ws, lattice.sweep_order, sweep, config)
+        return sweep_regions(ws, sweep, config)
 
     for sweep, f, _ in _sweep_loop(ws, trace, config.max_sweeps, run_sweep, config):
         if on_sweep is not None:

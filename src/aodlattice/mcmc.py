@@ -25,7 +25,6 @@ import numpy as np
 
 from .map_solver import (
     SolverConfig,
-    Workspace,
     _start,
     _sweep_loop,
     _sweep_step,
@@ -40,7 +39,6 @@ from .model import (
     Scene,
     floor_simplex,
     log_posterior,
-    validate_state,
 )
 from . import map_solver
 
@@ -86,16 +84,16 @@ def mh_sweep(
     and no accept variates are drawn, which is the MAP solver's update;
     kappa and sigma2 are refreshed by their closed forms after the sweep
     in both modes.  The config and the state are checked as run_mcmc
-    checks them.
+    checks them: a state with a non-finite log-posterior raises
+    InitializationError.
     """
     config.validate()
-    validate_state(state, config.hyper)
     kcfg = _kernel_config(config)
-    ws = Workspace(scene, forward, lattice, config.hyper, state)
+    ws, _ = _start(scene, forward, lattice, kcfg, state)
     mode = "greedy" if greedy else "mh"
 
     def run_sweep(sweep):
-        return map_solver.sweep_regions(ws, lattice.sweep_order, sweep, kcfg, mode=mode)
+        return map_solver.sweep_regions(ws, sweep, kcfg, mode=mode)
 
     _sweep_step(ws, run_sweep, sweep)
     return ws.to_state()
@@ -131,7 +129,7 @@ def run_mcmc(
     n_kept = 0
 
     def run_sweep(sweep):
-        return map_solver.sweep_regions(ws, lattice.sweep_order, sweep, kcfg, mode="mh")
+        return map_solver.sweep_regions(ws, sweep, kcfg, mode="mh")
 
     for sweep, _, _ in _sweep_loop(ws, trace, config.iterations, run_sweep):
         if sweep > config.burn_in and (sweep - config.burn_in - 1) % config.thin == 0:

@@ -29,9 +29,9 @@ This module owns the delta evaluations used by all solvers: changing a
 single tau_p or theta_p touches only region p's misfit, the edges incident
 to p, and the Dirichlet term of row p, so accept tests cost O(n_p + C)
 instead of O(P*C).  The deltas work on k rows at once, so the sweep
-kernel computes a whole colour class in one call; the public
-single-region deltas call them with one row, on eval_batch predictions
-as the kernel does.
+kernel computes a whole colour class of lattice.classes in one call; the
+public single-region deltas call them with one row, on eval_batch
+predictions as the kernel does.
 """
 
 from __future__ import annotations
@@ -151,12 +151,11 @@ class LatticeTopology:
     nbr_index is P x 4: slot j of row p holds p's neighbor above, left,
     right and below (j = 0..3); a slot with no neighbor (lattice border)
     holds p itself and is False in nbr_mask.  n_p counts the neighbors.
-    colour is each region's checkerboard class, (row + col) % 2, and
-    class_pos its position within that class in ascending region order.
-    Derived from these: edges lists every unordered neighbor pair exactly
-    once; colours holds the two classes, each ascending, as int tuples, and
-    no edge joins two regions of one class; sweep_order, their
-    concatenation, is every sweep's visit order.
+    classes holds the two checkerboard colour classes, (row + col) % 2 = 0
+    then 1, as ascending np.intp index arrays; that is every sweep's visit
+    order, and no edge joins two regions of one class.  class_pos is each
+    region's position within its class.  edges lists every unordered
+    neighbor pair exactly once.
     """
 
     width: int
@@ -164,11 +163,9 @@ class LatticeTopology:
     nbr_index: np.ndarray
     nbr_mask: np.ndarray
     n_p: np.ndarray
-    colour: np.ndarray
+    classes: tuple
     class_pos: np.ndarray
     edges: np.ndarray
-    colours: tuple
-    sweep_order: tuple
 
     @property
     def n_regions(self) -> int:
@@ -193,25 +190,22 @@ def build_lattice(width: int, height: int) -> LatticeTopology:
     index = np.stack([p - width, p - 1, p + 1, p + width], axis=1)
     index = np.where(mask, index, p[:, None])
     colour = (r + c) % 2
-    classes = [np.flatnonzero(colour == k) for k in (0, 1)]
+    classes = tuple(np.flatnonzero(colour == k) for k in (0, 1))
     class_pos = np.empty(P, dtype=np.intp)
     for members in classes:
         class_pos[members] = np.arange(members.size)
     # right then down neighbor of each region, row-major: each pair once
     fwd = mask[:, 2:].ravel()
     edges = np.stack([np.repeat(p, 2)[fwd], index[:, 2:].ravel()[fwd]], axis=1)
-    colours = tuple(tuple(members.tolist()) for members in classes)
     return LatticeTopology(
         width=width,
         height=height,
         nbr_index=index,
         nbr_mask=mask,
         n_p=mask.sum(axis=1).astype(np.intp),
-        colour=colour,
+        classes=classes,
         class_pos=class_pos,
         edges=edges,
-        colours=colours,
-        sweep_order=colours[0] + colours[1],
     )
 
 

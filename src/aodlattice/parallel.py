@@ -2,7 +2,7 @@
 
 The lattice's regions are split into runs of consecutive indices, one
 per patch, and every sweep visits the lattice's colour classes in turn
-(lattice.sweep_order).  A region's update reads only its neighbors, which
+(lattice.classes).  A region's update reads only its neighbors, which
 lie in the other class, so a class split across patches in any way
 computes what the sequential sweep computes.  kappa and sigma2 move once
 per sweep from the merged field.
@@ -45,11 +45,6 @@ from .model import (
 EXECUTORS = ("serial", "thread", "process")
 
 
-def check_executor(executor: str) -> None:
-    if executor not in EXECUTORS:
-        raise ConfigurationError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-
-
 @dataclass(frozen=True)
 class PatchPartition:
     """Disjoint runs of consecutive region indices covering the lattice."""
@@ -77,11 +72,10 @@ def partition(lattice: LatticeTopology, n_patches: int) -> PatchPartition:
 
 
 def _patch_shares(lattice: LatticeTopology, part: PatchPartition):
-    """Each colour class in visit order with its non-empty patch shares,
-    in patch order: [(colour, [rows, ...]), ...]."""
+    """Each colour class of lattice.classes, in order, with its non-empty
+    patch shares, in patch order: [(colour, [rows, ...]), ...]."""
     classes = []
-    for colour, members in enumerate(lattice.colours):
-        members = np.asarray(members, dtype=np.intp)
+    for colour, members in enumerate(lattice.classes):
         owner = part.assignment[members]
         classes.append((colour, np.split(members, np.flatnonzero(np.diff(owner)) + 1)))
     return classes
@@ -105,7 +99,8 @@ def run_map_parallel(
     runs the same way.
     """
     config.validate()
-    check_executor(executor)
+    if executor not in EXECUTORS:
+        raise ConfigurationError(f"executor must be one of {EXECUTORS}, got {executor!r}")
     part = partition(lattice, n_patches)
     ws, trace = _start(scene, forward, lattice, config, init)
     classes = _patch_shares(lattice, part)
@@ -133,5 +128,5 @@ def _one_parallel_sweep(ws, classes, sweep, config, pool):
     colour class's patch shares run in the pool's threads.
     """
     if pool is None:
-        return sweep_regions(ws, ws.lattice.sweep_order, sweep, config)
+        return sweep_regions(ws, sweep, config)
     return _sweep_classes(ws, classes, sweep, config, "greedy", pool.map)

@@ -16,6 +16,9 @@ import numpy as np
 
 from .model import ConfigurationError, Scene
 
+# composition truth -> Dirichlet concentration of its blob rows
+SPARSITY_CONCENTRATION = {"dense": 1.0, "sparse": 0.125}
+
 
 @dataclass
 class SimScene:
@@ -68,14 +71,15 @@ def gen_truth(
     tau: white noise box-smoothed with half-width round(smoothness), then
     affinely rescaled into tau_range (a degenerate spread maps to the
     range midpoint, so the large-smoothness limit is a constant field).
-    theta: one Dirichlet draw per blob_size x blob_size tile; "dense" uses
-    concentration 1 (every entry strictly positive almost surely), "sparse"
-    concentration 0.125 (near-one-hot rows).  blob_size must be >= 1.
+    theta: one Dirichlet draw per blob_size x blob_size tile, with the
+    concentration SPARSITY_CONCENTRATION gives: 1 for "dense" (every entry
+    strictly positive almost surely), 0.125 for "sparse" (near-one-hot
+    rows).  blob_size must be >= 1.
     """
     if width < 2 or height < 2:
         raise ConfigurationError("truth grid dimensions must be >= 2")
-    if sparsity not in ("dense", "sparse"):
-        raise ConfigurationError("sparsity must be dense or sparse")
+    if sparsity not in SPARSITY_CONCENTRATION:
+        raise ConfigurationError(f"sparsity must be one of {tuple(SPARSITY_CONCENTRATION)}")
     lo, hi = float(tau_range[0]), float(tau_range[1])
     if not 0 <= lo <= hi:
         raise ConfigurationError("tau_range must satisfy 0 <= lo <= hi")
@@ -91,7 +95,7 @@ def gen_truth(
     else:
         tau = (lo + (smooth - smooth.min()) * (hi - lo) / spread).ravel()
 
-    conc = 1.0 if sparsity == "dense" else 0.125
+    conc = SPARSITY_CONCENTRATION[sparsity]
     rows = np.arange(height) // b
     cols = np.arange(width) // b
     blob_id = (rows[:, None] * (int(np.ceil(width / b))) + cols[None, :]).ravel()

@@ -118,11 +118,12 @@ def pearson_textbook(x, y):
     return sxy / math.sqrt(sxx * syy)
 
 
-def oracle_sweep_regions(ws, regions, sweep, config, mode="greedy"):
+def oracle_sweep_regions(ws, sweep, config, mode="greedy"):
     """The region-by-region colour-ordered sweep the vectorised kernel
     replaces, fed the same draw blocks.
 
-    Visits `regions` one at a time, tau then theta per region, and takes
+    Visits every region of colour 0 and then of colour 1, each in
+    ascending order, one at a time, tau then theta per region, and takes
     region p's draws from its row of its colour's block (its rank among
     the regions of its colour), drawn when the first region of that
     colour comes up.  Colours and neighbor slots are rebuilt from the
@@ -160,7 +161,7 @@ def oracle_sweep_regions(ws, regions, sweep, config, mode="greedy"):
 
     blocks = {}
     dsum, acc_t, acc_h = 0.0, 0, 0
-    for p in regions:
+    for p in members[0] + members[1]:
         c = colour[p]
         if c not in blocks:
             conc = np.concatenate([_theta_conc(*slots(theta, q)[::2]) for q in members[c]])

@@ -355,8 +355,8 @@ def test_help_lists_every_key_with_default(capsys):
             assert f"  {section}.{key} = {default}  " in text
 
 
-# keys whose values are paths or names, checked by the code that reads them
-TEXT_KEYS = {"components.library", "truth.sparsity", "solver.init", "parallel.executor"}
+# keys whose values are paths, checked by the code that reads them
+TEXT_KEYS = {"components.library"}
 TYPED_KEYS = [f"{section}.{key}" for section, keys in cli.DEFAULTS.items() for key in keys
               if f"{section}.{key}" not in TEXT_KEYS]
 
@@ -364,8 +364,9 @@ TYPED_KEYS = [f"{section}.{key}" for section, keys in cli.DEFAULTS.items() for k
 @pytest.mark.parametrize("command", ["simulate", "grid"])
 @pytest.mark.parametrize("key", TYPED_KEYS)
 def test_malformed_typed_value_exits_2(scene_dir, tmp_path, capsys, command, key):
-    """Every integer, number and boolean key is parsed before any work, so a
-    malformed value exits 2 naming it even where the command does not read it."""
+    """Every integer, number, boolean and choice key is parsed before any
+    work, so a malformed value exits 2 naming it even where the command does
+    not read it."""
     out = tmp_path / "o"
     argv = ["--set", f"{key}=abc", "--out", str(out)]
     if command == "simulate":

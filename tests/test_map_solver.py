@@ -26,7 +26,7 @@ from oracles import golden_max, oracle_neighbours, oracle_sweep_regions
 
 def _class_tau_draw(state, lat, colour, seed, sweep, delta):
     """The kernel's tau draw for a whole colour class: (members, mean, raw)."""
-    members = np.flatnonzero(lat.colour == colour)
+    members = lat.classes[colour]
     conc = _theta_conc(_gather_neighbours(state.theta, lat, members), lat.n_p[members])
     z, _, _ = _draw_block(seed, sweep, colour, conc, mh=False)
     mean, raw = _draw_tau(_gather_neighbours(state.tau, lat, members), lat.n_p[members],
@@ -47,13 +47,13 @@ class TestProposeTau:
             want = [state.tau[nbrs[p]].mean() for p in members]
             np.testing.assert_allclose(mean, want, rtol=1e-15, atol=0.0)
             np.testing.assert_allclose(raw, want, rtol=0.0, atol=1e-9)
-        # through the kernel: every accepted tau of one class is its mean
+        # through the kernel, class 0 as one share: every accepted tau is its mean
         scene = random_scene(small_table, rng, 5, 4)
         hyper = al.HyperParams.uniform(3)
         cfg = al.SolverConfig(hyper=hyper, seed=1, delta=1e-12)
         members, mean, _ = _class_tau_draw(state, lat, 0, cfg.seed, 1, cfg.delta)
         ws = Workspace(scene, small_table, lat, hyper, state)
-        _, acc_t, _ = sweep_regions(ws, members, 1, cfg)
+        _, acc_t, _ = _sweep_classes(ws, [(0, [members])], 1, cfg, "greedy", map)
         moved = ws.tau[members] != state.tau[members]
         assert acc_t == moved.sum()
         assert acc_t > 0
@@ -71,7 +71,7 @@ class TestProposeTau:
         runs = []
         for _ in range(2):
             ws = Workspace(scene, small_table, lat, hyper, init)
-            runs.append((sweep_regions(ws, lat.sweep_order, 3, cfg, "mh"), ws.tau, ws.theta))
+            runs.append((sweep_regions(ws, 3, cfg, "mh"), ws.tau, ws.theta))
         assert runs[0][0] == runs[1][0]
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
         np.testing.assert_array_equal(runs[0][2], runs[1][2])
@@ -113,7 +113,7 @@ class TestProposeTau:
             assert (ws.tau_lo, ws.tau_hi) == (0.0, 1.0)
             _, _, raw = _class_tau_draw(init, lat, 0, cfg.seed, 1, cfg.delta)
             assert np.any(raw < 0.0) and np.any(raw > 1.0)
-            sweep_regions(ws, lat.sweep_order, 1, cfg)
+            sweep_regions(ws, 1, cfg)
             assert np.all((ws.tau >= 0.0) & (ws.tau <= 1.0))
             assert np.any(ws.tau == bound)
 
@@ -126,10 +126,9 @@ class TestProposeTheta:
         lat = al.build_lattice(8, 8)
         state = random_state(rng, lat.n_regions, 3, 4)
         # near-corner rows in class 1 push class 0's Gamma shapes to SHAPE_FLOOR
-        odd = np.flatnonzero(lat.colour == 1)
+        odd = lat.classes[1]
         state.theta[odd] = floor_simplex(rng.dirichlet(np.full(3, 0.01), size=odd.size))
-        for colour in (0, 1):
-            members = np.flatnonzero(lat.colour == colour)
+        for colour, members in enumerate(lat.classes):
             conc = _theta_conc(_gather_neighbours(state.theta, lat, members),
                                lat.n_p[members])
             assert np.all(conc >= SHAPE_FLOOR)
@@ -144,15 +143,15 @@ class TestProposeTheta:
         assert abs(rows[1].sum() - 1.0) <= 1e-12
         scene = random_scene(small_table, rng, 8, 8)
         ws = Workspace(scene, small_table, lat, al.HyperParams.uniform(3), state)
-        _, _, acc_h = sweep_regions(ws, lat.sweep_order, 1,
-                                    al.SolverConfig(hyper=al.HyperParams.uniform(3)), "mh")
+        _, _, acc_h = sweep_regions(ws, 1, al.SolverConfig(hyper=al.HyperParams.uniform(3)),
+                                    "mh")
         assert acc_h > 0
         al.validate_state(ws.to_state(), al.HyperParams.uniform(3))
 
     def test_concentrates_on_dominant_neighbor_component(self):
         lat = al.build_lattice(2, 2)
         theta = np.tile(np.array([0.98, 0.01, 0.01]), (4, 1))
-        members = np.flatnonzero(lat.colour == 0)
+        members = lat.classes[0]
         conc = _theta_conc(_gather_neighbours(theta, lat, members), lat.n_p[members])
         np.testing.assert_allclose(conc, theta[:2], rtol=1e-15)
         n = 100_000
@@ -165,7 +164,7 @@ class TestProposeTheta:
     def test_deterministic_given_seed(self):
         lat = al.build_lattice(3, 3)
         theta = np.random.default_rng(6).dirichlet(np.ones(3), size=9)
-        members = np.flatnonzero(lat.colour == 1)
+        members = lat.classes[1]
         conc = _theta_conc(_gather_neighbours(theta, lat, members), lat.n_p[members])
         a = _draw_theta(_draw_block(3, 2, 1, conc, mh=False)[1])
         b = _draw_theta(_draw_block(3, 2, 1, conc, mh=False)[1])
@@ -174,8 +173,9 @@ class TestProposeTheta:
 
 class TestSweepKernel:
     def test_accepted_moves_are_the_public_draws_and_deltas(self, small_table):
-        """A greedy step that accepts both moves takes region p's row of its
-        colour's draw block, and its delta is the public deltas' sum, bitwise."""
+        """A greedy step on a one-region share [p] that accepts both moves
+        takes p's row of its colour's draw block, and its delta is the
+        public deltas' sum, bitwise."""
         rng = np.random.default_rng(11)
         scene = random_scene(small_table, rng, 4, 4)
         lat = al.build_lattice(4, 4)
@@ -186,8 +186,10 @@ class TestSweepKernel:
         init.theta[:] = rng.dirichlet(np.ones(3), size=lat.n_regions)
         sweep = 1
         for p in reversed(range(lat.n_regions)):  # late rows: class_pos > 0
+            colour = (p // lat.width + p % lat.width) % 2
             ws = Workspace(scene, small_table, lat, hyper, init)
-            dsum, acc_t, acc_h = sweep_regions(ws, [p], sweep, cfg)
+            dsum, acc_t, acc_h = _sweep_classes(ws, [(colour, [np.array([p])])], sweep, cfg,
+                                                "greedy", map)
             if acc_t == 1 and acc_h == 1 and lat.class_pos[p] > 0:
                 break
         else:
@@ -196,11 +198,11 @@ class TestSweepKernel:
 
         # the class's concentration from plain per-region neighbor means
         nbrs = oracle_neighbours(4, 4)
-        members = lat.colours[lat.colour[p]]
+        members = lat.classes[colour]
         conc = np.maximum(
             np.stack([init.theta[nbrs[q]].mean(axis=0) for q in members]), SHAPE_FLOOR
         )
-        z, gammas, u = _draw_block(cfg.seed, sweep, lat.colour[p], conc, mh=False)
+        z, gammas, u = _draw_block(cfg.seed, sweep, colour, conc, mh=False)
         assert u is None
         i = lat.class_pos[p]
         mean = init.tau[nbrs[p]].mean()
@@ -229,8 +231,8 @@ class TestSweepKernel:
             ws = Workspace(scene, small_table, lat, hyper, init)
             ref = Workspace(scene, small_table, lat, hyper, init)
             for sweep in (1, 2, 3):
-                got = sweep_regions(ws, lat.sweep_order, sweep, cfg, mode)
-                want = oracle_sweep_regions(ref, lat.sweep_order, sweep, cfg, mode)
+                got = sweep_regions(ws, sweep, cfg, mode)
+                want = oracle_sweep_regions(ref, sweep, cfg, mode)
                 np.testing.assert_array_equal(ws.tau, ref.tau)
                 np.testing.assert_array_equal(ws.theta, ref.theta)
                 np.testing.assert_array_equal(ws.pred, ref.pred)
@@ -252,11 +254,10 @@ class TestSweepKernel:
         for mode in ("greedy", "mh"):
             cfg = al.SolverConfig(hyper=hyper, seed=5)
             whole = Workspace(scene, small_table, lat, hyper, init)
-            want = sweep_regions(whole, lat.sweep_order, 1, cfg, mode)
+            want = sweep_regions(whole, 1, cfg, mode)
             for contiguous in (False, True):
                 classes = []
-                for colour, members in enumerate(lat.colours):
-                    members = np.asarray(members, dtype=np.intp)
+                for colour, members in enumerate(lat.classes):
                     if not contiguous:
                         members = rng.permutation(members)
                     classes.append((colour, np.array_split(members, 3)))

@@ -88,7 +88,7 @@ class TestAcceptRule:
         init.tau[:] = 0.02  # proposals of width 0.05 leave [0, 6] often
         ws = Workspace(scene, small_table, lat, hyper, init)
         cfg = al.SolverConfig(hyper=hyper, seed=4)
-        _, acc_t, acc_h = map_solver.sweep_regions(ws, lat.sweep_order, 1, cfg, mode="mh")
+        _, acc_t, acc_h = map_solver.sweep_regions(ws, 1, cfg, mode="mh")
         assert acc_h == lat.n_regions
         assert 0 < acc_t < lat.n_regions
         assert np.all(ws.tau >= 0.0)
@@ -234,6 +234,24 @@ class TestMhSweep:
         init.theta[0] = [2.0, 0.0, 0.0]
         with pytest.raises(ValueError, match="theta rows must sum to 1"):
             al.mh_sweep(init, scene, small_table, lat, mcfg, 1)
+
+    @pytest.mark.parametrize("greedy", [True, False])
+    def test_zero_kappa_state_raises_initialization_error(self, small_table, greedy):
+        """kappa = 0 passes validate_state but makes the kappa term -inf: the
+        sweep refuses the state as run_map and run_mcmc do, naming the term,
+        instead of failing later in the closed-form kappa step."""
+        rng = np.random.default_rng(11)
+        scene = random_scene(small_table, rng, 4, 4)
+        lat = al.build_lattice(4, 4)
+        hyper = al.HyperParams.uniform(3)
+        mcfg = al.McmcConfig(hyper=hyper)
+        init = al.init_state(scene, small_table, "flat", hyper)
+        init.kappa = 0.0
+        al.validate_state(init, hyper)
+        with pytest.raises(al.InitializationError, match="kappa_term"):
+            al.mh_sweep(init, scene, small_table, lat, mcfg, 1, greedy=greedy)
+        with pytest.raises(al.InitializationError, match="kappa_term"):
+            al.run_mcmc(scene, small_table, lat, mcfg, init)
 
 
 class TestRunMcmc:

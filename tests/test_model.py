@@ -46,29 +46,32 @@ class TestBuildLattice:
             pairs = {tuple(e) for e in lat.edges}
             assert len(pairs) == len(lat.edges)  # each unordered pair once
 
-    def test_colour_classes_and_sweep_order_random_shapes(self):
-        """Two ascending classes partition the regions, the sweep order is
-        their concatenation, and no edge stays inside one class."""
+    def test_colour_classes_random_shapes(self):
+        """lat.classes is two ascending np.intp arrays that together cover
+        every region once, region 0 in class 0, and no edge stays inside
+        one class."""
         rng = np.random.default_rng(1)
         for _ in range(30):
             w = int(rng.integers(2, 14))
             h = int(rng.integers(2, 14))
             lat = al.build_lattice(w, h)
-            even, odd = lat.colours
-            assert sorted(even + odd) == list(range(w * h))
-            assert list(even) == sorted(even) and list(odd) == sorted(odd)
-            assert lat.sweep_order == even + odd
-            assert all(type(p) is int for p in lat.sweep_order)
+            assert isinstance(lat.classes, tuple) and len(lat.classes) == 2
+            even, odd = lat.classes
+            for members in (even, odd):
+                assert members.dtype == np.intp
+                assert np.all(np.diff(members) > 0)
+            np.testing.assert_array_equal(np.sort(np.concatenate([even, odd])),
+                                          np.arange(w * h))
             colour = np.empty(w * h, dtype=int)
-            colour[list(even)] = 0
-            colour[list(odd)] = 1
+            colour[even] = 0
+            colour[odd] = 1
             assert np.all(colour[lat.edges[:, 0]] != colour[lat.edges[:, 1]])
             assert colour[0] == 0
 
 
     def test_padded_index_matches_loop_construction(self):
-        """Neighbor slots, edges, colours and class positions equal the
-        region-by-region construction, in the same order."""
+        """Neighbor slots, edges, colour classes and class positions equal
+        the region-by-region construction, in the same order."""
         rng = np.random.default_rng(2)
         for _ in range(20):
             w = int(rng.integers(2, 12))
@@ -93,11 +96,10 @@ class TestBuildLattice:
                     nbrs.append(lst)
             assert [lat.nbr_index[p][lat.nbr_mask[p]].tolist() for p in range(w * h)] == nbrs
             assert lat.edges.tolist() == [list(e) for e in edges]
-            assert lat.colours == (tuple(classes[0]), tuple(classes[1]))
+            assert [members.tolist() for members in lat.classes] == list(classes)
             assert lat.n_p.tolist() == [len(lst) for lst in nbrs]
             for k in (0, 1):
                 assert lat.class_pos[classes[k]].tolist() == list(range(len(classes[k])))
-                assert np.all(lat.colour[classes[k]] == k)
             rows = np.arange(w * h)[:, None]
             assert np.all(lat.nbr_index[~lat.nbr_mask] == np.broadcast_to(rows, (w * h, 4))[
                 ~lat.nbr_mask])

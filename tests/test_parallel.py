@@ -81,8 +81,9 @@ class TestRunMapParallel:
     @pytest.mark.parametrize("width, height", [(6, 6), (5, 7)])
     def test_every_patch_count_and_executor_equals_run_map(self, small_table, width, height):
         """State, sweeps, convergence and trace equal run_map's bitwise for
-        every patch count and executor name.  On 6x6, 36 one-region patches
-        queue more shares than the pool has threads."""
+        every patch count, and for every executor name at 4 patches (the
+        name has no effect).  On 6x6, 36 one-region patches queue more
+        shares than the pool has threads."""
         rng = np.random.default_rng(width * height)
         scene = random_scene(small_table, rng, width, height)
         lat = al.build_lattice(width, height)
@@ -91,18 +92,17 @@ class TestRunMapParallel:
         init = al.init_state(scene, small_table, "flat", hyper)
         ref, ref_trace = al.run_map(scene, small_table, lat, cfg, init)
         assert np.all(np.diff([ref_trace.initial_log_posterior] + ref_trace.log_posterior) >= 0)
-        counts = [n for n in (1, 2, 4, 9, 36) if n <= lat.n_regions]
-        for executor in EXECUTORS:
-            for n in counts:
-                state, trace, _ = al.run_map_parallel(scene, small_table, lat, cfg, n, init,
-                                                      executor=executor)
-                np.testing.assert_array_equal(state.tau, ref.tau)
-                np.testing.assert_array_equal(state.theta, ref.theta)
-                np.testing.assert_array_equal(state.sigma2, ref.sigma2)
-                assert state.kappa == ref.kappa
-                assert (trace.sweeps, trace.converged) == (ref_trace.sweeps,
-                                                           ref_trace.converged)
-                assert trace.log_posterior == ref_trace.log_posterior
+        runs = [(n, "serial") for n in (1, 2, 9, 36) if n <= lat.n_regions]
+        runs += [(4, executor) for executor in EXECUTORS]
+        for n, executor in runs:
+            state, trace, _ = al.run_map_parallel(scene, small_table, lat, cfg, n, init,
+                                                  executor=executor)
+            np.testing.assert_array_equal(state.tau, ref.tau)
+            np.testing.assert_array_equal(state.theta, ref.theta)
+            np.testing.assert_array_equal(state.sigma2, ref.sigma2)
+            assert state.kappa == ref.kappa
+            assert (trace.sweeps, trace.converged) == (ref_trace.sweeps, ref_trace.converged)
+            assert trace.log_posterior == ref_trace.log_posterior
 
     def test_shared_workspace_under_fast_thread_switching(self, small_table):
         """36 patches on 8 threads with a 1 us switch interval: an update lost
