@@ -153,18 +153,25 @@ def load_config(path, overrides):
     return text, cfg
 
 
-def _solver_config(cfg, n_components):
-    solver = cfg["solver"]
-    config = SolverConfig(
-        hyper=HyperParams.dirichlet(n_components, solver["alpha"], tau_max=solver["tau_max"]),
-        delta=solver["delta"],
-        epsilon=solver["epsilon"],
-        epsilon_rel=solver["epsilon_rel"],
-        max_sweeps=solver["max_sweeps"],
-        seed=cfg["run"]["seed"],
-    )
-    config.validate()
-    return config
+def _run_configs(cfg, table, scene, lattice):
+    """Build the solver, chain and grid configs and range-check them and
+    parallel.patches by the rules of the modules that own them, for every
+    command whether or not it reads them, so a bad value exits 2 before
+    any output.  Returns (SolverConfig, McmcConfig, GridSearchConfig)."""
+    solver, mcmc, grid, seed = cfg["solver"], cfg["mcmc"], cfg["grid"], cfg["run"]["seed"]
+    hyper = HyperParams.dirichlet(table.n_components, solver["alpha"], tau_max=solver["tau_max"])
+    solver_cfg = SolverConfig(hyper=hyper, delta=solver["delta"], epsilon=solver["epsilon"],
+                              epsilon_rel=solver["epsilon_rel"],
+                              max_sweeps=solver["max_sweeps"], seed=seed)
+    solver_cfg.validate()
+    mcmc_cfg = McmcConfig(hyper=hyper, iterations=mcmc["iterations"], burn_in=mcmc["burn_in"],
+                          thin=mcmc["thin"], delta=solver["delta"], seed=seed)
+    mcmc_cfg.validate()
+    partition(lattice, cfg["parallel"]["patches"])
+    grid_cfg = GridSearchConfig.defaults(table, scene, n_tau_levels=grid["tau_levels"],
+                                         success_threshold=grid["success_threshold"])
+    grid_cfg.validate(table)
+    return solver_cfg, mcmc_cfg, grid_cfg
 
 
 def cmd_simulate(args) -> int:
@@ -192,6 +199,7 @@ def cmd_simulate(args) -> int:
     level = cfg["noise"]["level"]
     scene = add_noise(clean, level, seed)
     scene.validate()
+    _run_configs(cfg, table, scene, build_lattice(width, height))
     out = Path(args.out)
     io.save_scene(out, scene, library, {**cfg["table"], "seed": seed}, noise_level=level)
     io.save_truth(out, tau, theta)
@@ -208,22 +216,15 @@ def cmd_retrieve(args) -> int:
     every result, metrics included, has been computed."""
     text, cfg = load_config(args.config, args.set)
     t0 = time.perf_counter()
-    scene, library, table = io.load_scene(args.scene)
+    scene, _, table = io.load_scene(args.scene)
     lattice = build_lattice(scene.width, scene.height)
-    solver_cfg = _solver_config(cfg, library.n_components)
+    # checked before init_state, which may run a full grid search
+    solver_cfg, mcmc_cfg, grid_cfg = _run_configs(cfg, table, scene, lattice)
     patches, executor = cfg["parallel"]["patches"], cfg["parallel"]["executor"]
-    if args.method == "map-parallel":
-        # checked before init_state, which may run a full grid search
-        partition(lattice, patches)
     trace = None
     matrices = {}  # method-specific CSV outputs
     if args.method == "grid":
-        gcfg = GridSearchConfig.defaults(
-            table, scene,
-            n_tau_levels=cfg["grid"]["tau_levels"],
-            success_threshold=cfg["grid"]["success_threshold"],
-        )
-        tau, theta, success = grid_search_retrieve(scene, table, gcfg)
+        tau, theta, success = grid_search_retrieve(scene, table, grid_cfg)
         matrices["success.csv"] = success.astype(float).reshape(-1, 1)
     else:
         init = init_state(
@@ -237,18 +238,10 @@ def cmd_retrieve(args) -> int:
                 scene, table, lattice, solver_cfg, patches, init, executor=executor,
             )
         elif args.method == "mcmc":
-            mcmc = cfg["mcmc"]
-            mcfg = McmcConfig(
-                hyper=solver_cfg.hyper,
-                iterations=mcmc["iterations"],
-                burn_in=mcmc["burn_in"],
-                thin=mcmc["thin"],
-                delta=solver_cfg.delta,
-                seed=solver_cfg.seed,
-            )
-            samples = [] if mcmc["dump_samples"] else None
+            samples = [] if cfg["mcmc"]["dump_samples"] else None
             sink = (lambda sweep, tau: samples.append(tau)) if samples is not None else None
-            state, tau_std, trace = run_mcmc(scene, table, lattice, mcfg, init, sample_sink=sink)
+            state, tau_std, trace = run_mcmc(scene, table, lattice, mcmc_cfg, init,
+                                             sample_sink=sink)
             matrices["tau_std.csv"] = tau_std.reshape(-1, 1)
             if samples is not None:
                 matrices["tau_samples.csv"] = np.asarray(samples)
@@ -281,9 +274,9 @@ def cmd_retrieve(args) -> int:
 
 def cmd_benchmark(args) -> int:
     text, cfg = load_config(args.config, args.set)
-    scene, library, table = io.load_scene(args.scene)
+    scene, _, table = io.load_scene(args.scene)
     lattice = build_lattice(scene.width, scene.height)
-    solver_cfg = _solver_config(cfg, library.n_components)
+    solver_cfg, _, _ = _run_configs(cfg, table, scene, lattice)
     try:
         patch_counts = [int(x) for x in args.patches.split(",") if x.strip()]
     except ValueError as exc:

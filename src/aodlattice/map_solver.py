@@ -23,6 +23,11 @@ kernel updates a whole class in one vectorised pass (a tau step on all its
 rows, then a theta step), with exact per-row deltas and an accept mask.
 The result is what a region-by-region visit of the class would give.
 
+Given the other class, the tau proposal's mean never moves with the
+current value, so its MH correction log q(old)/q(raw) is h(raw) - h(old)
+with one function of one point, _tau_log_q: h(x) = (x - mean)^2 /
+(2 delta^2) in [tau_lo, tau_hi], -inf outside.
+
 The run stops when the absolute per-sweep objective change stays below
 epsilon for two successive sweeps (or for the run's first sweep), or after
 max_sweeps.
@@ -145,7 +150,6 @@ class SweepTrace:
     tau_accepts: list = field(default_factory=list)
     theta_accepts: list = field(default_factory=list)
     kappa: list = field(default_factory=list)
-    kappa_degenerate: list = field(default_factory=list)
     elapsed_ms: list = field(default_factory=list)
     converged: bool = False
     epsilon: float = float("nan")
@@ -210,14 +214,17 @@ def _draw_block(seed: int, sweep: int, colour: int, conc: np.ndarray, mh: bool):
     return z, gammas, u
 
 
-def _tau_log_q_ratio(raw, old, mean, delta: float, lo: float, hi: float):
-    """MH correction log q(old)/q(raw) of the Gaussian tau proposal, per row.
+def _tau_log_q(x, mean, delta: float, lo: float, hi: float):
+    """The tau proposal's Hastings term at one point: h(x) = (x - mean)^2 /
+    (2 delta^2), which is -log q(x) up to a constant, elementwise.
 
-    -inf where raw falls outside [lo, hi], the support of the AOD prior,
-    so mh_accept rejects those proposals whatever their uniform.
+    -inf where x falls outside [lo, hi], the support of the AOD prior.
+    The MH correction log q(old)/q(raw) is h(raw) - h(old); h(old) is
+    finite (tau stays in [lo, hi]), so an out-of-support raw gives -inf and
+    mh_accept rejects it whatever its uniform.
     """
-    log_q = ((raw - mean) ** 2 - (old - mean) ** 2) / (2.0 * delta * delta)
-    return np.where((raw >= lo) & (raw <= hi), log_q, -np.inf)
+    h = (x - mean) ** 2 / (2.0 * delta * delta)
+    return np.where((x >= lo) & (x <= hi), h, -np.inf)
 
 
 def _theta_log_q_ratio(conc, log_old, log_new):
@@ -352,8 +359,8 @@ class Workspace:
         )
 
 
-def _kappa_update_delta(ws: Workspace):
-    """Apply the guarded closed-form kappa update; return (delta, degenerate).
+def _kappa_update_delta(ws: Workspace) -> float:
+    """Apply the guarded closed-form kappa update; return its delta.
 
     The closed form is the exact argmax of the kappa slice, so its
     objective delta is mathematically >= 0; the update is skipped when
@@ -361,16 +368,16 @@ def _kappa_update_delta(ws: Workspace):
     which keeps greedy ascent exact.
     """
     P = ws.lattice.n_regions
-    kappa_new, degenerate = _kappa_from_roughness(ws.S, P)
+    kappa_new, _ = _kappa_from_roughness(ws.S, P)
     if kappa_new == ws.kappa:
-        return 0.0, degenerate
+        return 0.0
     dk = 0.5 * (P - 3) * (math.log(kappa_new) - math.log(ws.kappa)) - 0.5 * ws.S * (
         kappa_new - ws.kappa
     )
     if dk < 0.0:
-        return 0.0, degenerate
+        return 0.0
     ws.kappa = kappa_new
-    return dk, degenerate
+    return dk
 
 
 def _sigma_update_delta(ws: Workspace) -> float:
@@ -473,7 +480,8 @@ def _share_pass(ws: Workspace, rows, block, delta: float, w, mh: bool):
     pred_new = fwd.eval_batch(cand, theta[rows])
     df = _tau_delta(obs, pred_old, pred_new, w, t_old, cand, ntau, nmask, ws.kappa)
     if mh:
-        log_q = _tau_log_q_ratio(raw, t_old, mean, delta, ws.tau_lo, ws.tau_hi)
+        lo, hi = ws.tau_lo, ws.tau_hi
+        log_q = _tau_log_q(raw, mean, delta, lo, hi) - _tau_log_q(t_old, mean, delta, lo, hi)
         accept = mh_accept(u[0, pos], df, log_q)
     else:
         accept = df > 0.0
@@ -521,13 +529,11 @@ def _sweep_step(ws: Workspace, run_sweep, sweep: int):
     the only place the hyper-parameters move.
 
     run_sweep(sweep) returns (delta_sum, tau_accepts, theta_accepts).
-    Returns (delta_sum, hyper delta, tau_accepts, theta_accepts, kappa
-    degenerate).
+    Returns (delta_sum, hyper delta, tau_accepts, theta_accepts).
     """
     dsum, acc_t, acc_h = run_sweep(sweep)
     ws.resync()
-    dk, degenerate = _kappa_update_delta(ws)
-    return dsum, dk + _sigma_update_delta(ws), acc_t, acc_h, degenerate
+    return dsum, _kappa_update_delta(ws) + _sigma_update_delta(ws), acc_t, acc_h
 
 
 def _sweep_loop(ws: Workspace, trace: SweepTrace, sweeps: int, run_sweep,
@@ -550,7 +556,7 @@ def _sweep_loop(ws: Workspace, trace: SweepTrace, sweeps: int, run_sweep,
     settled = True  # the sweep before the first counts as small
     for sweep in range(1, sweeps + 1):
         t0 = time.perf_counter()
-        dsum, dh, acc_t, acc_h, degenerate = _sweep_step(ws, run_sweep, sweep)
+        dsum, dh, acc_t, acc_h = _sweep_step(ws, run_sweep, sweep)
         prev = f
         f = f + dsum + dh
         elapsed = (time.perf_counter() - t0) * 1000.0
@@ -558,7 +564,6 @@ def _sweep_loop(ws: Workspace, trace: SweepTrace, sweeps: int, run_sweep,
         trace.tau_accepts.append(acc_t)
         trace.theta_accepts.append(acc_h)
         trace.kappa.append(ws.kappa)
-        trace.kappa_degenerate.append(degenerate)
         trace.elapsed_ms.append(elapsed)
         yield sweep, f, elapsed
         if config is None:

@@ -15,6 +15,12 @@ tau/theta inference method alone.
 A greedy-filtered run of this chain (accept only strict improvements,
 never drawing accept variates) reproduces the MAP solver's trajectory
 exactly under a shared seed: both drive the same sweep kernel.
+
+The tau proposal's Hastings term is one function of one point,
+map_solver._tau_log_q, so the MH test reads log u < w(raw) - w(x) with
+w = log target - log proposal density (Tierney 1994).  toy_tau_chain
+computes w and log u for every proposal in one numpy pass, leaving one
+float compare per step in its sequential loop.
 """
 
 from __future__ import annotations
@@ -28,8 +34,7 @@ from .map_solver import (
     _start,
     _sweep_loop,
     _sweep_step,
-    _tau_log_q_ratio,
-    mh_accept,
+    _tau_log_q,
 )
 from .model import (
     ConfigurationError,
@@ -173,10 +178,11 @@ def toy_tau_chain(
 
     This is the single-coordinate slice of the sweep kernel: a Gaussian
     proposal centered at a fixed surrogate neighbor mean, with the
-    kernel's own proposal-density correction, rejection outside [lo, hi]
-    (the support of the AOD prior) and accept rule, one uniform per step.  The chain starts at the
-    proposal mean clamped into [lo, hi].  Used to validate the chain's
-    stationary distribution against direct normalization of the target.
+    kernel's own Hastings term _tau_log_q, rejection outside [lo, hi] (the
+    support of the AOD prior) and accept rule log u < w(raw) - w(x), one
+    uniform per step.  The chain starts at the proposal mean clamped into
+    [lo, hi].  Used to validate the chain's stationary distribution against
+    direct normalization of the target.
 
     Returns (samples after warmup, acceptance rate over those samples).
     """
@@ -184,20 +190,22 @@ def toy_tau_chain(
     acc = np.random.default_rng([seed, 2])
     total = warmup + n_samples
     raws = proposal_mean + delta * prop.standard_normal(total)
-    uniforms = acc.random(total)
-    log_t = log_target(np.clip(raws, lo, hi))  # values outside support unused
-    x = min(max(proposal_mean, lo), hi)
-    lt_x = float(log_target(np.array([x]))[0])
-    samples = np.empty(n_samples)
-    accepted = 0
+    with np.errstate(divide="ignore"):
+        log_u = np.log(acc.random(total)).tolist()
+    # w = log target - log q; -inf outside [lo, hi], where the clipped
+    # target value is unused
+    w = (log_target(np.clip(raws, lo, hi))
+         + _tau_log_q(raws, proposal_mean, delta, lo, hi)).tolist()
+    x0 = min(max(proposal_mean, lo), hi)
+    w_x = float(log_target(np.array([x0]))[0] + _tau_log_q(x0, proposal_mean, delta, lo, hi))
+    moves = []  # indices of the accepted proposals
     for i in range(total):
-        raw = float(raws[i])
-        log_q = _tau_log_q_ratio(raw, x, proposal_mean, delta, lo, hi)
-        if mh_accept(uniforms[i], float(log_t[i]) - lt_x, log_q):
-            x = raw
-            lt_x = float(log_t[i])
-            if i >= warmup:
-                accepted += 1
-        if i >= warmup:
-            samples[i - warmup] = x
-    return samples, accepted / n_samples
+        if log_u[i] < w[i] - w_x:
+            w_x = w[i]
+            moves.append(i)
+    moves = np.array(moves, dtype=np.intp)
+    held = np.full(total, -1)  # index of the proposal the chain holds, -1 the start
+    held[moves] = moves
+    held = np.maximum.accumulate(held)
+    samples = np.where(held >= 0, raws[held], x0)[warmup:]
+    return samples, np.count_nonzero(moves >= warmup) / n_samples

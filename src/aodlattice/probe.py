@@ -82,15 +82,6 @@ def posterior_slice(
     return out, tau_axis, theta_axis
 
 
-def coupling_profile(slice_values: np.ndarray, tau_axis: np.ndarray) -> np.ndarray:
-    """tau location of the per-column minimum of a slice.
-
-    A constant profile would mean the AOD optimum ignores the mixing
-    weight; variation exhibits the coupling between the two.
-    """
-    return tau_axis[np.argmin(slice_values, axis=0)]
-
-
 def dominance_map(theta: np.ndarray, component_ids=None):
     """Per-region dominant component id and its share.
 

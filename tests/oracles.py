@@ -135,7 +135,6 @@ def oracle_sweep_regions(ws, sweep, config, mode="greedy"):
         _draw_block,
         _draw_tau,
         _draw_theta,
-        _tau_log_q_ratio,
         _theta_conc,
         _theta_log_q_ratio,
         mh_accept,
@@ -177,8 +176,13 @@ def oracle_sweep_regions(ws, sweep, config, mode="greedy"):
         df = _tau_delta(ws.obs[[p]], ws.pred[[p]], pred_new[None], w, t_old, cand, ntau,
                         nmask, ws.kappa)[0]
         if mh:
-            log_q = _tau_log_q_ratio(raw, t_old, mean, config.delta, ws.tau_lo, ws.tau_hi)
-            accept = mh_accept(u[0, i], df, log_q[0])
+            # Gaussian log q(old)/q(raw) as h(raw) - h(old), -inf off support
+            r, o, m = float(raw[0]), float(t_old[0]), float(mean[0])
+            two_var = 2.0 * config.delta * config.delta
+            log_q = (r - m) * (r - m) / two_var - (o - m) * (o - m) / two_var
+            if not ws.tau_lo <= r <= ws.tau_hi:
+                log_q = -math.inf
+            accept = mh_accept(u[0, i], df, log_q)
         else:
             accept = df > 0.0
         if accept:
@@ -203,6 +207,40 @@ def oracle_sweep_regions(ws, sweep, config, mode="greedy"):
             dsum += df
             acc_h += 1
     return dsum, acc_t, acc_h
+
+
+def oracle_toy_tau_chain(log_target, proposal_mean, delta, n_samples, seed=0, lo=0.0,
+                         hi=6.0, warmup=0):
+    """The toy tau chain step by step: one MH decision per proposal, the
+    Gaussian ratio log q(x)/q(raw) written out, and the accept rule
+    mh_accept called on scalars.  Same streams and return values as
+    mcmc.toy_tau_chain."""
+    from aodlattice.map_solver import mh_accept
+
+    prop = np.random.default_rng([seed, 1])
+    acc = np.random.default_rng([seed, 2])
+    total = warmup + n_samples
+    raws = proposal_mean + delta * prop.standard_normal(total)
+    uniforms = acc.random(total)
+    log_t = log_target(np.clip(raws, lo, hi))
+    x = min(max(proposal_mean, lo), hi)
+    lt_x = float(log_target(np.array([x]))[0])
+    samples = np.empty(n_samples)
+    accepted = 0
+    for i in range(total):
+        raw = float(raws[i])
+        log_q = -math.inf
+        if lo <= raw <= hi:
+            d_raw, d_x = raw - proposal_mean, x - proposal_mean
+            log_q = (d_raw**2 - d_x**2) / (2.0 * delta * delta)
+        if mh_accept(uniforms[i], float(log_t[i]) - lt_x, log_q):
+            x = raw
+            lt_x = float(log_t[i])
+            if i >= warmup:
+                accepted += 1
+        if i >= warmup:
+            samples[i - warmup] = x
+    return samples, accepted / n_samples
 
 
 def oracle_grid_search(scene, table, config):

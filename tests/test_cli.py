@@ -22,6 +22,27 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+# every command range-checks every solver, chain, patch and grid key, read
+# or not, before any output
+BAD_SETTINGS = [
+    "solver.delta=nan", "solver.epsilon=nan", "solver.epsilon_rel=-1", "solver.tau_max=nan",
+    "solver.init=bogus", "solver.alpha=nan", "solver.max_sweeps=0",
+    "grid.success_threshold=nan", "grid.success_threshold=-1", "grid.tau_levels=1",
+    "parallel.patches=0", "parallel.executor=bogus",
+    "mcmc.burn_in=-1", "mcmc.thin=0", "mcmc.dump_samples=maybe",
+    "solver.epsilon=abc", "grid.success_threshold=abc",
+]
+
+
+def assert_bad_setting_exit(code, capsys, setting, out):
+    """Exit 2, an error line naming the setting's key, and no output."""
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert setting[setting.index(".") + 1:setting.index("=")] in err
+    assert not out.exists()
+
+
 class TestSimulate:
     def test_minimal_defaults(self, tmp_path):
         out = tmp_path / "scene"
@@ -88,6 +109,12 @@ class TestSimulate:
         assert run_cli("simulate", *SMALL, "--set", setting, "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("setting", BAD_SETTINGS)
+    def test_bad_setting_exits_2(self, tmp_path, capsys, setting):
+        out = tmp_path / "x"
+        code = run_cli("simulate", *SMALL, "--set", setting, "--out", str(out))
+        assert_bad_setting_exit(code, capsys, setting, out)
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run_cli("simulate", "--config", str(tmp_path / "none.ini"),
@@ -211,31 +238,18 @@ class TestRetrieve:
         assert code == 2
         assert "'table'" in capsys.readouterr().err
 
-    BAD_SETTINGS = [
-        ("map", "solver.delta=nan"), ("map", "solver.epsilon=nan"),
-        ("map", "solver.epsilon_rel=-1"), ("map", "solver.tau_max=nan"),
-        ("map", "solver.init=bogus"),
-        ("grid", "solver.delta=nan"), ("grid", "solver.alpha=nan"),
-        ("grid", "grid.success_threshold=nan"), ("grid", "grid.success_threshold=-1"),
-        ("map-parallel", "parallel.patches=0"), ("map-parallel", "parallel.executor=bogus"),
-        ("grid", "grid.tau_levels=1"),
-        ("mcmc", "mcmc.burn_in=-1"), ("mcmc", "mcmc.dump_samples=maybe"),
-        ("map", "solver.epsilon=abc"), ("grid", "grid.success_threshold=abc"),
-    ]
+    RETRIEVE_CASES = [(m, s) for m in ("map", "grid", "map-parallel", "mcmc")
+                      for s in BAD_SETTINGS]
 
     # map cases keep the bare setting as their id
-    @pytest.mark.parametrize("method, setting", BAD_SETTINGS,
-                             ids=[s if m == "map" else f"{m}-{s}" for m, s in BAD_SETTINGS])
+    @pytest.mark.parametrize("method, setting", RETRIEVE_CASES,
+                             ids=[s if m == "map" else f"{m}-{s}" for m, s in RETRIEVE_CASES])
     def test_nonfinite_or_negative_solver_setting_exits_2(self, scene_dir, tmp_path, capsys,
                                                            method, setting):
         out = tmp_path / "o"
         code = run_cli("retrieve", "--scene", str(scene_dir), "--method", method,
                        *SMALL, "--set", setting, "--out", str(out))
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert setting[setting.index(".") + 1:setting.index("=")] in err
-        assert not out.exists()
+        assert_bad_setting_exit(code, capsys, setting, out)
 
     @pytest.mark.parametrize("setting", ["parallel.patches=0", "parallel.executor=bogus"])
     def test_parallel_settings_checked_before_init(self, scene_dir, tmp_path, capsys,
@@ -382,6 +396,13 @@ def test_malformed_typed_value_exits_2(scene_dir, tmp_path, capsys, command, key
 
 
 class TestBenchmark:
+    @pytest.mark.parametrize("setting", BAD_SETTINGS)
+    def test_bad_setting_exits_2(self, scene_dir, tmp_path, capsys, setting):
+        out = tmp_path / "bench"
+        code = run_cli("benchmark", "--scene", str(scene_dir), "--patches", "1",
+                       *SMALL, "--set", setting, "--out", str(out))
+        assert_bad_setting_exit(code, capsys, setting, out)
+
     def test_single_patch_rows(self, scene_dir, tmp_path):
         out = tmp_path / "bench"
         assert run_cli("benchmark", "--scene", str(scene_dir), "--patches", "1",

@@ -11,6 +11,7 @@ from aodlattice import map_solver
 from aodlattice.map_solver import (
     Workspace,
     _draw_theta,
+    _tau_log_q,
     _theta_log_q_ratio,
     mh_accept,
 )
@@ -18,6 +19,7 @@ from aodlattice.mcmc import toy_tau_chain
 from aodlattice.model import _safe_log_theta, _theta_delta
 
 from conftest import random_scene
+from oracles import oracle_toy_tau_chain
 
 
 def _toy_log_target(x):
@@ -127,6 +129,55 @@ class TestToyChain:
         emp = hist / hist.sum()
         tv = 0.5 * np.abs(emp - target).sum()
         assert tv < 0.1
+
+    # (proposal mean, delta, lo, hi, seed): criterion 9's chain and the two
+    # above; a narrow support that rejects most proposals; a start clamped to
+    # hi with most proposals above it
+    ORACLE_CASES = [
+        (0.55, 0.18, 0.0, 6.0, 103), (0.55, 0.18, 0.0, 6.0, 3), (0.55, 0.18, 0.0, 6.0, 4),
+        (0.1, 0.5, 0.0, 0.6, 5), (0.9, 0.3, 0.0, 0.6, 6),
+    ]
+
+    @pytest.mark.parametrize("mean, delta, lo, hi, seed", ORACLE_CASES)
+    def test_equals_step_by_step_oracle(self, mean, delta, lo, hi, seed):
+        """The array-driven chain makes the per-step chain's decisions:
+        samples and acceptance rate bitwise."""
+        args = (_toy_log_target, mean, delta, 20_000)
+        kwargs = dict(seed=seed, lo=lo, hi=hi, warmup=2_000)
+        samples, rate = toy_tau_chain(*args, **kwargs)
+        want_samples, want_rate = oracle_toy_tau_chain(*args, **kwargs)
+        np.testing.assert_array_equal(samples, want_samples)
+        assert rate == want_rate
+        assert 0.0 < rate < 1.0
+
+
+class TestTauLogQ:
+    MEAN, DELTA, LO, HI = 0.3, 0.05, 0.0, 0.6
+
+    def h(self, x):
+        return _tau_log_q(x, self.MEAN, self.DELTA, self.LO, self.HI)
+
+    def test_difference_is_the_gaussian_ratio(self):
+        """h(raw) - h(old) is log q(old)/q(raw) of the Gaussian proposal."""
+        rng = np.random.default_rng(8)
+        raw = rng.uniform(self.LO, self.HI, 1000)
+        old = rng.uniform(self.LO, self.HI, 1000)
+
+        def log_q(x):
+            return -0.5 * ((x - self.MEAN) / self.DELTA) ** 2
+
+        np.testing.assert_allclose(self.h(raw) - self.h(old), log_q(old) - log_q(raw),
+                                   rtol=1e-12, atol=1e-9)
+
+    def test_outside_support_is_minus_inf(self):
+        x = np.array([-1e-12, -0.3, np.nextafter(self.HI, 7.0), 2.0])
+        assert np.all(self.h(x) == -np.inf)
+
+    def test_support_ends_are_inside(self):
+        ends = np.array([self.LO, self.HI])
+        got = self.h(ends)
+        np.testing.assert_allclose(got, (ends - self.MEAN) ** 2 / (2 * self.DELTA**2),
+                                   rtol=1e-14)
 
 
 def _beta_bin_probs(a, b, edges, n=4000):

@@ -56,8 +56,8 @@ def _feed(h, obj) -> None:
         _feed(h, (obj.tau, obj.theta, obj.sigma2, obj.kappa))
     elif isinstance(obj, al.SweepTrace):
         _feed(h, (obj.log_posterior, obj.tau_accepts, obj.theta_accepts, obj.kappa,
-                  obj.kappa_degenerate, obj.converged, obj.epsilon,
-                  obj.initial_log_posterior, obj.final_log_posterior))
+                  obj.converged, obj.epsilon, obj.initial_log_posterior,
+                  obj.final_log_posterior))
     elif isinstance(obj, bytes):
         h.update(obj)
     else:
