@@ -20,12 +20,14 @@ import numpy as np
 
 from . import io
 from .baselines import GridSearchConfig, compute_metrics, grid_search_retrieve
-from .forward import build_synthetic_table, default_library, load_library
+from .forward import build_synthetic_table, check_table_args, default_library, load_library
 from .map_solver import INIT_STRATEGIES, SolverConfig, init_state, run_map
 from .mcmc import McmcConfig, run_mcmc
-from .model import ConfigurationError, HyperParams, InitializationError, build_lattice
+from .model import (ConfigurationError, HyperParams, InitializationError, build_lattice,
+                    check_scene_shape)
 from .parallel import EXECUTORS, partition, run_map_parallel
-from .simulate import SPARSITY_CONCENTRATION, add_noise, gen_truth, render_grid
+from .simulate import (SPARSITY_CONCENTRATION, add_noise, check_noise_level, check_truth_args,
+                       gen_truth, render_grid)
 
 _BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
@@ -154,10 +156,17 @@ def load_config(path, overrides):
 
 
 def _run_configs(cfg, table, scene, lattice):
-    """Build the solver, chain and grid configs and range-check them and
-    parallel.patches by the rules of the modules that own them, for every
-    command whether or not it reads them, so a bad value exits 2 before
-    any output.  Returns (SolverConfig, McmcConfig, GridSearchConfig)."""
+    """Build the solver, chain and grid configs and range-check them,
+    parallel.patches and the scene, table, truth and noise keys by the
+    rules of the functions that own them, for every command whether or not
+    it reads them, so a bad value exits 2 before any output.  Returns
+    (SolverConfig, McmcConfig, GridSearchConfig)."""
+    sim, truth = cfg["scene"], cfg["truth"]
+    check_table_args(sim["channels"], cfg["table"]["knots"], cfg["table"]["tau_max"])
+    check_truth_args(sim["width"], sim["height"], truth["smoothness"], truth["sparsity"],
+                     (truth["tau_lo"], truth["tau_hi"]), truth["blob_size"])
+    check_noise_level(cfg["noise"]["level"])
+    check_scene_shape(sim["width"], sim["height"], sim["channels"], sim["region_size_km"])
     solver, mcmc, grid, seed = cfg["solver"], cfg["mcmc"], cfg["grid"], cfg["run"]["seed"]
     hyper = HyperParams.dirichlet(table.n_components, solver["alpha"], tau_max=solver["tau_max"])
     solver_cfg = SolverConfig(hyper=hyper, delta=solver["delta"], epsilon=solver["epsilon"],

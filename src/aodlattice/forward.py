@@ -235,6 +235,17 @@ def _component_stream(seed: int, comp: AerosolComponent) -> np.random.Generator:
     return np.random.default_rng([seed, 17, *key])
 
 
+def check_table_args(channels: int, knots: int, tau_max: float) -> None:
+    """build_synthetic_table's argument rules: at least 1 channel, at
+    least 2 knots and a finite tau_max > 0."""
+    if knots < 2:
+        raise ConfigurationError(f"need at least 2 knots, got {knots}")
+    if channels < 1:
+        raise ConfigurationError(f"need at least 1 channel (channels = {channels})")
+    if not (math.isfinite(tau_max) and tau_max > 0):
+        raise ConfigurationError(f"tau_max must be finite and > 0, got {tau_max}")
+
+
 def build_synthetic_table(
     library: ComponentLibrary,
     channels: int = 36,
@@ -254,10 +265,7 @@ def build_synthetic_table(
     (small particles brighten the short-wavelength channels more).  A small
     seeded jitter, shared between SSA-twins, decorrelates the curves.
     """
-    if knots < 2:
-        raise ConfigurationError("need at least 2 knots")
-    if channels < 1:
-        raise ConfigurationError("need at least 1 channel")
+    check_table_args(channels, knots, tau_max)
     library.validate()
     rng = np.random.default_rng([seed, 3])
     M = library.n_components

@@ -6,12 +6,25 @@ P x C matrix, row-major in region index with channel columns ascending.
 The truth sidecar truth.csv carries tau and the theta row per region.
 Floats are written with repr (shortest round-trip), so identical runs
 produce byte-identical files.
+
+save_scene and save_truth also write a binary mirror next to each CSV
+(radiance.csv.bin, truth.csv.bin): one ASCII header line
+
+    aodlattice-mirror/1 <sha256 of the CSV's bytes> <rows> <cols>
+
+then rows x cols little-endian float64 values, row-major.  The CSV stays
+authoritative.  load_scene and load_truth hash the CSV and read the
+mirror only when its tag, digest and size all match; otherwise (no
+mirror, an edited CSV, a truncated or foreign mirror) they parse the CSV.
+So deleting a mirror is always safe, an edit to a CSV is always picked
+up, and both paths return the same bits, because repr round-trips.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -24,6 +37,8 @@ from .model import ConfigurationError, Scene
 SCENE_JSON = "scene.json"
 RADIANCE_CSV = "radiance.csv"
 TRUTH_CSV = "truth.csv"
+MIRROR_TAG = b"aodlattice-mirror/1"
+_CHUNK = 1 << 20  # bytes per read while hashing a CSV
 
 
 def _fmt(x) -> str:
@@ -41,6 +56,60 @@ def read_matrix_csv(path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
+def _mirror_path(csv_path) -> Path:
+    return Path(f"{csv_path}.bin")
+
+
+def _csv_digest(csv_path) -> bytes:
+    """Hex sha256 of the file's bytes, read in chunks."""
+    h = hashlib.sha256()
+    with open(csv_path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_CHUNK), b""):
+            h.update(chunk)
+    return h.hexdigest().encode("ascii")
+
+
+def _write_mirror(csv_path, matrix) -> None:
+    """Write the binary mirror of the CSV just written at csv_path from
+    `matrix`, the values it holds."""
+    values = np.atleast_2d(np.ascontiguousarray(matrix, dtype="<f8"))
+    nan = np.isnan(values)
+    if nan.any():  # the CSV spells every NaN "nan", which parses to one bit pattern
+        values = np.where(nan, np.nan, values)
+    rows, cols = values.shape
+    with open(_mirror_path(csv_path), "wb") as fh:
+        fh.write(b"%s %s %d %d\n" % (MIRROR_TAG, _csv_digest(csv_path), rows, cols))
+        values.tofile(fh)
+
+
+def _read_mirror(csv_path):
+    """The CSV's matrix from its mirror, or None unless the mirror's tag,
+    its digest of the CSV's bytes and its size all match."""
+    try:
+        fh = open(_mirror_path(csv_path), "rb")
+    except OSError:
+        return None
+    with fh:
+        fields = fh.readline(256).split()
+        if len(fields) != 4 or fields[0] != MIRROR_TAG or not (
+                fields[2].isdigit() and fields[3].isdigit()):
+            return None
+        rows, cols = int(fields[2]), int(fields[3])
+        n = rows * cols
+        if n == 0 or os.fstat(fh.fileno()).st_size != fh.tell() + 8 * n:
+            return None
+        if fields[1] != _csv_digest(csv_path):
+            return None
+        return np.fromfile(fh, dtype="<f8", count=n).reshape(rows, cols)
+
+
+def _read_mirrored(csv_path, parse) -> np.ndarray:
+    """The matrix the CSV holds: from its mirror when that is current,
+    else parse(csv_path)."""
+    matrix = _read_mirror(csv_path)
+    return parse(csv_path) if matrix is None else matrix
+
+
 def save_scene(
     directory,
     scene: Scene,
@@ -48,8 +117,9 @@ def save_scene(
     table_params: dict,
     noise_level: float = 0.0,
 ) -> None:
-    """Write scene.json + radiance.csv into `directory`; `table_params`
-    holds the knots, tau_max and seed the forward table was built with."""
+    """Write scene.json, radiance.csv and its mirror into `directory`;
+    `table_params` holds the knots, tau_max and seed the forward table was
+    built with."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -73,6 +143,7 @@ def save_scene(
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
     write_matrix_csv(directory / RADIANCE_CSV, scene.radiance)
+    _write_mirror(directory / RADIANCE_CSV, scene.radiance)
 
 
 def load_scene(directory):
@@ -95,7 +166,8 @@ def load_scene(directory):
         raise ConfigurationError(f"unrecognized scene format in {meta_path}")
     records = meta.get("component_library", "default")
     library = default_library() if records == "default" else ComponentLibrary.from_records(records)
-    radiance = read_matrix_csv(directory / meta.get("radiance_csv", RADIANCE_CSV))
+    radiance = _read_mirrored(directory / meta.get("radiance_csv", RADIANCE_CSV),
+                              read_matrix_csv)
     try:
         scene = Scene(
             width=int(meta["width"]),
@@ -130,21 +202,23 @@ def load_scene(directory):
 
 
 def save_truth(directory, truth_tau: np.ndarray, truth_theta: np.ndarray) -> None:
-    """Truth sidecar: header tau,theta_1..theta_M; one row per region."""
-    directory = Path(directory)
+    """Truth sidecar: header tau,theta_1..theta_M; one row per region;
+    plus its mirror."""
+    path = Path(directory) / TRUTH_CSV
     M = truth_theta.shape[1]
-    with open(directory / TRUTH_CSV, "w") as fh:
+    with open(path, "w") as fh:
         fh.write("tau," + ",".join(f"theta_{m + 1}" for m in range(M)) + "\n")
         for t, row in zip(truth_tau, truth_theta):
             fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
+    _write_mirror(path, np.column_stack([truth_tau, truth_theta]))
 
 
 def load_truth(directory):
-    directory = Path(directory)
-    path = directory / TRUTH_CSV
+    """(tau, theta) from the truth sidecar, or None without one."""
+    path = Path(directory) / TRUTH_CSV
     if not path.exists():
         return None
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _read_mirrored(path, lambda p: np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2))
     return data[:, 0], data[:, 1:]
 
 

@@ -122,12 +122,7 @@ class Scene:
         return self.width * self.height
 
     def validate(self) -> None:
-        if self.n_regions < 4:
-            raise ConfigurationError(
-                f"need at least 4 regions, got {self.width}x{self.height}"
-            )
-        if self.channels > 36:
-            raise ConfigurationError("at most 36 channels supported")
+        check_scene_shape(self.width, self.height, self.channels, self.region_size_km)
         if self.radiance.shape != (self.n_regions, self.channels):
             raise ConfigurationError(
                 f"radiance shape {self.radiance.shape} != "
@@ -139,9 +134,18 @@ class Scene:
             raise ConfigurationError("channel_mask length must equal channels")
         if not self.channel_mask.any():
             raise ConfigurationError("at least one channel must be available")
-        size = self.region_size_km
-        if not (math.isfinite(size) and size > 0):
-            raise ConfigurationError(f"region_size_km must be finite and > 0, got {size}")
+
+
+def check_scene_shape(width: int, height: int, channels: int, region_size_km: float) -> None:
+    """Scene.validate's rules on the scene's metadata: at least 4 regions,
+    at most 36 channels, and a finite region_size_km > 0."""
+    if width * height < 4:
+        raise ConfigurationError(f"need at least 4 regions, got {width}x{height}")
+    if channels > 36:
+        raise ConfigurationError("at most 36 channels supported")
+    if not (math.isfinite(region_size_km) and region_size_km > 0):
+        raise ConfigurationError(
+            f"region_size_km must be finite and > 0, got {region_size_km}")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ clamped nonnegative.  Everything is deterministic in its seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,25 @@ def _box_smooth(field: np.ndarray, half_width: int) -> np.ndarray:
     return out / counts
 
 
+def check_truth_args(width, height, smoothness, sparsity, tau_range, blob_size) -> None:
+    """gen_truth's argument rules: a grid of at least 2 x 2, a finite
+    smoothness, a known sparsity, 0 <= tau_lo <= tau_hi and blob_size >= 1.
+    Raises ConfigurationError naming the first argument that breaks one."""
+    if width < 2 or height < 2:
+        raise ConfigurationError(
+            f"truth grid width and height must be >= 2, got {width}x{height}")
+    if not math.isfinite(smoothness):
+        raise ConfigurationError(f"smoothness must be finite, got {smoothness}")
+    if sparsity not in SPARSITY_CONCENTRATION:
+        raise ConfigurationError(f"sparsity must be one of {tuple(SPARSITY_CONCENTRATION)}")
+    lo, hi = float(tau_range[0]), float(tau_range[1])
+    if not 0 <= lo <= hi:
+        raise ConfigurationError(
+            f"tau_range must satisfy 0 <= tau_lo <= tau_hi, got ({lo}, {hi})")
+    if int(blob_size) < 1:
+        raise ConfigurationError(f"blob_size must be >= 1, got {blob_size}")
+
+
 def gen_truth(
     width: int,
     height: int,
@@ -74,21 +94,16 @@ def gen_truth(
     theta: one Dirichlet draw per blob_size x blob_size tile, with the
     concentration SPARSITY_CONCENTRATION gives: 1 for "dense" (every entry
     strictly positive almost surely), 0.125 for "sparse" (near-one-hot
-    rows).  blob_size must be >= 1.
+    rows).  The arguments must pass check_truth_args.
     """
-    if width < 2 or height < 2:
-        raise ConfigurationError("truth grid dimensions must be >= 2")
-    if sparsity not in SPARSITY_CONCENTRATION:
-        raise ConfigurationError(f"sparsity must be one of {tuple(SPARSITY_CONCENTRATION)}")
+    check_truth_args(width, height, smoothness, sparsity, tau_range, blob_size)
     lo, hi = float(tau_range[0]), float(tau_range[1])
-    if not 0 <= lo <= hi:
-        raise ConfigurationError("tau_range must satisfy 0 <= lo <= hi")
     b = int(blob_size)
-    if b < 1:
-        raise ConfigurationError(f"blob_size must be >= 1, got {blob_size}")
     rng = np.random.default_rng([seed, 11])
     noise = rng.standard_normal((height, width))
-    smooth = _box_smooth(noise, int(round(max(smoothness, 0.0))))
+    # a window wider than the grid already gives the constant field
+    half_width = min(max(smoothness, 0.0), max(width, height))
+    smooth = _box_smooth(noise, int(round(half_width)))
     spread = smooth.max() - smooth.min()
     if spread < 1e-15:
         tau = np.full(width * height, 0.5 * (lo + hi))
@@ -120,14 +135,19 @@ def render_grid(truth_tau, truth_theta, table, width: int, height: int,
     )
 
 
+def check_noise_level(level: float) -> None:
+    """add_noise's rule: the relative noise level is in [0, 1]."""
+    if not 0.0 <= level <= 1.0:
+        raise ConfigurationError(f"noise level must be in [0, 1], got {level}")
+
+
 def add_noise(scene: Scene, level: float, seed: int = 0) -> Scene:
     """Multiplicative Gaussian noise: L -> max(0, L * (1 + level * z)).
 
     level is the relative standard deviation (0.5 reproduces the heavy
     50%-noise stress setup); level 0 returns an identical copy.
     """
-    if not 0.0 <= level <= 1.0:
-        raise ConfigurationError("noise level must be in [0, 1]")
+    check_noise_level(level)
     if level == 0.0:
         noisy = scene.radiance.copy()
     else:

@@ -1,6 +1,7 @@
 """CLI pipelines: subcommands, exit codes, determinism."""
 
 import json
+import shutil
 
 import pytest
 
@@ -22,8 +23,8 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
-# every command range-checks every solver, chain, patch and grid key, read
-# or not, before any output
+# every command range-checks every solver, chain, patch, grid, scene, table,
+# truth and noise key, read or not, before any output
 BAD_SETTINGS = [
     "solver.delta=nan", "solver.epsilon=nan", "solver.epsilon_rel=-1", "solver.tau_max=nan",
     "solver.init=bogus", "solver.alpha=nan", "solver.max_sweeps=0",
@@ -31,6 +32,10 @@ BAD_SETTINGS = [
     "parallel.patches=0", "parallel.executor=bogus",
     "mcmc.burn_in=-1", "mcmc.thin=0", "mcmc.dump_samples=maybe",
     "solver.epsilon=abc", "grid.success_threshold=abc",
+    "noise.level=-1", "truth.tau_lo=5", "truth.tau_hi=-1", "table.knots=1",
+    "table.tau_max=-2", "scene.width=1", "scene.channels=0", "scene.channels=40",
+    "truth.blob_size=0", "scene.region_size_km=-1", "truth.smoothness=nan",
+    "truth.smoothness=inf",
 ]
 
 
@@ -62,6 +67,8 @@ class TestSimulate:
         assert run_cli("simulate", *SMALL, "--out", str(a)) == 0
         assert run_cli("simulate", *SMALL, "--out", str(b)) == 0
         for name in ("scene.json", "radiance.csv", "truth.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        for name in ("radiance.csv.bin", "truth.csv.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_noise_only_touches_observations(self, tmp_path):
@@ -115,6 +122,15 @@ class TestSimulate:
         out = tmp_path / "x"
         code = run_cli("simulate", *SMALL, "--set", setting, "--out", str(out))
         assert_bad_setting_exit(code, capsys, setting, out)
+
+    def test_huge_smoothness_gives_the_constant_field(self, tmp_path):
+        """Any half-width past the grid gives the same constant field."""
+        for value in ("1e300", "100"):
+            assert run_cli("simulate", *SMALL, "--set", f"truth.smoothness={value}",
+                           "--out", str(tmp_path / value)) == 0
+        truth = (tmp_path / "1e300" / "truth.csv").read_bytes()
+        assert truth == (tmp_path / "100" / "truth.csv").read_bytes()
+        assert len({line.split(b",")[0] for line in truth.splitlines()[1:]}) == 1
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run_cli("simulate", "--config", str(tmp_path / "none.ini"),
@@ -221,6 +237,24 @@ class TestRetrieve:
         grid = json.loads((tmp_path / "grid" / "metrics.json").read_text())
         mapm = json.loads((tmp_path / "map" / "metrics.json").read_text())
         assert mapm["rmse"] < grid["rmse"]
+
+    @pytest.mark.parametrize("method, extra", [
+        ("grid", ()), ("map", ("--set", "solver.max_sweeps=3")),
+    ])
+    def test_outputs_do_not_depend_on_the_mirrors(self, scene_dir, tmp_path, method, extra):
+        bare = tmp_path / "bare"
+        shutil.copytree(scene_dir, bare)
+        for name in ("radiance.csv.bin", "truth.csv.bin"):
+            (bare / name).unlink()
+        outs = []
+        for scene in (scene_dir, bare):
+            outs.append(tmp_path / f"{scene.name}-{method}")
+            assert run_cli("retrieve", "--scene", str(scene), "--method", method, *SMALL,
+                           *extra, "--out", str(outs[-1])) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in set(names) - {"manifest.json", "trace.csv"}:  # wall times
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_missing_scene_exits_2(self, tmp_path):
         assert run_cli("retrieve", "--scene", str(tmp_path / "none"), "--method", "map",

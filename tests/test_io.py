@@ -1,5 +1,6 @@
 """Interchange formats: scene directories, sidecars, traces, manifests."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -100,3 +101,130 @@ class TestMatrixCsv:
         io.write_matrix_csv(path, arr)
         back = io.read_matrix_csv(path)
         np.testing.assert_array_equal(back, arr)
+
+
+# values whose shortest repr is unusual: negative zero, the smallest
+# subnormal, a large exponent and a small one
+ODD_VALUES = [-0.0, 5e-324, 1e16, 1e-5]
+
+
+def parse_csv(path, skiprows=0):
+    return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+
+
+def odd_scene(channels):
+    """A 2 x 2 scene whose radiance holds every ODD_VALUES entry."""
+    radiance = np.resize(np.array(ODD_VALUES + [0.125, 3.0]), (4, channels))
+    return al.Scene(width=2, height=2, channels=channels, radiance=radiance,
+                    channel_mask=np.ones(channels, dtype=bool))
+
+
+def save_odd(directory, channels=3):
+    """An odd scene and its truth sidecar; returns the truth matrix."""
+    io.save_scene(directory, odd_scene(channels), al.default_library(),
+                  {"knots": 5, "tau_max": 6.0, "seed": 0})
+    truth = np.resize(np.array(ODD_VALUES[::-1] + [0.25]), (4, 4))
+    io.save_truth(directory, truth[:, 0], truth[:, 1:])
+    return truth
+
+
+@pytest.fixture
+def forbid_parse(monkeypatch):
+    """Call it to make any later CSV parse fail, so that a load must come
+    from the mirrors."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CSV was parsed")
+
+    return lambda: monkeypatch.setattr(np, "loadtxt", refuse)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestMirror:
+    def test_layout(self, tmp_path):
+        truth = save_odd(tmp_path)
+        for name, matrix in (("radiance.csv", odd_scene(3).radiance), ("truth.csv", truth)):
+            data = (tmp_path / f"{name}.bin").read_bytes()
+            header, body = data.split(b"\n", 1)
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            rows, cols = matrix.shape
+            assert header.decode("ascii").split() == [
+                "aodlattice-mirror/1", digest, str(rows), str(cols)]
+            assert body == matrix.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_mirror_load_equals_csv_parse(self, tmp_path, forbid_parse, channels):
+        save_odd(tmp_path, channels)
+        radiance = parse_csv(tmp_path / "radiance.csv")
+        truth = parse_csv(tmp_path / "truth.csv", skiprows=1)
+        forbid_parse()
+        scene, _, _ = io.load_scene(tmp_path)
+        tau, theta = io.load_truth(tmp_path)
+        assert_same_bits(scene.radiance, radiance)
+        assert_same_bits(tau, truth[:, 0])
+        assert_same_bits(theta, truth[:, 1:])
+        assert scene.radiance.flags.writeable and tau.flags.writeable
+        assert np.signbit(scene.radiance).any()  # the -0.0 entries kept their sign
+
+    def test_nan_reads_as_the_csv_parse_does(self, tmp_path, forbid_parse):
+        io.save_truth(tmp_path, np.array([-np.nan, 0.5]), np.array([[0.5], [np.nan]]))
+        want = parse_csv(tmp_path / "truth.csv", skiprows=1)
+        forbid_parse()
+        tau, theta = io.load_truth(tmp_path)
+        assert_same_bits(np.column_stack([tau, theta]), want)
+
+    @pytest.mark.parametrize("name", ["radiance.csv", "truth.csv"])
+    def test_edited_csv_is_read_from_the_csv(self, tmp_path, name):
+        save_odd(tmp_path)
+        path = tmp_path / name
+        path.write_text(path.read_text().replace("1e+16", "2e+16"))
+        scene, _, _ = io.load_scene(tmp_path)
+        tau, theta = io.load_truth(tmp_path)
+        if name == "radiance.csv":
+            assert_same_bits(scene.radiance, parse_csv(path))
+            assert 2e16 in scene.radiance
+        else:
+            assert_same_bits(np.column_stack([tau, theta]), parse_csv(path, skiprows=1))
+            assert 2e16 in theta
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "foreign", "other-digest",
+                                        "header-only", "longer"])
+    def test_damaged_mirror_falls_back_to_the_csv(self, tmp_path, damage):
+        save_odd(tmp_path)
+        for name in ("radiance.csv", "truth.csv"):
+            mirror = tmp_path / f"{name}.bin"
+            data = mirror.read_bytes()
+            header, body = data.split(b"\n", 1)
+            mirror.write_bytes({
+                "truncated": data[:-8],
+                "empty": b"",
+                "foreign": b"\x93NUMPY" + data,
+                "other-digest": header.replace(header.split()[1], b"0" * 64) + b"\n" + body,
+                "header-only": header + b"\n",
+                "longer": data + bytes(8),
+            }[damage])
+        scene, _, _ = io.load_scene(tmp_path)
+        tau, theta = io.load_truth(tmp_path)
+        assert_same_bits(scene.radiance, parse_csv(tmp_path / "radiance.csv"))
+        assert_same_bits(np.column_stack([tau, theta]),
+                         parse_csv(tmp_path / "truth.csv", skiprows=1))
+
+    def test_damaged_mirror_is_not_read(self, tmp_path, forbid_parse):
+        save_odd(tmp_path)
+        (tmp_path / "truth.csv.bin").write_bytes(b"")
+        forbid_parse()
+        io.load_scene(tmp_path)  # the radiance mirror is intact
+        with pytest.raises(AssertionError, match="a CSV was parsed"):
+            io.load_truth(tmp_path)
+
+    def test_scene_without_mirrors_loads(self, tmp_path):
+        truth = save_odd(tmp_path)
+        for mirror in tmp_path.glob("*.bin"):
+            mirror.unlink()
+        scene, _, _ = io.load_scene(tmp_path)
+        tau, theta = io.load_truth(tmp_path)
+        assert_same_bits(scene.radiance, odd_scene(3).radiance)
+        assert_same_bits(np.column_stack([tau, theta]), truth)

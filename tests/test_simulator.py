@@ -22,6 +22,18 @@ class TestGenTruth:
         tau, _ = al.gen_truth(8, 8, 4, smoothness=100.0, seed=1, tau_range=(0.05, 0.6))
         np.testing.assert_array_equal(tau, np.full(64, 0.325))
 
+    def test_smoothness_past_the_grid_is_capped(self):
+        want, _ = al.gen_truth(8, 6, 4, smoothness=8.0, seed=1)
+        for smoothness in (9.0, 1e6, 1e300):
+            tau, _ = al.gen_truth(8, 6, 4, smoothness=smoothness, seed=1)
+            np.testing.assert_array_equal(tau, want)
+        assert np.unique(want).size == 1
+
+    @pytest.mark.parametrize("smoothness", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_smoothness_is_rejected(self, smoothness):
+        with pytest.raises(al.ConfigurationError, match="smoothness"):
+            al.gen_truth(8, 8, 4, smoothness=smoothness)
+
     def test_range_respected(self):
         tau, _ = al.gen_truth(12, 10, 4, smoothness=1.5, seed=2, tau_range=(0.1, 0.5))
         assert tau.min() == pytest.approx(0.1)
