@@ -77,7 +77,6 @@ SCHEMA = {
         "epsilon_rel": (_NUMBER, "1e-4", "relative stop threshold on the first sweep"),
         "max_sweeps": (_INT, "200", "sweep cap"),
         "alpha": (_NUMBER, "1.0", "symmetric Dirichlet concentration of the prior"),
-        "tau_max": (_NUMBER, "6.0", "AOD bound of the retrieval"),
         "init": _choice(INIT_STRATEGIES, "flat", "initialization"),
     },
     "mcmc": {
@@ -113,8 +112,9 @@ def load_config(path, overrides):
 
     Returns (text, cfg): the merged values as written, per section and key
     (what manifest.json records), and the same values parsed by their
-    SCHEMA kinds.  An unknown section or key, or a value of the wrong kind
-    in any key, raises ConfigurationError naming it.
+    SCHEMA kinds.  An unknown key, a value of the wrong kind, a scene,
+    table, truth or noise value its owner's rules reject, or truth.tau_hi
+    above table.tau_max raises ConfigurationError naming it, before any work.
     """
     parser = configparser.ConfigParser()
     parser.read_dict(DEFAULTS)
@@ -152,23 +152,25 @@ def load_config(path, overrides):
                 raise ConfigurationError(
                     f"[{section}] {key}: expected {expected}, got {raw!r}"
                 ) from None
+    sim, table, truth = cfg["scene"], cfg["table"], cfg["truth"]
+    check_table_args(sim["channels"], table["knots"], table["tau_max"])
+    check_truth_args(sim["width"], sim["height"], truth["smoothness"], truth["sparsity"],
+                     (truth["tau_lo"], truth["tau_hi"]), truth["blob_size"])
+    if truth["tau_hi"] > table["tau_max"]:
+        raise ConfigurationError(f"truth.tau_hi must be <= table.tau_max (the table's AOD "
+                                 f"range), got {truth['tau_hi']} > {table['tau_max']}")
+    check_noise_level(cfg["noise"]["level"])
+    check_scene_shape(sim["width"], sim["height"], sim["channels"], sim["region_size_km"])
     return text, cfg
 
 
 def _run_configs(cfg, table, scene, lattice):
-    """Build the solver, chain and grid configs and range-check them,
-    parallel.patches and the scene, table, truth and noise keys by the
-    rules of the functions that own them, for every command whether or not
-    it reads them, so a bad value exits 2 before any output.  Returns
-    (SolverConfig, McmcConfig, GridSearchConfig)."""
-    sim, truth = cfg["scene"], cfg["truth"]
-    check_table_args(sim["channels"], cfg["table"]["knots"], cfg["table"]["tau_max"])
-    check_truth_args(sim["width"], sim["height"], truth["smoothness"], truth["sparsity"],
-                     (truth["tau_lo"], truth["tau_hi"]), truth["blob_size"])
-    check_noise_level(cfg["noise"]["level"])
-    check_scene_shape(sim["width"], sim["height"], sim["channels"], sim["region_size_km"])
+    """Build the solver, chain and grid configs and range-check them and
+    parallel.patches, for every command whether or not it reads them, so a
+    bad value exits 2 before any output.  Returns (SolverConfig,
+    McmcConfig, GridSearchConfig)."""
     solver, mcmc, grid, seed = cfg["solver"], cfg["mcmc"], cfg["grid"], cfg["run"]["seed"]
-    hyper = HyperParams.dirichlet(table.n_components, solver["alpha"], tau_max=solver["tau_max"])
+    hyper = HyperParams.dirichlet(table.n_components, solver["alpha"])
     solver_cfg = SolverConfig(hyper=hyper, delta=solver["delta"], epsilon=solver["epsilon"],
                               epsilon_rel=solver["epsilon_rel"],
                               max_sweeps=solver["max_sweeps"], seed=seed)

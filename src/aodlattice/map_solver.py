@@ -1,8 +1,8 @@
 """MAP retrieval by coordinate-wise stochastic search.
 
 Every region p draws a new AOD value tau_p (Gaussian centered on the
-neighbor mean, width delta, clamped into [tau_lo, tau_hi], where the AOD
-prior's [0, tau_max] meets the forward table's range) and a new
+neighbor mean, width delta, clamped into [tau_lo, tau_hi], the forward
+table's knot range floored at 0, the one AOD domain) and a new
 composition row theta_p (independent Gamma draws with the neighbor-mean
 shapes, floored at SHAPE_FLOOR and normalized to the simplex;
 equivalently a Dirichlet draw with the neighbor means as concentration).
@@ -281,16 +281,16 @@ def init_state(
     kappa = 1.  coarse_grid: per-region winner of the default grid-search
     baseline, then one neighbor-averaging pass over tau.  random: uniform
     tau and Dirichlet(1) theta rows, for multi-start stability runs.
+    No strategy reads hyper: the AOD range is the forward table's.
     """
     M = forward.n_components
     P = scene.n_regions
-    tau_hi = min(hyper.tau_max, forward.tau_max)
     if strategy == "flat":
-        tau = np.full(P, min(0.2, tau_hi))
+        tau = np.full(P, min(0.2, forward.tau_max))
         theta = np.full((P, M), 1.0 / M)
     elif strategy == "random":
         rng = np.random.default_rng([seed, _STREAM_INIT])
-        tau = rng.uniform(0.02, min(1.0, tau_hi), size=P)
+        tau = rng.uniform(0.02, min(1.0, forward.tau_max), size=P)
         theta = floor_simplex(rng.dirichlet(np.ones(M), size=P))
     elif strategy == "coarse_grid":
         from .baselines import GridSearchConfig, grid_search_retrieve
@@ -299,7 +299,7 @@ def init_state(
             lattice = build_lattice(scene.width, scene.height)
         cfg = GridSearchConfig.defaults(forward, scene)
         tau_g, theta_g, _success = grid_search_retrieve(scene, forward, cfg)
-        tau = np.clip(tau_g, 0.0, tau_hi)
+        tau = np.clip(tau_g, 0.0, forward.tau_max)
         neighbours = _gather_neighbours(tau, lattice, slice(None))
         tau = (tau + _slot_sum(neighbours)) / (1 + lattice.n_p)
         theta = floor_simplex(theta_g)
@@ -335,7 +335,7 @@ class Workspace:
         self.sigma2 = state.sigma2.astype(float).copy()
         self.kappa = float(state.kappa)
         self.tau_lo = max(0.0, forward.tau_min)
-        self.tau_hi = min(hyper.tau_max, forward.tau_max)
+        self.tau_hi = forward.tau_max
         self.pred = forward.eval_batch(self.tau, self.theta)
         self.S = self.sse = None
 

@@ -50,7 +50,6 @@ import numpy as np
 THETA_FLOOR = 1e-12
 SIGMA2_FLOOR = 1e-12
 KAPPA_CAP = 1e12
-TAU_MAX = 6.0
 
 
 class ConfigurationError(ValueError):
@@ -66,34 +65,30 @@ class HyperParams:
     """Fixed hyperparameters of the hierarchical model.
 
     alpha is the Dirichlet concentration vector (length M, all entries > 0).
-    tau_max bounds the AOD search range and must be finite and positive.
     The guards of the closed-form sigma2 and kappa updates are the module
     constants SIGMA2_FLOOR and KAPPA_CAP.
     """
 
     alpha: np.ndarray
-    tau_max: float = TAU_MAX
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
 
     @classmethod
-    def uniform(cls, n_components: int, **kwargs) -> "HyperParams":
+    def uniform(cls, n_components: int) -> "HyperParams":
         """Uniform prior on the simplex: alpha = 1 for every component."""
-        return cls(alpha=np.ones(n_components), **kwargs)
+        return cls(alpha=np.ones(n_components))
 
     @classmethod
-    def dirichlet(cls, n_components: int, concentration: float, **kwargs) -> "HyperParams":
+    def dirichlet(cls, n_components: int, concentration: float) -> "HyperParams":
         """Symmetric Dirichlet prior with the given concentration."""
-        return cls(alpha=np.full(n_components, float(concentration)), **kwargs)
+        return cls(alpha=np.full(n_components, float(concentration)))
 
     def validate(self) -> None:
         if self.alpha.ndim != 1 or self.alpha.size < 2:
             raise ConfigurationError("alpha must be a vector of length >= 2")
         if not np.all(np.isfinite(self.alpha)) or np.any(self.alpha <= 0):
             raise ConfigurationError("alpha entries must be finite and > 0")
-        if not (math.isfinite(self.tau_max) and self.tau_max > 0):
-            raise ConfigurationError(f"tau_max must be finite and > 0, got {self.tau_max}")
 
 
 @dataclass
@@ -235,7 +230,7 @@ def _gather_neighbours(values: np.ndarray, lattice: LatticeTopology, rows) -> np
 class RetrievalState:
     """Current values of all model variables.
 
-    tau: AOD per region (length P, each in [0, tau_max]).
+    tau: AOD per region (length P, each >= 0 and in the forward table's range).
     theta: composition per region (P x M, rows on the simplex).
     sigma2: per-channel noise variance (length C, floored positive).
     kappa: GMRF smoothness precision (nonnegative, finite).
@@ -261,11 +256,13 @@ class RetrievalState:
 
 
 def validate_state(state: RetrievalState, hyper: HyperParams) -> None:
-    """Raise ValueError when any RetrievalState invariant is violated."""
-    if np.any(state.tau < 0) or np.any(state.tau > hyper.tau_max):
-        raise ValueError("tau out of [0, tau_max]")
-    if not np.all(np.isfinite(state.tau)):
-        raise ValueError("tau contains non-finite values")
+    """Raise ValueError when any RetrievalState invariant is violated; the
+    prior's one rule is that theta has len(hyper.alpha) columns.  tau above
+    the forward table's range is eval_batch's DomainError."""
+    if not np.all(np.isfinite(state.tau)) or np.any(state.tau < 0):
+        raise ValueError("tau must be finite and >= 0")
+    if state.theta.ndim != 2 or state.theta.shape[1] != hyper.alpha.size:
+        raise ValueError(f"theta shape {state.theta.shape} != (P, {hyper.alpha.size}) of alpha")
     if not np.all(np.isfinite(state.theta)):
         raise ValueError("theta contains non-finite values")
     if np.any(state.theta < 0):

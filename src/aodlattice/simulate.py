@@ -89,8 +89,8 @@ def gen_truth(
     """Sample a ground-truth (tau field, theta field).
 
     tau: white noise box-smoothed with half-width round(smoothness), then
-    affinely rescaled into tau_range (a degenerate spread maps to the
-    range midpoint, so the large-smoothness limit is a constant field).
+    affinely rescaled into tau_range and capped at tau_hi against rounding
+    (a degenerate spread, the large-smoothness limit, maps to the midpoint).
     theta: one Dirichlet draw per blob_size x blob_size tile, with the
     concentration SPARSITY_CONCENTRATION gives: 1 for "dense" (every entry
     strictly positive almost surely), 0.125 for "sparse" (near-one-hot
@@ -108,7 +108,7 @@ def gen_truth(
     if spread < 1e-15:
         tau = np.full(width * height, 0.5 * (lo + hi))
     else:
-        tau = (lo + (smooth - smooth.min()) * (hi - lo) / spread).ravel()
+        tau = np.minimum(lo + (smooth - smooth.min()) * (hi - lo) / spread, hi).ravel()
 
     conc = SPARSITY_CONCENTRATION[sparsity]
     rows = np.arange(height) // b

@@ -32,7 +32,7 @@ BAD_SETTINGS = [
     "parallel.patches=0", "parallel.executor=bogus",
     "mcmc.burn_in=-1", "mcmc.thin=0", "mcmc.dump_samples=maybe",
     "solver.epsilon=abc", "grid.success_threshold=abc",
-    "noise.level=-1", "truth.tau_lo=5", "truth.tau_hi=-1", "table.knots=1",
+    "noise.level=-1", "truth.tau_lo=5", "truth.tau_hi=-1", "truth.tau_hi=9", "table.knots=1",
     "table.tau_max=-2", "scene.width=1", "scene.channels=0", "scene.channels=40",
     "truth.blob_size=0", "scene.region_size_km=-1", "truth.smoothness=nan",
     "truth.smoothness=inf",
@@ -136,11 +136,14 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(tmp_path / "none.ini"),
                        "--out", str(tmp_path / "x")) == 2
 
-    def test_truth_outside_table_range_exits_2(self, tmp_path, capsys):
+    def test_truth_at_the_table_range_top_is_rendered(self, tmp_path):
+        """truth.tau_hi = table.tau_max is allowed; the rescaled truth field
+        stays at or below it (this seed's rescale rounds one ulp above)."""
         out = tmp_path / "x"
-        assert run_cli("simulate", *SMALL, "--set", "truth.tau_hi=9", "--out", str(out)) == 2
-        assert capsys.readouterr().err.startswith("error:")
-        assert not out.exists()
+        assert run_cli("simulate", *SMALL, "--set", "run.seed=5", "--set", "truth.tau_hi=3.3",
+                       "--set", "table.tau_max=3.3", "--set", "truth.smoothness=0",
+                       "--out", str(out)) == 0
+        assert io.load_truth(out)[0].max() <= 3.3
 
     def test_invalid_scene_is_not_written(self, tmp_path, capsys):
         out = tmp_path / "x"

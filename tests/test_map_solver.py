@@ -20,7 +20,7 @@ from aodlattice.map_solver import (
 )
 from aodlattice.model import _gather_neighbours, floor_simplex, gmrf_roughness
 
-from conftest import random_scene, random_state
+from conftest import random_scene, random_state, tiny_library
 from oracles import golden_max, oracle_neighbours, oracle_sweep_regions
 
 
@@ -96,20 +96,22 @@ class TestProposeTau:
         assert abs(raw.mean() - 0.2) < 3 * se
         assert raw.std() == pytest.approx(0.05, rel=0.02)
 
-    def test_clamped_to_bounds(self, small_table):
+    def test_clamped_to_bounds(self):
         """Wide proposals leave [tau_lo, tau_hi]; the kernel clamps them to
-        the workspace's bounds, here hyper.tau_max = 1 below the table's 6,
-        and a truth on a bound makes the clamped candidates win."""
+        the workspace's bounds, the table's knot range [0, 1] here, and a
+        truth on a bound makes the clamped candidates win."""
+        table = al.build_synthetic_table(tiny_library(), channels=4, knots=9, tau_max=1.0,
+                                         seed=5)
         lat = al.build_lattice(6, 6)
-        hyper = al.HyperParams(alpha=np.ones(3), tau_max=1.0)
+        hyper = al.HyperParams(alpha=np.ones(3))
         cfg = al.SolverConfig(hyper=hyper, seed=4, delta=3.0)
         theta = np.full((lat.n_regions, 3), 1 / 3)
         for bound in (0.0, 1.0):
-            radiance = small_table.eval_batch(np.full(lat.n_regions, bound), theta)
+            radiance = table.eval_batch(np.full(lat.n_regions, bound), theta)
             scene = al.Scene(6, 6, 4, radiance, np.ones(4, dtype=bool))
             init = al.RetrievalState(tau=np.full(lat.n_regions, 0.5), theta=theta,
                                      sigma2=np.full(4, 1e-2), kappa=1e-6)
-            ws = Workspace(scene, small_table, lat, hyper, init)
+            ws = Workspace(scene, table, lat, hyper, init)
             assert (ws.tau_lo, ws.tau_hi) == (0.0, 1.0)
             _, _, raw = _class_tau_draw(init, lat, 0, cfg.seed, 1, cfg.delta)
             assert np.any(raw < 0.0) and np.any(raw > 1.0)
@@ -206,7 +208,7 @@ class TestSweepKernel:
         assert u is None
         i = lat.class_pos[p]
         mean = init.tau[nbrs[p]].mean()
-        assert tau_new == min(max(mean + cfg.delta * z[i], 0.0), hyper.tau_max)
+        assert tau_new == min(max(mean + cfg.delta * z[i], ws.tau_lo), ws.tau_hi)
         np.testing.assert_array_equal(theta_new, floor_simplex(gammas[i] / gammas[i].sum()))
 
         d_tau = al.delta_log_posterior_tau(init, scene, lat, small_table, p, tau_new)
@@ -533,7 +535,7 @@ class TestInitState:
             lat = al.build_lattice(w, h)
             tau_g, _, _ = grid_search_retrieve(
                 scene, small_table, GridSearchConfig.defaults(small_table, scene))
-            tau = np.clip(tau_g, 0.0, min(hyper.tau_max, small_table.tau_max))
+            tau = np.clip(tau_g, 0.0, small_table.tau_max)
             want = tau.copy()
             for p, nb in enumerate(oracle_neighbours(w, h)):
                 want[p] = (tau[p] + tau[nb].sum()) / (1 + len(nb))

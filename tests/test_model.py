@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import aodlattice as al
+from aodlattice import map_solver, mcmc
 from aodlattice.map_solver import Workspace
 from aodlattice.model import _misfit_change, log_posterior_terms
 
@@ -314,6 +315,13 @@ class TestValidation:
         with pytest.raises(al.ConfigurationError, match="region_size_km"):
             nosize.validate()
 
+    def test_theta_width_must_match_the_prior(self):
+        """A theta of M columns under a prior of another length is a state
+        error, not a numpy broadcast failure in the log-posterior terms."""
+        state = random_state(np.random.default_rng(16), 9, 3, 4)
+        with pytest.raises(ValueError, match=r"theta shape \(9, 3\) != \(P, 4\)"):
+            al.validate_state(state, al.HyperParams.uniform(4))
+
     def test_nonfinite_theta_rejected(self):
         rng = np.random.default_rng(15)
         state = random_state(rng, 9, 3, 4)
@@ -321,15 +329,34 @@ class TestValidation:
         with pytest.raises(ValueError, match="theta"):
             al.validate_state(state, al.HyperParams.uniform(3))
 
-    def test_state_invariants(self):
+    def test_state_invariants(self, small_table, monkeypatch):
         rng = np.random.default_rng(14)
         state = random_state(rng, 9, 3, 4)
         hyper = al.HyperParams.uniform(3)
         al.validate_state(state, hyper)
         bad = state.copy()
-        bad.tau[0] = 7.0
-        with pytest.raises(ValueError):
+        bad.tau[0] = -0.1
+        with pytest.raises(ValueError, match="tau"):
             al.validate_state(bad, hyper)
+        # above the table's range: every solver's start-up rejects it
+        bad = state.copy()
+        bad.tau[0] = 7.0
+
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(map_solver, "_sweep_step", no_sweep)
+        monkeypatch.setattr(mcmc, "_sweep_step", no_sweep)
+        scene = random_scene(small_table, rng)
+        lat = al.build_lattice(3, 3)
+        cfg = al.SolverConfig(hyper=hyper)
+        mcfg = al.McmcConfig(hyper=hyper, iterations=2, burn_in=0, thin=1)
+        for start in (lambda: al.run_map(scene, small_table, lat, cfg, bad),
+                      lambda: al.run_map_parallel(scene, small_table, lat, cfg, 2, bad),
+                      lambda: al.run_mcmc(scene, small_table, lat, mcfg, bad),
+                      lambda: al.mh_sweep(bad, scene, small_table, lat, mcfg)):
+            with pytest.raises(al.DomainError):
+                start()
         bad = state.copy()
         bad.theta[0] = np.array([0.6, 0.6, -0.2])
         with pytest.raises(ValueError):
