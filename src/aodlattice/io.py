@@ -5,7 +5,11 @@ library records, forward-table parameters) plus radiance.csv, a headerless
 P x C matrix, row-major in region index with channel columns ascending.
 The truth sidecar truth.csv carries tau and the theta row per region.
 Floats are written with repr (shortest round-trip), so identical runs
-produce byte-identical files.
+produce byte-identical files.  A matrix is written a block of at most
+_BLOCK_VALUES values at a time: the block's .tolist() floats go through
+one "%r,%r,...\n" format repeated once per row, a single C-level call
+whose %r is repr, so the bytes are those of a per-value repr loop at a
+fraction of its cost, and memory stays bounded by the block, not the file.
 
 save_scene and save_truth also write a binary mirror next to each CSV
 (radiance.csv.bin, truth.csv.bin): one ASCII header line
@@ -39,17 +43,38 @@ RADIANCE_CSV = "radiance.csv"
 TRUTH_CSV = "truth.csv"
 MIRROR_TAG = b"aodlattice-mirror/1"
 _CHUNK = 1 << 20  # bytes per read while hashing a CSV
+_BLOCK_VALUES = 4096  # values formatted per call while writing a matrix
 
 
 def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _as_matrix(array) -> np.ndarray:
+    """`array` as a 2-D float matrix (a 1-D input is one row); ValueError
+    for any other number of dimensions."""
+    matrix = np.atleast_2d(np.asarray(array, dtype=float))
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a matrix, got an array of shape {matrix.shape}")
+    return matrix
+
+
+def _write_rows(fh, matrix: np.ndarray) -> None:
+    """Write the rows of a 2-D float matrix as CSV lines, repr per value."""
+    rows, cols = matrix.shape
+    line = ",".join(["%r"] * cols) + "\n"
+    step = max(1, _BLOCK_VALUES // max(cols, 1))
+    for start in range(0, rows, step):
+        block = matrix[start:start + step]
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_matrix_csv(path, array: np.ndarray) -> None:
-    array = np.atleast_2d(np.asarray(array, dtype=float))
+    """Headerless CSV of a matrix (a 1-D array is one row); anything with
+    more dimensions raises ValueError before the file is opened."""
+    matrix = _as_matrix(array)
     with open(path, "w") as fh:
-        for row in array:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, matrix)
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -206,11 +231,11 @@ def save_truth(directory, truth_tau: np.ndarray, truth_theta: np.ndarray) -> Non
     plus its mirror."""
     path = Path(directory) / TRUTH_CSV
     M = truth_theta.shape[1]
+    matrix = _as_matrix(np.column_stack([truth_tau, truth_theta]))  # raises before any write
     with open(path, "w") as fh:
         fh.write("tau," + ",".join(f"theta_{m + 1}" for m in range(M)) + "\n")
-        for t, row in zip(truth_tau, truth_theta):
-            fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
-    _write_mirror(path, np.column_stack([truth_tau, truth_theta]))
+        _write_rows(fh, matrix)
+    _write_mirror(path, matrix)
 
 
 def load_truth(directory):

@@ -260,11 +260,37 @@ def update_sigma(state: RetrievalState, scene: Scene, forward) -> np.ndarray:
     Floored at SIGMA2_FLOOR (a perfect fit would otherwise divide later
     evaluations by zero); masked-out channels keep their current value.
     """
-    sse = _channel_sse(scene.radiance, forward.eval_batch(state.tau, state.theta))
+    return _sigma_from_pred(state, scene, forward.eval_batch(state.tau, state.theta))
+
+
+def _sigma_from_pred(state: RetrievalState, scene: Scene, pred) -> np.ndarray:
+    """update_sigma given pred, the forward radiance of state.tau and state.theta."""
+    sse = _channel_sse(scene.radiance, pred)
     out = state.sigma2.copy()
     mask = scene.channel_mask
     out[mask] = _sigma2_from_sse(sse[mask], scene.n_regions)
     return out
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """a and b are float64 arrays of one shape holding the same bits."""
+    return (a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+def _take_start(state: RetrievalState, forward):
+    """(tau, theta, pred) for a Workspace built from `state`: init_state's
+    private copies of the start arrays and their forward radiance, handed
+    over once.  None when there are none, or when `forward` or the state's
+    tau or theta are not bitwise what they were computed from (say, the
+    state was edited in place)."""
+    start = state.__dict__.pop("_start", None)
+    if start is None:
+        return None
+    fwd, tau, theta, pred = start
+    if fwd is forward and _same_bits(state.tau, tau) and _same_bits(state.theta, theta):
+        return tau, theta, pred
+    return None
 
 
 def init_state(
@@ -306,7 +332,10 @@ def init_state(
     else:
         raise ConfigurationError(f"unknown init strategy: {strategy}")
     state = RetrievalState(tau=tau, theta=theta, sigma2=np.ones(scene.channels), kappa=1.0)
-    state.sigma2 = update_sigma(state, scene, forward)
+    pred = forward.eval_batch(state.tau, state.theta)
+    state.sigma2 = _sigma_from_pred(state, scene, pred)
+    # for the first Workspace built from this state (_take_start)
+    state._start = (forward, state.tau.copy(), state.theta.copy(), pred)
     return state
 
 
@@ -318,7 +347,9 @@ class Workspace:
     residual sums.  The kernel keeps pred consistent with every accepted
     move; S and sse are recomputed by resync(), which the run start and
     every sweep boundary call before the closed-form kappa and sigma2
-    steps read them.
+    steps read them.  A state that init_state returned, unedited, hands
+    over its start arrays and the pred its sigma2 step computed, so a run
+    from it evaluates the start state once, not twice.
     """
 
     def __init__(self, scene: Scene, forward, lattice: LatticeTopology,
@@ -330,13 +361,17 @@ class Workspace:
         self.obs = scene.radiance
         self.mask = scene.channel_mask
         self.alpha_m1 = hyper.alpha - 1.0
-        self.tau = state.tau.astype(float).copy()
-        self.theta = state.theta.astype(float).copy()
+        start = _take_start(state, forward)
+        if start is None:
+            self.tau = state.tau.astype(float).copy()
+            self.theta = state.theta.astype(float).copy()
+            self.pred = forward.eval_batch(self.tau, self.theta)
+        else:
+            self.tau, self.theta, self.pred = start
         self.sigma2 = state.sigma2.astype(float).copy()
         self.kappa = float(state.kappa)
         self.tau_lo = max(0.0, forward.tau_min)
         self.tau_hi = forward.tau_max
-        self.pred = forward.eval_batch(self.tau, self.theta)
         self.S = self.sse = None
 
     def resync(self) -> None:

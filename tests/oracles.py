@@ -315,3 +315,10 @@ def oracle_tie_theta(pred, mixtures, j, labels):
     if members.sum() == 1:
         return mixtures[g]
     return floor_simplex(mixtures[members].mean(axis=0))
+
+
+def oracle_matrix_csv(array):
+    """The text of a headerless matrix CSV written one value at a time,
+    repr(float(v)) per value, one str.join per row (a 1-D array is one row)."""
+    array = np.atleast_2d(np.asarray(array, dtype=float))
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in array)

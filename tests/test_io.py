@@ -9,6 +9,8 @@ import pytest
 import aodlattice as al
 from aodlattice import io
 
+from oracles import oracle_matrix_csv
+
 
 class TestSceneRoundtrip:
     def test_save_load_exact(self, library, table36, tmp_path):
@@ -106,6 +108,62 @@ class TestMatrixCsv:
 # values whose shortest repr is unusual: negative zero, the smallest
 # subnormal, a large exponent and a small one
 ODD_VALUES = [-0.0, 5e-324, 1e16, 1e-5]
+# plus the non-finite spellings and two reprs that are not the digits typed
+WRITER_VALUES = ODD_VALUES + [np.nan, -np.nan, np.inf, -np.inf, 1e22, 0.1, 0.125, 3.0]
+
+
+def writer_matrix(rows, cols):
+    """rows x cols of WRITER_VALUES, cycled."""
+    return np.resize(np.array(WRITER_VALUES), (rows, cols))
+
+
+class TestMatrixWriterBytes:
+    """write_matrix_csv and save_truth give the per-value repr writer's
+    bytes, with the block size at its default and small enough (7 values)
+    that block boundaries fall inside rows and inside the file."""
+
+    @pytest.fixture(params=[None, 7], ids=["default-block", "block-7"])
+    def block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(io, "_BLOCK_VALUES", request.param)
+
+    @pytest.mark.parametrize("cols", [1, 3, 36])
+    @pytest.mark.parametrize("rows", [1, 5, 40])
+    def test_matrix(self, tmp_path, block, rows, cols):
+        array = writer_matrix(rows, cols)
+        io.write_matrix_csv(tmp_path / "m.csv", array)
+        assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(array).encode()
+
+    @pytest.mark.parametrize("array", [
+        np.array([[True, False, True], [False, False, True]]),
+        np.array(WRITER_VALUES),
+        np.zeros((0, 3)),
+        np.zeros((1, 0)),
+        np.zeros((9, 0)),
+        np.arange(12, dtype=np.int64).reshape(4, 3),
+        np.float32(0.1),
+    ], ids=["bool", "1-D", "0x3", "1x0", "9x0", "int", "float32-scalar"])
+    def test_edge_inputs(self, tmp_path, block, array):
+        io.write_matrix_csv(tmp_path / "m.csv", array)
+        assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(array).encode()
+
+    @pytest.mark.parametrize("M", [1, 3, 35])
+    def test_truth_rows(self, tmp_path, block, M):
+        matrix = writer_matrix(23, M + 1)
+        io.save_truth(tmp_path, matrix[:, 0], matrix[:, 1:])
+        header, body = (tmp_path / "truth.csv").read_bytes().split(b"\n", 1)
+        assert header.decode() == "tau," + ",".join(f"theta_{m + 1}" for m in range(M))
+        assert body == oracle_matrix_csv(matrix).encode()
+
+    def test_three_dims_rejected_before_open(self, tmp_path):
+        with pytest.raises(ValueError, match="matrix"):
+            io.write_matrix_csv(tmp_path / "m.csv", np.zeros((2, 2, 2)))
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_truth_length_mismatch_writes_nothing(self, tmp_path):
+        with pytest.raises(ValueError):
+            io.save_truth(tmp_path, np.array([0.1, 0.2, 0.3]), np.full((2, 2), 0.5))
+        assert list(tmp_path.iterdir()) == []
 
 
 def parse_csv(path, skiprows=0):

@@ -34,6 +34,21 @@ def _class_tau_draw(state, lat, colour, seed, sweep, delta):
     return members, mean, raw
 
 
+class CountingTable:
+    """A forward table that counts the rows eval_batch is asked for."""
+
+    def __init__(self, table):
+        self._table = table
+        self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(self._table, name)
+
+    def eval_batch(self, tau, theta):
+        self.rows += len(tau)
+        return self._table.eval_batch(tau, theta)
+
+
 class TestProposeTau:
     """The tau proposal as the sweep kernel draws it, a class at a time."""
 
@@ -541,6 +556,37 @@ class TestInitState:
                 want[p] = (tau[p] + tau[nb].sum()) / (1 + len(nb))
             got = al.init_state(scene, small_table, "coarse_grid", hyper, lattice=lat)
             np.testing.assert_array_equal(got.tau, want)
+
+    def test_start_prediction_evaluated_once(self, small_table):
+        """The solver's workspace takes over init_state's forward pass and
+        its private copies of the start arrays; a state edited in place
+        after init_state, or another table, gets a fresh evaluation.  The
+        workspace always starts from the state's current tau and theta,
+        in arrays of its own, with their prediction."""
+        rng = np.random.default_rng(29)
+        scene = random_scene(small_table, rng)
+        hyper = al.HyperParams.uniform(3)
+        lat = al.build_lattice(3, 3)
+        table = CountingTable(small_table)
+        for edit in (None, "tau", "theta", "table"):
+            init = al.init_state(scene, table, "random", hyper, seed=4)
+            if edit == "tau":
+                init.tau[4] += 0.25
+            elif edit == "theta":
+                init.theta[2] = init.theta[2, ::-1].copy()
+            forward = CountingTable(small_table) if edit == "table" else table
+            table.rows = forward.rows = 0
+            ws = Workspace(scene, forward, lat, hyper, init)
+            assert forward.rows == (0 if edit is None else 9)
+            assert forward is table or table.rows == 0
+            want = small_table.eval_batch(init.tau, init.theta)
+            assert ws.pred.tobytes() == want.tobytes()
+            assert ws.tau.tobytes() == init.tau.tobytes()
+            assert ws.theta.tobytes() == init.theta.tobytes()
+            assert not np.shares_memory(ws.tau, init.tau)
+            assert not np.shares_memory(ws.theta, init.theta)
+            again = Workspace(scene, table, lat, hyper, init)  # handed over only once
+            assert again.pred.tobytes() == want.tobytes() and again.pred is not ws.pred
 
     def test_coarse_grid_no_worse_than_flat(self, table36, library):
         sim = al.make_sim_scene(table36, 8, 8, seed=21)
