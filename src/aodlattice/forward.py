@@ -11,9 +11,10 @@ weights -> n x C radiances) plus the attributes n_components, n_channels,
 tau_min and tau_max; the solvers, the grid search and the renderer use
 nothing else, so any object with that surface (for instance a reader over
 a precomputed radiative-transfer dataset) can replace the synthetic table
-without touching them.  eval_batch works row by row elementwise, adding
-the components in a fixed order, so one row and n rows give the same
-bits and a rendered scene re-evaluates to zero misfit.
+without touching them.  eval_batch evaluates each row by two contractions
+over the components, one per bracketing knot, that never mix rows, so
+one row and n rows give the same bits and a rendered scene re-evaluates
+to zero misfit.
 
 The synthetic table is deterministic in its seed and built so that
 
@@ -133,8 +134,8 @@ class RadianceTable:
     """
 
     def __init__(self, tau_knots: np.ndarray, values: np.ndarray):
-        self.tau_knots = np.asarray(tau_knots, dtype=float)
-        self.values = np.asarray(values, dtype=float)
+        self.tau_knots = np.array(tau_knots, dtype=float)
+        self.values = np.array(values, dtype=float)
         if self.tau_knots.ndim != 1 or self.tau_knots.size < 2:
             raise ConfigurationError("need at least 2 tau knots")
         if np.any(np.diff(self.tau_knots) <= 0):
@@ -143,6 +144,12 @@ class RadianceTable:
             raise ConfigurationError("values must be M x K x C with K = len(tau_knots)")
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
             raise ConfigurationError("table values must be finite and >= 0")
+        # Knot-major copy (K x M x C) for eval_batch's gathers.  The table
+        # owns all three arrays and freezes them, so the copy cannot go
+        # stale.
+        self._knot_major = np.ascontiguousarray(self.values.transpose(1, 0, 2))
+        for a in (self.tau_knots, self.values, self._knot_major):
+            a.flags.writeable = False
 
     @property
     def n_components(self) -> int:
@@ -163,12 +170,15 @@ class RadianceTable:
     def eval_batch(self, tau: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Radiance for n regions at once: tau (n,), theta (n, M) -> (n, C).
 
-        Each component's curve is interpolated between the knots around
-        tau, weighted, and added to the sum in component order, all
-        elementwise, so a row's bits do not depend on the other rows: one
-        row alone, any split of the rows and the whole batch give the same
-        bits.  Rows go in blocks of _MIX_BLOCK, which bounds the
-        temporaries.
+        Per row, two contractions over the components: theta * (1 - w)
+        against the knot values below tau, theta * w against those above,
+        then the two sums are added.  np.einsum with its default
+        optimize=False sums each output element over the components in
+        order and never hands the contraction to BLAS, so a row's bits do
+        not depend on the other rows: one row alone, any split of the rows
+        and the whole batch give the same bits.  (A GEMM per knot interval
+        is faster but blocks rows, and its bits move with the batch.)
+        Rows go in blocks of _MIX_BLOCK, which bounds the temporaries.
         """
         tau = np.asarray(tau, dtype=float)
         theta = np.asarray(theta, dtype=float)
@@ -178,25 +188,20 @@ class RadianceTable:
         idx = np.searchsorted(knots, tau, side="right") - 1
         np.clip(idx, 0, knots.size - 2, out=idx)
         w = (tau - knots[idx]) / (knots[idx + 1] - knots[idx])
+        v = self._knot_major
         out = np.empty((tau.size, self.n_channels))
         for start in range(0, tau.size, _MIX_BLOCK):
             rows = slice(start, start + _MIX_BLOCK)
-            lo, hi = idx[rows], idx[rows] + 1
+            lo = idx[rows]
             w_hi = w[rows, None]
-            w_lo = 1.0 - w_hi
+            th = theta[rows]
             acc = out[rows]
-            for m, curve_knots in enumerate(self.values):
-                curve = curve_knots[lo] * w_lo
-                curve += curve_knots[hi] * w_hi
-                curve *= theta[rows, m, None]
-                if m == 0:
-                    acc[...] = curve
-                else:
-                    acc += curve
+            np.einsum("km,kmc->kc", th * (1.0 - w_hi), v[lo], out=acc)
+            acc += np.einsum("km,kmc->kc", th * w_hi, v[lo + 1])
         return out
 
 
-_MIX_BLOCK = 1024  # rows per interpolation block; its temporaries are a few 1024 x C
+_MIX_BLOCK = 1024  # rows per interpolation block; its largest temporary is one 1024 x M x C gather
 
 
 # Band wavelengths (nm) and camera view angles (degrees from nadir) used to

@@ -355,10 +355,12 @@ def log_posterior(
 
 def _misfit_change(obs, pred_old, pred_new, weights):
     """Weighted sum over channels of the change of the squared residuals,
-    one value per row."""
+    one value per row of the k x C arrays.  weights is a scalar or a
+    (C,) vector; each row's weighted sums are its own (see eval_batch)."""
+    w = np.broadcast_to(weights, obs.shape[-1:])
     r_new = obs - pred_new
     r_old = obs - pred_old
-    return np.sum((r_new * r_new - r_old * r_old) * weights, axis=-1)
+    return np.einsum("kc,kc,c->k", r_new, r_new, w) - np.einsum("kc,kc,c->k", r_old, r_old, w)
 
 
 def _tau_delta(obs, pred_old, pred_new, weights, tau_old, tau_new, ntau, nmask, kappa):

@@ -12,7 +12,12 @@ THETA_FLOOR = 1e-12
 
 
 def oracle_eval_radiance(table, tau, theta):
-    """Loop-based linear interpolation + mixing over the table."""
+    """Loop-based linear interpolation + mixing over the table.
+
+    Per channel: the lower-knot terms (theta_m (1 - w)) L_m(k), summed
+    over m in order, plus the upper-knot terms (theta_m w) L_m(k + 1),
+    summed the same way; the grouping eval_batch uses, so a rendered
+    radiance scores an exact zero misfit here too."""
     knots = [float(k) for k in table.tau_knots]
     vals = table.values
     k = 0
@@ -22,11 +27,13 @@ def oracle_eval_radiance(table, tau, theta):
     M, _, C = vals.shape
     out = np.zeros(C)
     for c in range(C):
-        acc = 0.0
+        lower = 0.0
+        upper = 0.0
         for m in range(M):
-            lm = vals[m, k, c] * (1.0 - w) + vals[m, k + 1, c] * w
-            acc += theta[m] * lm
-        out[c] = acc
+            lower += (theta[m] * (1.0 - w)) * vals[m, k, c]
+        for m in range(M):
+            upper += (theta[m] * w) * vals[m, k + 1, c]
+        out[c] = lower + upper
     return out
 
 

@@ -104,6 +104,31 @@ class TestEvalRadiance:
             halves[part] = small_table.eval_batch(tau[part], theta[part])
         np.testing.assert_array_equal(batch, halves)
 
+    def test_rows_independent_at_production_shape(self, table36):
+        """The same three-way check on the 8-component, 36-channel table,
+        whose shape sets the contraction's inner loops, and with theta
+        given as one row broadcast with stride 0, as _region_tau_deltas
+        passes it."""
+        n = 2 * _MIX_BLOCK + 37
+        M = table36.n_components
+        rng = np.random.default_rng(5)
+        tau = rng.uniform(0, table36.tau_max, n)
+        tau[:3] = table36.tau_min, table36.tau_max, table36.tau_knots[4]
+        theta = rng.dirichlet(np.ones(M), size=n)
+        batch = table36.eval_batch(tau, theta)
+        assert batch.shape == (n, table36.n_channels)
+        alone = np.stack([one_row(table36, tau[p], theta[p]) for p in range(n)])
+        np.testing.assert_array_equal(batch, alone)
+        halves = np.empty_like(batch)
+        for part in (slice(0, None, 2), slice(1, None, 2)):
+            halves[part] = table36.eval_batch(tau[part], theta[part])
+        np.testing.assert_array_equal(batch, halves)
+        shared = np.broadcast_to(theta[0], (n, M))
+        assert shared.strides[0] == 0
+        np.testing.assert_array_equal(
+            table36.eval_batch(tau, shared),
+            np.stack([one_row(table36, tau[p], theta[0]) for p in range(n)]))
+
     def test_grid_matches_scalar_bitwise(self, table36):
         """Every (level, mixture) cell of the level-major rows the grid
         baseline scores in one eval_batch call is the radiance of that level
@@ -156,6 +181,25 @@ class TestSyntheticTable:
         bright = table.values[0, 1:, :]
         absorbing = table.values[1, 1:, :]
         assert np.all(absorbing < bright)
+
+    def test_table_owns_frozen_arrays(self, small_table):
+        """The table copies its inputs and freezes them, so nothing can
+        change the knot values behind eval_batch's cached layout."""
+        knots = small_table.tau_knots.copy()
+        values = small_table.values.copy()
+        table = al.RadianceTable(knots, values)
+        knots[1] += 0.1
+        values[:, 2, :] += 1.0
+        np.testing.assert_array_equal(table.tau_knots, small_table.tau_knots)
+        np.testing.assert_array_equal(table.values, small_table.values)
+        with pytest.raises(ValueError):
+            table.values[0, 2, 0] = 1.0
+        with pytest.raises(ValueError):
+            table.values += 1.0
+        with pytest.raises(ValueError):
+            table.tau_knots[1] = 0.1
+        theta = np.full(3, 1.0 / 3.0)
+        np.testing.assert_array_equal(one_row(table, 0.5, theta), one_row(small_table, 0.5, theta))
 
     def test_input_validation(self):
         lib = tiny_library()

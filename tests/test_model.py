@@ -114,6 +114,38 @@ def _kernel_chi2(scene, state, table):
                           table.eval_batch(state.tau, state.theta), w)
 
 
+class TestMisfitChange:
+    def test_weight_forms_match_explicit_vector(self):
+        """A scalar weight, a (C,) vector, a strided view of one and a
+        masked vector give the bits of the same weights as a fresh
+        contiguous vector, and each row's value is its own."""
+        rng = np.random.default_rng(6)
+        k, C = 50, 36
+        obs, old, new = rng.normal(0.2, 0.05, (3, k, C))
+        vec = rng.uniform(1.0, 50.0, C)
+        mask = rng.random(C) < 0.7
+        forms = [0.0, 3.5, vec, np.repeat(vec, 2)[::2], mask / (2.0 * vec)]
+        for weights in forms:
+            explicit = np.array(np.broadcast_to(weights, (C,)), dtype=float)
+            got = _misfit_change(obs, old, new, weights)
+            np.testing.assert_array_equal(got, _misfit_change(obs, old, new, explicit))
+            for p in (0, 17, k - 1):
+                rows = slice(p, p + 1)
+                np.testing.assert_array_equal(
+                    got[rows], _misfit_change(obs[rows], old[rows], new[rows], explicit))
+        np.testing.assert_array_equal(_misfit_change(obs, old, new, 0.0), np.zeros(k))
+
+    def test_closed_channels_do_not_count(self):
+        rng = np.random.default_rng(7)
+        obs, old, new = rng.normal(0.2, 0.05, (3, 9, 12))
+        mask = np.arange(12) % 3 != 0
+        w = mask / (2.0 * rng.uniform(0.01, 0.05, 12))
+        want = _misfit_change(obs, old, new, w)
+        new[:, ~mask] += 1.0
+        obs[:, ~mask] -= 2.0
+        np.testing.assert_array_equal(_misfit_change(obs, old, new, w), want)
+
+
 class TestChiSquareRegion:
     def test_exact_fit_is_zero(self, small_table):
         rng = np.random.default_rng(1)

@@ -82,9 +82,9 @@ def _lib_runs() -> None:
 
     rng = np.random.default_rng(5)
     emit("floor_simplex", floor_simplex(rng.dirichlet(np.full(8, 0.05), size=50)))
-    flat = al.init_state(scene, small, "flat", hyper)
-    rand = al.init_state(scene, small, "random", hyper, seed=3)
-    coarse = al.init_state(scene, small, "coarse_grid", hyper, lattice=lat)
+    flat = al.init_state(scene, small, "flat", hyper=hyper)
+    rand = al.init_state(scene, small, "random", hyper=hyper, seed=3)
+    coarse = al.init_state(scene, small, "coarse_grid", hyper=hyper, lattice=lat)
     emit("init_state.flat", flat)
     emit("init_state.random", rand)
     emit("init_state.coarse_grid", coarse)
@@ -147,7 +147,7 @@ def _bench_run() -> None:
     lat = al.build_lattice(16, 16)
     hyper = al.HyperParams.uniform(8)
     cfg = al.SolverConfig(hyper=hyper, seed=7, epsilon_rel=3e-3)
-    init = al.init_state(sim.scene, table36, "flat", hyper)
+    init = al.init_state(sim.scene, table36, "flat", hyper=hyper)
     emit("run_map.bench16", al.run_map(sim.scene, table36, lat, cfg, init))
 
 
