@@ -65,6 +65,7 @@ from .model import (
     _assemble_terms,
     _channel_sse,
     _gather_neighbours,
+    _misfit,
     _safe_log_theta,
     _slot_sum,
     _tau_delta,
@@ -264,33 +265,13 @@ def update_sigma(state: RetrievalState, scene: Scene, forward) -> np.ndarray:
 
 
 def _sigma_from_pred(state: RetrievalState, scene: Scene, pred) -> np.ndarray:
-    """update_sigma given pred, the forward radiance of state.tau and state.theta."""
+    """update_sigma given pred, the forward radiance of state.tau and
+    state.theta: P x C, or 1 x C when every region shares one row."""
     sse = _channel_sse(scene.radiance, pred)
     out = state.sigma2.copy()
     mask = scene.channel_mask
     out[mask] = _sigma2_from_sse(sse[mask], scene.n_regions)
     return out
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """a and b are float64 arrays of one shape holding the same bits."""
-    return (a.dtype == b.dtype == np.float64 and a.shape == b.shape
-            and np.array_equal(a.view(np.int64), b.view(np.int64)))
-
-
-def _take_start(state: RetrievalState, forward):
-    """(tau, theta, pred) for a Workspace built from `state`: init_state's
-    private copies of the start arrays and their forward radiance, handed
-    over once.  None when there are none, or when `forward` or the state's
-    tau or theta are not bitwise what they were computed from (say, the
-    state was edited in place)."""
-    start = state.__dict__.pop("_start", None)
-    if start is None:
-        return None
-    fwd, tau, theta, pred = start
-    if fwd is forward and _same_bits(state.tau, tau) and _same_bits(state.theta, theta):
-        return tau, theta, pred
-    return None
 
 
 def init_state(
@@ -303,11 +284,14 @@ def init_state(
 ) -> RetrievalState:
     """Build a starting state.
 
-    flat: tau = 0.2 everywhere, uniform theta, sigma2 from its closed form,
-    kappa = 1.  coarse_grid: per-region winner of the default grid-search
-    baseline, then one neighbor-averaging pass over tau.  random: uniform
-    tau and Dirichlet(1) theta rows, for multi-start stability runs.
-    No strategy reads hyper: the AOD range is the forward table's.
+    flat: tau = 0.2 everywhere, uniform theta, kappa = 1.  coarse_grid:
+    per-region winner of the default grid-search baseline, then one
+    neighbor-averaging pass over tau.  random: uniform tau and Dirichlet(1)
+    theta rows, for multi-start stability runs.  Every strategy sets sigma2
+    by its closed form from the start prediction.  A flat start evaluates
+    one row, which eval_batch's row independence makes every region's row
+    bit for bit; the others evaluate all P rows.  No strategy reads hyper:
+    the AOD range is the forward table's.
     """
     M = forward.n_components
     P = scene.n_regions
@@ -332,10 +316,9 @@ def init_state(
     else:
         raise ConfigurationError(f"unknown init strategy: {strategy}")
     state = RetrievalState(tau=tau, theta=theta, sigma2=np.ones(scene.channels), kappa=1.0)
-    pred = forward.eval_batch(state.tau, state.theta)
-    state.sigma2 = _sigma_from_pred(state, scene, pred)
-    # for the first Workspace built from this state (_take_start)
-    state._start = (forward, state.tau.copy(), state.theta.copy(), pred)
+    # flat regions share one (tau, theta): its one row predicts them all
+    n = 1 if strategy == "flat" else P
+    state.sigma2 = _sigma_from_pred(state, scene, forward.eval_batch(tau[:n], theta[:n]))
     return state
 
 
@@ -347,9 +330,8 @@ class Workspace:
     residual sums.  The kernel keeps pred consistent with every accepted
     move; S and sse are recomputed by resync(), which the run start and
     every sweep boundary call before the closed-form kappa and sigma2
-    steps read them.  A state that init_state returned, unedited, hands
-    over its start arrays and the pred its sigma2 step computed, so a run
-    from it evaluates the start state once, not twice.
+    steps read them.  tau, theta and sigma2 are the workspace's own copies
+    of the state's, and pred is evaluated from them here.
     """
 
     def __init__(self, scene: Scene, forward, lattice: LatticeTopology,
@@ -361,14 +343,10 @@ class Workspace:
         self.obs = scene.radiance
         self.mask = scene.channel_mask
         self.alpha_m1 = hyper.alpha - 1.0
-        start = _take_start(state, forward)
-        if start is None:
-            self.tau = state.tau.astype(float).copy()
-            self.theta = state.theta.astype(float).copy()
-            self.pred = forward.eval_batch(self.tau, self.theta)
-        else:
-            self.tau, self.theta, self.pred = start
-        self.sigma2 = state.sigma2.astype(float).copy()
+        self.tau = np.array(state.tau, dtype=float)
+        self.theta = np.array(state.theta, dtype=float)
+        self.pred = forward.eval_batch(self.tau, self.theta)
+        self.sigma2 = np.array(state.sigma2, dtype=float)
         self.kappa = float(state.kappa)
         self.tau_lo = max(0.0, forward.tau_min)
         self.tau_hi = forward.tau_max
@@ -495,8 +473,11 @@ def _sweep_classes(ws: Workspace, classes, sweep_idx: int, config: SolverConfig,
 def _share_pass(ws: Workspace, rows, block, delta: float, w, mh: bool):
     """The row part of a colour pass: one vectorised tau step, then one
     theta step, on `rows`, all of the class that `block` (conc, normals,
-    gammas, uniforms or None) was drawn for.  Writes only those rows of
-    ws; returns the accepted per-row (tau deltas, theta deltas)."""
+    gammas, uniforms or None) was drawn for.  Each row's misfit is
+    computed once from ws.pred and carried from the tau step into the
+    theta step, taking the tau candidate's value where it was accepted.
+    Writes only those rows of ws; returns the accepted per-row (tau
+    deltas, theta deltas)."""
     conc, z, gammas, u = block
     lat = ws.lattice
     tau = ws.tau
@@ -511,9 +492,10 @@ def _share_pass(ws: Workspace, rows, block, delta: float, w, mh: bool):
     mean, raw = _draw_tau(ntau, lat.n_p[rows], delta, z[pos])
     t_old = tau[rows]
     cand = np.minimum(np.maximum(raw, ws.tau_lo), ws.tau_hi)
-    pred_old = ws.pred[rows]
     pred_new = fwd.eval_batch(cand, theta[rows])
-    df = _tau_delta(obs, pred_old, pred_new, w, t_old, cand, ntau, nmask, ws.kappa)
+    chi = _misfit(obs, ws.pred[rows], w)
+    chi_new = _misfit(obs, pred_new, w)
+    df = _tau_delta(chi_new - chi, t_old, cand, ntau, nmask, ws.kappa)
     if mh:
         lo, hi = ws.tau_lo, ws.tau_hi
         log_q = _tau_log_q(raw, mean, delta, lo, hi) - _tau_log_q(t_old, mean, delta, lo, hi)
@@ -522,8 +504,8 @@ def _share_pass(ws: Workspace, rows, block, delta: float, w, mh: bool):
         accept = df > 0.0
     moved = rows[accept]
     tau[moved] = cand[accept]
-    pred_old[accept] = pred_new[accept]
     ws.pred[moved] = pred_new[accept]
+    chi[accept] = chi_new[accept]
     d_tau = df[accept]
 
     # --- theta step ---
@@ -532,7 +514,7 @@ def _share_pass(ws: Workspace, rows, block, delta: float, w, mh: bool):
     pred_new = fwd.eval_batch(tau[rows], new_rows)
     log_old = _safe_log_theta(th_old)
     log_new = _safe_log_theta(new_rows)
-    df = _theta_delta(obs, pred_old, pred_new, w, log_old, log_new, ws.alpha_m1)
+    df = _theta_delta(_misfit(obs, pred_new, w) - chi, log_old, log_new, ws.alpha_m1)
     if mh:
         accept = mh_accept(u[1, pos], df, _theta_log_q_ratio(conc[pos], log_old, log_new))
     else:

@@ -28,10 +28,12 @@ is fixed; they are included so reported posterior values are complete.
 This module owns the delta evaluations used by all solvers: changing a
 single tau_p or theta_p touches only region p's misfit, the edges incident
 to p, and the Dirichlet term of row p, so accept tests cost O(n_p + C)
-instead of O(P*C).  The deltas work on k rows at once, so the sweep
-kernel computes a whole colour class of lattice.classes in one call; the
-public single-region deltas call them with one row, on eval_batch
-predictions as the kernel does.
+instead of O(P*C).  The deltas work on k rows at once and take each
+row's misfit change, the difference of two _misfit values, so the sweep
+kernel computes a whole colour class of lattice.classes in one call and
+carries each row's current misfit from its tau step into its theta step;
+the public single-region deltas call them with one row, on eval_batch
+predictions and _misfit values as the kernel does.
 """
 
 from __future__ import annotations
@@ -353,33 +355,30 @@ def log_posterior(
     return float(sum(terms.values()))
 
 
-def _misfit_change(obs, pred_old, pred_new, weights):
-    """Weighted sum over channels of the change of the squared residuals,
-    one value per row of the k x C arrays.  weights is a scalar or a
-    (C,) vector; each row's weighted sums are its own (see eval_batch)."""
-    w = np.broadcast_to(weights, obs.shape[-1:])
-    r_new = obs - pred_new
-    r_old = obs - pred_old
-    return np.einsum("kc,kc,c->k", r_new, r_new, w) - np.einsum("kc,kc,c->k", r_old, r_old, w)
+def _misfit(obs, pred, weights):
+    """Each row's weighted misfit sum_c weights_c (obs - pred)^2, one value
+    per row of the k x C arrays; weights is a (C,) vector, mask / (2
+    sigma2).  Each row's sum is its own (see eval_batch)."""
+    r = obs - pred
+    return np.einsum("kc,kc,c->k", r, r, weights)
 
 
-def _tau_delta(obs, pred_old, pred_new, weights, tau_old, tau_new, ntau, nmask, kappa):
-    """Log-posterior change of tau_p <- tau_new for k rows at once.
+def _tau_delta(dchi, tau_old, tau_new, ntau, nmask, kappa):
+    """Log-posterior change of tau_p <- tau_new for k rows at once, given
+    each region's misfit change dchi (new _misfit minus old).
 
-    obs and the predictions are k x C; weights are mask / (2 sigma2);
     ntau and nmask are the k x 4 neighbor slots and their mask (see
-    _gather_neighbours): the misfit change of each region plus the
-    roughness change of its incident edges.
+    _gather_neighbours): the misfit change plus the roughness change of
+    each region's incident edges.
     """
-    dchi = _misfit_change(obs, pred_old, pred_new, weights)
     d = ((tau_new[:, None] - ntau) ** 2 - (tau_old[:, None] - ntau) ** 2) * nmask
     return -dchi - 0.5 * kappa * _slot_sum(d)
 
 
-def _theta_delta(obs, pred_old, pred_new, weights, log_old, log_new, alpha_m1):
-    """Log-posterior change of theta_p for k rows, given both rows' floored
-    logs: the misfit change of each region plus that of its Dirichlet term."""
-    dchi = _misfit_change(obs, pred_old, pred_new, weights)
+def _theta_delta(dchi, log_old, log_new, alpha_m1):
+    """Log-posterior change of theta_p for k rows, given each region's
+    misfit change dchi (new _misfit minus old) and both rows' floored logs:
+    the misfit change plus that of the Dirichlet term."""
     return -dchi + np.sum(alpha_m1 * (log_new - log_old), axis=-1)
 
 
@@ -407,17 +406,13 @@ def _region_tau_deltas(state, scene, lattice, forward, p, tau_new: np.ndarray) -
     tau_old = state.tau[rows]
     theta_p = state.theta[rows]
     tau_new = np.asarray(tau_new, dtype=float)
-    return _tau_delta(
-        scene.radiance[rows],
-        forward.eval_batch(tau_old, theta_p),
-        forward.eval_batch(tau_new, np.broadcast_to(theta_p, (tau_new.size, theta_p.shape[1]))),
-        scene.channel_mask / (2.0 * state.sigma2),
-        tau_old,
-        tau_new,
-        _gather_neighbours(state.tau, lattice, rows),
-        lattice.nbr_mask[rows],
-        state.kappa,
-    )
+    obs = scene.radiance[rows]
+    w = scene.channel_mask / (2.0 * state.sigma2)
+    theta_new = np.broadcast_to(theta_p, (tau_new.size, theta_p.shape[1]))
+    dchi = (_misfit(obs, forward.eval_batch(tau_new, theta_new), w)
+            - _misfit(obs, forward.eval_batch(tau_old, theta_p), w))
+    return _tau_delta(dchi, tau_old, tau_new, _gather_neighbours(state.tau, lattice, rows),
+                      lattice.nbr_mask[rows], state.kappa)
 
 
 def delta_log_posterior_theta(
@@ -438,12 +433,9 @@ def delta_log_posterior_theta(
     tau_p = state.tau[rows]
     theta_old = state.theta[rows]
     theta_new = np.asarray(theta_new, dtype=float)[None]
+    obs = scene.radiance[rows]
+    w = scene.channel_mask / (2.0 * state.sigma2)
+    dchi = (_misfit(obs, forward.eval_batch(tau_p, theta_new), w)
+            - _misfit(obs, forward.eval_batch(tau_p, theta_old), w))
     return float(_theta_delta(
-        scene.radiance[rows],
-        forward.eval_batch(tau_p, theta_old),
-        forward.eval_batch(tau_p, theta_new),
-        scene.channel_mask / (2.0 * state.sigma2),
-        _safe_log_theta(theta_old),
-        _safe_log_theta(theta_new),
-        hyper.alpha - 1.0,
-    )[0])
+        dchi, _safe_log_theta(theta_old), _safe_log_theta(theta_new), hyper.alpha - 1.0)[0])

@@ -135,8 +135,10 @@ def oracle_sweep_regions(ws, sweep, config, mode="greedy"):
     the regions of its colour), drawn when the first region of that
     colour comes up.  Colours and neighbor slots are rebuilt from the
     grid shape (oracle_neighbours), the slots packed to the left, and
-    every library helper sees a single row.  Returns (delta_sum,
-    tau_accepts, theta_accepts), the sum added region by region.
+    every library helper sees a single row.  Each step's misfit change
+    is computed afresh from ws.pred as it stands, so the kernel's carried
+    misfit must match it bit for bit.  Returns (delta_sum, tau_accepts,
+    theta_accepts), the sum added region by region.
     """
     from aodlattice.map_solver import (
         _draw_block,
@@ -146,7 +148,7 @@ def oracle_sweep_regions(ws, sweep, config, mode="greedy"):
         _theta_log_q_ratio,
         mh_accept,
     )
-    from aodlattice.model import _safe_log_theta, _tau_delta, _theta_delta
+    from aodlattice.model import _misfit, _safe_log_theta, _tau_delta, _theta_delta
 
     width, height = ws.lattice.width, ws.lattice.height
     P = width * height
@@ -165,6 +167,11 @@ def oracle_sweep_regions(ws, sweep, config, mode="greedy"):
         mask[0, : len(nb)] = True
         return out, mask, np.array([len(nb)])
 
+    def dchi(p, pred_new):
+        # region p's misfit change, both misfits from scratch: nothing carried
+        obs = ws.obs[[p]]
+        return _misfit(obs, pred_new[None], w) - _misfit(obs, ws.pred[[p]], w)
+
     blocks = {}
     dsum, acc_t, acc_h = 0.0, 0, 0
     for p in members[0] + members[1]:
@@ -180,8 +187,7 @@ def oracle_sweep_regions(ws, sweep, config, mode="greedy"):
         t_old = tau[[p]]
         cand = np.array([min(max(float(raw[0]), ws.tau_lo), ws.tau_hi)])
         pred_new = fwd.eval_batch(cand, theta[[p]])[0]
-        df = _tau_delta(ws.obs[[p]], ws.pred[[p]], pred_new[None], w, t_old, cand, ntau,
-                        nmask, ws.kappa)[0]
+        df = _tau_delta(dchi(p, pred_new), t_old, cand, ntau, nmask, ws.kappa)[0]
         if mh:
             # Gaussian log q(old)/q(raw) as h(raw) - h(old), -inf off support
             r, o, m = float(raw[0]), float(t_old[0]), float(mean[0])
@@ -202,8 +208,7 @@ def oracle_sweep_regions(ws, sweep, config, mode="greedy"):
         pred_new = fwd.eval_batch(tau[[p]], row[None])[0]
         log_old = _safe_log_theta(theta[p])
         log_new = _safe_log_theta(row)
-        df = _theta_delta(ws.obs[[p]], ws.pred[[p]], pred_new[None], w, log_old[None],
-                          log_new[None], ws.alpha_m1)[0]
+        df = _theta_delta(dchi(p, pred_new), log_old[None], log_new[None], ws.alpha_m1)[0]
         if mh:
             accept = mh_accept(u[1, i], df, _theta_log_q_ratio(conc[i], log_old, log_new))
         else:

@@ -557,36 +557,35 @@ class TestInitState:
             got = al.init_state(scene, small_table, "coarse_grid", hyper, lattice=lat)
             np.testing.assert_array_equal(got.tau, want)
 
-    def test_start_prediction_evaluated_once(self, small_table):
-        """The solver's workspace takes over init_state's forward pass and
-        its private copies of the start arrays; a state edited in place
-        after init_state, or another table, gets a fresh evaluation.  The
-        workspace always starts from the state's current tau and theta,
-        in arrays of its own, with their prediction."""
-        rng = np.random.default_rng(29)
-        scene = random_scene(small_table, rng)
-        hyper = al.HyperParams.uniform(3)
-        lat = al.build_lattice(3, 3)
-        table = CountingTable(small_table)
-        for edit in (None, "tau", "theta", "table"):
-            init = al.init_state(scene, table, "random", hyper, seed=4)
-            if edit == "tau":
-                init.tau[4] += 0.25
-            elif edit == "theta":
-                init.theta[2] = init.theta[2, ::-1].copy()
-            forward = CountingTable(small_table) if edit == "table" else table
-            table.rows = forward.rows = 0
-            ws = Workspace(scene, forward, lat, hyper, init)
-            assert forward.rows == (0 if edit is None else 9)
-            assert forward is table or table.rows == 0
-            want = small_table.eval_batch(init.tau, init.theta)
-            assert ws.pred.tobytes() == want.tobytes()
-            assert ws.tau.tobytes() == init.tau.tobytes()
-            assert ws.theta.tobytes() == init.theta.tobytes()
-            assert not np.shares_memory(ws.tau, init.tau)
-            assert not np.shares_memory(ws.theta, init.theta)
-            again = Workspace(scene, table, lat, hyper, init)  # handed over only once
-            assert again.pred.tobytes() == want.tobytes() and again.pred is not ws.pred
+    def test_start_rows_and_workspace_arrays(self, table36):
+        """A flat start asks eval_batch for the one row its regions share,
+        and its sigma2 has the bits of the closed form over all P rows,
+        here three _MIX_BLOCK blocks; a random start asks for P rows.  The
+        state holds its four variables only, and a Workspace evaluates all
+        P rows from arrays of its own."""
+        from aodlattice.forward import _MIX_BLOCK
+
+        scene = al.make_sim_scene(table36, 48, 48, noise_level=0.1, seed=3).scene
+        scene.channel_mask[::5] = False
+        P = scene.n_regions
+        assert P > 2 * _MIX_BLOCK
+        hyper = al.HyperParams.uniform(8)
+        lat = al.build_lattice(48, 48)
+        for strategy, rows in (("flat", 1), ("random", P)):
+            table = CountingTable(table36)
+            state = al.init_state(scene, table, strategy, hyper, seed=4)
+            assert table.rows == rows
+            assert sorted(vars(state)) == ["kappa", "sigma2", "tau", "theta"]
+            start = al.RetrievalState(state.tau, state.theta, np.ones(scene.channels), 1.0)
+            assert state.sigma2.tobytes() == al.update_sigma(start, scene, table36).tobytes()
+            table.rows = 0
+            ws = Workspace(scene, table, lat, hyper, state)
+            assert table.rows == P
+            assert ws.pred.tobytes() == table36.eval_batch(state.tau, state.theta).tobytes()
+            for name in ("tau", "theta", "sigma2"):
+                own, given = getattr(ws, name), getattr(state, name)
+                assert own.tobytes() == given.tobytes()
+                assert not np.shares_memory(own, given)
 
     def test_coarse_grid_no_worse_than_flat(self, table36, library):
         sim = al.make_sim_scene(table36, 8, 8, seed=21)

@@ -195,9 +195,10 @@ class TestDirichletChain:
     def test_stationary_marginal_total_variation(self):
         """One region's composition under the kernel's MH theta move: the
         Dirichlet(conc) proposal of _draw_theta, the Hastings term of
-        _theta_log_q_ratio and the Dirichlet delta of _theta_delta, with no
-        misfit.  The target is Dirichlet(alpha); the chain's marginal of
-        each component must match its Beta marginal within TV 0.05."""
+        _theta_log_q_ratio and the Dirichlet delta of _theta_delta, with a
+        zero misfit change.  The target is Dirichlet(alpha); the chain's
+        marginal of each component must match its Beta marginal within TV
+        0.05."""
         alpha = np.array([2.0, 3.0, 1.5])
         conc = np.array([1.0, 1.5, 2.0])  # >= 1: no floor or zero-total fallback fires
         n = 60_000
@@ -207,13 +208,12 @@ class TestDirichletChain:
         assert rows.min() > 1e-9
         log_rows = _safe_log_theta(rows)
         uniforms = rng.random(n)
-        pred = np.zeros((1, 1))
         x = np.full(3, 1.0 / 3.0)
         log_x = _safe_log_theta(x)
         samples = np.empty((n, 3))
         for i in range(n):
             log_new = log_rows[i]
-            df = _theta_delta(pred, pred, pred, 0.0, log_x[None], log_new[None], alpha - 1.0)[0]
+            df = _theta_delta(0.0, log_x[None], log_new[None], alpha - 1.0)[0]
             if mh_accept(uniforms[i], df, _theta_log_q_ratio(conc, log_x, log_new)):
                 x, log_x = rows[i], log_new
             samples[i] = x

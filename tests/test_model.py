@@ -8,7 +8,7 @@ import pytest
 import aodlattice as al
 from aodlattice import map_solver, mcmc
 from aodlattice.map_solver import Workspace
-from aodlattice.model import _misfit_change, log_posterior_terms
+from aodlattice.model import _misfit, log_posterior_terms
 
 from conftest import random_scene, random_state
 from oracles import oracle_chi2_region, oracle_log_posterior
@@ -107,43 +107,38 @@ class TestBuildLattice:
 
 
 def _kernel_chi2(scene, state, table):
-    """Each region's chi2 by the sweep kernel's misfit arithmetic: the
-    misfit change from a perfect fit to the state's prediction."""
+    """Each region's chi2 by the sweep kernel's misfit arithmetic."""
     w = scene.channel_mask / (2.0 * state.sigma2)
-    return _misfit_change(scene.radiance, scene.radiance,
-                          table.eval_batch(state.tau, state.theta), w)
+    return _misfit(scene.radiance, table.eval_batch(state.tau, state.theta), w)
 
 
-class TestMisfitChange:
+class TestMisfit:
     def test_weight_forms_match_explicit_vector(self):
-        """A scalar weight, a (C,) vector, a strided view of one and a
-        masked vector give the bits of the same weights as a fresh
-        contiguous vector, and each row's value is its own."""
+        """A (C,) vector, a strided view of one and a masked vector give
+        the bits of the same weights as a fresh contiguous vector, and
+        each row's value is its own."""
         rng = np.random.default_rng(6)
         k, C = 50, 36
-        obs, old, new = rng.normal(0.2, 0.05, (3, k, C))
+        obs, pred = rng.normal(0.2, 0.05, (2, k, C))
         vec = rng.uniform(1.0, 50.0, C)
         mask = rng.random(C) < 0.7
-        forms = [0.0, 3.5, vec, np.repeat(vec, 2)[::2], mask / (2.0 * vec)]
-        for weights in forms:
-            explicit = np.array(np.broadcast_to(weights, (C,)), dtype=float)
-            got = _misfit_change(obs, old, new, weights)
-            np.testing.assert_array_equal(got, _misfit_change(obs, old, new, explicit))
+        for weights in (vec, np.repeat(vec, 2)[::2], mask / (2.0 * vec)):
+            explicit = np.array(weights, dtype=float)
+            got = _misfit(obs, pred, weights)
+            np.testing.assert_array_equal(got, _misfit(obs, pred, explicit))
             for p in (0, 17, k - 1):
                 rows = slice(p, p + 1)
-                np.testing.assert_array_equal(
-                    got[rows], _misfit_change(obs[rows], old[rows], new[rows], explicit))
-        np.testing.assert_array_equal(_misfit_change(obs, old, new, 0.0), np.zeros(k))
+                np.testing.assert_array_equal(got[rows], _misfit(obs[rows], pred[rows], explicit))
 
     def test_closed_channels_do_not_count(self):
         rng = np.random.default_rng(7)
-        obs, old, new = rng.normal(0.2, 0.05, (3, 9, 12))
+        obs, pred = rng.normal(0.2, 0.05, (2, 9, 12))
         mask = np.arange(12) % 3 != 0
         w = mask / (2.0 * rng.uniform(0.01, 0.05, 12))
-        want = _misfit_change(obs, old, new, w)
-        new[:, ~mask] += 1.0
+        want = _misfit(obs, pred, w)
+        pred[:, ~mask] += 1.0
         obs[:, ~mask] -= 2.0
-        np.testing.assert_array_equal(_misfit_change(obs, old, new, w), want)
+        np.testing.assert_array_equal(_misfit(obs, pred, w), want)
 
 
 class TestChiSquareRegion:

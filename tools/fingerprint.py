@@ -151,6 +151,24 @@ def _bench_run() -> None:
     emit("run_map.bench16", al.run_map(sim.scene, table36, lat, cfg, init))
 
 
+def _multi_block_runs() -> None:
+    """A 48 x 48 scene: 2304 rows, so a full-lattice eval_batch spans three
+    1024-row blocks of the forward table."""
+    table36 = al.build_synthetic_table(al.default_library(), channels=36, knots=25,
+                                       tau_max=6.0, seed=0)
+    scene = al.make_sim_scene(table36, 48, 48, noise_level=0.1, seed=7).scene
+    lat = al.build_lattice(48, 48)
+    hyper = al.HyperParams.uniform(8)
+    cfg = al.SolverConfig(hyper=hyper, seed=7, epsilon=1e-9, max_sweeps=3)
+    flat = al.init_state(scene, table36, "flat", hyper=hyper)
+    rand = al.init_state(scene, table36, "random", hyper=hyper, seed=3)
+    emit("init_state.flat.48", flat)
+    emit("init_state.random.48", rand)
+    emit("run_map.flat.48", al.run_map(scene, table36, lat, cfg, flat))
+    state, trace, _ = al.run_map_parallel(scene, table36, lat, cfg, 2, rand)
+    emit("run_map_parallel.random.48", state, trace)
+
+
 def _file_digest(path: Path):
     """File bytes, minus the columns that hold wall times."""
     if path.name == "manifest.json":
@@ -207,6 +225,7 @@ def _cli_runs() -> None:
 def main() -> int:
     _lib_runs()
     _bench_run()
+    _multi_block_runs()
     _cli_runs()
     combined = hashlib.sha256("\n".join(LINES).encode()).hexdigest()
     print(f"combined {combined} ({len(LINES)} runs)")
