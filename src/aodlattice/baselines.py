@@ -27,20 +27,12 @@ def default_candidate_mixtures(n_components: int) -> np.ndarray:
     For 8 components this yields 8 + 28 + 56 = 92 candidates, the same
     flavor of pre-defined composition list the operational approach uses.
     """
-    M = n_components
     rows = []
-    for i in range(M):
-        r = np.zeros(M)
-        r[i] = 1.0
-        rows.append(r)
-    for i, j in itertools.combinations(range(M), 2):
-        r = np.zeros(M)
-        r[i] = r[j] = 0.5
-        rows.append(r)
-    for i, j, k in itertools.combinations(range(M), 3):
-        r = np.zeros(M)
-        r[i] = r[j] = r[k] = 1.0 / 3.0
-        rows.append(r)
+    for k in (1, 2, 3):
+        for members in itertools.combinations(range(n_components), k):
+            r = np.zeros(n_components)
+            r[list(members)] = 1.0 / k
+            rows.append(r)
     return np.asarray(rows)
 
 
@@ -56,7 +48,8 @@ class GridSearchConfig:
     @classmethod
     def defaults(cls, table, scene: Scene, n_tau_levels: int = 13,
                  success_threshold: float | None = None) -> "GridSearchConfig":
-        """13 AOD levels over the table range, combinatorial mixtures.
+        """13 AOD levels over the one AOD domain [max(0, tau_min), tau_max]
+        of the table, combinatorial mixtures.
 
         The fixed noise variances are (ASSUMED_REL_NOISE * mean channel
         radiance)^2, so a candidate fitting within the assumed noise scores
@@ -69,7 +62,7 @@ class GridSearchConfig:
             success_threshold = float(scene.channel_mask.sum())
         level = np.maximum(ASSUMED_REL_NOISE * scene.radiance.mean(axis=0), 1e-6)
         return cls(
-            tau_levels=np.linspace(table.tau_min, table.tau_max, n_tau_levels),
+            tau_levels=np.linspace(max(0.0, table.tau_min), table.tau_max, n_tau_levels),
             candidate_mixtures=default_candidate_mixtures(table.n_components),
             sigma2_fixed=level**2,
             success_threshold=float(success_threshold),
@@ -78,8 +71,9 @@ class GridSearchConfig:
     def validate(self, table) -> None:
         if self.candidate_mixtures.size == 0 or self.tau_levels.size == 0:
             raise ConfigurationError("empty grid-search candidate grid")
-        if np.any(self.tau_levels < table.tau_min) or np.any(self.tau_levels > table.tau_max):
-            raise ConfigurationError("tau_levels outside table range")
+        lo = max(0.0, table.tau_min)
+        if np.any(self.tau_levels < lo) or np.any(self.tau_levels > table.tau_max):
+            raise ConfigurationError("tau_levels outside [max(0, tau_min), tau_max]")
         sums = self.candidate_mixtures.sum(axis=1)
         if np.any(self.candidate_mixtures < 0) or np.any(np.abs(sums - 1.0) > 1e-9):
             raise ConfigurationError("candidate mixtures must lie on the simplex")

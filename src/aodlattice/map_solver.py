@@ -39,10 +39,11 @@ neighbor means depend only on the other class, so the block is drawn
 once per class, and the tau and theta steps then run over one or more
 disjoint shares of the class on the one workspace: the whole class for
 run_map and run_mcmc, one share per patch in a thread pool for the
-patch-parallel scheduler.  All of them reuse this module's sweep kernel,
-per-sweep step and sweep loop and the one visit order, lattice.classes, so
-their exact-equivalence contracts (patch-parallel == sequential,
-greedy-filtered MH == MAP) hold bitwise.
+patch-parallel scheduler.  All of them, and mcmc.mh_sweep's single sweep,
+run through this module's sweep loop, which calls the sweep kernel and then
+the one hyper step, in the one visit order, lattice.classes, so their
+exact-equivalence contracts (patch-parallel == sequential, greedy-filtered
+MH == MAP) hold bitwise.
 """
 
 from __future__ import annotations
@@ -240,9 +241,14 @@ def _kappa_from_roughness(S: float, P: int):
     return min((P - 3) / S, KAPPA_CAP), False
 
 
-def _sigma2_from_sse(sse, P: int):
-    """The closed-form sigma2 maximizer SSE_c / (P+2) per channel, floored."""
-    return np.maximum(sse / (P + 2), SIGMA2_FLOOR)
+def _sigma2_closed_form(sigma2, sse, mask, P: int) -> np.ndarray:
+    """A copy of sigma2 with every channel of mask at its closed-form
+    maximizer SSE_c / (P+2), floored at SIGMA2_FLOOR (a perfect fit would
+    otherwise divide later evaluations by zero); the other channels keep
+    their value."""
+    out = sigma2.copy()
+    out[mask] = np.maximum(sse[mask] / (P + 2), SIGMA2_FLOOR)
+    return out
 
 
 def update_kappa(state: RetrievalState, lattice: LatticeTopology):
@@ -256,22 +262,11 @@ def update_kappa(state: RetrievalState, lattice: LatticeTopology):
 
 
 def update_sigma(state: RetrievalState, scene: Scene, forward) -> np.ndarray:
-    """Closed-form noise update SSE_c / (P+2) per available channel.
-
-    Floored at SIGMA2_FLOOR (a perfect fit would otherwise divide later
-    evaluations by zero); masked-out channels keep their current value.
-    """
-    return _sigma_from_pred(state, scene, forward.eval_batch(state.tau, state.theta))
-
-
-def _sigma_from_pred(state: RetrievalState, scene: Scene, pred) -> np.ndarray:
-    """update_sigma given pred, the forward radiance of state.tau and
-    state.theta: P x C, or 1 x C when every region shares one row."""
-    sse = _channel_sse(scene.radiance, pred)
-    out = state.sigma2.copy()
-    mask = scene.channel_mask
-    out[mask] = _sigma2_from_sse(sse[mask], scene.n_regions)
-    return out
+    """Closed-form noise update of state.sigma2 from the residuals of
+    state.tau and state.theta: _sigma2_closed_form, the one statement of
+    it; masked-out channels keep their current value."""
+    sse = _channel_sse(scene.radiance, forward.eval_batch(state.tau, state.theta))
+    return _sigma2_closed_form(state.sigma2, sse, scene.channel_mask, scene.n_regions)
 
 
 def init_state(
@@ -318,7 +313,8 @@ def init_state(
     state = RetrievalState(tau=tau, theta=theta, sigma2=np.ones(scene.channels), kappa=1.0)
     # flat regions share one (tau, theta): its one row predicts them all
     n = 1 if strategy == "flat" else P
-    state.sigma2 = _sigma_from_pred(state, scene, forward.eval_batch(tau[:n], theta[:n]))
+    sse = _channel_sse(scene.radiance, forward.eval_batch(tau[:n], theta[:n]))
+    state.sigma2 = _sigma2_closed_form(state.sigma2, sse, scene.channel_mask, P)
     return state
 
 
@@ -329,17 +325,15 @@ class Workspace:
     (tau, theta); S the GMRF roughness; sse the per-channel squared
     residual sums.  The kernel keeps pred consistent with every accepted
     move; S and sse are recomputed by resync(), which the run start and
-    every sweep boundary call before the closed-form kappa and sigma2
+    every sweep's _hyper_step call before the closed-form kappa and sigma2
     steps read them.  tau, theta and sigma2 are the workspace's own copies
     of the state's, and pred is evaluated from them here.
     """
 
     def __init__(self, scene: Scene, forward, lattice: LatticeTopology,
                  hyper: HyperParams, state: RetrievalState):
-        self.scene = scene
         self.forward = forward
         self.lattice = lattice
-        self.hyper = hyper
         self.obs = scene.radiance
         self.mask = scene.channel_mask
         self.alpha_m1 = hyper.alpha - 1.0
@@ -356,13 +350,6 @@ class Workspace:
         self.S = gmrf_roughness(self.tau, self.lattice)
         self.sse = _channel_sse(self.obs, self.pred)
 
-    def cached_terms(self) -> dict:
-        """The log-posterior terms from the sse and S caches; right after
-        resync() they equal log_posterior_terms of to_state() bitwise, and
-        so their sum equals log_posterior."""
-        return _assemble_terms(self.lattice.n_regions, self.sse, self.S, self, self.hyper,
-                               self.mask)
-
     def to_state(self) -> RetrievalState:
         return RetrievalState(
             tau=self.tau.copy(),
@@ -370,47 +357,6 @@ class Workspace:
             sigma2=self.sigma2.copy(),
             kappa=self.kappa,
         )
-
-
-def _kappa_update_delta(ws: Workspace) -> float:
-    """Apply the guarded closed-form kappa update; return its delta.
-
-    The closed form is the exact argmax of the kappa slice, so its
-    objective delta is mathematically >= 0; the update is skipped when
-    floating-point rounding at the fixed point produces a negative value,
-    which keeps greedy ascent exact.
-    """
-    P = ws.lattice.n_regions
-    kappa_new, _ = _kappa_from_roughness(ws.S, P)
-    if kappa_new == ws.kappa:
-        return 0.0
-    dk = 0.5 * (P - 3) * (math.log(kappa_new) - math.log(ws.kappa)) - 0.5 * ws.S * (
-        kappa_new - ws.kappa
-    )
-    if dk < 0.0:
-        return 0.0
-    ws.kappa = kappa_new
-    return dk
-
-
-def _sigma_update_delta(ws: Workspace) -> float:
-    """Apply the guarded closed-form sigma2 update; return its delta."""
-    P = ws.lattice.n_regions
-    closed_form = _sigma2_from_sse(ws.sse, P)
-    dtotal = 0.0
-    for c in np.flatnonzero(ws.mask):
-        sse_c = float(ws.sse[c])
-        s_old = float(ws.sigma2[c])
-        s_new = float(closed_form[c])
-        if s_new == s_old:
-            continue
-        dc = -0.5 * (P + 2) * (math.log(s_new) - math.log(s_old)) - 0.5 * sse_c * (
-            1.0 / s_new - 1.0 / s_old
-        )
-        if dc >= 0.0:
-            ws.sigma2[c] = s_new
-            dtotal += dc
-    return dtotal
 
 
 def sweep_regions(ws: Workspace, sweep_idx: int, config: SolverConfig, mode: str = "greedy"):
@@ -527,11 +473,11 @@ def _share_pass(ws: Workspace, rows, block, delta: float, w, mh: bool):
 
 def _start(scene, forward, lattice, config, init):
     """Check the initial state; returns (workspace, trace holding its value,
-    taken from the resynced caches: log_posterior(init) bitwise)."""
+    assembled from the resynced caches: log_posterior(init) bitwise)."""
     validate_state(init, config.hyper)
     ws = Workspace(scene, forward, lattice, config.hyper, init)
     ws.resync()
-    terms = ws.cached_terms()
+    terms = _assemble_terms(lattice.n_regions, ws.sse, ws.S, ws, config.hyper, ws.mask)
     f0 = float(sum(terms.values()))
     if not math.isfinite(f0):
         bad = ", ".join(name for name, v in terms.items() if not math.isfinite(v)) or "none"
@@ -541,25 +487,50 @@ def _start(scene, forward, lattice, config, init):
     return ws, SweepTrace(n_regions=lattice.n_regions, initial_log_posterior=f0)
 
 
-def _sweep_step(ws: Workspace, run_sweep, sweep: int):
-    """One sweep, a cache resync, then the closed-form kappa and sigma2 steps:
-    the only place the hyper-parameters move.
+def _hyper_step(ws: Workspace) -> float:
+    """Resync the caches, then apply the guarded closed-form kappa and
+    sigma2 steps: the only place the hyper-parameters move.  Returns the
+    objective delta, kappa's plus sigma2's.
 
-    run_sweep(sweep) returns (delta_sum, tau_accepts, theta_accepts).
-    Returns (delta_sum, hyper delta, tau_accepts, theta_accepts).
+    Each closed form is the exact argmax of its slice, so its delta is
+    mathematically >= 0; a step whose rounded delta is negative (at the
+    fixed point) is skipped, which keeps greedy ascent exact.  The sigma2
+    channels are stepped one at a time, in channel order.
     """
-    dsum, acc_t, acc_h = run_sweep(sweep)
     ws.resync()
-    return dsum, _kappa_update_delta(ws) + _sigma_update_delta(ws), acc_t, acc_h
+    P = ws.lattice.n_regions
+    S = ws.S
+    kappa_new, _ = _kappa_from_roughness(S, P)
+    dk = 0.0
+    if kappa_new != ws.kappa:
+        d = 0.5 * (P - 3) * (math.log(kappa_new) - math.log(ws.kappa)) - 0.5 * S * (
+            kappa_new - ws.kappa
+        )
+        if d >= 0.0:
+            ws.kappa = kappa_new
+            dk = d
+    closed_form = _sigma2_closed_form(ws.sigma2, ws.sse, ws.mask, P)
+    ds = 0.0
+    for c in np.flatnonzero(closed_form != ws.sigma2):
+        sse_c, old, new = float(ws.sse[c]), float(ws.sigma2[c]), float(closed_form[c])
+        d = -0.5 * (P + 2) * (math.log(new) - math.log(old)) - 0.5 * sse_c * (
+            1.0 / new - 1.0 / old
+        )
+        if d >= 0.0:
+            ws.sigma2[c] = new
+            ds += d
+    return dk + ds
 
 
-def _sweep_loop(ws: Workspace, trace: SweepTrace, sweeps: int, run_sweep,
+def _sweep_loop(ws: Workspace, trace: SweepTrace, sweeps: range, run_sweep,
                 config: SolverConfig | None = None):
-    """The driver loop shared by run_map, run_map_parallel and run_mcmc.
+    """The driver loop of run_map, run_map_parallel, run_mcmc and mh_sweep.
 
-    Each sweep is one _sweep_step.  The objective telescopes the step's
-    deltas from trace.initial_log_posterior, so a greedy trace is exactly
-    non-decreasing.  Every sweep appends a trace row and yields (sweep,
+    For each index of sweeps, one sweep is the kernel call run_sweep(index),
+    returning (delta_sum, tau_accepts, theta_accepts), then one
+    _hyper_step.  The objective telescopes their deltas from
+    trace.initial_log_posterior, so a greedy trace is exactly
+    non-decreasing.  Every sweep appends a trace row and yields (index,
     objective, elapsed_ms).  Given a config the loop then stops once the
     objective moved by less than epsilon in each of the last two sweeps, or
     in the first sweep of the run, where epsilon=None resolves to
@@ -571,11 +542,11 @@ def _sweep_loop(ws: Workspace, trace: SweepTrace, sweeps: int, run_sweep,
     f = trace.initial_log_posterior
     eps = None if config is None else config.epsilon
     settled = True  # the sweep before the first counts as small
-    for sweep in range(1, sweeps + 1):
+    for sweep in sweeps:
         t0 = time.perf_counter()
-        dsum, dh, acc_t, acc_h = _sweep_step(ws, run_sweep, sweep)
+        dsum, acc_t, acc_h = run_sweep(sweep)
         prev = f
-        f = f + dsum + dh
+        f = f + dsum + _hyper_step(ws)
         elapsed = (time.perf_counter() - t0) * 1000.0
         trace.log_posterior.append(f)
         trace.tau_accepts.append(acc_t)
@@ -617,7 +588,8 @@ def run_map(
     def run_sweep(sweep):
         return sweep_regions(ws, sweep, config)
 
-    for sweep, f, _ in _sweep_loop(ws, trace, config.max_sweeps, run_sweep, config):
+    sweeps = range(1, config.max_sweeps + 1)
+    for sweep, f, _ in _sweep_loop(ws, trace, sweeps, run_sweep, config):
         if on_sweep is not None:
             on_sweep(sweep, ws.to_state(), f)
     final = ws.to_state()

@@ -33,7 +33,6 @@ from .map_solver import (
     SolverConfig,
     _start,
     _sweep_loop,
-    _sweep_step,
     _tau_log_q,
 )
 from .model import (
@@ -83,24 +82,27 @@ def mh_sweep(
     sweep: int = 1,
     greedy: bool = False,
 ) -> RetrievalState:
-    """One full sweep of MH updates over every tau_p and theta_p.
+    """One full sweep of MH updates over every tau_p and theta_p: the
+    drivers' sweep loop run over the one index `sweep`, which keys the
+    sweep's random streams.
 
     With greedy=True the accept rule degenerates to "improvements only"
     and no accept variates are drawn, which is the MAP solver's update;
-    kappa and sigma2 are refreshed by their closed forms after the sweep
-    in both modes.  The config and the state are checked as run_mcmc
-    checks them: a state with a non-finite log-posterior raises
-    InitializationError.
+    kappa and sigma2 are refreshed by the loop's guarded closed-form step
+    after the sweep in both modes.  The config and the state are checked
+    as run_mcmc checks them: a state with a non-finite log-posterior
+    raises InitializationError.
     """
     config.validate()
     kcfg = _kernel_config(config)
-    ws, _ = _start(scene, forward, lattice, kcfg, state)
+    ws, trace = _start(scene, forward, lattice, kcfg, state)
     mode = "greedy" if greedy else "mh"
 
     def run_sweep(sweep):
         return map_solver.sweep_regions(ws, sweep, kcfg, mode=mode)
 
-    _sweep_step(ws, run_sweep, sweep)
+    for _ in _sweep_loop(ws, trace, range(sweep, sweep + 1), run_sweep):
+        pass  # the one sweep moves ws
     return ws.to_state()
 
 
@@ -136,7 +138,7 @@ def run_mcmc(
     def run_sweep(sweep):
         return map_solver.sweep_regions(ws, sweep, kcfg, mode="mh")
 
-    for sweep, _, _ in _sweep_loop(ws, trace, config.iterations, run_sweep):
+    for sweep, _, _ in _sweep_loop(ws, trace, range(1, config.iterations + 1), run_sweep):
         if sweep > config.burn_in and (sweep - config.burn_in - 1) % config.thin == 0:
             if ref_tau is None:
                 ref_tau = ws.tau.copy()

@@ -110,7 +110,7 @@ def run_map_parallel(
         return _one_parallel_sweep(ws, classes, sweep, config, pool)
 
     try:
-        for _ in _sweep_loop(ws, trace, config.max_sweeps, run_sweep, config):
+        for _ in _sweep_loop(ws, trace, range(1, config.max_sweeps + 1), run_sweep, config):
             pass  # the loop records every sweep in trace
     finally:
         if pool is not None:

@@ -19,6 +19,13 @@ class TestCandidateMixtures:
         assert mixtures.shape == (8 + 28 + 56, 8)
         np.testing.assert_allclose(mixtures.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(mixtures >= 0)
+        # one-hot rows, then 50/50 pairs, then equal thirds, each in
+        # lexicographic order of the components they mix
+        np.testing.assert_array_equal(mixtures[:8], np.eye(8))
+        np.testing.assert_array_equal(mixtures[8], [0.5, 0.5, 0, 0, 0, 0, 0, 0])
+        np.testing.assert_array_equal(mixtures[35], [0, 0, 0, 0, 0, 0, 0.5, 0.5])
+        np.testing.assert_array_equal(mixtures[36], [1.0 / 3.0] * 3 + [0] * 5)
+        np.testing.assert_array_equal(mixtures[-1], [0] * 5 + [1.0 / 3.0] * 3)
 
 
 class TestGridSearch:
@@ -87,6 +94,24 @@ class TestGridSearch:
         )
         with pytest.raises(al.ConfigurationError):
             al.grid_search_retrieve(scene, small_table, cfg)
+
+    def test_levels_floored_at_zero_aod(self, small_table):
+        """The grid searches the one AOD domain [max(0, tau_min), tau_max],
+        as MAP and MCMC do, even for a table whose knots start below 0."""
+        shifted = al.RadianceTable(small_table.tau_knots - 0.5, small_table.values)
+        assert shifted.tau_min == -0.5
+        rng = np.random.default_rng(5)
+        theta = rng.dirichlet(np.ones(3), size=9)
+        # rendered at the lowest knot: the unfloored grid's argmin is tau = -0.5
+        radiance = shifted.eval_batch(np.full(9, -0.5), theta)
+        scene = al.Scene(3, 3, 4, radiance, np.ones(4, dtype=bool))
+        cfg = GridSearchConfig.defaults(shifted, scene)
+        assert cfg.tau_levels[0] == 0.0 and cfg.tau_levels[-1] == shifted.tau_max
+        tau, _, _ = al.grid_search_retrieve(scene, shifted, cfg)
+        assert np.all(tau >= 0.0)
+        below = replace(cfg, tau_levels=np.linspace(-0.5, shifted.tau_max, 13))
+        with pytest.raises(al.ConfigurationError):
+            al.grid_search_retrieve(scene, shifted, below)
 
     def test_region_order_irrelevant(self, small_table):
         """Per-region independence: a permuted scene gives permuted output."""

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import aodlattice as al
+from aodlattice import map_solver
 from aodlattice.map_solver import (
     SHAPE_FLOOR,
     Workspace,
     _draw_block,
     _draw_tau,
     _draw_theta,
-    _sigma_update_delta,
+    _hyper_step,
     _sweep_classes,
     _theta_conc,
     sweep_regions,
@@ -361,8 +362,8 @@ class TestUpdateSigma:
         assert out[2] == state.sigma2[2]
 
     def test_matches_kernel_step(self, small_table):
-        """The solver's guarded per-sweep sigma2 step moves every channel it
-        does not skip to exactly update_sigma's value."""
+        """The solver's guarded per-sweep hyper step moves every sigma2
+        channel it does not skip to exactly update_sigma's value."""
         rng = np.random.default_rng(16)
         lat = al.build_lattice(3, 3)
         hyper = al.HyperParams.uniform(3)
@@ -372,8 +373,7 @@ class TestUpdateSigma:
             state = random_state(rng, 9, 3, 4)
             want = al.update_sigma(state, scene, small_table)
             ws = Workspace(scene, small_table, lat, hyper, state)
-            ws.resync()
-            _sigma_update_delta(ws)
+            _hyper_step(ws)
             for c in range(4):
                 if ws.sigma2[c] != state.sigma2[c]:
                     assert ws.sigma2[c] == want[c]
@@ -397,6 +397,48 @@ class TestUpdateSigma:
 
             best = math.exp(golden_max(slice_value, math.log(1e-14), math.log(1e4)))
             assert out[c] == pytest.approx(best, rel=1e-6)
+
+
+class TestSweepLoop:
+    def test_every_driver_runs_kernel_then_hyper_step(self, small_table, monkeypatch):
+        """run_map, run_map_parallel, run_mcmc and mh_sweep all sweep through
+        the one loop: per sweep index one kernel call, then one hyper step."""
+        calls = []
+        kernel, hyper_step = map_solver.sweep_regions, map_solver._hyper_step
+
+        def record_kernel(ws, sweep, *args, **kwargs):
+            calls.append(sweep)
+            return kernel(ws, sweep, *args, **kwargs)
+
+        def record_hyper(ws):
+            calls.append("hyper")
+            return hyper_step(ws)
+
+        monkeypatch.setattr(map_solver, "sweep_regions", record_kernel)
+        monkeypatch.setattr(map_solver, "_hyper_step", record_hyper)
+        rng = np.random.default_rng(23)
+        scene = random_scene(small_table, rng, 4, 4)
+        lat = al.build_lattice(4, 4)
+        hyper = al.HyperParams.uniform(3)
+        init = al.init_state(scene, small_table, "flat", hyper)
+        cfg = al.SolverConfig(hyper=hyper, seed=3, max_sweeps=6)
+        mcfg = al.McmcConfig(hyper=hyper, iterations=5, burn_in=1, thin=1, seed=3)
+
+        def steps(sweeps):
+            return [step for k in sweeps for step in (k, "hyper")]
+
+        _, trace = al.run_map(scene, small_table, lat, cfg, init)
+        assert trace.sweeps >= 1 and calls == steps(range(1, trace.sweeps + 1))
+        calls.clear()
+        # two patches sweep through the thread pool, not sweep_regions
+        _, trace, _ = al.run_map_parallel(scene, small_table, lat, cfg, 2, init)
+        assert trace.sweeps >= 1 and calls == ["hyper"] * trace.sweeps
+        calls.clear()
+        al.run_mcmc(scene, small_table, lat, mcfg, init)
+        assert calls == steps(range(1, mcfg.iterations + 1))
+        calls.clear()
+        al.mh_sweep(init, scene, small_table, lat, mcfg, sweep=7)
+        assert calls == steps([7])
 
 
 class TestRunMap:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import aodlattice as al
-from aodlattice import map_solver, mcmc
+from aodlattice import map_solver
 from aodlattice.map_solver import Workspace
-from aodlattice.model import _misfit, log_posterior_terms
+from aodlattice.model import _assemble_terms, _misfit, log_posterior_terms
 
 from conftest import random_scene, random_state
 from oracles import oracle_chi2_region, oracle_log_posterior
@@ -238,7 +238,7 @@ class TestLogPosterior:
             hyper = al.HyperParams(alpha=rng.uniform(0.3, 3.0, table36.n_components))
             ws = Workspace(scene, table36, lat, hyper, state)
             ws.resync()
-            terms = ws.cached_terms()
+            terms = _assemble_terms(36, ws.sse, ws.S, ws, hyper, ws.mask)
             assert al.log_posterior(scene, state, hyper, table36) == float(sum(terms.values()))
             assert al.log_posterior_terms(scene, state, hyper, table36) == terms
 
@@ -372,8 +372,7 @@ class TestValidation:
         def no_sweep(*args):
             raise AssertionError("a sweep ran")
 
-        monkeypatch.setattr(map_solver, "_sweep_step", no_sweep)
-        monkeypatch.setattr(mcmc, "_sweep_step", no_sweep)
+        monkeypatch.setattr(map_solver, "_hyper_step", no_sweep)  # every sweep ends in it
         scene = random_scene(small_table, rng)
         lat = al.build_lattice(3, 3)
         cfg = al.SolverConfig(hyper=hyper)
