@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import ConfigurationError, Scene, floor_simplex
+from .model import ConfigurationError, Scene, aod_domain, floor_simplex
 
 ASSUMED_REL_NOISE = 0.05  # relative noise behind the fixed grid-search variances
 
@@ -48,8 +48,8 @@ class GridSearchConfig:
     @classmethod
     def defaults(cls, table, scene: Scene, n_tau_levels: int = 13,
                  success_threshold: float | None = None) -> "GridSearchConfig":
-        """13 AOD levels over the one AOD domain [max(0, tau_min), tau_max]
-        of the table, combinatorial mixtures.
+        """13 AOD levels over the table's one AOD domain (model.aod_domain),
+        combinatorial mixtures.
 
         The fixed noise variances are (ASSUMED_REL_NOISE * mean channel
         radiance)^2, so a candidate fitting within the assumed noise scores
@@ -62,7 +62,7 @@ class GridSearchConfig:
             success_threshold = float(scene.channel_mask.sum())
         level = np.maximum(ASSUMED_REL_NOISE * scene.radiance.mean(axis=0), 1e-6)
         return cls(
-            tau_levels=np.linspace(max(0.0, table.tau_min), table.tau_max, n_tau_levels),
+            tau_levels=np.linspace(*aod_domain(table), n_tau_levels),
             candidate_mixtures=default_candidate_mixtures(table.n_components),
             sigma2_fixed=level**2,
             success_threshold=float(success_threshold),
@@ -71,8 +71,8 @@ class GridSearchConfig:
     def validate(self, table) -> None:
         if self.candidate_mixtures.size == 0 or self.tau_levels.size == 0:
             raise ConfigurationError("empty grid-search candidate grid")
-        lo = max(0.0, table.tau_min)
-        if np.any(self.tau_levels < lo) or np.any(self.tau_levels > table.tau_max):
+        lo, hi = aod_domain(table)
+        if np.any(self.tau_levels < lo) or np.any(self.tau_levels > hi):
             raise ConfigurationError("tau_levels outside [max(0, tau_min), tau_max]")
         sums = self.candidate_mixtures.sum(axis=1)
         if np.any(self.candidate_mixtures < 0) or np.any(np.abs(sums - 1.0) > 1e-9):

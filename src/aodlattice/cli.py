@@ -238,10 +238,8 @@ def cmd_retrieve(args) -> int:
         tau, theta, success = grid_search_retrieve(scene, table, grid_cfg)
         matrices["success.csv"] = success.astype(float).reshape(-1, 1)
     else:
-        init = init_state(
-            scene, table, cfg["solver"]["init"], solver_cfg.hyper,
-            seed=solver_cfg.seed, lattice=lattice,
-        )
+        init = init_state(scene, table, cfg["solver"]["init"], solver_cfg.hyper,
+                          seed=solver_cfg.seed)
         if args.method == "map":
             state, trace = run_map(scene, table, lattice, solver_cfg, init)
         elif args.method == "map-parallel":
@@ -302,7 +300,7 @@ def cmd_benchmark(args) -> int:
         partition(lattice, n)  # range check before the first run
     executor = cfg["parallel"]["executor"]
     init = init_state(scene, table, cfg["solver"]["init"], solver_cfg.hyper,
-                      seed=solver_cfg.seed, lattice=lattice)
+                      seed=solver_cfg.seed)
     runs = []
     timings = {}
     for n in patch_counts:

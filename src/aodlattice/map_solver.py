@@ -37,8 +37,10 @@ proposal stream (and, in MH mode, one accept stream) that draws a block
 for the whole class, one row per region in class order.  A class's
 neighbor means depend only on the other class, so the block is drawn
 once per class, and the tau and theta steps then run over one or more
-disjoint shares of the class on the one workspace: the whole class for
-run_map and run_mcmc, one share per patch in a thread pool for the
+disjoint shares of the class on the one workspace.  The one kernel entry,
+sweep_regions, takes the shares and the mapper that runs them: the whole
+class through the builtin map for run_map, run_mcmc and a one-patch
+scheduler, one share per patch through a thread pool's map for the
 patch-parallel scheduler.  All of them, and mcmc.mh_sweep's single sweep,
 run through this module's sweep loop, which calls the sweep kernel and then
 the one hyper step, in the one visit order, lattice.classes, so their
@@ -71,6 +73,7 @@ from .model import (
     _slot_sum,
     _tau_delta,
     _theta_delta,
+    aod_domain,
     build_lattice,
     floor_simplex,
     gmrf_roughness,
@@ -275,38 +278,41 @@ def init_state(
     strategy: str,
     hyper: HyperParams,
     seed: int = 0,
-    lattice: LatticeTopology | None = None,
 ) -> RetrievalState:
-    """Build a starting state.
+    """Build a starting state inside the forward table's one AOD domain
+    [lo, hi] (model.aod_domain).
 
-    flat: tau = 0.2 everywhere, uniform theta, kappa = 1.  coarse_grid:
-    per-region winner of the default grid-search baseline, then one
-    neighbor-averaging pass over tau.  random: uniform tau and Dirichlet(1)
-    theta rows, for multi-start stability runs.  Every strategy sets sigma2
-    by its closed form from the start prediction.  A flat start evaluates
-    one row, which eval_batch's row independence makes every region's row
-    bit for bit; the others evaluate all P rows.  No strategy reads hyper:
-    the AOD range is the forward table's.
+    flat: tau = 0.2 clamped into [lo, hi] everywhere, uniform theta,
+    kappa = 1.  coarse_grid: per-region winner of the default grid-search
+    baseline, then one neighbor-averaging pass over tau, clipped into
+    [lo, hi].  random: tau uniform on [a, max(a, min(1, hi))], a being
+    0.02 clamped into [lo, hi], and Dirichlet(1) theta rows, for
+    multi-start stability runs.  Every strategy sets sigma2 by its closed
+    form from the start prediction.  A flat start evaluates one row, which
+    eval_batch's row independence makes every region's row bit for bit;
+    the others evaluate all P rows.  No strategy reads hyper: the AOD range
+    is the forward table's.
     """
     M = forward.n_components
     P = scene.n_regions
+    lo, hi = aod_domain(forward)
     if strategy == "flat":
-        tau = np.full(P, min(0.2, forward.tau_max))
+        tau = np.full(P, min(max(0.2, lo), hi))
         theta = np.full((P, M), 1.0 / M)
     elif strategy == "random":
         rng = np.random.default_rng([seed, _STREAM_INIT])
-        tau = rng.uniform(0.02, min(1.0, forward.tau_max), size=P)
+        a = min(max(0.02, lo), hi)
+        tau = rng.uniform(a, max(a, min(1.0, hi)), size=P)
         theta = floor_simplex(rng.dirichlet(np.ones(M), size=P))
     elif strategy == "coarse_grid":
         from .baselines import GridSearchConfig, grid_search_retrieve
 
-        if lattice is None:
-            lattice = build_lattice(scene.width, scene.height)
+        lattice = build_lattice(scene.width, scene.height)
         cfg = GridSearchConfig.defaults(forward, scene)
         tau_g, theta_g, _success = grid_search_retrieve(scene, forward, cfg)
-        tau = np.clip(tau_g, 0.0, forward.tau_max)
-        neighbours = _gather_neighbours(tau, lattice, slice(None))
-        tau = (tau + _slot_sum(neighbours)) / (1 + lattice.n_p)
+        neighbours = _gather_neighbours(tau_g, lattice, slice(None))
+        # means of in-domain levels can round an ulp past an end of it
+        tau = np.clip((tau_g + _slot_sum(neighbours)) / (1 + lattice.n_p), lo, hi)
         theta = floor_simplex(theta_g)
     else:
         raise ConfigurationError(f"unknown init strategy: {strategy}")
@@ -342,8 +348,7 @@ class Workspace:
         self.pred = forward.eval_batch(self.tau, self.theta)
         self.sigma2 = np.array(state.sigma2, dtype=float)
         self.kappa = float(state.kappa)
-        self.tau_lo = max(0.0, forward.tau_min)
-        self.tau_hi = forward.tau_max
+        self.tau_lo, self.tau_hi = aod_domain(forward)
         self.S = self.sse = None
 
     def resync(self) -> None:
@@ -359,9 +364,21 @@ class Workspace:
         )
 
 
-def sweep_regions(ws: Workspace, sweep_idx: int, config: SolverConfig, mode: str = "greedy"):
-    """One sweep: update tau then theta of every region, one vectorised pass
-    per colour class of lattice.classes, in order, each class one share.
+def sweep_regions(ws: Workspace, sweep_idx: int, config: SolverConfig, mode: str = "greedy",
+                  classes=None, mapper=map):
+    """The sweep kernel: update tau then theta of every region, one
+    vectorised pass per colour class of lattice.classes, in order.
+
+    classes lists (colour, shares) pairs, each share an array of the
+    class's rows; None makes each class one share.  The class part, its
+    theta concentration and draw block, runs here once; the row part,
+    _share_pass, runs over the shares through mapper (the builtin map, or
+    a thread pool's).  A region's proposals read only its neighbors, which
+    lie in the other class, and each share writes only its own rows, so the
+    shares of a class may run in any order or at once on the one
+    workspace: all rows move as a region-by-region visit would move them.
+    kappa and sigma2 stay fixed, so the misfit weights mask / (2 sigma2)
+    are built once.
 
     mode "greedy" accepts only strict improvements; mode "mh" accepts with
     the Metropolis-Hastings probability, including the proposal-density
@@ -370,31 +387,13 @@ def sweep_regions(ws: Workspace, sweep_idx: int, config: SolverConfig, mode: str
     and new points).
 
     Returns (delta_sum, tau_accepts, theta_accepts); delta_sum is the
-    exact objective change of the sweep, the sum of the accepted deltas.
-    """
-    classes = [(c, [members]) for c, members in enumerate(ws.lattice.classes)]
-    return _sweep_classes(ws, classes, sweep_idx, config, mode, map)
-
-
-def _sweep_classes(ws: Workspace, classes, sweep_idx: int, config: SolverConfig, mode: str,
-                   mapper):
-    """The sweep kernel: for each (colour, shares) of `classes`, in order,
-    one pass over lattice.classes[colour].  The class part, its theta
-    concentration and draw block, runs here once; the row part,
-    _share_pass, runs over the shares through mapper (the builtin map, or
-    a thread pool's).
-
-    A region's proposals read only its neighbors, which lie in the other
-    class, and each share writes only its own rows, so the shares of a
-    class may run in any order or at once on the one workspace: all rows
-    move as a region-by-region visit would move them.  kappa and sigma2
-    stay fixed, so the misfit weights mask / (2 sigma2) are built once.
-    The accepted deltas are summed in share order; shares that are
-    ascending runs of the class in ascending order sum them as one share
-    holding the whole class does.  Returns (delta_sum, tau_accepts,
-    theta_accepts).
+    exact objective change of the sweep, the sum of the accepted deltas in
+    share order.  Shares that are ascending runs of the class in ascending
+    order sum them as one share holding the whole class does.
     """
     lat = ws.lattice
+    if classes is None:
+        classes = [(c, [members]) for c, members in enumerate(lat.classes)]
     w = ws.mask / (2.0 * ws.sigma2)
     mh = mode == "mh"
     delta_sum = 0.0

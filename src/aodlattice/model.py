@@ -257,6 +257,13 @@ class RetrievalState:
         )
 
 
+def aod_domain(forward) -> tuple[float, float]:
+    """The one AOD domain (lo, hi) = (max(0, tau_min), tau_max) of a forward
+    table: the knot range floored at zero AOD.  The starts, the sweep
+    kernel's clamp and the grid-search levels all lie in it."""
+    return max(0.0, forward.tau_min), forward.tau_max
+
+
 def validate_state(state: RetrievalState, hyper: HyperParams) -> None:
     """Raise ValueError when any RetrievalState invariant is violated; the
     prior's one rule is that theta has len(hyper.alpha) columns.  tau above

@@ -7,12 +7,15 @@ lie in the other class, so a class split across patches in any way
 computes what the sequential sweep computes.  kappa and sigma2 move once
 per sweep from the merged field.
 
-With one patch a sweep is the sequential kernel call.  With more, a
-thread pool of min(n_patches, 8) threads sweeps each colour class: the
-calling thread computes the class's concentration and draw block once,
-then each patch's share of the class runs its tau and theta steps in a
-thread, directly on the one shared workspace.  Shares are disjoint rows
-and read only the other colour, so no thread writes where another
+Every patch count sweeps through the one kernel entry,
+map_solver.sweep_regions, given the patch shares of each colour class
+and a mapper.  With one patch the mapper is the builtin map: a sweep is
+the sequential kernel call that run_map makes, in the calling thread.
+With more it is the map of a thread pool of min(n_patches, 8) threads:
+the calling thread computes each class's concentration and draw block
+once, then each patch's share of the class runs its tau and theta steps
+in a thread, directly on the one shared workspace.  Shares are disjoint
+rows and read only the other colour, so no thread writes where another
 reads; the colour passes are large numpy operations that release the
 GIL.  The shares' accepted deltas are summed in patch order, which for
 ascending runs is the class order, so the final state and the trace are
@@ -27,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .map_solver import (
-    SolverConfig,
-    _start,
-    _sweep_classes,
-    _sweep_loop,
-    sweep_regions,
-)
+from .map_solver import SolverConfig, _start, _sweep_loop, sweep_regions
 from .model import (
     ConfigurationError,
     LatticeTopology,
@@ -96,7 +93,8 @@ def run_map_parallel(
     sweeps split the lattice by; per-sweep wall times are in
     trace.elapsed_ms.  The final state, sweep count, convergence flag and
     trace equal run_map's bitwise for every n_patches; every executor name
-    runs the same way.
+    runs the same way.  One patch sweeps in the calling thread and starts
+    no thread.
     """
     config.validate()
     if executor not in EXECUTORS:
@@ -104,29 +102,23 @@ def run_map_parallel(
     part = partition(lattice, n_patches)
     ws, trace = _start(scene, forward, lattice, config, init)
     classes = _patch_shares(lattice, part)
-    pool = ThreadPoolExecutor(max_workers=min(n_patches, 8)) if n_patches > 1 else None
+    # the pool starts its threads on the first submit: one patch starts none
+    with ThreadPoolExecutor(max_workers=min(n_patches, 8)) as pool:
+        mapper = pool.map if n_patches > 1 else map
 
-    def run_sweep(sweep):
-        return _one_parallel_sweep(ws, classes, sweep, config, pool)
+        def run_sweep(sweep):
+            return _one_parallel_sweep(ws, classes, sweep, config, mapper)
 
-    try:
         for _ in _sweep_loop(ws, trace, range(1, config.max_sweeps + 1), run_sweep, config):
             pass  # the loop records every sweep in trace
-    finally:
-        if pool is not None:
-            pool.shutdown()
     final = ws.to_state()
     trace.final_log_posterior = log_posterior(scene, final, config.hyper, forward)
     return final, trace, part
 
 
-def _one_parallel_sweep(ws, classes, sweep, config, pool):
-    """Sweep the lattice in colour order into ws; returns (delta_sum,
-    tau_accepts, theta_accepts).
-
-    Without a pool this is the sequential kernel call; with one, each
-    colour class's patch shares run in the pool's threads.
-    """
-    if pool is None:
-        return sweep_regions(ws, sweep, config)
-    return _sweep_classes(ws, classes, sweep, config, "greedy", pool.map)
+def _one_parallel_sweep(ws, classes, sweep, config, mapper):
+    """One greedy sweep of the patch shares `classes` into ws through
+    mapper; returns (delta_sum, tau_accepts, theta_accepts).  The kernel
+    call under its own name, so a sweep's dispatch can be timed apart from
+    the kernel."""
+    return sweep_regions(ws, sweep, config, "greedy", classes, mapper)

@@ -275,7 +275,7 @@ def _forward_calls():
         return al.make_sim_scene(fwd, 6, 6, noise_level=0.05, seed=3).scene
 
     def init(fwd, strategy="flat"):
-        return al.init_state(scene(fwd), fwd, strategy, hyper, seed=5, lattice=lat)
+        return al.init_state(scene(fwd), fwd, strategy, hyper, seed=5)
 
     def grid(fwd):
         s = scene(fwd)

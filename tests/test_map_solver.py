@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import aodlattice as al
-from aodlattice import map_solver
+from aodlattice import map_solver, parallel
 from aodlattice.map_solver import (
     SHAPE_FLOOR,
     Workspace,
@@ -15,7 +15,6 @@ from aodlattice.map_solver import (
     _draw_tau,
     _draw_theta,
     _hyper_step,
-    _sweep_classes,
     _theta_conc,
     sweep_regions,
 )
@@ -69,7 +68,7 @@ class TestProposeTau:
         cfg = al.SolverConfig(hyper=hyper, seed=1, delta=1e-12)
         members, mean, _ = _class_tau_draw(state, lat, 0, cfg.seed, 1, cfg.delta)
         ws = Workspace(scene, small_table, lat, hyper, state)
-        _, acc_t, _ = _sweep_classes(ws, [(0, [members])], 1, cfg, "greedy", map)
+        _, acc_t, _ = sweep_regions(ws, 1, cfg, "greedy", [(0, [members])], map)
         moved = ws.tau[members] != state.tau[members]
         assert acc_t == moved.sum()
         assert acc_t > 0
@@ -206,8 +205,8 @@ class TestSweepKernel:
         for p in reversed(range(lat.n_regions)):  # late rows: class_pos > 0
             colour = (p // lat.width + p % lat.width) % 2
             ws = Workspace(scene, small_table, lat, hyper, init)
-            dsum, acc_t, acc_h = _sweep_classes(ws, [(colour, [np.array([p])])], sweep, cfg,
-                                                "greedy", map)
+            dsum, acc_t, acc_h = sweep_regions(ws, sweep, cfg, "greedy",
+                                               [(colour, [np.array([p])])], map)
             if acc_t == 1 and acc_h == 1 and lat.class_pos[p] > 0:
                 break
         else:
@@ -280,7 +279,7 @@ class TestSweepKernel:
                         members = rng.permutation(members)
                     classes.append((colour, np.array_split(members, 3)))
                 split = Workspace(scene, small_table, lat, hyper, init)
-                got = _sweep_classes(split, classes, 1, cfg, mode, map)
+                got = sweep_regions(split, 1, cfg, mode, classes, map)
                 np.testing.assert_array_equal(split.tau, whole.tau)
                 np.testing.assert_array_equal(split.theta, whole.theta)
                 np.testing.assert_array_equal(split.pred, whole.pred)
@@ -402,7 +401,8 @@ class TestUpdateSigma:
 class TestSweepLoop:
     def test_every_driver_runs_kernel_then_hyper_step(self, small_table, monkeypatch):
         """run_map, run_map_parallel, run_mcmc and mh_sweep all sweep through
-        the one loop: per sweep index one kernel call, then one hyper step."""
+        the one loop and the one kernel entry, sweep_regions: per sweep
+        index one kernel call, then one hyper step."""
         calls = []
         kernel, hyper_step = map_solver.sweep_regions, map_solver._hyper_step
 
@@ -415,6 +415,7 @@ class TestSweepLoop:
             return hyper_step(ws)
 
         monkeypatch.setattr(map_solver, "sweep_regions", record_kernel)
+        monkeypatch.setattr(parallel, "sweep_regions", record_kernel)
         monkeypatch.setattr(map_solver, "_hyper_step", record_hyper)
         rng = np.random.default_rng(23)
         scene = random_scene(small_table, rng, 4, 4)
@@ -430,9 +431,8 @@ class TestSweepLoop:
         _, trace = al.run_map(scene, small_table, lat, cfg, init)
         assert trace.sweeps >= 1 and calls == steps(range(1, trace.sweeps + 1))
         calls.clear()
-        # two patches sweep through the thread pool, not sweep_regions
         _, trace, _ = al.run_map_parallel(scene, small_table, lat, cfg, 2, init)
-        assert trace.sweeps >= 1 and calls == ["hyper"] * trace.sweeps
+        assert trace.sweeps >= 1 and calls == steps(range(1, trace.sweeps + 1))
         calls.clear()
         al.run_mcmc(scene, small_table, lat, mcfg, init)
         assert calls == steps(range(1, mcfg.iterations + 1))
@@ -573,6 +573,35 @@ class TestInitState:
         al.validate_state(a, hyper)
         assert not np.array_equal(a.tau, b.tau)
 
+    def test_starts_inside_a_shifted_aod_domain(self, small_table):
+        """On a table whose knots start at 0.5 every strategy starts inside
+        its AOD domain [0.5, 6.5], and a 3-sweep run_map from it runs."""
+        shifted = al.RadianceTable(small_table.tau_knots + 0.5, small_table.values)
+        rng = np.random.default_rng(29)
+        scene = random_scene(small_table, rng, 4, 4)
+        lat = al.build_lattice(4, 4)
+        hyper = al.HyperParams.uniform(3)
+        cfg = al.SolverConfig(hyper=hyper, seed=2, max_sweeps=3, epsilon=1e-300)
+        for strategy in map_solver.INIT_STRATEGIES:
+            init = al.init_state(scene, shifted, strategy, hyper, seed=4)
+            assert np.all((init.tau >= 0.5) & (init.tau <= shifted.tau_max)), strategy
+            state, trace = al.run_map(scene, shifted, lat, cfg, init)
+            assert trace.sweeps == 3
+            assert np.all((state.tau >= 0.5) & (state.tau <= shifted.tau_max))
+        flat = al.init_state(scene, shifted, "flat", hyper)
+        assert np.all(flat.tau == 0.5)
+
+    def test_coarse_grid_start_at_the_top_of_the_domain(self):
+        """Radiance brighter than the table pins every grid winner to the
+        top level 5.9; the neighbor means of 5.9 round above it (3 * 5.9 /
+        3 > 5.9), and the start is clipped back into the domain."""
+        table = al.build_synthetic_table(tiny_library(), channels=4, knots=9, tau_max=5.9,
+                                         seed=5)
+        top = table.eval_batch(np.full(1, 5.9), np.full((1, 3), 1 / 3))
+        scene = al.Scene(3, 3, 4, np.repeat(10.0 * top, 9, axis=0), np.ones(4, dtype=bool))
+        state = al.init_state(scene, table, "coarse_grid", al.HyperParams.uniform(3))
+        assert np.all(state.tau == 5.9)
+
     def test_unknown_strategy_rejected(self, small_table):
         rng = np.random.default_rng(19)
         scene = random_scene(small_table, rng)
@@ -589,14 +618,12 @@ class TestInitState:
         for _ in range(12):
             w, h = (int(x) for x in rng.integers(2, 10, size=2))
             scene = random_scene(small_table, rng, w, h)
-            lat = al.build_lattice(w, h)
-            tau_g, _, _ = grid_search_retrieve(
+            tau, _, _ = grid_search_retrieve(
                 scene, small_table, GridSearchConfig.defaults(small_table, scene))
-            tau = np.clip(tau_g, 0.0, small_table.tau_max)
             want = tau.copy()
             for p, nb in enumerate(oracle_neighbours(w, h)):
                 want[p] = (tau[p] + tau[nb].sum()) / (1 + len(nb))
-            got = al.init_state(scene, small_table, "coarse_grid", hyper, lattice=lat)
+            got = al.init_state(scene, small_table, "coarse_grid", hyper)
             np.testing.assert_array_equal(got.tau, want)
 
     def test_start_rows_and_workspace_arrays(self, table36):

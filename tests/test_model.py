@@ -8,7 +8,7 @@ import pytest
 import aodlattice as al
 from aodlattice import map_solver
 from aodlattice.map_solver import Workspace
-from aodlattice.model import _assemble_terms, _misfit, log_posterior_terms
+from aodlattice.model import _assemble_terms, _misfit, aod_domain, log_posterior_terms
 
 from conftest import random_scene, random_state
 from oracles import oracle_chi2_region, oracle_log_posterior
@@ -341,6 +341,18 @@ class TestValidation:
                           region_size_km=float("nan"))
         with pytest.raises(al.ConfigurationError, match="region_size_km"):
             nosize.validate()
+
+    def test_aod_domain_floors_the_knot_range_at_zero(self, small_table):
+        """The one AOD domain is the knot range floored at zero, and the
+        workspace's tau clamp bounds are that domain."""
+        for shift, want in ((0.0, (0.0, 6.0)), (0.5, (0.5, 6.5)), (-0.5, (0.0, 5.5))):
+            table = al.RadianceTable(small_table.tau_knots + shift, small_table.values)
+            assert aod_domain(table) == want
+        scene = random_scene(small_table, np.random.default_rng(12))
+        state = random_state(np.random.default_rng(12), 9, 3, 4)
+        ws = Workspace(scene, small_table, al.build_lattice(3, 3), al.HyperParams.uniform(3),
+                       state)
+        assert (ws.tau_lo, ws.tau_hi) == aod_domain(small_table)
 
     def test_theta_width_must_match_the_prior(self):
         """A theta of M columns under a prior of another length is a state

@@ -78,6 +78,21 @@ class TestRunMapParallel:
         assert st_seq.kappa == st_par.kappa
         assert tr_seq.log_posterior == tr_par.log_posterior
 
+    def test_single_patch_starts_no_thread(self, small_table, monkeypatch):
+        """One patch sweeps in the calling thread: its pool never gets a
+        submit, so it starts no thread; two patches do submit."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        def no_submit(*args, **kwargs):
+            raise AssertionError("a share was submitted to the thread pool")
+
+        scene, lat, cfg, init = self._problem(small_table, 5)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", no_submit)
+        _, trace, _ = al.run_map_parallel(scene, small_table, lat, cfg, 1, init)
+        assert trace.sweeps >= 1
+        with pytest.raises(AssertionError, match="submitted"):
+            al.run_map_parallel(scene, small_table, lat, cfg, 2, init)
+
     @pytest.mark.parametrize("width, height", [(6, 6), (5, 7)])
     def test_every_patch_count_and_executor_equals_run_map(self, small_table, width, height):
         """State, sweeps, convergence and trace equal run_map's bitwise for

@@ -73,3 +73,26 @@ def test_traced_run_map_counts(tracing, small_table):
     assert "mcmc.accept_rng" not in calls
     assert calls["map_solver.sweep_regions"] == trace.sweeps
     assert calls["model.log_posterior"] == 1
+
+
+def test_traced_run_map_parallel_counts(tracing, small_table):
+    """A 2-patch run_map_parallel through the table proxy: every sweep is
+    one dispatch and one kernel call, and the run makes one final
+    log_posterior; the state has the untraced run's bits."""
+    rng = np.random.default_rng(19)
+    scene = random_scene(small_table, rng, 4, 4)
+    lat = al.build_lattice(4, 4)
+    hyper = al.HyperParams.uniform(3)
+    init = al.init_state(scene, small_table, "flat", hyper)
+    cfg = al.SolverConfig(hyper=hyper, seed=19, max_sweeps=3, epsilon=1e-300)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        state, trace, _ = al.run_map_parallel(scene, tracing.TracedTable(small_table, tracer),
+                                              lat, cfg, 2, init)
+    plain, _, _ = al.run_map_parallel(scene, small_table, lat, cfg, 2, init)
+    for name in ("tau", "theta", "sigma2"):
+        assert getattr(state, name).tobytes() == getattr(plain, name).tobytes()
+    calls = {name: v[0] for name, v in tracer.summary().items()}
+    assert trace.sweeps == 3
+    assert calls["map_solver.sweep_regions"] == calls["parallel.dispatch"] == trace.sweeps
+    assert calls["model.log_posterior"] == 1

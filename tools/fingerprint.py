@@ -84,7 +84,7 @@ def _lib_runs() -> None:
     emit("floor_simplex", floor_simplex(rng.dirichlet(np.full(8, 0.05), size=50)))
     flat = al.init_state(scene, small, "flat", hyper=hyper)
     rand = al.init_state(scene, small, "random", hyper=hyper, seed=3)
-    coarse = al.init_state(scene, small, "coarse_grid", hyper=hyper, lattice=lat)
+    coarse = al.init_state(scene, small, "coarse_grid", hyper=hyper)
     emit("init_state.flat", flat)
     emit("init_state.random", rand)
     emit("init_state.coarse_grid", coarse)
