@@ -132,17 +132,23 @@ def grid_search_retrieve(scene: Scene, table, config: GridSearchConfig):
     pick the composition.
 
     The misfit is expanded as ||o||^2_w - 2 (o*w).p + ||p||^2_w, so a row
-    block of regions is scored by one (B x C).(C x T*G) matrix product.
-    The block holds at most _GRID_CELLS misfits, so memory does not grow
-    with the scene and a long tau grid only shrinks the block.  The
-    expanded form loses digits when the misfit is small against
-    ||o||^2_w + ||p||^2_w; every cell within that rounding bound of the
-    threshold, and every cell within twice the bound of a failing row's
-    minimum, is scored again in residual form, so success and the argmin
-    are decided as the residual form decides them.  The clearing means
-    sum per-level and per-mixture counts of the clearing cells times the
-    levels and the mixtures, row by row, so a region's output does not
-    depend on the other regions in its block.
+    block of regions is scored by one matrix product,
+    [o | 1 | ||o||^2_w] (B x C+2) times [-2 (w*p)^T ; ||p||^2_w ; 1]
+    (C+2 x T*G), with no full-matrix adds.  The block holds at most
+    _GRID_CELLS misfits and fills the left factor in one reusable buffer,
+    so memory does not grow with the scene and a long tau grid only
+    shrinks the block.  Each product sums C+2 terms whose magnitudes add
+    up to at most 2 (||o||^2_w + ||p||^2_w), in whatever order BLAS takes
+    them, so rb = 2 (C+2) eps (||o||^2_w + max ||p||^2_w) bounds its
+    rounding; the expanded form loses digits when the misfit is small
+    against that.  Every cell within rb of the threshold is scored again
+    in residual form, so success is decided as the residual form decides
+    it.  A failing row whose runner-up (the minimum with the argmin cell
+    masked out) lies within 2 rb of its minimum has every cell that close
+    scored again the same way, so the argmin is the residual form's first
+    one too.  The clearing means sum per-level and per-mixture counts of
+    the clearing cells times the levels and the mixtures, row by row, so a
+    region's output does not depend on the other regions in its block.
     """
     config.validate(table)
     levels, mixtures = config.tau_levels, config.candidate_mixtures
@@ -152,25 +158,37 @@ def grid_search_retrieve(scene: Scene, table, config: GridSearchConfig):
     flat_pred = table.eval_batch(tau_grid, np.tile(mixtures, (T, 1)))  # level-major cells
     fallback_theta = _tie_theta(flat_pred.reshape(T, G, -1), mixtures)
     obs_all = scene.radiance
+    C = scene.channels
     w = scene.channel_mask / (2.0 * config.sigma2_fixed)
-    cross = -2.0 * (flat_pred * w).T  # (C, T*G)
     p_norm = np.einsum("jc,jc,c->j", flat_pred, flat_pred, w)
     o_norm = np.einsum("ic,ic,c->i", obs_all, obs_all, w)
-    bound = 2 * (scene.channels + 2) * np.finfo(float).eps * (o_norm + p_norm.max())
+    right = np.empty((C + 2, T * G))
+    right[:C] = -2.0 * (flat_pred * w).T
+    right[C] = p_norm
+    right[C + 1] = 1.0
+    bound = 2 * (C + 2) * np.finfo(float).eps * (o_norm + p_norm.max())
     P = scene.n_regions
     M = table.n_components
     tau_out = np.empty(P)
     theta_out = np.empty((P, M))
     success = np.zeros(P, dtype=bool)
     block = max(1, _GRID_CELLS // (T * G))
+    left = np.empty((min(block, P), C + 2))
+    left[:, C] = 1.0
     for start in range(0, P, block):
         rows = slice(start, start + block)
         obs, rb = obs_all[rows], bound[rows]
-        chi2 = obs @ cross
-        chi2 += o_norm[rows, None]
-        chi2 += p_norm
+        b = obs.shape[0]
+        lb = left[:b]
+        lb[:, :C] = obs
+        lb[:, C + 1] = o_norm[rows]
+        chi2 = lb @ right
+        at = np.arange(b)
         best = chi2.argmin(axis=1)
-        low = np.take_along_axis(chi2, best[:, None], axis=1)[:, 0]
+        low = chi2[at, best]
+        chi2[at, best] = np.inf
+        runner_up = chi2.min(axis=1)
+        chi2[at, best] = low
         # rows whose best cell may clear the threshold: decide each cell
         hit = np.flatnonzero(low < thr + rb)
         sub = chi2[hit]
@@ -186,13 +204,12 @@ def grid_search_retrieve(scene: Scene, table, config: GridSearchConfig):
         success[rows][won] = True
         # failing rows whose minimum is not clear of the runner-up: argmin
         # over the near-minimal cells in residual form
-        near = chi2 <= (low + 2.0 * rb)[:, None]
-        redo = np.flatnonzero((near.sum(axis=1) > 1) & ~success[rows])
-        i, j = np.nonzero(near[redo])
+        fail = ~success[rows]
+        redo = np.flatnonzero((runner_up <= low + 2.0 * rb) & fail)
+        i, j = np.nonzero(chi2[redo] <= (low[redo] + 2.0 * rb[redo])[:, None])
         exact = np.full((redo.size, T * G), np.inf)
         exact[i, j] = _direct_chi2(obs[redo[i]], flat_pred[j], w)
         best[redo] = exact.argmin(axis=1)
-        fail = ~success[rows]
         tau_out[rows][fail] = tau_grid[best[fail]]
         theta_out[rows][fail] = fallback_theta[best[fail]]
     return tau_out, theta_out, success

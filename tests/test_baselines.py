@@ -180,16 +180,69 @@ class TestGridSearchOracle:
 
     def test_partial_last_block(self, table36, monkeypatch):
         """A 7-row block over 100 regions leaves a 2-row last block; the
-        output equals the oracle's and the one-block run's."""
+        output equals the oracle's and the one-block run's, at the default
+        threshold and at the median of the regions' best misfits, which
+        clears about half of them, so blocks mix clearing and failing rows."""
         sim = al.make_sim_scene(table36, 10, 10, noise_level=0.05, seed=11)
         cfg = GridSearchConfig.defaults(table36, sim.scene)
-        whole = al.grid_search_retrieve(sim.scene, table36, cfg)
+        best = _direct_chi2_rows(sim.scene, table36, cfg).min(axis=1)
         cells = cfg.tau_levels.size * cfg.candidate_mixtures.shape[0]
-        monkeypatch.setattr(baselines, "_GRID_CELLS", 7 * cells + cells // 2)
-        got = al.grid_search_retrieve(sim.scene, table36, cfg)
-        _assert_matches_oracle(got, oracle_grid_search(sim.scene, table36, cfg))
-        for a, b in zip(got, whole):
-            np.testing.assert_array_equal(a, b)
+        for c in (cfg, replace(cfg, success_threshold=float(np.median(best)))):
+            whole = al.grid_search_retrieve(sim.scene, table36, c)
+            with monkeypatch.context() as m:
+                m.setattr(baselines, "_GRID_CELLS", 7 * cells + cells // 2)
+                got = al.grid_search_retrieve(sim.scene, table36, c)
+            _assert_matches_oracle(got, oracle_grid_search(sim.scene, table36, c))
+            for x, y in zip(got, whole):
+                np.testing.assert_array_equal(x, y)
+        blocks = [got[2][s:s + 7] for s in range(0, 100, 7)]
+        assert any(0 < b.sum() < b.size for b in blocks)
+
+    def test_duplicated_mixture_shares_the_minimum(self, table36, monkeypatch):
+        """With one candidate listed twice, each failing region's minimum is
+        attained by two cells; the runner-up rule sends every row to the
+        residual-form rescoring, and the output is the oracle's (its argmin
+        is the first of the two)."""
+        mixtures = default_candidate_mixtures(8)[[0, 13, 60, 13]]
+        levels = np.linspace(0.0, 6.0, 13)
+        pred = _grid_cells(table36, levels, mixtures).reshape(13, 4, 36)
+        rng = np.random.default_rng(12)
+        P = 20
+        t = rng.integers(1, 13, P)
+        radiance = pred[t, 1] * (1.0 + 1e-3 * rng.standard_normal((P, 36)))
+        scene = al.Scene(5, 4, 36, radiance, np.ones(36, dtype=bool))
+        cfg = replace(GridSearchConfig.defaults(table36, scene), tau_levels=levels,
+                      candidate_mixtures=mixtures, success_threshold=1e-300)
+        chi2 = _direct_chi2_rows(scene, table36, cfg)
+        assert np.all((chi2 == chi2.min(axis=1, keepdims=True)).sum(axis=1) == 2)
+        rescored = []
+        direct = baselines._direct_chi2
+
+        def spy(obs, pred, w):
+            rescored.extend(row.tobytes() for row in obs)
+            return direct(obs, pred, w)
+
+        monkeypatch.setattr(baselines, "_direct_chi2", spy)
+        got = al.grid_search_retrieve(scene, table36, cfg)
+        assert {row.tobytes() for row in radiance} <= set(rescored)
+        assert not got[2].any()
+        _assert_matches_oracle(got, oracle_grid_search(scene, table36, cfg))
+
+    def test_single_cell_grid(self, table36):
+        """One level and one mixture: there is no runner-up (its minimum is
+        inf), every failing region returns the one cell, and a threshold
+        between the regions' misfits clears some of them."""
+        sim = al.make_sim_scene(table36, 6, 6, noise_level=0.05, seed=13)
+        cfg = replace(GridSearchConfig.defaults(table36, sim.scene),
+                      tau_levels=np.array([0.5]),
+                      candidate_mixtures=default_candidate_mixtures(8)[[13]])
+        chi2 = _direct_chi2_rows(sim.scene, table36, cfg)[:, 0]
+        for thr in (1e-300, float(np.median(chi2))):
+            c = replace(cfg, success_threshold=thr)
+            got = al.grid_search_retrieve(sim.scene, table36, c)
+            _assert_matches_oracle(got, oracle_grid_search(sim.scene, table36, c))
+            np.testing.assert_array_equal(got[2], chi2 < thr)
+            np.testing.assert_array_equal(got[0], np.full(36, 0.5))
 
     def test_tau_zero_tie_returns_group_mean(self, table36):
         """At tau = 0 every mixture gives the surface radiance, so the 92

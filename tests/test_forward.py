@@ -129,6 +129,18 @@ class TestEvalRadiance:
             table36.eval_batch(tau, shared),
             np.stack([one_row(table36, tau[p], theta[0]) for p in range(n)]))
 
+    @pytest.mark.parametrize("block", [1, 7, 256, 1024])
+    def test_block_size_does_not_move_bits(self, table36, monkeypatch, block):
+        """The rows per interpolation block only set speed: any block size
+        gives the bytes of the default one."""
+        n = 2 * 1024 + 37
+        rng = np.random.default_rng(6)
+        tau = rng.uniform(0, table36.tau_max, n)
+        theta = rng.dirichlet(np.ones(table36.n_components), size=n)
+        want = table36.eval_batch(tau, theta)
+        monkeypatch.setattr(al.forward, "_MIX_BLOCK", block)
+        assert table36.eval_batch(tau, theta).tobytes() == want.tobytes()
+
     def test_grid_matches_scalar_bitwise(self, table36):
         """Every (level, mixture) cell of the level-major rows the grid
         baseline scores in one eval_batch call is the radiance of that level

@@ -629,7 +629,7 @@ class TestInitState:
     def test_start_rows_and_workspace_arrays(self, table36):
         """A flat start asks eval_batch for the one row its regions share,
         and its sigma2 has the bits of the closed form over all P rows,
-        here three _MIX_BLOCK blocks; a random start asks for P rows.  The
+        more than two _MIX_BLOCK blocks; a random start asks for P rows.  The
         state holds its four variables only, and a Workspace evaluates all
         P rows from arrays of its own."""
         from aodlattice.forward import _MIX_BLOCK

@@ -152,8 +152,10 @@ def _bench_run() -> None:
 
 
 def _multi_block_runs() -> None:
-    """A 48 x 48 scene: 2304 rows, so a full-lattice eval_batch spans three
-    1024-row blocks of the forward table."""
+    """A 48 x 48 scene: 2304 rows, so a full-lattice eval_batch and the grid
+    search each run over several row blocks.  The grid run's threshold, three
+    times the default, clears about half of the noisy regions, so both the
+    clearing means and the failing argmin are covered."""
     table36 = al.build_synthetic_table(al.default_library(), channels=36, knots=25,
                                        tau_max=6.0, seed=0)
     scene = al.make_sim_scene(table36, 48, 48, noise_level=0.1, seed=7).scene
@@ -164,6 +166,9 @@ def _multi_block_runs() -> None:
     rand = al.init_state(scene, table36, "random", hyper=hyper, seed=3)
     emit("init_state.flat.48", flat)
     emit("init_state.random.48", rand)
+    gcfg = al.GridSearchConfig.defaults(table36, scene)
+    emit("grid_search_retrieve.partial.48", al.grid_search_retrieve(
+        scene, table36, replace(gcfg, success_threshold=3.0 * gcfg.success_threshold)))
     emit("run_map.flat.48", al.run_map(scene, table36, lat, cfg, flat))
     state, trace, _ = al.run_map_parallel(scene, table36, lat, cfg, 2, rand)
     emit("run_map_parallel.random.48", state, trace)
