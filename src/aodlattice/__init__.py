@@ -46,10 +46,10 @@ from .baselines import (
     MetricsReport,
     StabilityResult,
     compute_metrics,
+    dominance_map,
     grid_search_retrieve,
     stability_bounds,
 )
-from .probe import dominance_map, posterior_slice
 
 __all__ = [
     "AerosolComponent",
@@ -86,7 +86,6 @@ __all__ = [
     "make_sim_scene",
     "mh_sweep",
     "partition",
-    "posterior_slice",
     "run_map",
     "run_map_parallel",
     "run_mcmc",

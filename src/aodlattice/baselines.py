@@ -1,4 +1,5 @@
-"""Operational-style grid-search baseline, comparison metrics, stability bounds.
+"""Operational-style grid-search baseline, comparison metrics, dominance
+maps, stability bounds.
 
 The grid baseline retrieves each region independently: it scans a small
 grid of AOD levels crossed with a fixed list of candidate mixtures,
@@ -268,6 +269,26 @@ def compute_metrics(retrieved, reference) -> MetricsReport:
         n=int(r.size),
         per_region_error=err,
     )
+
+
+def dominance_map(theta: np.ndarray, component_ids=None):
+    """Per-region dominant component id and its share, for side-by-side
+    comparisons of composition fields.
+
+    Ties break toward the lowest component id.  Ids default to 1..M when
+    no library ids are given.
+    """
+    theta = np.asarray(theta, dtype=float)
+    P, M = theta.shape
+    if component_ids is None:
+        component_ids = np.arange(1, M + 1)
+    ids = np.asarray(component_ids)
+    if ids.size != M:
+        raise ConfigurationError("component_ids length must equal M")
+    order = np.argsort(ids, kind="stable")
+    sorted_theta = theta[:, order]
+    best = np.argmax(sorted_theta, axis=1)  # first max wins: lowest id
+    return ids[order][best], sorted_theta[np.arange(P), best]
 
 
 @dataclass

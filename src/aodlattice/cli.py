@@ -224,10 +224,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_retrieve(args) -> int:
     """Run one retrieval method; the output directory is created only once
-    every result, metrics included, has been computed."""
+    every result, metrics included, has been computed.  A truth sidecar
+    whose row count is not the scene's region count exits 2 before the
+    solve."""
     text, cfg = load_config(args.config, args.set)
     t0 = time.perf_counter()
     scene, _, table = io.load_scene(args.scene)
+    truth = io.load_truth(args.scene)
+    if truth is not None:
+        truth = truth[0].copy()  # only the AOD column is held through the solve
+        if truth.size != scene.n_regions:
+            raise ConfigurationError(f"{Path(args.scene) / io.TRUTH_CSV}: {truth.size} rows "
+                                     f"but the scene has {scene.n_regions} regions")
     lattice = build_lattice(scene.width, scene.height)
     # checked before init_state, which may run a full grid search
     solver_cfg, mcmc_cfg, grid_cfg = _run_configs(cfg, table, scene, lattice)
@@ -257,8 +265,7 @@ def cmd_retrieve(args) -> int:
         else:
             raise ConfigurationError(f"unknown method: {args.method}")
         tau, theta = state.tau, state.theta
-    truth = io.load_truth(args.scene)
-    report = None if truth is None else compute_metrics(tau, truth[0])
+    report = None if truth is None else compute_metrics(tau, truth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, matrix in matrices.items():

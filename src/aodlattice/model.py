@@ -389,6 +389,16 @@ def _theta_delta(dchi, log_old, log_new, alpha_m1):
     return -dchi + np.sum(alpha_m1 * (log_new - log_old), axis=-1)
 
 
+def _row_dchi(state, scene, forward, p, tau_new, theta_new):
+    """Region p's misfit change, new _misfit minus old, from moving its
+    (tau, theta) to the one-row arrays tau_new (1,) and theta_new (1 x M)."""
+    rows = [p]
+    obs = scene.radiance[rows]
+    w = scene.channel_mask / (2.0 * state.sigma2)
+    return (_misfit(obs, forward.eval_batch(tau_new, theta_new), w)
+            - _misfit(obs, forward.eval_batch(state.tau[rows], state.theta[rows]), w))
+
+
 def delta_log_posterior_tau(
     state: RetrievalState,
     scene: Scene,
@@ -403,23 +413,12 @@ def delta_log_posterior_tau(
     the difference of two full log_posterior evaluations.  The arithmetic
     is the sweep kernel's own, on one row.
     """
-    return float(_region_tau_deltas(state, scene, lattice, forward, p, np.array([tau_new]))[0])
-
-
-def _region_tau_deltas(state, scene, lattice, forward, p, tau_new: np.ndarray) -> np.ndarray:
-    """delta_log_posterior_tau for each of the k values tau_new, from one
-    eval_batch; each value is bitwise the one-value call's."""
     rows = [p]
-    tau_old = state.tau[rows]
-    theta_p = state.theta[rows]
-    tau_new = np.asarray(tau_new, dtype=float)
-    obs = scene.radiance[rows]
-    w = scene.channel_mask / (2.0 * state.sigma2)
-    theta_new = np.broadcast_to(theta_p, (tau_new.size, theta_p.shape[1]))
-    dchi = (_misfit(obs, forward.eval_batch(tau_new, theta_new), w)
-            - _misfit(obs, forward.eval_batch(tau_old, theta_p), w))
-    return _tau_delta(dchi, tau_old, tau_new, _gather_neighbours(state.tau, lattice, rows),
-                      lattice.nbr_mask[rows], state.kappa)
+    tau_new = np.array([tau_new], dtype=float)
+    dchi = _row_dchi(state, scene, forward, p, tau_new, state.theta[rows])
+    return float(_tau_delta(dchi, state.tau[rows], tau_new,
+                            _gather_neighbours(state.tau, lattice, rows),
+                            lattice.nbr_mask[rows], state.kappa)[0])
 
 
 def delta_log_posterior_theta(
@@ -436,13 +435,8 @@ def delta_log_posterior_theta(
     Touches only region p's misfit and the Dirichlet term of row p.  The
     arithmetic is the sweep kernel's own, on one row.
     """
-    rows = [p]
-    tau_p = state.tau[rows]
-    theta_old = state.theta[rows]
     theta_new = np.asarray(theta_new, dtype=float)[None]
-    obs = scene.radiance[rows]
-    w = scene.channel_mask / (2.0 * state.sigma2)
-    dchi = (_misfit(obs, forward.eval_batch(tau_p, theta_new), w)
-            - _misfit(obs, forward.eval_batch(tau_p, theta_old), w))
+    dchi = _row_dchi(state, scene, forward, p, state.tau[[p]], theta_new)
     return float(_theta_delta(
-        dchi, _safe_log_theta(theta_old), _safe_log_theta(theta_new), hyper.alpha - 1.0)[0])
+        dchi, _safe_log_theta(state.theta[[p]]), _safe_log_theta(theta_new),
+        hyper.alpha - 1.0)[0])

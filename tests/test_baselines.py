@@ -1,4 +1,4 @@
-"""Grid-search baseline, metrics and multi-start stability bounds."""
+"""Grid-search baseline, metrics, dominance maps and multi-start stability bounds."""
 
 from dataclasses import replace
 
@@ -355,6 +355,31 @@ class TestComputeMetrics:
             al.compute_metrics(np.zeros(3), np.zeros(4))
         with pytest.raises(al.ConfigurationError, match="at least 2"):
             al.compute_metrics(np.zeros(1), np.zeros(1))
+
+
+class TestDominanceMap:
+    def test_one_hot_rows(self):
+        theta = np.eye(4)[[2, 0, 3]]
+        ids, share = al.dominance_map(theta)
+        np.testing.assert_array_equal(ids, [3, 1, 4])
+        np.testing.assert_array_equal(share, [1.0, 1.0, 1.0])
+
+    def test_uniform_rows_tie_break_lowest_id(self):
+        theta = np.full((3, 4), 0.25)
+        ids, share = al.dominance_map(theta)
+        np.testing.assert_array_equal(ids, [1, 1, 1])
+        np.testing.assert_allclose(share, 0.25)
+
+    def test_library_ids_and_unsorted_tie_break(self):
+        theta = np.array([[0.5, 0.5, 0.0]])
+        ids, share = al.dominance_map(theta, component_ids=[14, 2, 8])
+        # tie between columns 0 (id 14) and 1 (id 2): lowest id wins
+        np.testing.assert_array_equal(ids, [2])
+        np.testing.assert_array_equal(share, [0.5])
+
+    def test_id_length_check(self):
+        with pytest.raises(al.ConfigurationError):
+            al.dominance_map(np.full((2, 3), 1 / 3), component_ids=[1, 2])
 
 
 class TestStabilityBounds:

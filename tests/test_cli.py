@@ -259,6 +259,25 @@ class TestRetrieve:
         for name in set(names) - {"manifest.json", "trace.csv"}:  # wall times
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_short_truth_sidecar_exits_2_before_the_solve(self, scene_dir, tmp_path, capsys,
+                                                          monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_map ran although the truth sidecar is short")
+
+        monkeypatch.setattr(cli, "run_map", no_solve)
+        short = tmp_path / "short"
+        shutil.copytree(scene_dir, short)
+        (short / "truth.csv.bin").unlink()
+        rows = (short / "truth.csv").read_text().splitlines(keepends=True)
+        (short / "truth.csv").write_text("".join(rows[:-1]))
+        out = tmp_path / "o"
+        code = run_cli("retrieve", "--scene", str(short), "--method", "map", *SMALL,
+                       "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "truth.csv" in err and "63 rows" in err and "64 regions" in err
+        assert not out.exists()
+
     def test_missing_scene_exits_2(self, tmp_path):
         assert run_cli("retrieve", "--scene", str(tmp_path / "none"), "--method", "map",
                        "--out", str(tmp_path / "o")) == 2

@@ -106,9 +106,9 @@ class TestEvalRadiance:
 
     def test_rows_independent_at_production_shape(self, table36):
         """The same three-way check on the 8-component, 36-channel table,
-        whose shape sets the contraction's inner loops, and with theta
-        given as one row broadcast with stride 0, as _region_tau_deltas
-        passes it."""
+        whose shape sets the contraction's inner loops; then one theta row
+        broadcast with stride 0 over every tau gives each row's one-row
+        value."""
         n = 2 * _MIX_BLOCK + 37
         M = table36.n_components
         rng = np.random.default_rng(5)
@@ -305,8 +305,11 @@ def _forward_calls():
         "mh_sweep": lambda fwd: al.mh_sweep(init(fwd), scene(fwd), fwd, lat, mcfg, 1),
         "grid_search_retrieve": grid,
         "log_posterior": lambda fwd: al.log_posterior(scene(fwd), init(fwd), hyper, fwd),
-        "posterior_slice": lambda fwd: al.posterior_slice(
-            scene(fwd), fwd, lat, init(fwd), hyper, 7, 1, (0.0, 1.0), (0.1, 0.9), (5, 4)),
+        "delta_log_posterior_tau": lambda fwd: al.delta_log_posterior_tau(
+            init(fwd, "random"), scene(fwd), lat, fwd, 7, 0.4),
+        "delta_log_posterior_theta": lambda fwd: al.delta_log_posterior_theta(
+            init(fwd, "random"), scene(fwd), lat, fwd, 7, np.array([0.2, 0.5, 0.3]), hyper),
+        "update_sigma": lambda fwd: al.update_sigma(init(fwd, "random"), scene(fwd), fwd),
     }
 
 

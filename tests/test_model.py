@@ -403,3 +403,9 @@ class TestValidation:
         bad.sigma2[1] = 0.0
         with pytest.raises(ValueError):
             al.validate_state(bad, hyper)
+
+
+def test_every_exported_name_resolves_once():
+    """`from aodlattice import *` needs every __all__ entry on the package."""
+    assert len(set(al.__all__)) == len(al.__all__)
+    assert [name for name in al.__all__ if not hasattr(al, name)] == []

@@ -5,7 +5,6 @@ import pytest
 
 import aodlattice as al
 from aodlattice.map_solver import update_kappa, update_sigma
-from aodlattice.probe import rebalance_row
 from aodlattice.simulate import _box_smooth, render_grid
 
 
@@ -128,7 +127,9 @@ class TestRender:
             )
             assert d <= 0.0
             m = int(rng.integers(0, 3))
-            row = rebalance_row(state.theta[p], m, float(np.clip(state.theta[p][m] + 0.02, 0, 1)))
+            h = float(np.clip(state.theta[p][m] + 0.02, 0, 1))
+            row = state.theta[p] * ((1.0 - h) / (1.0 - state.theta[p][m]))  # others keep ratios
+            row[m] = h
             dth = al.delta_log_posterior_theta(
                 state, sim.scene, lat, small_table, p, row, hyper
             )
