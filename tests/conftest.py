@@ -41,6 +41,14 @@ def random_state(rng, P, M, C):
     )
 
 
+def rebalance(row, m, share):
+    """Row with component m's share set to `share` and the others scaled to
+    keep their ratios and the unit sum; row[m] must be below 1."""
+    out = row * ((1.0 - share) / (1.0 - row[m]))
+    out[m] = share
+    return out
+
+
 def random_scene(table, rng, width=3, height=3):
     """A small scene with observations near (but not equal to) a random
     forward rendering, so residuals are generic."""

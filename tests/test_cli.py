@@ -278,6 +278,26 @@ class TestRetrieve:
         assert "truth.csv" in err and "63 rows" in err and "64 regions" in err
         assert not out.exists()
 
+    def test_long_truth_sidecar_with_stale_mirror_exits_2_before_the_grid(
+            self, scene_dir, tmp_path, capsys, monkeypatch):
+        """An extra truth row is caught from the CSV: the mirror, left in
+        place, no longer matches its bytes and is not read."""
+        def no_search(*args, **kwargs):
+            raise AssertionError("grid search ran although the truth sidecar is long")
+
+        monkeypatch.setattr(cli, "grid_search_retrieve", no_search)
+        long = tmp_path / "long"
+        shutil.copytree(scene_dir, long)
+        rows = (long / "truth.csv").read_text().splitlines(keepends=True)
+        (long / "truth.csv").write_text("".join(rows + rows[-1:]))
+        out = tmp_path / "o"
+        code = run_cli("retrieve", "--scene", str(long), "--method", "grid", *SMALL,
+                       "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "truth.csv" in err and "65 rows" in err and "64 regions" in err
+        assert not out.exists()
+
     def test_missing_scene_exits_2(self, tmp_path):
         assert run_cli("retrieve", "--scene", str(tmp_path / "none"), "--method", "map",
                        "--out", str(tmp_path / "o")) == 2

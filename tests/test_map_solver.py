@@ -20,7 +20,7 @@ from aodlattice.map_solver import (
 )
 from aodlattice.model import _gather_neighbours, floor_simplex, gmrf_roughness
 
-from conftest import random_scene, random_state, tiny_library
+from conftest import random_scene, random_state, rebalance, tiny_library
 from oracles import golden_max, oracle_neighbours, oracle_sweep_regions
 
 
@@ -523,6 +523,32 @@ class TestRunMap:
         assert trace2.sweeps == 1
         np.testing.assert_array_equal(state2.tau, state.tau)
         np.testing.assert_array_equal(state2.theta, state.theta)
+
+    def test_endpoint_near_optimal_around_one_region(self, small_table):
+        """Over a 9 x 9 grid of (tau, share) moves around one region's
+        endpoint coordinates, the greedy endpoint sits near the bottom of
+        the negative log-posterior: within the plateau the stop rule leaves."""
+        sim = al.make_sim_scene(small_table, 4, 4, seed=1)
+        lat = al.build_lattice(4, 4)
+        hyper = al.HyperParams.uniform(3)
+        cfg = al.SolverConfig(hyper=hyper, seed=1, max_sweeps=300, epsilon=1e-13)
+        init = al.init_state(sim.scene, small_table, "flat", hyper)
+        state, _ = al.run_map(sim.scene, small_table, lat, cfg, init)
+        p, m = 5, 0
+        t0 = float(np.clip(state.tau[p], 0.13, 5.87))
+        h0 = float(np.clip(state.theta[p, m], 0.11, 0.89))
+        f = al.log_posterior(sim.scene, state, hyper, small_table)
+        values = np.empty((9, 9))
+        for j, share in enumerate(np.linspace(h0 - 0.1, h0 + 0.1, 9)):
+            row = rebalance(state.theta[p], m, share)
+            d_theta = al.delta_log_posterior_theta(state, sim.scene, lat, small_table, p, row,
+                                                   hyper)
+            mod = state.copy()
+            mod.theta[p] = row
+            for i, tau in enumerate(np.linspace(t0 - 0.12, t0 + 0.12, 9)):
+                values[i, j] = -(f + d_theta + al.delta_log_posterior_tau(
+                    mod, sim.scene, lat, small_table, p, float(tau)))
+        assert values[4, 4] <= values.min() + 0.25 * (values.max() - values.min())
 
     def test_incremental_matches_full_recomputation(self, small_table):
         scene, lat, cfg, init = self._problem(small_table, 14)

@@ -10,7 +10,7 @@ from aodlattice import map_solver
 from aodlattice.map_solver import Workspace
 from aodlattice.model import _assemble_terms, _misfit, aod_domain, log_posterior_terms
 
-from conftest import random_scene, random_state
+from conftest import random_scene, random_state, rebalance
 from oracles import oracle_chi2_region, oracle_log_posterior
 
 
@@ -275,6 +275,60 @@ class TestDeltas:
                 mod.theta[p] = theta_new
             f1 = al.log_posterior(scene, mod, hyper, small_table)
             assert abs(d - (f1 - f0)) <= 1e-9
+
+    def test_theta_then_tau_deltas_sum_to_the_joint_move(self, small_table):
+        """A theta delta, then a tau delta on the theta-moved state, add up
+        to the change of a move that sets both of region p's coordinates."""
+        rng, scene, state, lat, hyper = self._setup(small_table, 12)
+        f0 = al.log_posterior(scene, state, hyper, small_table)
+        for _ in range(30):
+            p = int(rng.integers(0, 9))
+            row = rng.dirichlet(np.ones(3))
+            tau_new = float(rng.uniform(0.0, 3.0))
+            d_theta = al.delta_log_posterior_theta(state, scene, lat, small_table, p, row, hyper)
+            mod = state.copy()
+            mod.theta[p] = row
+            d_tau = al.delta_log_posterior_tau(mod, scene, lat, small_table, p, tau_new)
+            mod.tau[p] = tau_new
+            want = al.log_posterior(scene, mod, hyper, small_table) - f0
+            assert abs(d_theta + d_tau - want) <= 1e-10 * max(1.0, abs(f0))
+
+    def test_deltas_read_only_region_p_and_its_neighbours(self, small_table):
+        """Moving every region that is neither p nor one of p's neighbours
+        leaves both of p's deltas unchanged, bit for bit."""
+        rng = np.random.default_rng(13)
+        scene = random_scene(small_table, rng, 4, 4)
+        state = random_state(rng, 16, 3, small_table.n_channels)
+        lat = al.build_lattice(4, 4)
+        hyper = al.HyperParams(alpha=np.array([0.8, 1.2, 1.0]))
+        p, tau_new, row = 5, 1.7, np.array([0.2, 0.5, 0.3])
+        far = np.setdiff1d(np.arange(16), np.append(lat.nbr_index[p], p))
+        moved = state.copy()
+        moved.tau[far] = rng.uniform(0.0, 3.0, far.size)
+        moved.theta[far] = rng.dirichlet(np.ones(3), size=far.size)
+        deltas = [(al.delta_log_posterior_tau(s, scene, lat, small_table, p, tau_new),
+                   al.delta_log_posterior_theta(s, scene, lat, small_table, p, row, hyper))
+                  for s in (state, moved)]
+        assert far.size == 11
+        assert deltas[0] == deltas[1]
+
+    def test_tau_optimum_moves_with_the_component_share(self, table36):
+        """The misfit couples AOD to the mixing weight: region p's best tau
+        on a fine axis changes as one component's share changes."""
+        sim = al.make_sim_scene(table36, 4, 4, seed=2)
+        lat = al.build_lattice(4, 4)
+        state = al.RetrievalState(tau=sim.truth_tau.copy(), theta=sim.truth_theta.copy(),
+                                  sigma2=np.full(36, 1e-4), kappa=1.0)
+        p, m = 5, 1
+        tau_axis = np.linspace(0.01, 1.2, 60)
+        best = []
+        for share in np.linspace(0.02, 0.95, 12):
+            mod = state.copy()
+            mod.theta[p] = rebalance(state.theta[p], m, share)
+            d = [al.delta_log_posterior_tau(mod, sim.scene, lat, table36, p, float(t))
+                 for t in tau_axis]
+            best.append(tau_axis[int(np.argmax(d))])
+        assert np.unique(best).size > 1
 
     def test_tau_delta_with_zero_kappa_is_pure_misfit(self, small_table):
         rng, scene, state, lat, _ = self._setup(small_table, 10)

@@ -7,6 +7,8 @@ import aodlattice as al
 from aodlattice.map_solver import update_kappa, update_sigma
 from aodlattice.simulate import _box_smooth, render_grid
 
+from conftest import rebalance
+
 
 class TestGenTruth:
     def test_deterministic_in_seed(self):
@@ -127,9 +129,7 @@ class TestRender:
             )
             assert d <= 0.0
             m = int(rng.integers(0, 3))
-            h = float(np.clip(state.theta[p][m] + 0.02, 0, 1))
-            row = state.theta[p] * ((1.0 - h) / (1.0 - state.theta[p][m]))  # others keep ratios
-            row[m] = h
+            row = rebalance(state.theta[p], m, float(np.clip(state.theta[p][m] + 0.02, 0, 1)))
             dth = al.delta_log_posterior_theta(
                 state, sim.scene, lat, small_table, p, row, hyper
             )
