@@ -32,9 +32,11 @@ from .forward import (
 )
 from .map_solver import (
     SolverConfig,
+    StabilityResult,
     SweepTrace,
     init_state,
     run_map,
+    stability_bounds,
     update_kappa,
     update_sigma,
 )
@@ -44,11 +46,9 @@ from .simulate import SimScene, add_noise, gen_truth, make_sim_scene
 from .baselines import (
     GridSearchConfig,
     MetricsReport,
-    StabilityResult,
     compute_metrics,
     dominance_map,
     grid_search_retrieve,
-    stability_bounds,
 )
 
 __all__ = [

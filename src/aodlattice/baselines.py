@@ -1,5 +1,6 @@
-"""Operational-style grid-search baseline, comparison metrics, dominance
-maps, stability bounds.
+"""Operational-style grid-search baseline, comparison metrics and
+dominance maps; imports only model (the MAP solver's multi-start
+stability bounds are map_solver.stability_bounds).
 
 The grid baseline retrieves each region independently: it scans a small
 grid of AOD levels crossed with a fixed list of candidate mixtures,
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -241,7 +242,8 @@ def compute_metrics(retrieved, reference) -> MetricsReport:
     """RMSE, Pearson correlation and mean bias of retrieved vs reference.
 
     Population (divide-by-N) conventions throughout, so the decomposition
-    rmse^2 = bias^2 + var(error) is exact.  A constant reference or
+    rmse^2 = bias^2 + var(error) is exact.  Non-finite entries raise
+    ConfigurationError.  A constant reference or
     retrieved field leaves the correlation undefined (flagged, stored as
     nan).
     """
@@ -251,6 +253,8 @@ def compute_metrics(retrieved, reference) -> MetricsReport:
         raise ConfigurationError("retrieved and reference lengths differ")
     if r.size < 2:
         raise ConfigurationError("need at least 2 entries")
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
+        raise ConfigurationError("retrieved and reference values must be finite")
     err = r - t
     rmse = float(np.sqrt(np.mean(err**2)))
     bias = float(np.mean(err))
@@ -289,57 +293,3 @@ def dominance_map(theta: np.ndarray, component_ids=None):
     sorted_theta = theta[:, order]
     best = np.argmax(sorted_theta, axis=1)  # first max wins: lowest id
     return ids[order][best], sorted_theta[np.arange(P), best]
-
-
-@dataclass
-class StabilityResult:
-    """Multi-start spread of the MAP AOD retrieval."""
-
-    mean: np.ndarray
-    std: np.ndarray
-    n_used: int
-    excluded_seeds: list
-
-
-def stability_bounds(
-    scene: Scene,
-    forward,
-    lattice,
-    config,
-    n_inits: int,
-    seeds=None,
-) -> StabilityResult:
-    """Run the MAP solver from several random initializations.
-
-    Each run starts from init_state's "random" strategy under its own seed.
-    Returns the per-region mean and population standard deviation of the
-    retrieved AOD over the runs that converged within max_sweeps; runs
-    that did not converge are excluded and their seeds reported.
-    """
-    from .map_solver import init_state, run_map
-
-    if n_inits < 2:
-        raise ConfigurationError("n_inits must be >= 2")
-    if seeds is None:
-        seeds = [config.seed + i for i in range(n_inits)]
-    if len(seeds) != n_inits:
-        raise ConfigurationError("len(seeds) must equal n_inits")
-    fields = []
-    excluded = []
-    for sd in seeds:
-        cfg = replace(config, seed=int(sd))
-        init = init_state(scene, forward, "random", config.hyper, seed=int(sd))
-        state, trace = run_map(scene, forward, lattice, cfg, init)
-        if trace.converged:
-            fields.append(state.tau)
-        else:
-            excluded.append(int(sd))
-    if not fields:
-        raise RuntimeError("no stability run converged within max_sweeps")
-    stack = np.stack(fields)
-    return StabilityResult(
-        mean=stack.mean(axis=0),
-        std=stack.std(axis=0),
-        n_used=len(fields),
-        excluded_seeds=excluded,
-    )

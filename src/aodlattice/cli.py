@@ -112,9 +112,10 @@ def load_config(path, overrides):
 
     Returns (text, cfg): the merged values as written, per section and key
     (what manifest.json records), and the same values parsed by their
-    SCHEMA kinds.  An unknown key, a value of the wrong kind, a scene,
-    table, truth or noise value its owner's rules reject, or truth.tau_hi
-    above table.tau_max raises ConfigurationError naming it, before any work.
+    SCHEMA kinds.  An unknown key, a value of the wrong kind, a negative
+    seed, a scene, table, truth or noise value its owner's rules reject, or
+    truth.tau_hi above table.tau_max raises ConfigurationError naming it,
+    before any work.
     """
     parser = configparser.ConfigParser()
     parser.read_dict(DEFAULTS)
@@ -152,6 +153,8 @@ def load_config(path, overrides):
                 raise ConfigurationError(
                     f"[{section}] {key}: expected {expected}, got {raw!r}"
                 ) from None
+    if cfg["run"]["seed"] < 0:
+        raise ConfigurationError(f"[run] seed: must be >= 0, got {cfg['run']['seed']}")
     sim, table, truth = cfg["scene"], cfg["table"], cfg["truth"]
     check_table_args(sim["channels"], table["knots"], table["tau_max"])
     check_truth_args(sim["width"], sim["height"], truth["smoothness"], truth["sparsity"],
@@ -225,21 +228,24 @@ def cmd_simulate(args) -> int:
 def cmd_retrieve(args) -> int:
     """Run one retrieval method; the output directory is created only once
     every result, metrics included, has been computed.  A truth sidecar
-    whose row count is not the scene's region count exits 2 before the
-    solve."""
+    whose row count is not the scene's region count, or with a non-finite
+    AOD, exits 2 before the solve."""
     text, cfg = load_config(args.config, args.set)
     t0 = time.perf_counter()
     scene, _, table = io.load_scene(args.scene)
     truth = io.load_truth(args.scene)
     if truth is not None:
         truth = truth[0].copy()  # only the AOD column is held through the solve
+        path = Path(args.scene) / io.TRUTH_CSV
         if truth.size != scene.n_regions:
-            raise ConfigurationError(f"{Path(args.scene) / io.TRUTH_CSV}: {truth.size} rows "
-                                     f"but the scene has {scene.n_regions} regions")
+            raise ConfigurationError(f"{path}: {truth.size} rows but the scene has "
+                                     f"{scene.n_regions} regions")
+        if not np.all(np.isfinite(truth)):
+            raise ConfigurationError(f"{path}: every truth AOD must be finite")
     lattice = build_lattice(scene.width, scene.height)
     # checked before init_state, which may run a full grid search
     solver_cfg, mcmc_cfg, grid_cfg = _run_configs(cfg, table, scene, lattice)
-    patches, executor = cfg["parallel"]["patches"], cfg["parallel"]["executor"]
+    patches = cfg["parallel"]["patches"]
     trace = None
     matrices = {}  # method-specific CSV outputs
     if args.method == "grid":
@@ -251,9 +257,8 @@ def cmd_retrieve(args) -> int:
         if args.method == "map":
             state, trace = run_map(scene, table, lattice, solver_cfg, init)
         elif args.method == "map-parallel":
-            state, trace, part = run_map_parallel(
-                scene, table, lattice, solver_cfg, patches, init, executor=executor,
-            )
+            state, trace, part = run_map_parallel(scene, table, lattice, solver_cfg, patches,
+                                                  init)
         elif args.method == "mcmc":
             samples = [] if cfg["mcmc"]["dump_samples"] else None
             sink = (lambda sweep, tau: samples.append(tau)) if samples is not None else None
@@ -305,15 +310,12 @@ def cmd_benchmark(args) -> int:
         raise ConfigurationError(f"repeated patch count in {args.patches!r}")
     for n in patch_counts:
         partition(lattice, n)  # range check before the first run
-    executor = cfg["parallel"]["executor"]
     init = init_state(scene, table, cfg["solver"]["init"], solver_cfg.hyper,
                       seed=solver_cfg.seed)
     runs = []
     timings = {}
     for n in patch_counts:
-        _, trace, _ = run_map_parallel(
-            scene, table, lattice, solver_cfg, n, init, executor=executor,
-        )
+        _, trace, _ = run_map_parallel(scene, table, lattice, solver_cfg, n, init)
         runs.append((n, trace))
         total_ms = float(sum(trace.elapsed_ms))
         timings[f"patches_{n}"] = total_ms

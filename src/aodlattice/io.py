@@ -10,6 +10,9 @@ _BLOCK_VALUES values at a time: the block's .tolist() floats go through
 one "%r,%r,...\n" format repeated once per row, a single C-level call
 whose %r is repr, so the bytes are those of a per-value repr loop at a
 fraction of its cost, and memory stays bounded by the block, not the file.
+Traces and speedup tables go through the same writer, their integer
+columns as %d.  Every JSON file goes through _write_json, which refuses
+NaN and infinity.
 
 save_scene and save_truth also write a binary mirror next to each CSV
 (radiance.csv.bin, truth.csv.bin): one ASCII header line
@@ -34,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .baselines import MetricsReport
 from .forward import ComponentLibrary, build_synthetic_table, default_library
 from .model import ConfigurationError, Scene
@@ -46,10 +50,6 @@ _CHUNK = 1 << 20  # bytes per read while hashing a CSV
 _BLOCK_VALUES = 4096  # values formatted per call while writing a matrix
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _as_matrix(array) -> np.ndarray:
     """`array` as a 2-D float matrix (a 1-D input is one row); ValueError
     for any other number of dimensions."""
@@ -59,10 +59,11 @@ def _as_matrix(array) -> np.ndarray:
     return matrix
 
 
-def _write_rows(fh, matrix: np.ndarray) -> None:
-    """Write the rows of a 2-D float matrix as CSV lines, repr per value."""
+def _write_rows(fh, matrix: np.ndarray, ints: int = 0) -> None:
+    """Write the rows of a 2-D float matrix as CSV lines, repr per value
+    (%r), the first `ints` columns as integers (%d)."""
     rows, cols = matrix.shape
-    line = ",".join(["%r"] * cols) + "\n"
+    line = ",".join(["%d"] * ints + ["%r"] * (cols - ints)) + "\n"
     step = max(1, _BLOCK_VALUES // max(cols, 1))
     for start in range(0, rows, step):
         block = matrix[start:start + step]
@@ -164,9 +165,7 @@ def save_scene(
         "noise_level": float(noise_level),
         "radiance_csv": RADIANCE_CSV,
     }
-    with open(directory / SCENE_JSON, "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(directory / SCENE_JSON, meta)
     write_matrix_csv(directory / RADIANCE_CSV, scene.radiance)
     _write_mirror(directory / RADIANCE_CSV, scene.radiance)
 
@@ -251,26 +250,29 @@ def save_trace(path, trace) -> None:
     """SweepTrace CSV: sweep, log_posterior, accept rates, kappa, elapsed_ms."""
     with open(path, "w") as fh:
         fh.write("sweep,log_posterior,tau_accept_rate,theta_accept_rate,kappa,elapsed_ms\n")
-        for sweep, lp, tar, har, kappa, ms in trace.rows():
-            fh.write(
-                f"{sweep},{_fmt(lp)},{_fmt(tar)},{_fmt(har)},{_fmt(kappa)},{_fmt(ms)}\n"
-            )
+        _write_rows(fh, np.array(list(trace.rows()), dtype=float).reshape(-1, 6), ints=1)
 
 
 def save_speedup(path, runs) -> None:
     """Per-sweep wall times of patch runs, from (n_patches, SweepTrace) pairs:
     one n_patches,sweep,elapsed_ms row per sweep, runs in the given order."""
+    rows = [(n, sweep, ms) for n, trace in runs
+            for sweep, ms in enumerate(trace.elapsed_ms, start=1)]
     with open(path, "w") as fh:
         fh.write("n_patches,sweep,elapsed_ms\n")
-        for n, trace in runs:
-            for sweep, ms in enumerate(trace.elapsed_ms, start=1):
-                fh.write(f"{n},{sweep},{_fmt(ms)}\n")
+        _write_rows(fh, np.array(rows, dtype=float).reshape(-1, 3), ints=2)
+
+
+def _write_json(path, obj) -> None:
+    """The one JSON writer: sorted keys, indent 1, a final newline, and
+    no NaN or infinity token (ValueError), which JSON does not have."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def save_metrics(path, report: MetricsReport) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, report.to_dict())
 
 
 def config_hash(config_dict: dict) -> str:
@@ -280,8 +282,6 @@ def config_hash(config_dict: dict) -> str:
 
 def write_manifest(path, config_dict: dict, seed: int, timings_ms: dict) -> None:
     """Run provenance: resolved config, its hash, versions, timings."""
-    from . import __version__
-
     manifest = {
         "config": config_dict,
         "config_hash": config_hash(config_dict),
@@ -293,6 +293,4 @@ def write_manifest(path, config_dict: dict, seed: int, timings_ms: dict) -> None
         },
         "timings_ms": timings_ms,
     }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, manifest)

@@ -46,16 +46,21 @@ run through this module's sweep loop, which calls the sweep kernel and then
 the one hyper step, in the one visit order, lattice.classes, so their
 exact-equivalence contracts (patch-parallel == sequential, greedy-filtered
 MH == MAP) hold bitwise.
+
+stability_bounds is run_map's multi-start driver.  This module imports
+the grid-search baseline for init_state's coarse_grid start; baselines
+imports nothing back.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .baselines import GridSearchConfig, grid_search_retrieve
 from .model import (
     KAPPA_CAP,
     SIGMA2_FLOOR,
@@ -120,7 +125,8 @@ class SolverConfig:
     """Knobs of the stochastic-search run.
 
     epsilon=None resolves to epsilon_rel * |objective after first sweep|.
-    delta, epsilon and epsilon_rel must be finite and positive.  The theta
+    delta, epsilon and epsilon_rel must be finite and positive, the seed
+    nonnegative (numpy seeds no stream with a negative entry).  The theta
     proposal's Gamma shape floor is the module constant SHAPE_FLOOR.
     """
 
@@ -139,6 +145,8 @@ class SolverConfig:
                 raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
         if self.max_sweeps < 1:
             raise ConfigurationError("max_sweeps must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -305,8 +313,6 @@ def init_state(
         tau = rng.uniform(a, max(a, min(1.0, hi)), size=P)
         theta = floor_simplex(rng.dirichlet(np.ones(M), size=P))
     elif strategy == "coarse_grid":
-        from .baselines import GridSearchConfig, grid_search_retrieve
-
         lattice = build_lattice(scene.width, scene.height)
         cfg = GridSearchConfig.defaults(forward, scene)
         tau_g, theta_g, _success = grid_search_retrieve(scene, forward, cfg)
@@ -356,12 +362,7 @@ class Workspace:
         self.sse = _channel_sse(self.obs, self.pred)
 
     def to_state(self) -> RetrievalState:
-        return RetrievalState(
-            tau=self.tau.copy(),
-            theta=self.theta.copy(),
-            sigma2=self.sigma2.copy(),
-            kappa=self.kappa,
-        )
+        return RetrievalState(self.tau, self.theta, self.sigma2, self.kappa).copy()
 
 
 def sweep_regions(ws: Workspace, sweep_idx: int, config: SolverConfig, mode: str = "greedy",
@@ -594,3 +595,45 @@ def run_map(
     final = ws.to_state()
     trace.final_log_posterior = log_posterior(scene, final, config.hyper, forward)
     return final, trace
+
+
+@dataclass
+class StabilityResult:
+    """Multi-start spread of the MAP AOD retrieval."""
+
+    mean: np.ndarray
+    std: np.ndarray
+    n_used: int
+    excluded_seeds: list
+
+
+def stability_bounds(scene: Scene, forward, lattice, config, n_inits: int,
+                     seeds=None) -> StabilityResult:
+    """Run the MAP solver from several random initializations.
+
+    Each run starts from init_state's "random" strategy under its own seed.
+    Returns the per-region mean and population standard deviation of the
+    retrieved AOD over the runs that converged within max_sweeps; runs
+    that did not converge are excluded and their seeds reported.
+    """
+    if n_inits < 2:
+        raise ConfigurationError("n_inits must be >= 2")
+    if seeds is None:
+        seeds = [config.seed + i for i in range(n_inits)]
+    if len(seeds) != n_inits:
+        raise ConfigurationError("len(seeds) must equal n_inits")
+    fields = []
+    excluded = []
+    for sd in seeds:
+        cfg = replace(config, seed=int(sd))
+        init = init_state(scene, forward, "random", config.hyper, seed=int(sd))
+        state, trace = run_map(scene, forward, lattice, cfg, init)
+        if trace.converged:
+            fields.append(state.tau)
+        else:
+            excluded.append(int(sd))
+    if not fields:
+        raise RuntimeError("no stability run converged within max_sweeps")
+    stack = np.stack(fields)
+    return StabilityResult(mean=stack.mean(axis=0), std=stack.std(axis=0),
+                           n_used=len(fields), excluded_seeds=excluded)

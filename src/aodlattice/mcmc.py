@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .map_solver import (
+    DELTA_DEFAULT,
     SolverConfig,
     _start,
     _sweep_loop,
@@ -56,7 +57,7 @@ class McmcConfig:
     iterations: int = 1000
     burn_in: int = 200
     thin: int = 5
-    delta: float = 0.05
+    delta: float = DELTA_DEFAULT
     seed: int = 0
 
     def validate(self) -> None:

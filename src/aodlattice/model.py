@@ -290,9 +290,7 @@ def validate_state(state: RetrievalState, hyper: HyperParams) -> None:
 def floor_simplex(theta: np.ndarray) -> np.ndarray:
     """Clamp entries up to THETA_FLOOR and renormalize rows to the simplex."""
     out = np.maximum(np.asarray(theta, dtype=float), THETA_FLOOR)
-    if out.ndim == 1:
-        return out / out.sum()
-    return out / out.sum(axis=1, keepdims=True)
+    return out / out.sum(axis=-1, keepdims=True)
 
 
 def _safe_log_theta(theta: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ clamped nonnegative.  Everything is deterministic in its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class SimScene:
     truth_tau: np.ndarray
     truth_theta: np.ndarray
     scene: Scene
-    noise_level: float = 0.0
 
 
 def _box_smooth(field: np.ndarray, half_width: int) -> np.ndarray:
@@ -153,14 +152,7 @@ def add_noise(scene: Scene, level: float, seed: int = 0) -> Scene:
     else:
         z = np.random.default_rng([seed, 13]).standard_normal(scene.radiance.shape)
         noisy = np.maximum(0.0, scene.radiance * (1.0 + level * z))
-    return Scene(
-        width=scene.width,
-        height=scene.height,
-        channels=scene.channels,
-        radiance=noisy,
-        channel_mask=scene.channel_mask.copy(),
-        region_size_km=scene.region_size_km,
-    )
+    return replace(scene, radiance=noisy, channel_mask=scene.channel_mask.copy())
 
 
 def make_sim_scene(
@@ -182,4 +174,4 @@ def make_sim_scene(
     )
     clean = render_grid(tau, theta, table, width, height, region_size_km)
     scene = add_noise(clean, noise_level, seed)
-    return SimScene(truth_tau=tau, truth_theta=theta, scene=scene, noise_level=noise_level)
+    return SimScene(truth_tau=tau, truth_theta=theta, scene=scene)

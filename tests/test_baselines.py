@@ -350,11 +350,18 @@ class TestComputeMetrics:
         assert rep.rmse**2 == pytest.approx(rep.mean_bias**2 + var, abs=1e-12)
 
     def test_mask_and_length_checks(self):
-        """Fields of different lengths, and fields of fewer than 2 entries."""
+        """Fields of different lengths, fields of fewer than 2 entries, and
+        fields with a non-finite entry."""
         with pytest.raises(al.ConfigurationError, match="lengths differ"):
             al.compute_metrics(np.zeros(3), np.zeros(4))
         with pytest.raises(al.ConfigurationError, match="at least 2"):
             al.compute_metrics(np.zeros(1), np.zeros(1))
+        field = np.array([0.1, 0.2, 0.3])
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = np.array([0.1, bad, 0.3])
+            for retrieved, reference in ((broken, field), (field, broken)):
+                with pytest.raises(al.ConfigurationError, match="finite"):
+                    al.compute_metrics(retrieved, reference)
 
 
 class TestDominanceMap:

@@ -1,5 +1,7 @@
 """CLI pipelines: subcommands, exit codes, determinism."""
 
+import dataclasses
+import inspect
 import json
 import shutil
 
@@ -35,7 +37,7 @@ BAD_SETTINGS = [
     "noise.level=-1", "truth.tau_lo=5", "truth.tau_hi=-1", "truth.tau_hi=9", "table.knots=1",
     "table.tau_max=-2", "scene.width=1", "scene.channels=0", "scene.channels=40",
     "truth.blob_size=0", "scene.region_size_km=-1", "truth.smoothness=nan",
-    "truth.smoothness=inf",
+    "truth.smoothness=inf", "run.seed=-1",
 ]
 
 
@@ -298,6 +300,41 @@ class TestRetrieve:
         assert "truth.csv" in err and "65 rows" in err and "64 regions" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_truth_sidecar_exits_2_before_the_grid(self, scene_dir, tmp_path, capsys,
+                                                              monkeypatch, value):
+        def no_search(*args, **kwargs):
+            raise AssertionError("grid search ran although a truth AOD is not finite")
+
+        monkeypatch.setattr(cli, "grid_search_retrieve", no_search)
+        bad = tmp_path / "bad"
+        shutil.copytree(scene_dir, bad)
+        (bad / "truth.csv.bin").unlink()
+        rows = (bad / "truth.csv").read_text().splitlines(keepends=True)
+        rows[5] = value + rows[5][rows[5].index(","):]
+        (bad / "truth.csv").write_text("".join(rows))
+        out = tmp_path / "o"
+        code = run_cli("retrieve", "--scene", str(bad), "--method", "grid", *SMALL,
+                       "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "truth.csv" in err and "finite" in err
+        assert not out.exists()
+
+    def test_negative_seed_exits_2_before_any_work(self, scene_dir, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started although the seed is negative")
+
+        monkeypatch.setattr(io, "load_scene", no_work)
+        monkeypatch.setattr(cli, "init_state", no_work)
+        out = tmp_path / "o"
+        code = run_cli("retrieve", "--scene", str(scene_dir), "--method", "map", *SMALL,
+                       "--set", "run.seed=-1", "--out", str(out))
+        assert code == 2
+        assert "[run] seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_scene_exits_2(self, tmp_path):
         assert run_cli("retrieve", "--scene", str(tmp_path / "none"), "--method", "map",
                        "--out", str(tmp_path / "o")) == 2
@@ -432,6 +469,46 @@ def test_unusable_path_exits_2(scene_dir, tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
     assert taken.read_text() == "not a directory\n"
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def _field_default(cls, name):
+    return next(f.default for f in dataclasses.fields(cls) if f.name == name)
+
+
+# (section, key of cli.SCHEMA, owner, the owner's default the key stands for)
+LIBRARY_DEFAULTS = [
+    ("solver", "delta", "SolverConfig", _field_default(al.SolverConfig, "delta")),
+    ("solver", "epsilon_rel", "SolverConfig", _field_default(al.SolverConfig, "epsilon_rel")),
+    ("solver", "max_sweeps", "SolverConfig", _field_default(al.SolverConfig, "max_sweeps")),
+    ("mcmc", "iterations", "McmcConfig", _field_default(al.McmcConfig, "iterations")),
+    ("mcmc", "burn_in", "McmcConfig", _field_default(al.McmcConfig, "burn_in")),
+    ("mcmc", "thin", "McmcConfig", _field_default(al.McmcConfig, "thin")),
+    ("solver", "delta", "McmcConfig", _field_default(al.McmcConfig, "delta")),
+    ("grid", "tau_levels", "GridSearchConfig.defaults",
+     _default(al.GridSearchConfig.defaults, "n_tau_levels")),
+    ("scene", "channels", "build_synthetic_table", _default(al.build_synthetic_table, "channels")),
+    ("table", "knots", "build_synthetic_table", _default(al.build_synthetic_table, "knots")),
+    ("table", "tau_max", "build_synthetic_table", _default(al.build_synthetic_table, "tau_max")),
+    ("truth", "smoothness", "gen_truth", _default(al.gen_truth, "smoothness")),
+    ("truth", "sparsity", "gen_truth", _default(al.gen_truth, "sparsity")),
+    ("truth", "tau_lo", "gen_truth", _default(al.gen_truth, "tau_range")[0]),
+    ("truth", "tau_hi", "gen_truth", _default(al.gen_truth, "tau_range")[1]),
+    ("truth", "blob_size", "gen_truth", _default(al.gen_truth, "blob_size")),
+    ("scene", "region_size_km", "Scene", _field_default(al.Scene, "region_size_km")),
+]
+
+
+@pytest.mark.parametrize("section, key, owner, library", LIBRARY_DEFAULTS,
+                         ids=[f"{s}.{k}-{o}" for s, k, o, _ in LIBRARY_DEFAULTS])
+def test_schema_default_is_the_library_default(section, key, owner, library):
+    """A CLI default and the library default it stands for agree, so a
+    run from the CLI's defaults is a run from the library's."""
+    (_, parse), text, _ = cli.SCHEMA[section][key]
+    assert parse(text) == library
 
 
 def test_help_lists_every_key_with_default(capsys):

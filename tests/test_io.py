@@ -86,6 +86,13 @@ class TestTraceAndRecords:
         assert data["rmse"] == rep.rmse
         assert data["n"] == 3
 
+    def test_non_finite_metrics_are_not_written_as_json(self, tmp_path):
+        """The one JSON writer refuses NaN and infinity, which are not JSON."""
+        rep = al.MetricsReport(rmse=float("nan"), correlation=0.5, correlation_defined=True,
+                               mean_bias=0.0, n=2)
+        with pytest.raises(ValueError):
+            io.save_metrics(tmp_path / "metrics.json", rep)
+
     def test_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"
         io.write_manifest(path, {"run": {"seed": "3"}}, 3, {"stage": 12.5})
@@ -154,6 +161,18 @@ class TestMatrixWriterBytes:
         header, body = (tmp_path / "truth.csv").read_bytes().split(b"\n", 1)
         assert header.decode() == "tau," + ",".join(f"theta_{m + 1}" for m in range(M))
         assert body == oracle_matrix_csv(matrix).encode()
+
+    def test_trace_rows(self, tmp_path, block):
+        """save_trace writes the sweep as an integer and every other column
+        as repr(float(v)), block boundaries inside rows included."""
+        values = writer_matrix(23, 5)
+        trace = al.SweepTrace(n_regions=1, log_posterior=list(values[:, 0]),
+                              tau_accepts=list(values[:, 1]), theta_accepts=list(values[:, 2]),
+                              kappa=list(values[:, 3]), elapsed_ms=list(values[:, 4]))
+        io.save_trace(tmp_path / "trace.csv", trace)
+        body = (tmp_path / "trace.csv").read_bytes().split(b"\n", 1)[1]
+        assert body == "".join(f"{i + 1},{line}" for i, line in enumerate(
+            oracle_matrix_csv(values).splitlines(keepends=True))).encode()
 
     def test_three_dims_rejected_before_open(self, tmp_path):
         with pytest.raises(ValueError, match="matrix"):

@@ -352,3 +352,8 @@ class TestRunMcmc:
             al.McmcConfig(hyper=hyper, thin=0).validate()
         with pytest.raises(al.ConfigurationError):
             al.McmcConfig(hyper=hyper, delta=float("nan")).validate()
+        # numpy seeds no stream with a negative entry
+        with pytest.raises(al.ConfigurationError, match="seed"):
+            al.McmcConfig(hyper=hyper, seed=-1).validate()
+        with pytest.raises(al.ConfigurationError, match="seed"):
+            al.SolverConfig(hyper=hyper, seed=-1).validate()
