@@ -196,7 +196,8 @@ def grid_search_retrieve(scene: Scene, table, config: GridSearchConfig):
         sub = chi2[hit]
         below = sub < thr
         i, j = np.nonzero(np.abs(sub - thr) <= rb[hit, None])
-        below[i, j] = _direct_chi2(obs[hit[i]], flat_pred[j], w) < thr
+        if i.size:
+            below[i, j] = _direct_chi2(obs[hit[i]], flat_pred[j], w) < thr
         count = below.sum(axis=1)
         ok = count > 0
         hits, n, won = below[ok].reshape(-1, T, G), count[ok], hit[ok]
@@ -208,10 +209,11 @@ def grid_search_retrieve(scene: Scene, table, config: GridSearchConfig):
         # over the near-minimal cells in residual form
         fail = ~success[rows]
         redo = np.flatnonzero((runner_up <= low + 2.0 * rb) & fail)
-        i, j = np.nonzero(chi2[redo] <= (low[redo] + 2.0 * rb[redo])[:, None])
-        exact = np.full((redo.size, T * G), np.inf)
-        exact[i, j] = _direct_chi2(obs[redo[i]], flat_pred[j], w)
-        best[redo] = exact.argmin(axis=1)
+        if redo.size:
+            i, j = np.nonzero(chi2[redo] <= (low[redo] + 2.0 * rb[redo])[:, None])
+            exact = np.full((redo.size, T * G), np.inf)
+            exact[i, j] = _direct_chi2(obs[redo[i]], flat_pred[j], w)
+            best[redo] = exact.argmin(axis=1)
         tau_out[rows][fail] = tau_grid[best[fail]]
         theta_out[rows][fail] = fallback_theta[best[fail]]
     return tau_out, theta_out, success

@@ -229,7 +229,8 @@ def cmd_retrieve(args) -> int:
     """Run one retrieval method; the output directory is created only once
     every result, metrics included, has been computed.  A truth sidecar
     whose row count is not the scene's region count, or with a non-finite
-    AOD, exits 2 before the solve."""
+    AOD, exits 2 before the solve; one whose metrics overflow exits 2
+    before the output directory is made."""
     text, cfg = load_config(args.config, args.set)
     t0 = time.perf_counter()
     scene, _, table = io.load_scene(args.scene)
@@ -271,6 +272,13 @@ def cmd_retrieve(args) -> int:
             raise ConfigurationError(f"unknown method: {args.method}")
         tau, theta = state.tau, state.theta
     report = None if truth is None else compute_metrics(tau, truth)
+    if report is not None:
+        # a finite but huge truth AOD can overflow them; JSON has no infinity
+        overflow = sorted(key for key, value in report.to_dict().items()
+                          if isinstance(value, float) and not np.isfinite(value))
+        if overflow:
+            raise ConfigurationError(f"metrics against {path} are not finite: "
+                                     + ", ".join(overflow))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, matrix in matrices.items():

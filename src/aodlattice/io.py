@@ -4,25 +4,30 @@ A scene directory holds scene.json (dimensions, channel mask, component
 library records, forward-table parameters) plus radiance.csv, a headerless
 P x C matrix, row-major in region index with channel columns ascending.
 The truth sidecar truth.csv carries tau and the theta row per region.
-Floats are written with repr (shortest round-trip), so identical runs
-produce byte-identical files.  A matrix is written a block of at most
-_BLOCK_VALUES values at a time: the block's .tolist() floats go through
-one "%r,%r,...\n" format repeated once per row, a single C-level call
-whose %r is repr, so the bytes are those of a per-value repr loop at a
-fraction of its cost, and memory stays bounded by the block, not the file.
-Traces and speedup tables go through the same writer, their integer
-columns as %d.  Every JSON file goes through _write_json, which refuses
-NaN and infinity.
+Floats are written as repr writes them (shortest round-trip), so identical
+runs produce byte-identical files.  Every CSV goes through one writer,
+_write_csv, a block of at most _BLOCK_VALUES values at a time, so memory
+stays bounded by the block, not the file.  orjson formats each block as
+one nested JSON list with Ryu's shortest round-trip digits, which are
+repr's digits; the list's "],[" become newlines.  orjson spells a value
+differently from repr only for NaN, +-inf and nonzero values with |x|
+outside [1e-4, 1e16) ("1e-5" for "1e-05", "1e16" for "1e+16"): those
+cells go into the dump as NaN, which orjson writes "null", and repr's
+spelling is put back at each null, in order.  The integer columns of
+traces and speedup tables are dumped as int64, which gives %d's bytes.
+Every JSON file goes through _write_json, which refuses NaN and infinity.
 
 save_scene and save_truth also write a binary mirror next to each CSV
 (radiance.csv.bin, truth.csv.bin): one ASCII header line
 
     aodlattice-mirror/1 <sha256 of the CSV's bytes> <rows> <cols>
 
-then rows x cols little-endian float64 values, row-major.  The CSV stays
-authoritative.  load_scene and load_truth hash the CSV and read the
-mirror only when its tag, digest and size all match; otherwise (no
-mirror, an edited CSV, a truncated or foreign mirror) they parse the CSV.
+then rows x cols little-endian float64 values, row-major.  The digest is
+taken from the bytes _write_csv emits, as it writes them, so saving never
+reads a CSV back.  The CSV stays authoritative.  load_scene and
+load_truth hash the CSV and read the mirror only when its tag, digest and
+size all match; otherwise (no mirror, an edited CSV, a truncated or
+foreign mirror) they parse the CSV.
 So deleting a mirror is always safe, an edit to a CSV is always picked
 up, and both paths return the same bits, because repr round-trips.
 """
@@ -36,6 +41,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .baselines import MetricsReport
@@ -47,7 +53,7 @@ RADIANCE_CSV = "radiance.csv"
 TRUTH_CSV = "truth.csv"
 MIRROR_TAG = b"aodlattice-mirror/1"
 _CHUNK = 1 << 20  # bytes per read while hashing a CSV
-_BLOCK_VALUES = 4096  # values formatted per call while writing a matrix
+_BLOCK_VALUES = 4096  # values formatted per orjson call while writing a CSV
 
 
 def _as_matrix(array) -> np.ndarray:
@@ -59,23 +65,52 @@ def _as_matrix(array) -> np.ndarray:
     return matrix
 
 
-def _write_rows(fh, matrix: np.ndarray, ints: int = 0) -> None:
-    """Write the rows of a 2-D float matrix as CSV lines, repr per value
-    (%r), the first `ints` columns as integers (%d)."""
+def _dump_rows(block: np.ndarray) -> bytes:
+    """The rows of a C-contiguous 2-D array as CSV lines, from orjson's
+    nested-list text: "[[a,b],[c,d]]" becomes "a,b\nc,d\n"."""
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+    return text[2:-2].replace(b"],[", b"\n") + b"\n"
+
+
+def _float_lines(block: np.ndarray) -> bytes:
+    """CSV lines of a C-contiguous 2-D float64 block, repr's bytes per value."""
+    magnitude = np.abs(block)
+    odd = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (block != 0)  # NaN and inf too
+    if not odd.any():
+        return _dump_rows(block)
+    # bytes' %a is ascii(repr(x)), which is repr(x) for a float
+    return _dump_rows(np.where(odd, np.nan, block)).replace(b"null", b"%a") % tuple(
+        block[odd].tolist())
+
+
+def _write_csv(path, matrix: np.ndarray, header: str = "", ints: int = 0) -> bytes:
+    """The one CSV writer: `header` (a line without its newline, or
+    nothing), then the rows of a 2-D float matrix, the first `ints`
+    columns as integers.  Returns the hex sha256 of the bytes written."""
+    digest = hashlib.sha256()
     rows, cols = matrix.shape
-    line = ",".join(["%d"] * ints + ["%r"] * (cols - ints)) + "\n"
     step = max(1, _BLOCK_VALUES // max(cols, 1))
-    for start in range(0, rows, step):
-        block = matrix[start:start + step]
-        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    with open(path, "wb") as fh:
+        if header:
+            chunk = header.encode("ascii") + b"\n"
+            fh.write(chunk)
+            digest.update(chunk)
+        for start in range(0, rows, step):
+            block = matrix[start:start + step]
+            chunk = _float_lines(np.ascontiguousarray(block[:, ints:]))
+            if ints:
+                ints_text = _dump_rows(block[:, :ints].astype(np.int64))  # %d's bytes
+                chunk = b"".join(b"%s,%s\n" % pair for pair in zip(
+                    ints_text.splitlines(), chunk.splitlines()))
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest().encode("ascii")
 
 
 def write_matrix_csv(path, array: np.ndarray) -> None:
     """Headerless CSV of a matrix (a 1-D array is one row); anything with
     more dimensions raises ValueError before the file is opened."""
-    matrix = _as_matrix(array)
-    with open(path, "w") as fh:
-        _write_rows(fh, matrix)
+    _write_csv(path, _as_matrix(array))
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -95,16 +130,17 @@ def _csv_digest(csv_path) -> bytes:
     return h.hexdigest().encode("ascii")
 
 
-def _write_mirror(csv_path, matrix) -> None:
+def _write_mirror(csv_path, matrix, digest: bytes) -> None:
     """Write the binary mirror of the CSV just written at csv_path from
-    `matrix`, the values it holds."""
+    `matrix`, the values it holds, and `digest`, the hex sha256 of the
+    bytes the writer emitted."""
     values = np.atleast_2d(np.ascontiguousarray(matrix, dtype="<f8"))
     nan = np.isnan(values)
     if nan.any():  # the CSV spells every NaN "nan", which parses to one bit pattern
         values = np.where(nan, np.nan, values)
     rows, cols = values.shape
     with open(_mirror_path(csv_path), "wb") as fh:
-        fh.write(b"%s %s %d %d\n" % (MIRROR_TAG, _csv_digest(csv_path), rows, cols))
+        fh.write(b"%s %s %d %d\n" % (MIRROR_TAG, digest, rows, cols))
         values.tofile(fh)
 
 
@@ -166,8 +202,9 @@ def save_scene(
         "radiance_csv": RADIANCE_CSV,
     }
     _write_json(directory / SCENE_JSON, meta)
-    write_matrix_csv(directory / RADIANCE_CSV, scene.radiance)
-    _write_mirror(directory / RADIANCE_CSV, scene.radiance)
+    radiance = _as_matrix(scene.radiance)
+    _write_mirror(directory / RADIANCE_CSV, radiance,
+                  _write_csv(directory / RADIANCE_CSV, radiance))
 
 
 def load_scene(directory):
@@ -231,10 +268,8 @@ def save_truth(directory, truth_tau: np.ndarray, truth_theta: np.ndarray) -> Non
     path = Path(directory) / TRUTH_CSV
     M = truth_theta.shape[1]
     matrix = _as_matrix(np.column_stack([truth_tau, truth_theta]))  # raises before any write
-    with open(path, "w") as fh:
-        fh.write("tau," + ",".join(f"theta_{m + 1}" for m in range(M)) + "\n")
-        _write_rows(fh, matrix)
-    _write_mirror(path, matrix)
+    header = "tau," + ",".join(f"theta_{m + 1}" for m in range(M))
+    _write_mirror(path, matrix, _write_csv(path, matrix, header))
 
 
 def load_truth(directory):
@@ -248,9 +283,9 @@ def load_truth(directory):
 
 def save_trace(path, trace) -> None:
     """SweepTrace CSV: sweep, log_posterior, accept rates, kappa, elapsed_ms."""
-    with open(path, "w") as fh:
-        fh.write("sweep,log_posterior,tau_accept_rate,theta_accept_rate,kappa,elapsed_ms\n")
-        _write_rows(fh, np.array(list(trace.rows()), dtype=float).reshape(-1, 6), ints=1)
+    _write_csv(path, np.array(list(trace.rows()), dtype=float).reshape(-1, 6),
+               "sweep,log_posterior,tau_accept_rate,theta_accept_rate,kappa,elapsed_ms",
+               ints=1)
 
 
 def save_speedup(path, runs) -> None:
@@ -258,9 +293,8 @@ def save_speedup(path, runs) -> None:
     one n_patches,sweep,elapsed_ms row per sweep, runs in the given order."""
     rows = [(n, sweep, ms) for n, trace in runs
             for sweep, ms in enumerate(trace.elapsed_ms, start=1)]
-    with open(path, "w") as fh:
-        fh.write("n_patches,sweep,elapsed_ms\n")
-        _write_rows(fh, np.array(rows, dtype=float).reshape(-1, 3), ints=2)
+    _write_csv(path, np.array(rows, dtype=float).reshape(-1, 3), "n_patches,sweep,elapsed_ms",
+               ints=2)
 
 
 def _write_json(path, obj) -> None:

@@ -32,3 +32,13 @@ def test_baselines_imports_only_model():
     local = {node.module for node in ast.walk(_tree(SRC / "baselines.py"))
              if isinstance(node, ast.ImportFrom) and node.level > 0}
     assert local == {"model"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_io_imports_orjson(path):
+    """The CSV writer's formatter stays a detail of the file formats."""
+    imported = {alias.name.split(".")[0] for node in ast.walk(_tree(path))
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(_tree(path))
+                 if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module}
+    assert ("orjson" in imported) == (path.stem == "io")

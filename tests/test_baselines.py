@@ -198,6 +198,27 @@ class TestGridSearchOracle:
         blocks = [got[2][s:s + 7] for s in range(0, 100, 7)]
         assert any(0 < b.sum() < b.size for b in blocks)
 
+    @pytest.mark.parametrize("threshold", [None, np.inf], ids=["none-clear", "all-clear"])
+    def test_no_exact_rescoring_of_empty_selections(self, table36, monkeypatch, threshold):
+        """With no clearing row, or no failing one, a block has nothing to
+        rescore on one of its two exact paths, and that path is skipped."""
+        sim = al.make_sim_scene(table36, 10, 10, noise_level=0.2, seed=11)
+        cfg = GridSearchConfig.defaults(table36, sim.scene, success_threshold=threshold)
+        sizes = []
+        exact = baselines._direct_chi2
+
+        def counted(obs, pred, w):
+            sizes.append(obs.shape[0])
+            return exact(obs, pred, w)
+
+        cells = cfg.tau_levels.size * cfg.candidate_mixtures.shape[0]
+        monkeypatch.setattr(baselines, "_direct_chi2", counted)
+        monkeypatch.setattr(baselines, "_GRID_CELLS", 7 * cells)
+        got = al.grid_search_retrieve(sim.scene, table36, cfg)
+        _assert_matches_oracle(got, oracle_grid_search(sim.scene, table36, cfg))
+        assert np.unique(got[2]).tolist() == [threshold == np.inf]  # every row, one branch
+        assert 0 not in sizes
+
     def test_duplicated_mixture_shares_the_minimum(self, table36, monkeypatch):
         """With one candidate listed twice, each failing region's minimum is
         attained by two cells; the runner-up rule sends every row to the

@@ -5,6 +5,7 @@ import inspect
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 import aodlattice as al
@@ -319,6 +320,25 @@ class TestRetrieve:
         assert code == 2
         err = capsys.readouterr().err
         assert "truth.csv" in err and "finite" in err
+        assert not out.exists()
+
+    def test_overflowing_metrics_exit_2_before_the_output_directory(self, scene_dir, tmp_path,
+                                                                    capsys):
+        """A finite but huge truth AOD passes the sidecar check, then
+        overflows the RMSE to infinity, which metrics.json cannot hold."""
+        huge = tmp_path / "huge"
+        shutil.copytree(scene_dir, huge)
+        (huge / "truth.csv.bin").unlink()
+        rows = (huge / "truth.csv").read_text().splitlines(keepends=True)
+        rows[5] = "1e200" + rows[5][rows[5].index(","):]
+        (huge / "truth.csv").write_text("".join(rows))
+        out = tmp_path / "o"
+        with np.errstate(over="ignore"):
+            code = run_cli("retrieve", "--scene", str(huge), "--method", "grid", *SMALL,
+                           "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "truth.csv" in err and "not finite" in err and "rmse" in err
         assert not out.exists()
 
     def test_negative_seed_exits_2_before_any_work(self, scene_dir, tmp_path, capsys,

@@ -115,13 +115,34 @@ class TestMatrixCsv:
 # values whose shortest repr is unusual: negative zero, the smallest
 # subnormal, a large exponent and a small one
 ODD_VALUES = [-0.0, 5e-324, 1e16, 1e-5]
-# plus the non-finite spellings and two reprs that are not the digits typed
-WRITER_VALUES = ODD_VALUES + [np.nan, -np.nan, np.inf, -np.inf, 1e22, 0.1, 0.125, 3.0]
+# the edges of [1e-4, 1e16), where the writer keeps orjson's digits as
+# they are, each with its two float64 neighbours
+EDGE_VALUES = [v for edge in (1e-4, -1e-4, 1e16, -1e16)
+               for v in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf))]
+# plus the non-finite spellings, two reprs that are not the digits typed,
+# zero, subnormals, the smallest normal, integers past 2**53 (where float64
+# stops holding every integer) and the window's edges
+WRITER_VALUES = ODD_VALUES + [
+    np.nan, -np.nan, np.inf, -np.inf, 1e22, 0.1, 0.125, 3.0, 0.0, -5e-324,
+    np.nextafter(2.2250738585072014e-308, 0), 2.2250738585072014e-308,
+    2.0**53, 2.0**53 + 2, -(2.0**53 + 4), 2.0**63, 1e15 + 0.5] + EDGE_VALUES
 
 
 def writer_matrix(rows, cols):
     """rows x cols of WRITER_VALUES, cycled."""
     return np.resize(np.array(WRITER_VALUES), (rows, cols))
+
+
+def random_doubles(n, seed):
+    """n float64 values: the first half uniform random bit patterns (NaN
+    payloads, subnormals and huge exponents included), the rest random
+    signs and mantissas with binary exponents in [-20, 60), across the
+    window [1e-4, 1e16) where the writer keeps orjson's digits."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    exponent = rng.integers(1023 - 20, 1023 + 60, size=n - n // 2, dtype=np.uint64)
+    bits[n // 2:] = (bits[n // 2:] & ~np.uint64(0x7FF << 52)) | (exponent << np.uint64(52))
+    return bits.view(np.float64)
 
 
 class TestMatrixWriterBytes:
@@ -162,10 +183,12 @@ class TestMatrixWriterBytes:
         assert header.decode() == "tau," + ",".join(f"theta_{m + 1}" for m in range(M))
         assert body == oracle_matrix_csv(matrix).encode()
 
-    def test_trace_rows(self, tmp_path, block):
+    @pytest.mark.parametrize("values", [writer_matrix(23, 5),
+                                        random_doubles(5 * 301, seed=29).reshape(-1, 5)],
+                             ids=["writer-values", "random"])
+    def test_trace_rows(self, tmp_path, block, values):
         """save_trace writes the sweep as an integer and every other column
         as repr(float(v)), block boundaries inside rows included."""
-        values = writer_matrix(23, 5)
         trace = al.SweepTrace(n_regions=1, log_posterior=list(values[:, 0]),
                               tau_accepts=list(values[:, 1]), theta_accepts=list(values[:, 2]),
                               kappa=list(values[:, 3]), elapsed_ms=list(values[:, 4]))
@@ -173,6 +196,21 @@ class TestMatrixWriterBytes:
         body = (tmp_path / "trace.csv").read_bytes().split(b"\n", 1)[1]
         assert body == "".join(f"{i + 1},{line}" for i, line in enumerate(
             oracle_matrix_csv(values).splitlines(keepends=True))).encode()
+
+    def test_random_bit_patterns(self, tmp_path, block):
+        array = random_doubles(200_016, seed=28).reshape(-1, 36)
+        io.write_matrix_csv(tmp_path / "m.csv", array)
+        assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(array).encode()
+
+    def test_speedup_rows(self, tmp_path, block):
+        """save_speedup's n_patches and sweep columns keep %d's bytes."""
+        runs = [(n, al.SweepTrace(n_regions=4, elapsed_ms=list(random_doubles(37 * n, seed=n))))
+                for n in (1, 2, 16)]
+        io.save_speedup(tmp_path / "speedup.csv", runs)
+        want = "n_patches,sweep,elapsed_ms\n" + "".join(
+            f"{n},{sweep},{float(ms)!r}\n" for n, trace in runs
+            for sweep, ms in enumerate(trace.elapsed_ms, start=1))
+        assert (tmp_path / "speedup.csv").read_bytes() == want.encode()
 
     def test_three_dims_rejected_before_open(self, tmp_path):
         with pytest.raises(ValueError, match="matrix"):
@@ -231,6 +269,19 @@ class TestMirror:
             assert header.decode("ascii").split() == [
                 "aodlattice-mirror/1", digest, str(rows), str(cols)]
             assert body == matrix.astype("<f8").tobytes()
+
+    def test_saving_does_not_read_the_csv_back(self, tmp_path, monkeypatch):
+        """The mirror's digest comes from the bytes the writer emitted."""
+        def refuse(path):
+            raise AssertionError(f"{path} was read back to hash it")
+
+        monkeypatch.setattr(io, "_csv_digest", refuse)
+        truth = save_odd(tmp_path)
+        monkeypatch.undo()
+        for name, matrix in (("radiance.csv", odd_scene(3).radiance), ("truth.csv", truth)):
+            header = (tmp_path / f"{name}.bin").read_bytes().split(b"\n", 1)[0]
+            assert header.split()[1].decode() == hashlib.sha256(
+                (tmp_path / name).read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_mirror_load_equals_csv_parse(self, tmp_path, forbid_parse, channels):
