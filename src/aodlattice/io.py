@@ -7,14 +7,18 @@ The truth sidecar truth.csv carries tau and the theta row per region.
 Floats are written as repr writes them (shortest round-trip), so identical
 runs produce byte-identical files.  Every CSV goes through one writer,
 _write_csv, a block of at most _BLOCK_VALUES values at a time, so memory
-stays bounded by the block, not the file.  orjson formats each block as
-one nested JSON list with Ryu's shortest round-trip digits, which are
-repr's digits; the list's "],[" become newlines.  orjson spells a value
-differently from repr only for NaN, +-inf and nonzero values with |x|
-outside [1e-4, 1e16) ("1e-5" for "1e-05", "1e16" for "1e+16"): those
-cells go into the dump as NaN, which orjson writes "null", and repr's
-spelling is put back at each null, in order.  The integer columns of
-traces and speedup tables are dumped as int64, which gives %d's bytes.
+stays bounded by the block, not the file.  orjson dumps each block's
+values as one flat JSON list with Ryu's shortest round-trip digits, which
+are repr's digits; one vectorised pass turns every cols-th comma and the
+closing "]" into newlines.  orjson spells a value differently from repr
+exactly for NaN, +-inf, 1e-9 <= |x| < 1e-4 and |x| >= 1e16 ("1e-7" for
+"1e-07", "1e-5" as "0.00001", "1e16" for "1e+16"; below 1e-9 both write
+"1e-10" and on): those cells go into the dump as NaN, which orjson writes
+"null", and repr's spelling is put back at each null, in order.  The
+exponents are fixed by two replaces over one dump of those cells; only
+1e-5 <= |x| < 1e-4 and the non-finite cells are formatted one at a time.
+The integer columns of traces and speedup tables are dumped as int64,
+which gives %d's bytes.
 Every JSON file goes through _write_json, which refuses NaN and infinity.
 
 save_scene and save_truth also write a binary mirror next to each CSV
@@ -24,12 +28,12 @@ save_scene and save_truth also write a binary mirror next to each CSV
 
 then rows x cols little-endian float64 values, row-major.  The digest is
 taken from the bytes _write_csv emits, as it writes them, so saving never
-reads a CSV back.  The CSV stays authoritative.  load_scene and
-load_truth hash the CSV and read the mirror only when its tag, digest and
-size all match; otherwise (no mirror, an edited CSV, a truncated or
-foreign mirror) they parse the CSV.
-So deleting a mirror is always safe, an edit to a CSV is always picked
-up, and both paths return the same bits, because repr round-trips.
+reads a CSV back; no other CSV is hashed.  The CSV stays authoritative.
+load_scene and load_truth hash the CSV and read the mirror only when its
+tag, digest and size all match; otherwise (no mirror, an edited CSV, a
+truncated or foreign mirror) they parse the CSV.  So deleting a mirror
+is always safe, an edit to a CSV is always picked up, and both paths
+return the same bits, because repr round-trips.
 """
 
 from __future__ import annotations
@@ -65,46 +69,96 @@ def _as_matrix(array) -> np.ndarray:
     return matrix
 
 
-def _dump_rows(block: np.ndarray) -> bytes:
-    """The rows of a C-contiguous 2-D array as CSV lines, from orjson's
-    nested-list text: "[[a,b],[c,d]]" becomes "a,b\nc,d\n"."""
-    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-    return text[2:-2].replace(b"],[", b"\n") + b"\n"
+def _dump_lines(block: np.ndarray) -> bytearray:
+    """The rows of a C-contiguous 2-D array as CSV lines, from one orjson
+    dump of its values as a flat list: "[a,b,c,d]" with two columns
+    becomes "a,b\nc,d\n", every cols-th comma and the "]" a newline."""
+    rows, cols = block.shape
+    if not block.size:
+        return bytearray(b"\n" * rows)
+    text = bytearray(orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
+    view = np.frombuffer(text, dtype=np.uint8)
+    view[np.flatnonzero(view == ord(","))[cols - 1::cols]] = ord("\n")
+    view[-1] = ord("\n")
+    del view  # release the buffer so the "[" can go
+    del text[0]
+    return text
+
+
+def _respelled(values: np.ndarray) -> np.ndarray:
+    """Where orjson spells a float64 otherwise than repr: NaN, +-inf,
+    1e-9 <= |x| < 1e-4 and |x| >= 1e16.  Below 1e-9 both write the same
+    two- or three-digit exponent ("1e-12", "5e-324")."""
+    magnitude = np.abs(values)
+    return ~((magnitude < 1e-9) | (magnitude >= 1e-4) & (magnitude < 1e16))
+
+
+def _repr_spellings(values: np.ndarray) -> np.ndarray:
+    """repr's bytes for each of `values`, cells that orjson spells
+    otherwise.  For 1e-9 <= |x| < 1e-5 and finite |x| >= 1e16 only the
+    exponent differs: orjson writes "1.5e-7" (always one digit here) and
+    "1e16" where repr writes "1.5e-07" and "1e+16", which two replaces
+    over one dump fix.  The rest, orjson's "0.0000ddd" for
+    1e-5 <= |x| < 1e-4, nan and inf, go through bytes' %a, which is
+    ascii(repr(x))."""
+    magnitude = np.abs(values)
+    per_cell = ~np.isfinite(values) | (magnitude >= 1e-5) & (magnitude < 1e-4)
+    spellings = np.empty(values.size, dtype=object)
+    if per_cell.any():
+        spellings[per_cell] = (b"%a," * per_cell.sum() % tuple(
+            values[per_cell].tolist())).split(b",")[:-1]
+    if not per_cell.all():
+        text = orjson.dumps(values[~per_cell], option=orjson.OPT_SERIALIZE_NUMPY)
+        spellings[~per_cell] = text[1:-1].replace(b"e", b"e+").replace(
+            b"e+-", b"e-0").split(b",")
+    return spellings
 
 
 def _float_lines(block: np.ndarray) -> bytes:
     """CSV lines of a C-contiguous 2-D float64 block, repr's bytes per value."""
-    magnitude = np.abs(block)
-    odd = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (block != 0)  # NaN and inf too
+    odd = _respelled(block)
     if not odd.any():
-        return _dump_rows(block)
-    # bytes' %a is ascii(repr(x)), which is repr(x) for a float
-    return _dump_rows(np.where(odd, np.nan, block)).replace(b"null", b"%a") % tuple(
-        block[odd].tolist())
+        return _dump_lines(block)
+    pieces = _dump_lines(np.where(odd, np.nan, block)).split(b"null")  # orjson's NaN
+    joined = [None] * (2 * len(pieces) - 1)
+    joined[0::2] = pieces
+    joined[1::2] = _repr_spellings(block[odd]).tolist()
+    return b"".join(joined)
 
 
-def _write_csv(path, matrix: np.ndarray, header: str = "", ints: int = 0) -> bytes:
+def _write_csv(path, matrix: np.ndarray, header: str = "", ints: int = 0,
+               digest=None) -> None:
     """The one CSV writer: `header` (a line without its newline, or
     nothing), then the rows of a 2-D float matrix, the first `ints`
-    columns as integers.  Returns the hex sha256 of the bytes written."""
-    digest = hashlib.sha256()
+    columns as integers.  `digest`, a hashlib object, if given, takes
+    every byte written."""
     rows, cols = matrix.shape
     step = max(1, _BLOCK_VALUES // max(cols, 1))
     with open(path, "wb") as fh:
-        if header:
-            chunk = header.encode("ascii") + b"\n"
+        def write(chunk):
             fh.write(chunk)
-            digest.update(chunk)
+            if digest is not None:
+                digest.update(chunk)
+
+        if header:
+            write(header.encode("ascii") + b"\n")
         for start in range(0, rows, step):
             block = matrix[start:start + step]
             chunk = _float_lines(np.ascontiguousarray(block[:, ints:]))
-            if ints:
-                ints_text = _dump_rows(block[:, :ints].astype(np.int64))  # %d's bytes
-                chunk = b"".join(b"%s,%s\n" % pair for pair in zip(
-                    ints_text.splitlines(), chunk.splitlines()))
-            fh.write(chunk)
-            digest.update(chunk)
-    return digest.hexdigest().encode("ascii")
+            if ints:  # int64 dumps with %d's bytes; each line is "ints,floats\n"
+                joined = [b","] * (3 * len(block))
+                joined[0::3] = _dump_lines(block[:, :ints].astype(np.int64)).split(b"\n")[:-1]
+                joined[2::3] = chunk.splitlines(keepends=True)
+                chunk = b"".join(joined)
+            write(chunk)
+
+
+def _write_mirrored_csv(path, matrix: np.ndarray, header: str = "") -> None:
+    """_write_csv, then the binary mirror from the digest of the bytes
+    written, so the CSV is never read back."""
+    digest = hashlib.sha256()
+    _write_csv(path, matrix, header, digest=digest)
+    _write_mirror(path, matrix, digest.hexdigest().encode("ascii"))
 
 
 def write_matrix_csv(path, array: np.ndarray) -> None:
@@ -202,9 +256,7 @@ def save_scene(
         "radiance_csv": RADIANCE_CSV,
     }
     _write_json(directory / SCENE_JSON, meta)
-    radiance = _as_matrix(scene.radiance)
-    _write_mirror(directory / RADIANCE_CSV, radiance,
-                  _write_csv(directory / RADIANCE_CSV, radiance))
+    _write_mirrored_csv(directory / RADIANCE_CSV, _as_matrix(scene.radiance))
 
 
 def load_scene(directory):
@@ -269,7 +321,7 @@ def save_truth(directory, truth_tau: np.ndarray, truth_theta: np.ndarray) -> Non
     M = truth_theta.shape[1]
     matrix = _as_matrix(np.column_stack([truth_tau, truth_theta]))  # raises before any write
     header = "tau," + ",".join(f"theta_{m + 1}" for m in range(M))
-    _write_mirror(path, matrix, _write_csv(path, matrix, header))
+    _write_mirrored_csv(path, matrix, header)
 
 
 def load_truth(directory):

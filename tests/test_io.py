@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import numpy as np
+import orjson
 import pytest
 
 import aodlattice as al
@@ -119,13 +120,21 @@ ODD_VALUES = [-0.0, 5e-324, 1e16, 1e-5]
 # they are, each with its two float64 neighbours
 EDGE_VALUES = [v for edge in (1e-4, -1e-4, 1e16, -1e16)
                for v in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf))]
+# the edges of the bands the writer respells, 1e-9 <= |x| < 1e-5 by
+# replaces over one dump and 1e-5 <= |x| < 1e-4 one value at a time
+BAND_EDGES = [v for edge in (1e-9, -1e-9, 1e-5, -1e-5)
+              for v in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf))]
 # plus the non-finite spellings, two reprs that are not the digits typed,
 # zero, subnormals, the smallest normal, integers past 2**53 (where float64
-# stops holding every integer) and the window's edges
+# stops holding every integer), the window's and the bands' edges,
+# one-digit negative exponents with 1 and 17 significant digits, and
+# values just below 1e-9, whose exponent has two digits
 WRITER_VALUES = ODD_VALUES + [
     np.nan, -np.nan, np.inf, -np.inf, 1e22, 0.1, 0.125, 3.0, 0.0, -5e-324,
     np.nextafter(2.2250738585072014e-308, 0), 2.2250738585072014e-308,
-    2.0**53, 2.0**53 + 2, -(2.0**53 + 4), 2.0**63, 1e15 + 0.5] + EDGE_VALUES
+    2.0**53, 2.0**53 + 2, -(2.0**53 + 4), 2.0**63, 1e15 + 0.5] + EDGE_VALUES + BAND_EDGES + [
+    1e-06, -3e-09, -7.123456789012345e-08, 1.2345678901234567e-07, -1.2345678901234567e-06,
+    9.999999999999999e-10, -9.87654321e-10, 5e-10]
 
 
 def writer_matrix(rows, cols):
@@ -143,6 +152,31 @@ def random_doubles(n, seed):
     exponent = rng.integers(1023 - 20, 1023 + 60, size=n - n // 2, dtype=np.uint64)
     bits[n // 2:] = (bits[n // 2:] & ~np.uint64(0x7FF << 52)) | (exponent << np.uint64(52))
     return bits.view(np.float64)
+
+
+def band_doubles(n, seed):
+    """n float64 values with random signs and mantissas and binary
+    exponents in [-34, -13), about 5.8e-11 to 1.2e-4: every value the
+    writer respells below 1e-4, and a margin on each side."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    exponent = rng.integers(1023 - 34, 1023 - 13, size=n, dtype=np.uint64)
+    return ((bits & ~np.uint64(0x7FF << 52)) | (exponent << np.uint64(52))).view(np.float64)
+
+
+class TestOrjsonSpellings:
+    def test_orjson_differs_from_repr_exactly_where_the_writer_respells(self):
+        """If an orjson release changes a spelling, this names the values."""
+        rng = np.random.default_rng(31)
+        values = np.concatenate([
+            random_doubles(100_000, seed=30), band_doubles(50_000, seed=31),
+            rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-330, 308, 50_000),
+            np.array(WRITER_VALUES)])
+        dumped = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+        differs = np.array([text != repr(v).encode()
+                            for text, v in zip(dumped, values.tolist())])
+        wrong = np.flatnonzero(differs != io._respelled(values))
+        assert not wrong.size, [(repr(values[i]), dumped[i]) for i in wrong[:10]]
 
 
 class TestMatrixWriterBytes:
@@ -202,6 +236,11 @@ class TestMatrixWriterBytes:
         io.write_matrix_csv(tmp_path / "m.csv", array)
         assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(array).encode()
 
+    def test_respelled_band(self, tmp_path, block):
+        array = band_doubles(20_007, seed=32).reshape(-1, 3)
+        io.write_matrix_csv(tmp_path / "m.csv", array)
+        assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(array).encode()
+
     def test_speedup_rows(self, tmp_path, block):
         """save_speedup's n_patches and sweep columns keep %d's bytes."""
         runs = [(n, al.SweepTrace(n_regions=4, elapsed_ms=list(random_doubles(37 * n, seed=n))))
@@ -211,6 +250,17 @@ class TestMatrixWriterBytes:
             f"{n},{sweep},{float(ms)!r}\n" for n, trace in runs
             for sweep, ms in enumerate(trace.elapsed_ms, start=1))
         assert (tmp_path / "speedup.csv").read_bytes() == want.encode()
+
+    def test_only_mirrored_csvs_are_hashed(self, tmp_path, monkeypatch):
+        calls = []
+        sha256 = io.hashlib.sha256
+        monkeypatch.setattr(io.hashlib, "sha256", lambda *a: calls.append(a) or sha256(*a))
+        trace = al.SweepTrace(n_regions=4, log_posterior=[-1.0, -0.5], tau_accepts=[1, 2],
+                              theta_accepts=[3, 4], kappa=[0.5, 0.25], elapsed_ms=[5.0, 4.5])
+        io.write_matrix_csv(tmp_path / "m.csv", writer_matrix(40, 36))
+        io.save_trace(tmp_path / "trace.csv", trace)
+        io.save_speedup(tmp_path / "speedup.csv", [(1, trace), (2, trace)])
+        assert calls == []
 
     def test_three_dims_rejected_before_open(self, tmp_path):
         with pytest.raises(ValueError, match="matrix"):
