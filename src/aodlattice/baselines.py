@@ -90,28 +90,39 @@ _GRID_CELLS = 1 << 18  # misfit cells (rows x T*G) per row block; bounds its tem
 _TIE_ULPS = 16  # candidates of one level within this many ulps of its scale tie
 
 
-def _tie_theta(pred: np.ndarray, mixtures: np.ndarray) -> np.ndarray:
-    """Fallback theta of every grid cell, (T*G, M).
+def _tie_groups(pred: np.ndarray, mixtures: np.ndarray):
+    """Fallback theta and tie-group id of every grid cell, (T*G, M) and (T*G,).
 
     At each level, candidate j ties with the first candidate i whose
     prediction differs from j's by at most _TIE_ULPS * eps times the
     level's largest radiance on every channel, and its tie group is every
     candidate that ties with the same i.  A cell alone in its group keeps
     its mixture; a larger group gives each member floor_simplex of the
-    group's mean mixture.
+    group's mean mixture.  A cell's group id is t * G + i, so two cells
+    with one id return the same level and the same fallback theta.  A pair
+    further apart than the tolerance on channel 0 cannot tie, so each
+    candidate's all-channel distance is taken only to the candidates that
+    pass channel 0, in index order, until the first tie (itself at worst).
     """
     T, G, _ = pred.shape
-    out = np.tile(mixtures, (T, 1)).reshape(T, G, -1)
+    theta = np.tile(mixtures, (T, 1)).reshape(T, G, -1)
+    group = np.empty((T, G), dtype=np.intp)
     for t, level in enumerate(pred):
         tol = _TIE_ULPS * np.finfo(float).eps * np.abs(level).max()
-        dist = np.zeros((G, G))
-        for channel in level.T:
-            np.maximum(dist, np.abs(channel[:, None] - channel[None, :]), out=dist)
-        label = np.argmax(dist <= tol, axis=0)
+        screen = np.abs(level[:, :1] - level[:, 0]) <= tol  # [i, k]: may tie
+        label = np.empty(G, dtype=np.intp)
+        k = np.arange(G)
+        while k.size:
+            i = screen[:, k].argmax(axis=0)
+            tie = np.abs(level[i] - level[k]).max(axis=1) <= tol
+            label[k[tie]] = i[tie]
+            screen[i[~tie], k[~tie]] = False
+            k = k[~tie]
         for lead in np.flatnonzero(np.bincount(label, minlength=G) > 1):
             members = label == lead
-            out[t, members] = floor_simplex(mixtures[members].mean(axis=0))
-    return out.reshape(T * G, -1)
+            theta[t, members] = floor_simplex(mixtures[members].mean(axis=0))
+        group[t] = t * G + label
+    return theta.reshape(T * G, -1), group.ravel()
 
 
 def _direct_chi2(obs: np.ndarray, pred: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -130,27 +141,34 @@ def grid_search_retrieve(scene: Scene, table, config: GridSearchConfig):
     return the argmin pair with success False.  When the argmin pair ties
     with other mixtures at its level (at tau = 0 every mixture gives the
     same surface radiance), the region returns floor_simplex of the tie
-    group's mean mixture instead (see _tie_theta), so rounding does not
+    group's mean mixture instead (see _tie_groups), so rounding does not
     pick the composition.
 
     The misfit is expanded as ||o||^2_w - 2 (o*w).p + ||p||^2_w, so a row
     block of regions is scored by one matrix product,
     [o | 1 | ||o||^2_w] (B x C+2) times [-2 (w*p)^T ; ||p||^2_w ; 1]
     (C+2 x T*G), with no full-matrix adds.  The block holds at most
-    _GRID_CELLS misfits and fills the left factor in one reusable buffer,
-    so memory does not grow with the scene and a long tau grid only
-    shrinks the block.  Each product sums C+2 terms whose magnitudes add
-    up to at most 2 (||o||^2_w + ||p||^2_w), in whatever order BLAS takes
-    them, so rb = 2 (C+2) eps (||o||^2_w + max ||p||^2_w) bounds its
+    _GRID_CELLS misfits; the left factor and the product fill two reusable
+    buffers, so memory does not grow with the scene and a long tau grid
+    only shrinks the block.  Each product sums C+2 terms whose magnitudes
+    add up to at most 2 (||o||^2_w + ||p||^2_w), in whatever order BLAS
+    takes them, so rb = 2 (C+2) eps (||o||^2_w + max ||p||^2_w) bounds its
     rounding; the expanded form loses digits when the misfit is small
     against that.  Every cell within rb of the threshold is scored again
     in residual form, so success is decided as the residual form decides
-    it.  A failing row whose runner-up (the minimum with the argmin cell
-    masked out) lies within 2 rb of its minimum has every cell that close
-    scored again the same way, so the argmin is the residual form's first
-    one too.  The clearing means sum per-level and per-mixture counts of
-    the clearing cells times the levels and the mixtures, row by row, so a
-    region's output does not depend on the other regions in its block.
+    it.  A failing row returns its argmin cell's level and fallback theta,
+    so what the residual form must decide is that output, not the argmin
+    index.  When the row's runner-up (the minimum with the argmin cell
+    masked out) lies within 2 rb of its minimum, the residual-form argmin
+    may be any cell that close.  If all of them lie in the argmin cell's
+    tie group they give one output and the row is left as it is; otherwise
+    every cell that close is scored again in residual form and the row
+    returns the first minimum, so the output is the residual form's.  At
+    the default grid the near-ties are the AOD-0 cells, one group, so a
+    search rescores no row for them.  The clearing means sum per-level and
+    per-mixture counts of the clearing cells times the levels and the
+    mixtures, row by row, so a region's output does not depend on the
+    other regions in its block.
     """
     config.validate(table)
     levels, mixtures = config.tau_levels, config.candidate_mixtures
@@ -158,7 +176,7 @@ def grid_search_retrieve(scene: Scene, table, config: GridSearchConfig):
     T, G = levels.size, mixtures.shape[0]
     tau_grid = np.repeat(levels, G)
     flat_pred = table.eval_batch(tau_grid, np.tile(mixtures, (T, 1)))  # level-major cells
-    fallback_theta = _tie_theta(flat_pred.reshape(T, G, -1), mixtures)
+    fallback_theta, group = _tie_groups(flat_pred.reshape(T, G, -1), mixtures)
     obs_all = scene.radiance
     C = scene.channels
     w = scene.channel_mask / (2.0 * config.sigma2_fixed)
@@ -177,6 +195,7 @@ def grid_search_retrieve(scene: Scene, table, config: GridSearchConfig):
     block = max(1, _GRID_CELLS // (T * G))
     left = np.empty((min(block, P), C + 2))
     left[:, C] = 1.0
+    product = np.empty((left.shape[0], T * G))
     for start in range(0, P, block):
         rows = slice(start, start + block)
         obs, rb = obs_all[rows], bound[rows]
@@ -184,7 +203,7 @@ def grid_search_retrieve(scene: Scene, table, config: GridSearchConfig):
         lb = left[:b]
         lb[:, :C] = obs
         lb[:, C + 1] = o_norm[rows]
-        chi2 = lb @ right
+        chi2 = np.matmul(lb, right, out=product[:b])
         at = np.arange(b)
         best = chi2.argmin(axis=1)
         low = chi2[at, best]
@@ -193,25 +212,30 @@ def grid_search_retrieve(scene: Scene, table, config: GridSearchConfig):
         chi2[at, best] = low
         # rows whose best cell may clear the threshold: decide each cell
         hit = np.flatnonzero(low < thr + rb)
-        sub = chi2[hit]
-        below = sub < thr
-        i, j = np.nonzero(np.abs(sub - thr) <= rb[hit, None])
-        if i.size:
-            below[i, j] = _direct_chi2(obs[hit[i]], flat_pred[j], w) < thr
-        count = below.sum(axis=1)
-        ok = count > 0
-        hits, n, won = below[ok].reshape(-1, T, G), count[ok], hit[ok]
-        tau_out[rows][won] = (hits.sum(axis=2) * levels).sum(axis=1) / n
-        mix_sum = (hits.sum(axis=1)[:, :, None] * mixtures).sum(axis=1)
-        theta_out[rows][won] = floor_simplex(mix_sum / n[:, None])
-        success[rows][won] = True
+        if hit.size:
+            sub = chi2[hit]
+            below = sub < thr
+            i, j = np.nonzero(np.abs(sub - thr) <= rb[hit, None])
+            if i.size:
+                below[i, j] = _direct_chi2(obs[hit[i]], flat_pred[j], w) < thr
+            count = below.sum(axis=1)
+            ok = count > 0
+            hits, n, won = below[ok].reshape(-1, T, G), count[ok], hit[ok]
+            tau_out[rows][won] = (hits.sum(axis=2) * levels).sum(axis=1) / n
+            mix_sum = (hits.sum(axis=1)[:, :, None] * mixtures).sum(axis=1)
+            theta_out[rows][won] = floor_simplex(mix_sum / n[:, None])
+            success[rows][won] = True
         # failing rows whose minimum is not clear of the runner-up: argmin
-        # over the near-minimal cells in residual form
+        # over the near-minimal cells in residual form, unless those cells
+        # all lie in the argmin's tie group and so give its output
         fail = ~success[rows]
         redo = np.flatnonzero((runner_up <= low + 2.0 * rb) & fail)
+        near = chi2[redo] <= (low[redo] + 2.0 * rb[redo])[:, None]
+        mixed = (near & (group != group[best[redo], None])).any(axis=1)
+        redo, near = redo[mixed], near[mixed]
         if redo.size:
-            i, j = np.nonzero(chi2[redo] <= (low[redo] + 2.0 * rb[redo])[:, None])
-            exact = np.full((redo.size, T * G), np.inf)
+            i, j = np.nonzero(near)
+            exact = np.full(near.shape, np.inf)
             exact[i, j] = _direct_chi2(obs[redo[i]], flat_pred[j], w)
             best[redo] = exact.argmin(axis=1)
         tau_out[rows][fail] = tau_grid[best[fail]]
@@ -240,6 +264,12 @@ class MetricsReport:
         }
 
 
+def _pow2_exponent(*arrays) -> int:
+    """e such that the largest magnitude in arrays times 2**-e lies in
+    [0.5, 1); 0 when every entry is zero."""
+    return math.frexp(max(np.abs(a).max() for a in arrays))[1]
+
+
 def compute_metrics(retrieved, reference) -> MetricsReport:
     """RMSE, Pearson correlation and mean bias of retrieved vs reference.
 
@@ -247,7 +277,13 @@ def compute_metrics(retrieved, reference) -> MetricsReport:
     rmse^2 = bias^2 + var(error) is exact.  Non-finite entries raise
     ConfigurationError.  A constant reference or
     retrieved field leaves the correlation undefined (flagged, stored as
-    nan).
+    nan).  The errors are taken between the two fields scaled by one
+    power of two that brings their largest magnitude into [0.5, 1), the
+    RMSE and bias scaled back, and each field's deviations from its mean
+    are taken after scaling it alone the same way, so no square or sum
+    overflows: a result that a float can hold comes out finite.  Outside
+    the subnormal range the scaling is exact, so the results have the
+    bits of the unscaled formulas.
     """
     r = np.asarray(retrieved, dtype=float)
     t = np.asarray(reference, dtype=float)
@@ -257,11 +293,14 @@ def compute_metrics(retrieved, reference) -> MetricsReport:
         raise ConfigurationError("need at least 2 entries")
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
         raise ConfigurationError("retrieved and reference values must be finite")
-    err = r - t
-    rmse = float(np.sqrt(np.mean(err**2)))
-    bias = float(np.mean(err))
-    sr = r - r.mean()
-    st = t - t.mean()
+    scale = _pow2_exponent(r, t)
+    err = np.ldexp(r, -scale) - np.ldexp(t, -scale)
+    rmse = float(np.ldexp(np.sqrt(np.mean(err**2)), scale))
+    bias = float(np.ldexp(np.mean(err), scale))
+    sr = np.ldexp(r, -_pow2_exponent(r))
+    sr -= sr.mean()
+    st = np.ldexp(t, -_pow2_exponent(t))
+    st -= st.mean()
     denom = math.sqrt(float(np.sum(sr**2)) * float(np.sum(st**2)))
     if denom == 0.0:
         corr, defined = float("nan"), False
@@ -273,7 +312,7 @@ def compute_metrics(retrieved, reference) -> MetricsReport:
         correlation_defined=defined,
         mean_bias=bias,
         n=int(r.size),
-        per_region_error=err,
+        per_region_error=r - t,
     )
 
 

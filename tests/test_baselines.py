@@ -1,5 +1,6 @@
 """Grid-search baseline, metrics, dominance maps and multi-start stability bounds."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from aodlattice import baselines
 from aodlattice.baselines import GridSearchConfig, default_candidate_mixtures
 
 from conftest import random_scene
-from oracles import oracle_grid_search, pearson_textbook
+from oracles import oracle_grid_search, oracle_tie_theta, pearson_textbook
 
 
 class TestCandidateMixtures:
@@ -151,6 +152,20 @@ def _direct_chi2_rows(scene, table, cfg):
     return np.einsum("btc,c->bt", resid * resid, w)
 
 
+def _spy_rescored_rows(monkeypatch):
+    """Record the bytes of every observation row that reaches
+    baselines._direct_chi2; returns the set, filled as the search runs."""
+    rescored = set()
+    direct = baselines._direct_chi2
+
+    def spy(obs, pred, w):
+        rescored.update(row.tobytes() for row in obs)
+        return direct(obs, pred, w)
+
+    monkeypatch.setattr(baselines, "_direct_chi2", spy)
+    return rescored
+
+
 class TestGridSearchOracle:
     """The blocked matrix-product search against the region-by-region loop."""
 
@@ -221,9 +236,9 @@ class TestGridSearchOracle:
 
     def test_duplicated_mixture_shares_the_minimum(self, table36, monkeypatch):
         """With one candidate listed twice, each failing region's minimum is
-        attained by two cells; the runner-up rule sends every row to the
-        residual-form rescoring, and the output is the oracle's (its argmin
-        is the first of the two)."""
+        attained by two cells.  The two form one tie group, so they give one
+        output and no row is rescored in residual form; the output is the
+        oracle's (its argmin is the first of the two)."""
         mixtures = default_candidate_mixtures(8)[[0, 13, 60, 13]]
         levels = np.linspace(0.0, 6.0, 13)
         pred = _grid_cells(table36, levels, mixtures).reshape(13, 4, 36)
@@ -236,16 +251,9 @@ class TestGridSearchOracle:
                       candidate_mixtures=mixtures, success_threshold=1e-300)
         chi2 = _direct_chi2_rows(scene, table36, cfg)
         assert np.all((chi2 == chi2.min(axis=1, keepdims=True)).sum(axis=1) == 2)
-        rescored = []
-        direct = baselines._direct_chi2
-
-        def spy(obs, pred, w):
-            rescored.extend(row.tobytes() for row in obs)
-            return direct(obs, pred, w)
-
-        monkeypatch.setattr(baselines, "_direct_chi2", spy)
+        rescored = _spy_rescored_rows(monkeypatch)
         got = al.grid_search_retrieve(scene, table36, cfg)
-        assert {row.tobytes() for row in radiance} <= set(rescored)
+        assert not {row.tobytes() for row in radiance} & rescored
         assert not got[2].any()
         _assert_matches_oracle(got, oracle_grid_search(scene, table36, cfg))
 
@@ -283,9 +291,37 @@ class TestGridSearchOracle:
         _assert_matches_oracle((tau, theta, success),
                                oracle_grid_search(scene, table36, cfg))
 
-    def test_argmin_between_two_levels_matches_oracle(self, table36):
+    def test_benchmark_regime_skips_tie_group_rescoring(self, table36, monkeypatch):
+        """A noise-0.2 scene at the default grid, as the pipeline benchmark
+        runs it: no region clears, and the regions that fail at AOD 0 take
+        the runner-up branch (all 92 candidates tie there).  Their
+        near-minimal cells form one tie group, so none is rescored; with
+        every cell its own group they all are, and the output is the same
+        and the oracle's."""
+        sim = al.make_sim_scene(table36, 24, 24, noise_level=0.2, seed=7)
+        cfg = GridSearchConfig.defaults(table36, sim.scene)
+        rescored = _spy_rescored_rows(monkeypatch)
+        got = al.grid_search_retrieve(sim.scene, table36, cfg)
+        _assert_matches_oracle(got, oracle_grid_search(sim.scene, table36, cfg))
+        assert not got[2].any()
+        tie_rows = {row.tobytes() for row in sim.scene.radiance[got[0] == 0.0]}
+        assert tie_rows and not tie_rows & rescored
+        tie_groups = baselines._tie_groups
+
+        def one_cell_groups(pred, mixtures):
+            theta, group = tie_groups(pred, mixtures)
+            return theta, np.arange(group.size)
+
+        monkeypatch.setattr(baselines, "_tie_groups", one_cell_groups)
+        for x, y in zip(al.grid_search_retrieve(sim.scene, table36, cfg), got):
+            np.testing.assert_array_equal(x, y)
+        assert tie_rows <= rescored
+
+    def test_argmin_between_two_levels_matches_oracle(self, table36, monkeypatch):
         """Observations midway between two adjacent levels' radiances fit
-        both cells almost equally well; the argmin is the oracle's cell."""
+        both cells almost equally well.  The near-minimal cells lie on two
+        levels, so every row is rescored in residual form, and the argmin
+        is the oracle's cell."""
         mixtures = default_candidate_mixtures(8)[[0, 13, 60]]
         levels = np.linspace(0.0, 6.0, 25)
         pred = _grid_cells(table36, levels, mixtures).reshape(25, 3, 36)  # (T, G, C)
@@ -297,7 +333,9 @@ class TestGridSearchOracle:
         scene = al.Scene(8, 8, 36, radiance, np.ones(36, dtype=bool))
         cfg = replace(GridSearchConfig.defaults(table36, scene), tau_levels=levels,
                       candidate_mixtures=mixtures, success_threshold=1e-300)
+        rescored = _spy_rescored_rows(monkeypatch)
         got = al.grid_search_retrieve(scene, table36, cfg)
+        assert {row.tobytes() for row in radiance} <= rescored
         assert not got[2].any()
         _assert_matches_oracle(got, oracle_grid_search(scene, table36, cfg))
 
@@ -324,6 +362,55 @@ class TestGridSearchOracle:
                     got = al.grid_search_retrieve(scene, table36, c)
                     _assert_matches_oracle(got, oracle_grid_search(scene, table36, c))
                     assert got[2][p] == (rank > 0 or thr > d)
+
+
+def _assert_tie_map_matches_oracle(pred, mixtures):
+    """Every cell's fallback theta has oracle_tie_theta's bytes, and its
+    group id is t * G + the oracle's first-tie label."""
+    theta, group = baselines._tie_groups(pred, mixtures)
+    T, G = pred.shape[:2]
+    assert theta.shape == (T * G, mixtures.shape[1]) and group.shape == (T * G,)
+    labels = {}
+    for j in range(T * G):
+        want = oracle_tie_theta(pred, mixtures, j, labels)
+        assert theta[j].tobytes() == np.asarray(want, dtype=float).tobytes(), j
+        t, g = divmod(j, G)
+        assert group[j] == t * G + labels[t][g], j
+    return group
+
+
+class TestTieMap:
+    """baselines._tie_groups against the candidate-by-candidate oracle."""
+
+    def test_default_grid(self, table36):
+        levels = np.linspace(*al.model.aod_domain(table36), 13)
+        mixtures = default_candidate_mixtures(8)
+        group = _assert_tie_map_matches_oracle(
+            _grid_cells(table36, levels, mixtures).reshape(13, 92, 36), mixtures)
+        assert np.all(group[:92] == 0)  # AOD 0: every candidate ties with the first
+
+    def test_duplicated_candidates(self, table36):
+        mixtures = default_candidate_mixtures(8)[[0, 13, 60, 13, 0, 36, 13]]
+        levels = np.linspace(0.0, 6.0, 13)
+        group = _assert_tie_map_matches_oracle(
+            _grid_cells(table36, levels, mixtures).reshape(13, 7, 36), mixtures)
+        np.testing.assert_array_equal(group[7:14], [7, 8, 9, 8, 7, 12, 8])
+
+    def test_non_transitive_chain(self):
+        """Level 0: candidates 0 and 1 tie, 1 and 2 tie, 0 and 2 do not
+        (10, 10 and 20 eps apart on channel 0 against a tolerance of 16
+        eps), so 2 joins 1's group, not 0's; 3 passes channel 0 against 0
+        and 1 but not channel 2; 4 duplicates 2; 5 is far from all.  At
+        level 1 every candidate gives the same radiance."""
+        eps = np.finfo(float).eps
+        level0 = np.full((6, 3), 0.5)
+        level0[[1, 2, 4], 0] += np.array([10, 20, 20]) * eps
+        level0[3, 2] += 30 * eps
+        level0[5] = [0.9, 1.0, 0.2]  # the level's largest radiance: tol 16 eps
+        pred = np.stack([level0, np.full((6, 3), 0.3)])
+        mixtures = np.random.default_rng(14).dirichlet(np.ones(3), size=6)
+        group = _assert_tie_map_matches_oracle(pred, mixtures)
+        np.testing.assert_array_equal(group, [0, 0, 1, 3, 1, 5] + [6] * 6)
 
 
 class TestComputeMetrics:
@@ -369,6 +456,40 @@ class TestComputeMetrics:
         err = a - b
         var = np.mean((err - err.mean()) ** 2)  # population convention
         assert rep.rmse**2 == pytest.approx(rep.mean_bias**2 + var, abs=1e-12)
+
+    @pytest.mark.parametrize("huge", [1e160, -1.5e308])
+    def test_huge_finite_entry_gives_finite_metrics(self, huge):
+        """One huge entry among 64 overflows err**2 and the deviations'
+        squares if they are not scaled first; the metrics stay finite and
+        match overflow-free references (math.hypot and math.fsum, and the
+        textbook correlation of the field scaled by an exact power of two)."""
+        rng = np.random.default_rng(15)
+        a = rng.uniform(0.1, 1.0, 64)
+        b = rng.uniform(0.1, 1.0, 64)
+        a[17] = huge
+        rep = al.compute_metrics(a, b)
+        err = a - b
+        assert rep.rmse == pytest.approx(math.hypot(*err) / 8.0, rel=1e-14)
+        assert rep.mean_bias == pytest.approx(math.fsum(err) / 64.0, rel=1e-14)
+        assert rep.correlation_defined
+        want = pearson_textbook(np.ldexp(a, -1024), b)
+        assert rep.correlation == pytest.approx(want, rel=1e-12)
+        np.testing.assert_array_equal(rep.per_region_error, err)
+
+    @pytest.mark.parametrize("seed", [16, 17])
+    def test_ordinary_fields_keep_the_unscaled_bits(self, seed):
+        """On AOD-sized fields the power-of-two scaling is exact: every
+        metric has the bits of the unscaled formulas."""
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(0.0, 3.0, 100)
+        a = b + 0.1 * rng.standard_normal(100)
+        rep = al.compute_metrics(a, b)
+        err = a - b
+        sr, st = a - a.mean(), b - b.mean()
+        assert rep.rmse == float(np.sqrt(np.mean(err**2)))
+        assert rep.mean_bias == float(np.mean(err))
+        denom = math.sqrt(float(np.sum(sr**2)) * float(np.sum(st**2)))
+        assert rep.correlation == float(np.sum(sr * st) / denom)
 
     def test_mask_and_length_checks(self):
         """Fields of different lengths, fields of fewer than 2 entries, and

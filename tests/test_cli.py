@@ -322,10 +322,10 @@ class TestRetrieve:
         assert "truth.csv" in err and "finite" in err
         assert not out.exists()
 
-    def test_overflowing_metrics_exit_2_before_the_output_directory(self, scene_dir, tmp_path,
-                                                                    capsys):
-        """A finite but huge truth AOD passes the sidecar check, then
-        overflows the RMSE to infinity, which metrics.json cannot hold."""
+    def test_huge_truth_aod_gives_finite_metrics(self, scene_dir, tmp_path):
+        """A finite but huge truth AOD passes the sidecar check and gives
+        finite metrics: the RMSE of one 1e200 error among 64 is 1e200 / 8
+        to the last bits, not an overflow."""
         huge = tmp_path / "huge"
         shutil.copytree(scene_dir, huge)
         (huge / "truth.csv.bin").unlink()
@@ -333,13 +333,12 @@ class TestRetrieve:
         rows[5] = "1e200" + rows[5][rows[5].index(","):]
         (huge / "truth.csv").write_text("".join(rows))
         out = tmp_path / "o"
-        with np.errstate(over="ignore"):
-            code = run_cli("retrieve", "--scene", str(huge), "--method", "grid", *SMALL,
-                           "--out", str(out))
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "truth.csv" in err and "not finite" in err and "rmse" in err
-        assert not out.exists()
+        assert run_cli("retrieve", "--scene", str(huge), "--method", "grid", *SMALL,
+                       "--out", str(out)) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["rmse"] == pytest.approx(1e200 / 8, rel=1e-15)
+        assert metrics["mean_bias"] == pytest.approx(-1e200 / 64, rel=1e-15)
+        assert metrics["correlation_defined"] and abs(metrics["correlation"]) <= 1.0
 
     def test_negative_seed_exits_2_before_any_work(self, scene_dir, tmp_path, capsys,
                                                    monkeypatch):
