@@ -298,13 +298,13 @@ def compute_metrics(retrieved, reference) -> MetricsReport:
     rmse = float(np.ldexp(np.sqrt(np.mean(err**2)), scale))
     bias = float(np.ldexp(np.mean(err), scale))
     sr = np.ldexp(r, -_pow2_exponent(r))
-    sr -= sr.mean()
     st = np.ldexp(t, -_pow2_exponent(t))
-    st -= st.mean()
-    denom = math.sqrt(float(np.sum(sr**2)) * float(np.sum(st**2)))
-    if denom == 0.0:
+    if np.ptp(sr) == 0 or np.ptp(st) == 0:  # mean() need not return the constant exactly
         corr, defined = float("nan"), False
     else:
+        sr -= sr.mean()
+        st -= st.mean()
+        denom = math.sqrt(float(np.sum(sr**2)) * float(np.sum(st**2)))
         corr, defined = float(np.sum(sr * st) / denom), True
     return MetricsReport(
         rmse=rmse,

@@ -4,19 +4,22 @@ A scene directory holds scene.json (dimensions, channel mask, component
 library records, forward-table parameters) plus radiance.csv, a headerless
 P x C matrix, row-major in region index with channel columns ascending.
 The truth sidecar truth.csv carries tau and the theta row per region.
-Floats are written as repr writes them (shortest round-trip), so identical
-runs produce byte-identical files.  Every CSV goes through one writer,
-_write_csv, a block of at most _BLOCK_VALUES values at a time, so memory
-stays bounded by the block, not the file.  orjson dumps each block's
-values as one flat JSON list with Ryu's shortest round-trip digits, which
-are repr's digits; one vectorised pass turns every cols-th comma and the
-closing "]" into newlines.  orjson spells a value differently from repr
-exactly for NaN, +-inf, 1e-9 <= |x| < 1e-4 and |x| >= 1e16 ("1e-7" for
-"1e-07", "1e-5" as "0.00001", "1e16" for "1e+16"; below 1e-9 both write
-"1e-10" and on): those cells go into the dump as NaN, which orjson writes
-"null", and repr's spelling is put back at each null, in order.  The
-exponents are fixed by two replaces over one dump of those cells; only
-1e-5 <= |x| < 1e-4 and the non-finite cells are formatted one at a time.
+Every CSV goes through one writer, _write_csv, a block of at most
+_BLOCK_VALUES values at a time, so memory stays bounded by the block, not
+the file.  orjson dumps each block's values as one flat JSON list and one
+vectorised pass turns every cols-th comma and the closing "]" into
+newlines.  So a float is spelled the way orjson spells it:
+
+    the shortest round-trip digits, the same as repr's;
+    decimal notation for 0 and for 1e-5 <= |x| < 1e16 ("0.00001",
+    "9999999999999998.0");
+    otherwise an exponent with no "+" and no leading zero ("1e-7",
+    "1e16", "5e-324");
+
+and nan, inf and -inf, which orjson writes "null", as repr spells them.
+Identical runs produce byte-identical files.  CSVs from earlier versions
+of this writer use repr's spelling ("1e-07", "1e-05", "1e+16"); they
+parse to the same float64 and their mirrors still match their bytes.
 The integer columns of traces and speedup tables are dumped as int64,
 which gives %d's bytes.
 Every JSON file goes through _write_json, which refuses NaN and infinity.
@@ -33,7 +36,7 @@ load_scene and load_truth hash the CSV and read the mirror only when its
 tag, digest and size all match; otherwise (no mirror, an edited CSV, a
 truncated or foreign mirror) they parse the CSV.  So deleting a mirror
 is always safe, an edit to a CSV is always picked up, and both paths
-return the same bits, because repr round-trips.
+return the same bits, because every spelling round-trips.
 """
 
 from __future__ import annotations
@@ -85,44 +88,18 @@ def _dump_lines(block: np.ndarray) -> bytearray:
     return text
 
 
-def _respelled(values: np.ndarray) -> np.ndarray:
-    """Where orjson spells a float64 otherwise than repr: NaN, +-inf,
-    1e-9 <= |x| < 1e-4 and |x| >= 1e16.  Below 1e-9 both write the same
-    two- or three-digit exponent ("1e-12", "5e-324")."""
-    magnitude = np.abs(values)
-    return ~((magnitude < 1e-9) | (magnitude >= 1e-4) & (magnitude < 1e16))
-
-
-def _repr_spellings(values: np.ndarray) -> np.ndarray:
-    """repr's bytes for each of `values`, cells that orjson spells
-    otherwise.  For 1e-9 <= |x| < 1e-5 and finite |x| >= 1e16 only the
-    exponent differs: orjson writes "1.5e-7" (always one digit here) and
-    "1e16" where repr writes "1.5e-07" and "1e+16", which two replaces
-    over one dump fix.  The rest, orjson's "0.0000ddd" for
-    1e-5 <= |x| < 1e-4, nan and inf, go through bytes' %a, which is
-    ascii(repr(x))."""
-    magnitude = np.abs(values)
-    per_cell = ~np.isfinite(values) | (magnitude >= 1e-5) & (magnitude < 1e-4)
-    spellings = np.empty(values.size, dtype=object)
-    if per_cell.any():
-        spellings[per_cell] = (b"%a," * per_cell.sum() % tuple(
-            values[per_cell].tolist())).split(b",")[:-1]
-    if not per_cell.all():
-        text = orjson.dumps(values[~per_cell], option=orjson.OPT_SERIALIZE_NUMPY)
-        spellings[~per_cell] = text[1:-1].replace(b"e", b"e+").replace(
-            b"e+-", b"e-0").split(b",")
-    return spellings
-
-
 def _float_lines(block: np.ndarray) -> bytes:
-    """CSV lines of a C-contiguous 2-D float64 block, repr's bytes per value."""
-    odd = _respelled(block)
+    """CSV lines of a C-contiguous 2-D float64 block: orjson's spelling of
+    every finite value, and nan, inf or -inf put back at each "null"
+    orjson writes for a non-finite one, in order."""
+    lines = _dump_lines(block)
+    odd = ~np.isfinite(block)
     if not odd.any():
-        return _dump_lines(block)
-    pieces = _dump_lines(np.where(odd, np.nan, block)).split(b"null")  # orjson's NaN
+        return lines
+    pieces = lines.split(b"null")
     joined = [None] * (2 * len(pieces) - 1)
     joined[0::2] = pieces
-    joined[1::2] = _repr_spellings(block[odd]).tolist()
+    joined[1::2] = [repr(v).encode() for v in block[odd].tolist()]
     return b"".join(joined)
 
 

@@ -5,6 +5,7 @@ math module, independent of the library's vectorized evaluation paths.
 """
 
 import math
+from decimal import Decimal
 
 import numpy as np
 
@@ -329,8 +330,30 @@ def oracle_tie_theta(pred, mixtures, j, labels):
     return floor_simplex(mixtures[members].mean(axis=0))
 
 
+def oracle_float_spelling(v):
+    """The CSV spelling of one float, from repr's digits and exponent:
+    decimal notation for 0 and for 1e-5 <= |v| < 1e16, an exponent with
+    no "+" and no leading zero otherwise, and repr's nan, inf and -inf."""
+    text = repr(float(v))
+    if not math.isfinite(v):
+        return text
+    negative, digits, exp = Decimal(text).normalize().as_tuple()
+    sign = "-" if negative else ""
+    if not any(digits):
+        return sign + "0.0"
+    digits = "".join(map(str, digits))
+    e = exp + len(digits) - 1  # v = d.ddd x 10**e
+    if -5 <= e < 0:
+        return f"{sign}0.{'0' * (-e - 1)}{digits}"
+    if 0 <= e <= 15:
+        return f"{sign}{digits[:e + 1].ljust(e + 1, '0')}.{digits[e + 1:] or '0'}"
+    rest = f".{digits[1:]}" if len(digits) > 1 else ""
+    return f"{sign}{digits[0]}{rest}e{e}"
+
+
 def oracle_matrix_csv(array):
     """The text of a headerless matrix CSV written one value at a time,
-    repr(float(v)) per value, one str.join per row (a 1-D array is one row)."""
+    oracle_float_spelling per value, one str.join per row (a 1-D array is
+    one row)."""
     array = np.atleast_2d(np.asarray(array, dtype=float))
-    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in array)
+    return "".join(",".join(oracle_float_spelling(v) for v in row) + "\n" for row in array)

@@ -422,10 +422,20 @@ class TestComputeMetrics:
         assert rep.correlation_defined
         assert rep.correlation == pytest.approx(1.0)
 
-    def test_identical_constant_fields_flag_correlation(self):
-        x = np.full(5, 0.3)
-        rep = al.compute_metrics(x, x)
-        assert rep.rmse == 0.0
+    @pytest.mark.parametrize("fields", [
+        (np.full(5, 0.3), np.full(5, 0.3)),
+        (np.full(64, 0.1), np.linspace(0, 1, 64)),
+        (np.linspace(0, 1, 64), np.full(64, 0.1)),
+        (np.full(16384, 0.1), np.linspace(0, 1, 16384)),
+        (np.linspace(0, 1, 16384), np.full(16384, 0.1)),
+    ], ids=["identical", "constant-retrieved", "constant-reference",
+            "16384-constant-retrieved", "16384-constant-reference"])
+    def test_identical_constant_fields_flag_correlation(self, fields):
+        """A constant field leaves the correlation undefined, also where
+        its mean is not the constant exactly (64 or 16384 copies of 0.1)."""
+        rep = al.compute_metrics(*fields)
+        if np.array_equal(*fields):
+            assert rep.rmse == 0.0
         assert not rep.correlation_defined
         assert np.isnan(rep.correlation)
 

@@ -10,7 +10,7 @@ import pytest
 import aodlattice as al
 from aodlattice import io
 
-from oracles import oracle_matrix_csv
+from oracles import oracle_float_spelling, oracle_matrix_csv
 
 
 class TestSceneRoundtrip:
@@ -116,12 +116,12 @@ class TestMatrixCsv:
 # values whose shortest repr is unusual: negative zero, the smallest
 # subnormal, a large exponent and a small one
 ODD_VALUES = [-0.0, 5e-324, 1e16, 1e-5]
-# the edges of [1e-4, 1e16), where the writer keeps orjson's digits as
-# they are, each with its two float64 neighbours
+# 1e16, the upper edge of the decimal window, and 1e-4, where repr's
+# decimal notation starts, each with its two float64 neighbours
 EDGE_VALUES = [v for edge in (1e-4, -1e-4, 1e16, -1e16)
                for v in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf))]
-# the edges of the bands the writer respells, 1e-9 <= |x| < 1e-5 by
-# replaces over one dump and 1e-5 <= |x| < 1e-4 one value at a time
+# 1e-5, the lower edge of the decimal window, and 1e-9, below which the
+# exponent has two digits, each with its two float64 neighbours
 BAND_EDGES = [v for edge in (1e-9, -1e-9, 1e-5, -1e-5)
               for v in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf))]
 # plus the non-finite spellings, two reprs that are not the digits typed,
@@ -145,8 +145,8 @@ def writer_matrix(rows, cols):
 def random_doubles(n, seed):
     """n float64 values: the first half uniform random bit patterns (NaN
     payloads, subnormals and huge exponents included), the rest random
-    signs and mantissas with binary exponents in [-20, 60), across the
-    window [1e-4, 1e16) where the writer keeps orjson's digits."""
+    signs and mantissas with binary exponents in [-20, 60), about 9.5e-7
+    to 1.2e18, across both edges of the decimal window [1e-5, 1e16)."""
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2**64, size=n, dtype=np.uint64)
     exponent = rng.integers(1023 - 20, 1023 + 60, size=n - n // 2, dtype=np.uint64)
@@ -156,38 +156,43 @@ def random_doubles(n, seed):
 
 def band_doubles(n, seed):
     """n float64 values with random signs and mantissas and binary
-    exponents in [-34, -13), about 5.8e-11 to 1.2e-4: every value the
-    writer respells below 1e-4, and a margin on each side."""
+    exponents in [-34, -13), about 5.8e-11 to 1.2e-4: one- and two-digit
+    negative exponents, and the lower edge of the decimal window."""
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2**64, size=n, dtype=np.uint64)
     exponent = rng.integers(1023 - 34, 1023 - 13, size=n, dtype=np.uint64)
     return ((bits & ~np.uint64(0x7FF << 52)) | (exponent << np.uint64(52))).view(np.float64)
 
 
+@pytest.fixture(params=[None, 7], ids=["default-block", "block-7"])
+def block(request, monkeypatch):
+    """The CSV writer's block size at its default, or 7 values."""
+    if request.param is not None:
+        monkeypatch.setattr(io, "_BLOCK_VALUES", request.param)
+
+
 class TestOrjsonSpellings:
-    def test_orjson_differs_from_repr_exactly_where_the_writer_respells(self):
-        """If an orjson release changes a spelling, this names the values."""
+    def test_orjson_spells_every_finite_value_as_the_oracle(self):
+        """The writer's spelling is orjson's, null for a non-finite value
+        aside; if an orjson release changes a spelling, this names the
+        values."""
         rng = np.random.default_rng(31)
         values = np.concatenate([
             random_doubles(100_000, seed=30), band_doubles(50_000, seed=31),
             rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-330, 308, 50_000),
             np.array(WRITER_VALUES)])
         dumped = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
-        differs = np.array([text != repr(v).encode()
-                            for text, v in zip(dumped, values.tolist())])
-        wrong = np.flatnonzero(differs != io._respelled(values))
-        assert not wrong.size, [(repr(values[i]), dumped[i]) for i in wrong[:10]]
+        want = [oracle_float_spelling(v).encode() if np.isfinite(v) else b"null"
+                for v in values.tolist()]
+        wrong = [(repr(v), text, spelt) for v, text, spelt in zip(values.tolist(), dumped, want)
+                 if text != spelt]
+        assert not wrong, wrong[:10]
 
 
 class TestMatrixWriterBytes:
-    """write_matrix_csv and save_truth give the per-value repr writer's
+    """write_matrix_csv and save_truth give the per-value oracle writer's
     bytes, with the block size at its default and small enough (7 values)
     that block boundaries fall inside rows and inside the file."""
-
-    @pytest.fixture(params=[None, 7], ids=["default-block", "block-7"])
-    def block(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(io, "_BLOCK_VALUES", request.param)
 
     @pytest.mark.parametrize("cols", [1, 3, 36])
     @pytest.mark.parametrize("rows", [1, 5, 40])
@@ -222,7 +227,7 @@ class TestMatrixWriterBytes:
                              ids=["writer-values", "random"])
     def test_trace_rows(self, tmp_path, block, values):
         """save_trace writes the sweep as an integer and every other column
-        as repr(float(v)), block boundaries inside rows included."""
+        spelled by the oracle, block boundaries inside rows included."""
         trace = al.SweepTrace(n_regions=1, log_posterior=list(values[:, 0]),
                               tau_accepts=list(values[:, 1]), theta_accepts=list(values[:, 2]),
                               kappa=list(values[:, 3]), elapsed_ms=list(values[:, 4]))
@@ -236,7 +241,7 @@ class TestMatrixWriterBytes:
         io.write_matrix_csv(tmp_path / "m.csv", array)
         assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(array).encode()
 
-    def test_respelled_band(self, tmp_path, block):
+    def test_small_magnitude_band(self, tmp_path, block):
         array = band_doubles(20_007, seed=32).reshape(-1, 3)
         io.write_matrix_csv(tmp_path / "m.csv", array)
         assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(array).encode()
@@ -247,7 +252,7 @@ class TestMatrixWriterBytes:
                 for n in (1, 2, 16)]
         io.save_speedup(tmp_path / "speedup.csv", runs)
         want = "n_patches,sweep,elapsed_ms\n" + "".join(
-            f"{n},{sweep},{float(ms)!r}\n" for n, trace in runs
+            f"{n},{sweep},{oracle_float_spelling(ms)}\n" for n, trace in runs
             for sweep, ms in enumerate(trace.elapsed_ms, start=1))
         assert (tmp_path / "speedup.csv").read_bytes() == want.encode()
 
@@ -275,6 +280,54 @@ class TestMatrixWriterBytes:
 
 def parse_csv(path, skiprows=0):
     return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+
+
+def as_columns(values, cols):
+    """values, cycled to fill whole rows of `cols` columns."""
+    return np.resize(values, (-(-len(values) // cols), cols))
+
+
+def assert_read_back(got, want):
+    """The same bits, except that any NaN may come back as any NaN."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+READ_BACK_VALUES = {
+    "random": lambda: random_doubles(200_016, seed=28),
+    "band": lambda: band_doubles(20_007, seed=32),
+    "writer-values": lambda: np.array(WRITER_VALUES),
+}
+
+
+class TestReadBack:
+    """Every value a writer spells parses back to its float64."""
+
+    @pytest.fixture(params=list(READ_BACK_VALUES))
+    def values(self, request):
+        return READ_BACK_VALUES[request.param]()
+
+    def test_matrix(self, tmp_path, block, values):
+        matrix = as_columns(values, 36)
+        io.write_matrix_csv(tmp_path / "m.csv", matrix)
+        assert_read_back(io.read_matrix_csv(tmp_path / "m.csv"), matrix)
+
+    def test_truth(self, tmp_path, block, values):
+        matrix = as_columns(values, 9)
+        io.save_truth(tmp_path, matrix[:, 0], matrix[:, 1:])
+        assert_read_back(parse_csv(tmp_path / "truth.csv", skiprows=1), matrix)
+
+    def test_trace(self, tmp_path, block, values):
+        columns = as_columns(values, 5)
+        trace = al.SweepTrace(n_regions=1, log_posterior=columns[:, 0].tolist(),
+                              tau_accepts=columns[:, 1].tolist(),
+                              theta_accepts=columns[:, 2].tolist(),
+                              kappa=columns[:, 3].tolist(), elapsed_ms=columns[:, 4].tolist())
+        io.save_trace(tmp_path / "trace.csv", trace)
+        back = parse_csv(tmp_path / "trace.csv", skiprows=1)
+        assert back[:, 0].tolist() == list(range(1, len(columns) + 1))
+        assert_read_back(back[:, 1:], columns)
 
 
 def odd_scene(channels):
@@ -358,7 +411,7 @@ class TestMirror:
     def test_edited_csv_is_read_from_the_csv(self, tmp_path, name):
         save_odd(tmp_path)
         path = tmp_path / name
-        path.write_text(path.read_text().replace("1e+16", "2e+16"))
+        path.write_text(path.read_text().replace("1e16", "2e16"))
         scene, _, _ = io.load_scene(tmp_path)
         tau, theta = io.load_truth(tmp_path)
         if name == "radiance.csv":
@@ -397,6 +450,38 @@ class TestMirror:
         io.load_scene(tmp_path)  # the radiance mirror is intact
         with pytest.raises(AssertionError, match="a CSV was parsed"):
             io.load_truth(tmp_path)
+
+    def test_repr_spelled_scene_loads_from_its_mirrors(self, tmp_path, forbid_parse):
+        """radiance.csv and truth.csv spelled the way earlier versions of
+        the writer spelled them, repr(float(v)) per value, with mirrors
+        whose digests are of those bytes, load from the mirrors with the
+        bits the CSVs parse to."""
+        finite = np.array(WRITER_VALUES)[np.isfinite(WRITER_VALUES)]
+        radiance = np.resize(np.abs(finite), (4, 36))
+        truth = writer_matrix(4, 9)
+        io.save_scene(tmp_path, al.Scene(width=2, height=2, channels=36, radiance=radiance,
+                                         channel_mask=np.ones(36, dtype=bool)),
+                      al.default_library(), {"knots": 5, "tau_max": 6.0, "seed": 0})
+        io.save_truth(tmp_path, truth[:, 0], truth[:, 1:])
+        for name, matrix in (("radiance.csv", radiance), ("truth.csv", truth)):
+            written = (tmp_path / name).read_bytes()
+            header = written[:written.index(b"\n") + 1] if name == "truth.csv" else b""
+            text = header + "".join(",".join(repr(float(v)) for v in row) + "\n"
+                                    for row in matrix).encode()
+            assert text != written
+            (tmp_path / name).write_bytes(text)
+            (tmp_path / f"{name}.bin").write_bytes(b"aodlattice-mirror/1 %s %d %d\n" % (
+                hashlib.sha256(text).hexdigest().encode(), *matrix.shape)
+                + np.where(np.isnan(matrix), np.nan, matrix).astype("<f8").tobytes())
+        want_radiance = parse_csv(tmp_path / "radiance.csv")
+        want_truth = parse_csv(tmp_path / "truth.csv", skiprows=1)
+        assert_same_bits(want_radiance, radiance)
+        assert_read_back(want_truth, truth)
+        forbid_parse()
+        scene, _, _ = io.load_scene(tmp_path)
+        tau, theta = io.load_truth(tmp_path)
+        assert_same_bits(scene.radiance, want_radiance)
+        assert_same_bits(np.column_stack([tau, theta]), want_truth)
 
     def test_scene_without_mirrors_loads(self, tmp_path):
         truth = save_odd(tmp_path)
