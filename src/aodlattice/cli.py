@@ -260,7 +260,7 @@ def cmd_retrieve(args) -> int:
         elif args.method == "map-parallel":
             state, trace, part = run_map_parallel(scene, table, lattice, solver_cfg, patches,
                                                   init)
-        elif args.method == "mcmc":
+        else:  # mcmc
             samples = [] if cfg["mcmc"]["dump_samples"] else None
             sink = (lambda sweep, tau: samples.append(tau)) if samples is not None else None
             state, tau_std, trace = run_mcmc(scene, table, lattice, mcmc_cfg, init,
@@ -268,8 +268,6 @@ def cmd_retrieve(args) -> int:
             matrices["tau_std.csv"] = tau_std.reshape(-1, 1)
             if samples is not None:
                 matrices["tau_samples.csv"] = np.asarray(samples)
-        else:
-            raise ConfigurationError(f"unknown method: {args.method}")
         tau, theta = state.tau, state.theta
     report = None if truth is None else compute_metrics(tau, truth)
     out = Path(args.out)

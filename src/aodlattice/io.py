@@ -1,9 +1,9 @@
 """File formats: scene interchange, truth sidecars, traces, metrics, manifests.
 
-A scene directory holds scene.json (dimensions, channel mask, component
-library records, forward-table parameters) plus radiance.csv, a headerless
-P x C matrix, row-major in region index with channel columns ascending.
-The truth sidecar truth.csv carries tau and the theta row per region.
+A scene directory holds scene.json (the keys save_scene writes) plus
+radiance.csv, a headerless P x C matrix, row-major in region index with
+channel columns ascending.  The truth sidecar truth.csv carries tau and
+the theta row per region.
 Every CSV goes through one writer, _write_csv, a block of at most
 _BLOCK_VALUES values at a time, so memory stays bounded by the block, not
 the file.  orjson dumps each block's values as one flat JSON list and one
@@ -45,14 +45,14 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import orjson
 
 from . import __version__
-from .baselines import MetricsReport
-from .forward import ComponentLibrary, build_synthetic_table, default_library
+from .forward import ComponentLibrary, build_synthetic_table
 from .model import ConfigurationError, Scene
 
 SCENE_JSON = "scene.json"
@@ -61,6 +61,8 @@ TRUTH_CSV = "truth.csv"
 MIRROR_TAG = b"aodlattice-mirror/1"
 _CHUNK = 1 << 20  # bytes per read while hashing a CSV
 _BLOCK_VALUES = 4096  # values formatted per orjson call while writing a CSV
+# the JSON types of scene.json's values, as json.load gives them (a bool is no integer)
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "array": (list,), "object": (dict,)}
 
 
 def _as_matrix(array) -> np.ndarray:
@@ -196,11 +198,19 @@ def _read_mirror(csv_path):
         return np.fromfile(fh, dtype="<f8", count=n).reshape(rows, cols)
 
 
-def _read_mirrored(csv_path, parse) -> np.ndarray:
-    """The matrix the CSV holds: from its mirror when that is current,
-    else parse(csv_path)."""
+def _read_mirrored(csv_path, skiprows: int = 0) -> np.ndarray:
+    """The matrix the CSV holds below its first `skiprows` lines: from its
+    mirror when that is current, else parsed; ConfigurationError naming
+    the CSV if it holds no data rows."""
     matrix = _read_mirror(csv_path)
-    return parse(csv_path) if matrix is None else matrix
+    if matrix is not None:
+        return matrix
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "loadtxt: input contained no data")
+        try:
+            return np.loadtxt(csv_path, delimiter=",", skiprows=skiprows, ndmin=2)
+        except UserWarning:
+            raise ConfigurationError(f"{csv_path}: no data rows") from None
 
 
 def save_scene(
@@ -227,67 +237,56 @@ def save_scene(
             "knots": int(table_params["knots"]),
             "tau_max": float(table_params["tau_max"]),
             "seed": int(table_params["seed"]),
-            "channels": scene.channels,
         },
         "noise_level": float(noise_level),
-        "radiance_csv": RADIANCE_CSV,
     }
     _write_json(directory / SCENE_JSON, meta)
     _write_mirrored_csv(directory / RADIANCE_CSV, _as_matrix(scene.radiance))
 
 
+def _get(obj: dict, key: str, kind: str):
+    """obj[key] if it holds the JSON type `kind`, else ConfigurationError."""
+    if key not in obj:
+        raise ConfigurationError(f"missing required key {key!r}")
+    if type(obj[key]) not in _JSON_TYPES[kind]:
+        raise ConfigurationError(f"{key} must be a JSON {kind}, got {json.dumps(obj[key])}")
+    return obj[key]
+
+
 def load_scene(directory):
     """Read a scene directory; returns (Scene, ComponentLibrary, table).
 
-    The forward table is rebuilt deterministically from the parameters
-    recorded in scene.json, so a retrieval sees the exact forward model
-    the scene was rendered with.  Metadata of the wrong shape (a
-    non-object scene.json or table, a malformed component library), an
-    integer field too large to represent (JSON 1e400 reads as infinity) or
-    a table channel count other than the scene's raises ConfigurationError.
+    Each scene.json key is read in the JSON type save_scene writes it in
+    (integers are never booleans, channel_mask holds booleans); any other
+    value or a missing key raises ConfigurationError naming scene.json,
+    and unused keys (the table.channels and radiance_csv of earlier
+    versions too) are ignored.  The forward table is rebuilt from the
+    table key and the scene's channel count: the model it was rendered with.
     """
     directory = Path(directory)
     meta_path = directory / SCENE_JSON
     if not meta_path.exists():
         raise ConfigurationError(f"missing {meta_path}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    if not isinstance(meta, dict) or meta.get("format") != "aodlattice-scene/1":
-        raise ConfigurationError(f"unrecognized scene format in {meta_path}")
-    records = meta.get("component_library", "default")
-    library = default_library() if records == "default" else ComponentLibrary.from_records(records)
-    radiance = _read_mirrored(directory / meta.get("radiance_csv", RADIANCE_CSV),
-                              read_matrix_csv)
     try:
-        scene = Scene(
-            width=int(meta["width"]),
-            height=int(meta["height"]),
-            channels=int(meta["channels"]),
-            radiance=radiance,
-            channel_mask=np.asarray(meta["channel_mask"], dtype=bool),
-            region_size_km=float(meta.get("region_size_km", 4.4)),
-        )
-        t = meta["table"]
-        if not isinstance(t, dict):
-            raise ConfigurationError(f"{meta_path}: table must be an object")
-        knots, tau_max, seed = int(t["knots"]), float(t["tau_max"]), int(t["seed"])
-        channels = int(t.get("channels", scene.channels))
-    except KeyError as exc:
-        raise ConfigurationError(f"{meta_path}: missing required key {exc.args[0]!r}") from None
-    except (TypeError, OverflowError) as exc:
-        raise ConfigurationError(f"{meta_path}: malformed value: {exc}") from None
+        meta = json.loads(meta_path.read_text())
+        if not isinstance(meta, dict) or meta.get("format") != "aodlattice-scene/1":
+            raise ConfigurationError("unrecognized scene format")
+        library = ComponentLibrary.from_records(_get(meta, "component_library", "array"))
+        mask = _get(meta, "channel_mask", "array")
+        if not all(type(b) is bool for b in mask):
+            raise ConfigurationError(f"channel_mask must hold booleans, got {json.dumps(mask)}")
+        shape = {key: _get(meta, key, "integer") for key in ("width", "height", "channels")}
+        region_size_km = float(_get(meta, "region_size_km", "number"))
+        t = _get(meta, "table", "object")
+        knots, seed = _get(t, "knots", "integer"), _get(t, "seed", "integer")
+        tau_max = float(_get(t, "tau_max", "number"))
+    except ValueError as exc:  # ConfigurationError and JSONDecodeError included
+        raise ConfigurationError(f"{meta_path}: {exc}") from None
+    scene = Scene(**shape, radiance=_read_mirrored(directory / RADIANCE_CSV),
+                  channel_mask=np.array(mask, dtype=bool), region_size_km=region_size_km)
     scene.validate()
-    if channels != scene.channels:
-        raise ConfigurationError(
-            f"{meta_path}: table has {channels} channels but the scene has {scene.channels}"
-        )
-    table = build_synthetic_table(
-        library,
-        channels=channels,
-        knots=knots,
-        tau_max=tau_max,
-        seed=seed,
-    )
+    table = build_synthetic_table(library, channels=scene.channels, knots=knots,
+                                  tau_max=tau_max, seed=seed)
     return scene, library, table
 
 
@@ -306,7 +305,7 @@ def load_truth(directory):
     path = Path(directory) / TRUTH_CSV
     if not path.exists():
         return None
-    data = _read_mirrored(path, lambda p: np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2))
+    data = _read_mirrored(path, skiprows=1)
     return data[:, 0], data[:, 1:]
 
 
@@ -334,7 +333,7 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def save_metrics(path, report: MetricsReport) -> None:
+def save_metrics(path, report) -> None:
     _write_json(path, report.to_dict())
 
 

@@ -28,12 +28,43 @@ def test_no_import_inside_a_function(path):
     assert nested == []
 
 
-def test_baselines_imports_only_model():
-    """The grid baseline and the metrics depend on the model alone; the
-    MAP solver imports the baseline, never the other way round."""
-    local = {node.module for node in ast.walk(_tree(SRC / "baselines.py"))
-             if isinstance(node, ast.ImportFrom) and node.level > 0}
-    assert local == {"model"}
+# module -> the package names it imports: the one import direction, model
+# at the bottom; a module imports only from the layers below it
+LOCAL_IMPORTS = {
+    "model": set(),
+    "forward": {"model"},
+    "baselines": {"model"},
+    "simulate": {"model"},
+    "map_solver": {"baselines", "model"},
+    "mcmc": {"map_solver", "model"},
+    "parallel": {"map_solver", "model"},
+    "io": {"forward", "model", "__version__"},
+    "cli": {"baselines", "forward", "io", "map_solver", "mcmc", "model", "parallel",
+            "simulate"},
+    "__init__": {"baselines", "forward", "map_solver", "mcmc", "model", "parallel",
+                 "simulate"},
+}
+
+
+def _local_imports(path):
+    """The modules a module imports from the package (`from .x import`),
+    and the names it imports from the package itself (`from . import y`)."""
+    nodes = [node for node in ast.walk(_tree(path))
+             if isinstance(node, ast.ImportFrom) and node.level > 0]
+    return {node.module for node in nodes if node.module} | {
+        alias.name for node in nodes if not node.module for alias in node.names}
+
+
+def test_every_module_has_a_pinned_place():
+    assert set(LOCAL_IMPORTS) == {path.stem for path in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_local_imports_follow_the_one_direction(path):
+    """The grid baseline and the metrics depend on the model alone, the MAP
+    solver on the baseline, the chain and the scheduler on the solver, and
+    the file formats on the forward model, never the other way round."""
+    assert _local_imports(path) == LOCAL_IMPORTS[path.stem]
 
 
 def _top_level_imports(path):

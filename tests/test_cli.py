@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +323,26 @@ class TestRetrieve:
         assert "truth.csv" in err and "finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["radiance.csv", "truth.csv"])
+    def test_empty_csv_exits_2_with_one_error_line(self, scene_dir, tmp_path, capsys, name):
+        """An emptied CSV without its mirror is an input error whose only
+        stderr line names the file; numpy's no-data warning, made an error
+        here, does not escape."""
+        empty = tmp_path / "empty"
+        shutil.copytree(scene_dir, empty)
+        (empty / f"{name}.bin").unlink()
+        (empty / name).write_text("")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("retrieve", "--scene", str(empty), "--method", "grid", *SMALL,
+                           "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_huge_truth_aod_gives_finite_metrics(self, scene_dir, tmp_path):
         """A finite but huge truth AOD passes the sidecar check and gives
         finite metrics: the RMSE of one 1e200 error among 64 is 1e200 / 8
@@ -409,6 +430,7 @@ class TestRetrieve:
 
 
 _GOOD_RECORD = al.default_library().to_records()[0]
+ABSENT = object()  # a scene.json key left out
 MALFORMED_METADATA = {
     "library-records-lack-keys": ("library", [{"id": 1}]),
     "library-is-object": ("library", {"components": [_GOOD_RECORD]}),
@@ -423,6 +445,14 @@ MALFORMED_METADATA = {
     "scene-width-overflows": ("width", float("inf")),
     "scene-knots-overflow": ("table", {"knots": float("inf"), "tau_max": 6.0, "seed": 0,
                                        "channels": 12}),
+    # every key is read in the one JSON type save_scene writes it in
+    "scene-width-is-fractional": ("width", 4.7),
+    "scene-width-is-string": ("width", "16"),
+    "scene-mask-of-strings": ("channel_mask", ["no"] * 12),
+    "scene-mask-of-integers": ("channel_mask", [1, 0] * 6),
+    "scene-library-is-default": ("component_library", "default"),
+    "scene-region-size-is-bool": ("region_size_km", True),
+    "scene-lacks-region-size": ("region_size_km", ABSENT),
 }
 
 
@@ -440,34 +470,38 @@ def test_malformed_metadata_exits_2(scene_dir, tmp_path, capsys, field, value):
         broken = tmp_path / "broken"
         broken.mkdir()
         meta = json.loads((scene_dir / "scene.json").read_text())
-        (broken / "scene.json").write_text(json.dumps(value if field is None
-                                                      else {**meta, field: value}))
+        if field is not None:
+            meta.pop(field)
+            value = meta if value is ABSENT else {**meta, field: value}
+        (broken / "scene.json").write_text(json.dumps(value))
         (broken / "radiance.csv").write_bytes((scene_dir / "radiance.csv").read_bytes())
         argv = ["retrieve", "--scene", str(broken), "--method", "grid", "--out", str(out)]
     assert run_cli(*argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert field == "library" or "scene.json" in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("method", ["map", "grid"])
-def test_table_channel_mismatch_exits_2(scene_dir, tmp_path, capsys, method):
-    """A scene.json whose table channel count differs from the scene's is an
-    input error that names both counts, not a numpy broadcast failure."""
-    broken = tmp_path / "broken"
-    broken.mkdir()
-    meta = json.loads((scene_dir / "scene.json").read_text())
+def test_stale_table_channel_count_is_inert(scene_dir, tmp_path, method):
+    """The table.channels and radiance_csv keys that earlier versions
+    wrote are not read: the table gets the scene's channel count and the
+    radiance comes from radiance.csv, so a stale 8 on a 12-channel scene
+    (and a radiance_csv of 5) retrieves what the unedited directory does."""
+    stale = tmp_path / "stale"
+    shutil.copytree(scene_dir, stale)
+    meta = json.loads((stale / "scene.json").read_text())
     assert meta["channels"] == 12
     meta["table"]["channels"] = 8
-    (broken / "scene.json").write_text(json.dumps(meta))
-    (broken / "radiance.csv").write_bytes((scene_dir / "radiance.csv").read_bytes())
-    out = tmp_path / "o"
-    assert run_cli("retrieve", "--scene", str(broken), "--method", method, *SMALL,
-                   "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "8 channels" in err and "has 12" in err
-    assert "broadcast" not in err
-    assert not out.exists()
+    meta["radiance_csv"] = 5
+    (stale / "scene.json").write_text(json.dumps(meta))
+    outs = [tmp_path / "unedited", tmp_path / "edited"]
+    for scene, out in zip([scene_dir, stale], outs):
+        assert run_cli("retrieve", "--scene", str(scene), "--method", method, *SMALL,
+                       "--out", str(out)) == 0
+    for name in ("tau.csv", "theta.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 @pytest.mark.parametrize("case", ["library-is-directory", "retrieve-out-is-file",

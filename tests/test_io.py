@@ -37,6 +37,32 @@ class TestSceneRoundtrip:
         assert scene.channel_mask.sum() == 35
 
 
+    def test_earlier_layout_loads_with_the_same_bits(self, library, table36, tmp_path,
+                                                     forbid_parse):
+        """A scene.json as earlier versions wrote it, with radiance_csv and
+        table.channels, loads as the current layout does: the same
+        radiance (from its mirror), mask, library and table bits."""
+        sim = al.make_sim_scene(table36, 5, 4, seed=3, noise_level=0.2)
+        sim.scene.channel_mask[7] = False
+        io.save_scene(tmp_path, sim.scene, library, {"knots": 25, "tau_max": 6.0, "seed": 0})
+        want, want_lib, want_table = io.load_scene(tmp_path)
+        meta = json.loads((tmp_path / "scene.json").read_text())
+        assert "radiance_csv" not in meta and "channels" not in meta["table"]
+        meta["radiance_csv"] = "radiance.csv"
+        meta["table"]["channels"] = 36
+        (tmp_path / "scene.json").write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
+        forbid_parse()
+        got, got_lib, got_table = io.load_scene(tmp_path)
+        assert_same_bits(got.radiance, want.radiance)
+        assert got.channel_mask.tobytes() == want.channel_mask.tobytes()
+        assert (got.width, got.height, got.channels) == (5, 4, 36)
+        assert got.region_size_km == want.region_size_km
+        assert got_lib.to_records() == want_lib.to_records() == library.to_records()
+        assert_same_bits(got_table.tau_knots, want_table.tau_knots)
+        assert_same_bits(got_table.values, want_table.values)
+        assert_same_bits(got_table.values, table36.values)
+
+
 class TestTruthSidecar:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
