@@ -52,8 +52,8 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .forward import ComponentLibrary, build_synthetic_table
-from .model import ConfigurationError, Scene
+from .forward import ComponentLibrary, build_synthetic_table, check_table_args
+from .model import ConfigurationError, Scene, check_lattice_sides, check_scene_shape
 
 SCENE_JSON = "scene.json"
 RADIANCE_CSV = "radiance.csv"
@@ -244,12 +244,14 @@ def save_scene(
     _write_mirrored_csv(directory / RADIANCE_CSV, _as_matrix(scene.radiance))
 
 
-def _get(obj: dict, key: str, kind: str):
-    """obj[key] if it holds the JSON type `kind`, else ConfigurationError."""
+def _get(obj: dict, key: str, kind: str, path: str | None = None):
+    """obj[key] if it holds the JSON type `kind`, else ConfigurationError
+    naming the key by its dotted path in scene.json (key by default)."""
+    path = path or key
     if key not in obj:
-        raise ConfigurationError(f"missing required key {key!r}")
+        raise ConfigurationError(f"missing required key {path!r}")
     if type(obj[key]) not in _JSON_TYPES[kind]:
-        raise ConfigurationError(f"{key} must be a JSON {kind}, got {json.dumps(obj[key])}")
+        raise ConfigurationError(f"{path} must be a JSON {kind}, got {json.dumps(obj[key])}")
     return obj[key]
 
 
@@ -258,10 +260,14 @@ def load_scene(directory):
 
     Each scene.json key is read in the JSON type save_scene writes it in
     (integers are never booleans, channel_mask holds booleans); any other
-    value or a missing key raises ConfigurationError naming scene.json,
-    and unused keys (the table.channels and radiance_csv of earlier
-    versions too) are ignored.  The forward table is rebuilt from the
-    table key and the scene's channel count: the model it was rendered with.
+    value or a missing key raises ConfigurationError naming scene.json
+    and the key's dotted path (table.knots), and unused keys (the
+    table.channels and radiance_csv of earlier versions too) are ignored.
+    A value out of its range raises the same way, before any CSV is read:
+    the range rules are the lattice's (both sides >= 2), check_scene_shape,
+    check_table_args, table.seed >= 0 and one channel_mask entry per
+    channel.  The forward table is rebuilt from the table key and the
+    scene's channel count: the model it was rendered with.
     """
     directory = Path(directory)
     meta_path = directory / SCENE_JSON
@@ -278,8 +284,18 @@ def load_scene(directory):
         shape = {key: _get(meta, key, "integer") for key in ("width", "height", "channels")}
         region_size_km = float(_get(meta, "region_size_km", "number"))
         t = _get(meta, "table", "object")
-        knots, seed = _get(t, "knots", "integer"), _get(t, "seed", "integer")
-        tau_max = float(_get(t, "tau_max", "number"))
+        knots = _get(t, "knots", "integer", "table.knots")
+        seed = _get(t, "seed", "integer", "table.seed")
+        tau_max = float(_get(t, "tau_max", "number", "table.tau_max"))
+        check_lattice_sides(shape["width"], shape["height"])
+        check_scene_shape(**shape, region_size_km=region_size_km)
+        check_table_args(shape["channels"], knots, tau_max,
+                         names=("channels", "table.knots", "table.tau_max"))
+        if seed < 0:
+            raise ConfigurationError(f"table.seed must be >= 0, got {seed}")
+        if len(mask) != shape["channels"]:
+            raise ConfigurationError(f"channel_mask has {len(mask)} entries, but channels "
+                                     f"is {shape['channels']}")
     except ValueError as exc:  # ConfigurationError and JSONDecodeError included
         raise ConfigurationError(f"{meta_path}: {exc}") from None
     scene = Scene(**shape, radiance=_read_mirrored(directory / RADIANCE_CSV),

@@ -22,6 +22,12 @@ class, so one class is conditionally independent given the other: the
 kernel updates a whole class in one vectorised pass (a tau step on all its
 rows, then a theta step), with exact per-row deltas and an accept mask.
 The result is what a region-by-region visit of the class would give.
+What a pass reads but never moves is built once per run by the Workspace:
+tau and theta sit in buffers with one extra zero row, and each class has
+a plan (its rows, its neighbor slots as indices with the empty ones at
+that zero row, the slot mask and the neighbor counts), so a pass gathers
+a neighbor slot in one take and a share of the class reads slices of the
+plan.
 
 Given the other class, the tau proposal's mean never moves with the
 current value, so its MH correction log q(old)/q(raw) is h(raw) - h(old)
@@ -57,6 +63,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -330,6 +337,23 @@ def init_state(
     return state
 
 
+class _Plan(NamedTuple):
+    """The static data of a colour pass over some rows of one class.
+
+    rows are the regions; pos picks their rows of the class's draw block
+    and concentration (a slice for an ascending run of the class); nbr is
+    their k x 4 neighbor slots as indices into the workspace's padded
+    buffers, an empty slot pointing at the zero row P; mask is the slots'
+    lattice.nbr_mask and n_p their neighbor counts.
+    """
+
+    rows: np.ndarray
+    pos: slice | np.ndarray
+    nbr: np.ndarray
+    mask: np.ndarray
+    n_p: np.ndarray
+
+
 class Workspace:
     """Mutable solver state plus the caches that make sweeps O(P*C).
 
@@ -340,22 +364,55 @@ class Workspace:
     every sweep's _hyper_step call before the closed-form kappa and sigma2
     steps read them.  tau, theta and sigma2 are the workspace's own copies
     of the state's, and pred is evaluated from them here.
+
+    tau and theta are the first P rows of tau_pad and theta_pad, whose
+    extra row P is zero and is never written: indexing a pad with a plan's
+    nbr gathers the neighbor slots, 0.0 in empty ones, in one take.
+    plans holds one _Plan per colour class of lattice.classes, built here
+    once per run; plan() gives a share of a class its plan, slices of the
+    class plan (views, no copy) for an ascending run.
     """
 
     def __init__(self, scene: Scene, forward, lattice: LatticeTopology,
                  hyper: HyperParams, state: RetrievalState):
+        P = lattice.n_regions
         self.forward = forward
         self.lattice = lattice
         self.obs = scene.radiance
         self.mask = scene.channel_mask
         self.alpha_m1 = hyper.alpha - 1.0
-        self.tau = np.array(state.tau, dtype=float)
-        self.theta = np.array(state.theta, dtype=float)
+        self.tau_pad = np.zeros(P + 1)
+        self.theta_pad = np.zeros((P + 1, np.shape(state.theta)[1]))
+        self.tau = self.tau_pad[:P]
+        self.theta = self.theta_pad[:P]
+        self.tau[:] = state.tau
+        self.theta[:] = state.theta
         self.pred = forward.eval_batch(self.tau, self.theta)
         self.sigma2 = np.array(state.sigma2, dtype=float)
         self.kappa = float(state.kappa)
         self.tau_lo, self.tau_hi = aod_domain(forward)
         self.S = self.sse = None
+        self.plans = tuple(self._gather_plan(members, slice(0, members.size))
+                           for members in lattice.classes)
+
+    def _gather_plan(self, rows: np.ndarray, pos) -> _Plan:
+        lat = self.lattice
+        mask = lat.nbr_mask[rows]
+        nbr = np.where(mask, lat.nbr_index[rows], lat.n_regions)
+        return _Plan(rows, pos, nbr, mask, lat.n_p[rows])
+
+    def plan(self, colour: int, rows) -> _Plan:
+        """The plan of a share `rows` of class `colour`: slices of the class
+        plan when rows is an ascending run of the class, else its own."""
+        whole = self.plans[colour]
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size:
+            start = int(self.lattice.class_pos[rows[0]])
+            run = slice(start, start + rows.size)
+            if np.array_equal(whole.rows[run], rows):
+                return _Plan(whole.rows[run], run, whole.nbr[run], whole.mask[run],
+                             whole.n_p[run])
+        return self._gather_plan(rows, self.lattice.class_pos[rows])
 
     def resync(self) -> None:
         self.S = gmrf_roughness(self.tau, self.lattice)
@@ -371,15 +428,15 @@ def sweep_regions(ws: Workspace, sweep_idx: int, config: SolverConfig, mode: str
     vectorised pass per colour class of lattice.classes, in order.
 
     classes lists (colour, shares) pairs, each share an array of the
-    class's rows; None makes each class one share.  The class part, its
-    theta concentration and draw block, runs here once; the row part,
-    _share_pass, runs over the shares through mapper (the builtin map, or
-    a thread pool's).  A region's proposals read only its neighbors, which
-    lie in the other class, and each share writes only its own rows, so the
-    shares of a class may run in any order or at once on the one
-    workspace: all rows move as a region-by-region visit would move them.
-    kappa and sigma2 stay fixed, so the misfit weights mask / (2 sigma2)
-    are built once.
+    class's rows or its Workspace.plan; None makes each class one share.
+    The class part, its theta concentration and draw block, runs here
+    once; the row part, _share_pass, runs over the shares' plans through
+    mapper (the builtin map, or a thread pool's).  A region's proposals
+    read only its neighbors, which lie in the other class, and each share
+    writes only its own rows, so the shares of a class may run in any
+    order or at once on the one workspace: all rows move as a
+    region-by-region visit would move them.  kappa and sigma2 stay fixed,
+    so the misfit weights mask / (2 sigma2) are built once.
 
     mode "greedy" accepts only strict improvements; mode "mh" accepts with
     the Metropolis-Hastings probability, including the proposal-density
@@ -392,22 +449,25 @@ def sweep_regions(ws: Workspace, sweep_idx: int, config: SolverConfig, mode: str
     share order.  Shares that are ascending runs of the class in ascending
     order sum them as one share holding the whole class does.
     """
-    lat = ws.lattice
     if classes is None:
-        classes = [(c, [members]) for c, members in enumerate(lat.classes)]
+        classes = [(colour, [plan]) for colour, plan in enumerate(ws.plans)]
     w = ws.mask / (2.0 * ws.sigma2)
     mh = mode == "mh"
     delta_sum = 0.0
     acc_t = 0
     acc_h = 0
     for colour, shares in classes:
-        members = lat.classes[colour]
-        conc = _theta_conc(_gather_neighbours(ws.theta, lat, members), lat.n_p[members])
+        whole = ws.plans[colour]
+        conc = _theta_conc(ws.theta_pad[whole.nbr], whole.n_p)
         block = (conc, *_draw_block(config.seed, sweep_idx, colour, conc, mh))
-        steps = list(mapper(lambda rows: _share_pass(ws, rows, block, config.delta, w, mh),
-                            shares))
-        d_tau = np.concatenate([dt for dt, _ in steps])
-        d_theta = np.concatenate([dh for _, dh in steps])
+        plans = [s if isinstance(s, _Plan) else ws.plan(colour, s) for s in shares]
+        steps = list(mapper(lambda plan: _share_pass(ws, plan, block, config.delta, w, mh),
+                            plans))
+        if len(steps) == 1:
+            d_tau, d_theta = steps[0]
+        else:
+            d_tau = np.concatenate([dt for dt, _ in steps])
+            d_theta = np.concatenate([dh for _, dh in steps])
         d = float(np.sum(d_tau))
         d += float(np.sum(d_theta))
         delta_sum += d
@@ -416,29 +476,29 @@ def sweep_regions(ws: Workspace, sweep_idx: int, config: SolverConfig, mode: str
     return delta_sum, acc_t, acc_h
 
 
-def _share_pass(ws: Workspace, rows, block, delta: float, w, mh: bool):
+def _share_pass(ws: Workspace, plan: _Plan, block, delta: float, w, mh: bool):
     """The row part of a colour pass: one vectorised tau step, then one
-    theta step, on `rows`, all of the class that `block` (conc, normals,
-    gammas, uniforms or None) was drawn for.  Each row's misfit is
-    computed once from ws.pred and carried from the tau step into the
-    theta step, taking the tau candidate's value where it was accepted.
-    Writes only those rows of ws; returns the accepted per-row (tau
-    deltas, theta deltas)."""
+    theta step, on the rows of `plan`, all of the class that `block`
+    (conc, normals, gammas, uniforms or None) was drawn for.  Each row's
+    misfit is computed once from ws.pred and carried from the tau step
+    into the theta step, taking the tau candidate's value where it was
+    accepted; the theta step reuses the tau step's theta rows and its
+    post-step tau.  Writes only those rows of ws; returns the accepted
+    per-row (tau deltas, theta deltas)."""
     conc, z, gammas, u = block
-    lat = ws.lattice
+    rows, pos, nbr, nmask, n_p = plan
     tau = ws.tau
     theta = ws.theta
     fwd = ws.forward
-    pos = lat.class_pos[rows]
     obs = ws.obs[rows]
-    nmask = lat.nbr_mask[rows]
 
     # --- tau step ---
-    ntau = _gather_neighbours(tau, lat, rows)
-    mean, raw = _draw_tau(ntau, lat.n_p[rows], delta, z[pos])
+    ntau = ws.tau_pad[nbr]
+    mean, raw = _draw_tau(ntau, n_p, delta, z[pos])
     t_old = tau[rows]
+    th_old = theta[rows]
     cand = np.minimum(np.maximum(raw, ws.tau_lo), ws.tau_hi)
-    pred_new = fwd.eval_batch(cand, theta[rows])
+    pred_new = fwd.eval_batch(cand, th_old)
     chi = _misfit(obs, ws.pred[rows], w)
     chi_new = _misfit(obs, pred_new, w)
     df = _tau_delta(chi_new - chi, t_old, cand, ntau, nmask, ws.kappa)
@@ -456,8 +516,7 @@ def _share_pass(ws: Workspace, rows, block, delta: float, w, mh: bool):
 
     # --- theta step ---
     new_rows = _draw_theta(gammas[pos])
-    th_old = theta[rows]
-    pred_new = fwd.eval_batch(tau[rows], new_rows)
+    pred_new = fwd.eval_batch(np.where(accept, cand, t_old), new_rows)
     log_old = _safe_log_theta(th_old)
     log_new = _safe_log_theta(new_rows)
     df = _theta_delta(_misfit(obs, pred_new, w) - chi, log_old, log_new, ws.alpha_m1)
@@ -509,16 +568,19 @@ def _hyper_step(ws: Workspace) -> float:
         if d >= 0.0:
             ws.kappa = kappa_new
             dk = d
-    closed_form = _sigma2_closed_form(ws.sigma2, ws.sse, ws.mask, P)
+    closed_form = _sigma2_closed_form(ws.sigma2, ws.sse, ws.mask, P).tolist()
+    sigma2 = ws.sigma2.tolist()
     ds = 0.0
-    for c in np.flatnonzero(closed_form != ws.sigma2):
-        sse_c, old, new = float(ws.sse[c]), float(ws.sigma2[c]), float(closed_form[c])
+    for c, (sse_c, old, new) in enumerate(zip(ws.sse.tolist(), sigma2, closed_form)):
+        if new == old:
+            continue
         d = -0.5 * (P + 2) * (math.log(new) - math.log(old)) - 0.5 * sse_c * (
             1.0 / new - 1.0 / old
         )
         if d >= 0.0:
-            ws.sigma2[c] = new
+            sigma2[c] = new
             ds += d
+    ws.sigma2[:] = sigma2
     return dk + ds
 
 

@@ -139,7 +139,7 @@ def check_scene_shape(width: int, height: int, channels: int, region_size_km: fl
     if width * height < 4:
         raise ConfigurationError(f"need at least 4 regions, got {width}x{height}")
     if channels > 36:
-        raise ConfigurationError("at most 36 channels supported")
+        raise ConfigurationError(f"at most 36 channels supported, got channels = {channels}")
     if not (math.isfinite(region_size_km) and region_size_km > 0):
         raise ConfigurationError(
             f"region_size_km must be finite and > 0, got {region_size_km}")
@@ -173,6 +173,12 @@ class LatticeTopology:
         return self.width * self.height
 
 
+def check_lattice_sides(width: int, height: int) -> None:
+    """build_lattice's rule: both sides of the lattice are at least 2."""
+    if width < 2 or height < 2:
+        raise ConfigurationError(f"width and height must both be >= 2, got {width}x{height}")
+
+
 def build_lattice(width: int, height: int) -> LatticeTopology:
     """Build the 4-neighbor topology for a width x height region grid.
 
@@ -180,10 +186,7 @@ def build_lattice(width: int, height: int) -> LatticeTopology:
     strip has regions with a single neighbor, which the proposal kernels
     and the smoothness prior are not defined for).
     """
-    if width < 2 or height < 2:
-        raise ConfigurationError(
-            f"lattice dimensions must both be >= 2, got {width}x{height}"
-        )
+    check_lattice_sides(width, height)
     P = width * height
     p = np.arange(P, dtype=np.intp)
     r, c = np.divmod(p, width)

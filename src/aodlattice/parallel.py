@@ -14,13 +14,15 @@ the sequential kernel call that run_map makes, in the calling thread.
 With more it is the map of a thread pool of min(n_patches, 8) threads:
 the calling thread computes each class's concentration and draw block
 once, then each patch's share of the class runs its tau and theta steps
-in a thread, directly on the one shared workspace.  Shares are disjoint
-rows and read only the other colour, so no thread writes where another
-reads; the colour passes are large numpy operations that release the
-GIL.  The shares' accepted deltas are summed in patch order, which for
-ascending runs is the class order, so the final state and the trace are
-bitwise independent of the patch count.  The executor name ("serial",
-"thread" or "process") is checked and otherwise has no effect.
+in a thread, directly on the one shared workspace.  Each share's plan
+(map_solver.Workspace.plan) is built once per run, as a view of its
+class plan.  Shares are disjoint rows and read only the other colour,
+so no thread writes where another reads; the colour passes are large
+numpy operations that release the GIL.  The shares' accepted deltas are
+summed in patch order, which for ascending runs is the class order, so
+the final state and the trace are bitwise independent of the patch
+count.  The executor name ("serial", "thread" or "process") is checked
+and otherwise has no effect.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .map_solver import SolverConfig, _start, _sweep_loop, sweep_regions
+from .map_solver import SolverConfig, Workspace, _start, _sweep_loop, sweep_regions
 from .model import (
     ConfigurationError,
     LatticeTopology,
@@ -68,13 +70,16 @@ def partition(lattice: LatticeTopology, n_patches: int) -> PatchPartition:
     )
 
 
-def _patch_shares(lattice: LatticeTopology, part: PatchPartition):
-    """Each colour class of lattice.classes, in order, with its non-empty
-    patch shares, in patch order: [(colour, [rows, ...]), ...]."""
+def _patch_shares(ws: Workspace, part: PatchPartition):
+    """Each colour class of the workspace's lattice.classes, in order, with
+    the plans of its non-empty patch shares, in patch order: [(colour,
+    [plan, ...]), ...].  Every share is an ascending run of its class, so
+    its plan is a slice of the class plan."""
     classes = []
-    for colour, members in enumerate(lattice.classes):
+    for colour, members in enumerate(ws.lattice.classes):
         owner = part.assignment[members]
-        classes.append((colour, np.split(members, np.flatnonzero(np.diff(owner)) + 1)))
+        shares = np.split(members, np.flatnonzero(np.diff(owner)) + 1)
+        classes.append((colour, [ws.plan(colour, rows) for rows in shares]))
     return classes
 
 
@@ -101,7 +106,7 @@ def run_map_parallel(
         raise ConfigurationError(f"executor must be one of {EXECUTORS}, got {executor!r}")
     part = partition(lattice, n_patches)
     ws, trace = _start(scene, forward, lattice, config, init)
-    classes = _patch_shares(lattice, part)
+    classes = _patch_shares(ws, part)
     # the pool starts its threads on the first submit: one patch starts none
     with ThreadPoolExecutor(max_workers=min(n_patches, 8)) as pool:
         mapper = pool.map if n_patches > 1 else map

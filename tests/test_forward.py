@@ -77,6 +77,8 @@ class TestEvalRadiance:
         with pytest.raises(al.DomainError):
             small_table.eval_batch(np.array([1.0, small_table.tau_max + 0.01]),
                                    np.full((2, 3), 1.0 / 3.0))
+        with pytest.raises(al.DomainError):  # NaN lies in no range
+            small_table.eval_batch(np.array([np.nan, 0.5]), np.full((2, 3), 1.0 / 3.0))
 
     def test_batch_matches_scalar_bitwise(self, small_table):
         rng = np.random.default_rng(2)

@@ -10,6 +10,7 @@ import pytest
 import aodlattice as al
 from aodlattice import io
 
+from conftest import tiny_library
 from oracles import oracle_float_spelling, oracle_matrix_csv
 
 
@@ -61,6 +62,46 @@ class TestSceneRoundtrip:
         assert_same_bits(got_table.tau_knots, want_table.tau_knots)
         assert_same_bits(got_table.values, want_table.values)
         assert_same_bits(got_table.values, table36.values)
+
+
+# one out-of-range scene.json value per case: (dotted key, value, words the error names)
+SCENE_RANGE_FAULTS = {
+    "negative-seed": ("table.seed", -1, "table.seed must be >= 0"),
+    "mask-one-short": ("channel_mask", [True] * 3, "channel_mask has 3 entries"),
+    "one-knot": ("table.knots", 1, "table.knots must be >= 2"),
+    "forty-channels": ("channels", 40, "at most 36 channels supported, got channels = 40"),
+    "knots-is-string": ("table.knots", "13", "table.knots must be a JSON integer"),
+    "missing-seed": ("table.seed", None, "missing required key 'table.seed'"),
+    "zero-tau-max": ("table.tau_max", 0.0, "table.tau_max must be finite and > 0"),
+    "one-wide-strip": ("width", 1, "width and height must both be >= 2"),
+    "zero-region-size": ("region_size_km", 0.0, "region_size_km must be finite and > 0"),
+}
+
+
+@pytest.mark.parametrize("key, value, words", list(SCENE_RANGE_FAULTS.values()),
+                         ids=list(SCENE_RANGE_FAULTS))
+def test_out_of_range_scene_value_names_scene_json_and_key(small_table, tmp_path,
+                                                             key, value, words):
+    """load_scene range-checks every value it reads before reading the
+    radiance, and its error names scene.json and the value's dotted key
+    (None removes the key)."""
+    sim = al.make_sim_scene(small_table, 4, 4, seed=1)
+    io.save_scene(tmp_path, sim.scene, tiny_library(), {"knots": 9, "tau_max": 6.0, "seed": 5})
+    path = tmp_path / "scene.json"
+    meta = json.loads(path.read_text())
+    *outer, last = key.split(".")
+    obj = meta
+    for part in outer:
+        obj = obj[part]
+    if value is None:
+        del obj[last]
+    else:
+        obj[last] = value
+    path.write_text(json.dumps(meta))
+    (tmp_path / "radiance.csv").unlink()
+    with pytest.raises(al.ConfigurationError) as err:
+        io.load_scene(tmp_path)
+    assert str(err.value).startswith(f"{path}: {words}")
 
 
 class TestTruthSidecar:

@@ -288,6 +288,106 @@ class TestSweepKernel:
                     assert got[0] == want[0]
 
 
+STATIC = ("rows", "nbr", "mask", "n_p")  # a plan's arrays
+
+
+class TestWorkspacePlans:
+    """The workspace's padded buffers and per-class plans: static data
+    built once per run, which no sweep may move."""
+
+    def test_tau_and_theta_are_length_p_views_of_the_pads(self, small_table):
+        rng = np.random.default_rng(31)
+        scene = random_scene(small_table, rng, 5, 4)
+        lat = al.build_lattice(5, 4)
+        init = random_state(rng, lat.n_regions, 3, small_table.n_channels)
+        ws = Workspace(scene, small_table, lat, al.HyperParams.uniform(3), init)
+        P = lat.n_regions
+        for own, pad in ((ws.tau, ws.tau_pad), (ws.theta, ws.theta_pad)):
+            assert own.shape[0] == P and pad.shape[0] == P + 1
+            assert own.base is pad and np.shares_memory(own, pad)
+            assert pad[P].tobytes() == bytes(pad[P].nbytes)  # +0.0, not -0.0
+        assert ws.tau.tobytes() == init.tau.tobytes()
+        assert ws.theta.tobytes() == init.theta.tobytes()
+
+    def test_class_plans_gather_what_the_lattice_gathers(self, small_table):
+        """A class plan's slots index the pad's zero row where the lattice
+        has no neighbor, so one take gives _gather_neighbours' bits."""
+        rng = np.random.default_rng(32)
+        lat = al.build_lattice(6, 5)
+        scene = random_scene(small_table, rng, 6, 5)
+        init = random_state(rng, lat.n_regions, 3, small_table.n_channels)
+        ws = Workspace(scene, small_table, lat, al.HyperParams.uniform(3), init)
+        for colour, members in enumerate(lat.classes):
+            plan = ws.plans[colour]
+            np.testing.assert_array_equal(plan.rows, members)
+            assert plan.pos == slice(0, members.size)
+            np.testing.assert_array_equal(plan.mask, lat.nbr_mask[members])
+            np.testing.assert_array_equal(plan.n_p, lat.n_p[members])
+            assert np.all(plan.nbr[~plan.mask] == lat.n_regions)
+            assert np.all(plan.nbr[plan.mask] == lat.nbr_index[members][plan.mask])
+            for pad, own in ((ws.tau_pad, ws.tau), (ws.theta_pad, ws.theta)):
+                assert (pad[plan.nbr].tobytes()
+                        == _gather_neighbours(own, lat, members).tobytes())
+
+    def test_ascending_run_shares_are_views_of_the_class_plan(self, small_table):
+        """The patch scheduler's shares, and any ascending run of a class,
+        read slices of the class plan: no per-share copy."""
+        rng = np.random.default_rng(33)
+        lat = al.build_lattice(7, 5)
+        scene = random_scene(small_table, rng, 7, 5)
+        init = random_state(rng, lat.n_regions, 3, small_table.n_channels)
+        ws = Workspace(scene, small_table, lat, al.HyperParams.uniform(3), init)
+        for n_patches in (1, 3, 7):
+            classes = parallel._patch_shares(ws, parallel.partition(lat, n_patches))
+            for colour, plans in classes:
+                whole = ws.plans[colour]
+                assert sum(plan.rows.size for plan in plans) == whole.rows.size
+                for plan in plans:
+                    assert isinstance(plan.pos, slice)
+                    for name in STATIC:
+                        assert np.shares_memory(getattr(plan, name), getattr(whole, name))
+        members = lat.classes[1]
+        shuffled = ws.plan(1, rng.permutation(members)[:5])
+        for name in STATIC:
+            assert not np.shares_memory(getattr(shuffled, name), getattr(ws.plans[1], name))
+        np.testing.assert_array_equal(members[shuffled.pos], shuffled.rows)
+
+    def test_every_driver_leaves_the_zero_row_at_zero(self, small_table, monkeypatch):
+        """After greedy and MH sweeps through run_map, run_mcmc, mh_sweep
+        and run_map_parallel (1 and 3 patches), the pads' row P is still
+        exactly +0.0 and the plans are unchanged."""
+        made = []
+
+        class Recording(Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append((self, [{name: getattr(plan, name).copy() for name in STATIC}
+                                    for plan in self.plans]))
+
+        monkeypatch.setattr(map_solver, "Workspace", Recording)
+        rng = np.random.default_rng(34)
+        scene = random_scene(small_table, rng, 5, 5)
+        lat = al.build_lattice(5, 5)
+        hyper = al.HyperParams.uniform(3)
+        init = random_state(rng, lat.n_regions, 3, small_table.n_channels)
+        cfg = al.SolverConfig(hyper=hyper, seed=4, max_sweeps=5, delta=0.3)
+        mcfg = al.McmcConfig(hyper=hyper, iterations=5, burn_in=1, thin=1, seed=4, delta=0.3)
+        al.run_map(scene, small_table, lat, cfg, init)
+        al.run_mcmc(scene, small_table, lat, mcfg, init)
+        al.mh_sweep(init, scene, small_table, lat, mcfg, sweep=2)
+        for n_patches in (1, 3):
+            al.run_map_parallel(scene, small_table, lat, cfg, n_patches, init)
+        assert len(made) == 5
+        P = lat.n_regions
+        for ws, before in made:
+            assert not np.array_equal(ws.tau, init.tau)  # the sweeps moved rows
+            assert ws.tau_pad[P:].tobytes() == bytes(8)
+            assert ws.theta_pad[P:].tobytes() == bytes(ws.theta_pad[P:].nbytes)
+            for plan, copies in zip(ws.plans, before):
+                for name, copy in copies.items():
+                    assert getattr(plan, name).tobytes() == copy.tobytes()
+
+
 class TestUpdateKappa:
     def test_hand_enumerated_2x2(self):
         state = al.RetrievalState(
