@@ -156,7 +156,8 @@ def load_config(path, overrides):
     if cfg["run"]["seed"] < 0:
         raise ConfigurationError(f"[run] seed: must be >= 0, got {cfg['run']['seed']}")
     sim, table, truth = cfg["scene"], cfg["table"], cfg["truth"]
-    check_table_args(sim["channels"], table["knots"], table["tau_max"])
+    check_table_args(sim["channels"], table["knots"], table["tau_max"],
+                     names=("[scene] channels", "[table] knots", "[table] tau_max"))
     check_truth_args(sim["width"], sim["height"], truth["smoothness"], truth["sparsity"],
                      (truth["tau_lo"], truth["tau_hi"]), truth["blob_size"])
     if truth["tau_hi"] > table["tau_max"]:

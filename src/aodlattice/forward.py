@@ -253,13 +253,21 @@ def _component_stream(seed: int, comp: AerosolComponent) -> np.random.Generator:
     return np.random.default_rng([seed, 17, *key])
 
 
+# A table holds knots x M x C values per copy: 10 000 knots at 8 components
+# and 36 channels is about 23 MB, far past any useful AOD resolution (the
+# defaults use 25), while 10**12 would ask for terabytes before any check.
+MAX_KNOTS = 10_000
+
+
 def check_table_args(channels: int, knots: int, tau_max: float,
                      names=("channels", "knots", "tau_max")) -> None:
-    """build_synthetic_table's argument rules: at least 1 channel, at
-    least 2 knots and a finite tau_max > 0.  An error names the argument
+    """build_synthetic_table's argument rules: at least 1 channel, 2 to
+    MAX_KNOTS knots and a finite tau_max > 0.  An error names the argument
     by its entry of names (a caller's key for it)."""
     if knots < 2:
         raise ConfigurationError(f"{names[1]} must be >= 2, got {knots}")
+    if knots > MAX_KNOTS:
+        raise ConfigurationError(f"{names[1]} must be <= {MAX_KNOTS}, got {knots}")
     if channels < 1:
         raise ConfigurationError(f"{names[0]} must be >= 1, got {channels}")
     if not (math.isfinite(tau_max) and tau_max > 0):

@@ -255,6 +255,17 @@ def _get(obj: dict, key: str, kind: str, path: str | None = None):
     return obj[key]
 
 
+def _get_float(obj: dict, key: str, path: str | None = None) -> float:
+    """_get(obj, key, "number") as a float; an integer too large for a
+    float raises ConfigurationError naming the key, not OverflowError."""
+    value = _get(obj, key, "number", path)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(
+            f"{path or key} must be finite, got an integer too large for a float") from None
+
+
 def load_scene(directory):
     """Read a scene directory; returns (Scene, ComponentLibrary, table).
 
@@ -282,11 +293,11 @@ def load_scene(directory):
         if not all(type(b) is bool for b in mask):
             raise ConfigurationError(f"channel_mask must hold booleans, got {json.dumps(mask)}")
         shape = {key: _get(meta, key, "integer") for key in ("width", "height", "channels")}
-        region_size_km = float(_get(meta, "region_size_km", "number"))
+        region_size_km = _get_float(meta, "region_size_km")
         t = _get(meta, "table", "object")
         knots = _get(t, "knots", "integer", "table.knots")
         seed = _get(t, "seed", "integer", "table.seed")
-        tau_max = float(_get(t, "tau_max", "number", "table.tau_max"))
+        tau_max = _get_float(t, "tau_max", "table.tau_max")
         check_lattice_sides(shape["width"], shape["height"])
         check_scene_shape(**shape, region_size_km=region_size_km)
         check_table_args(shape["channels"], knots, tau_max,

@@ -51,7 +51,14 @@ patch-parallel scheduler.  All of them, and mcmc.mh_sweep's single sweep,
 run through this module's sweep loop, which calls the sweep kernel and then
 the one hyper step, in the one visit order, lattice.classes, so their
 exact-equivalence contracts (patch-parallel == sequential, greedy-filtered
-MH == MAP) hold bitwise.
+MH == MAP) hold bitwise.  The concentration, the normals and the uniforms
+are drawn before the shares go to the mapper; the Gamma block, which only
+the theta steps read, is drawn after, from the same proposal stream after
+the normals, exactly once, by the calling thread or by the first theta
+step that asks for it.  A lazy map (the builtin) runs no share before the
+calling thread draws it; a pool's map runs its shares' tau steps
+meanwhile.  Either way every stream and every bit is the one a draw
+before the hand-off gives.
 
 stability_bounds is run_map's multi-start driver.  This module imports
 the grid-search baseline for init_state's coarse_grid start; baselines
@@ -61,6 +68,7 @@ imports nothing back.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -216,6 +224,27 @@ def _draw_theta(gammas: np.ndarray) -> np.ndarray:
     return floor_simplex(rows)
 
 
+class _DrawOnce:
+    """A draw made on the first call, exactly once, by whichever thread
+    calls first; every call returns it.  The lock makes a later caller wait
+    for a draw in progress, so the value never depends on which thread
+    drew it."""
+
+    __slots__ = ("_draw", "_value", "_lock")
+
+    def __init__(self, draw):
+        self._draw = draw
+        self._value = None
+        self._lock = threading.Lock()
+
+    def __call__(self):
+        with self._lock:
+            if self._value is None:
+                self._value = self._draw()
+                self._draw = None
+            return self._value
+
+
 def _draw_block(seed: int, sweep: int, colour: int, conc: np.ndarray, mh: bool):
     """The randomness of one colour pass, for the whole class at once.
 
@@ -225,13 +254,16 @@ def _draw_block(seed: int, sweep: int, colour: int, conc: np.ndarray, mh: bool):
     Row i belongs to the class's i-th region in ascending order, and the
     block depends only on the other class, so it is drawn once per class
     and every share of the class takes its own rows.
-    Returns (normals, gammas, uniforms or None).
+    The normals and uniforms are drawn here.  The Gamma block, which only
+    the theta steps read, comes back as a _DrawOnce: its first call draws
+    it from the same generator, after the normals, so the streams and bits
+    do not depend on when or on which thread that call comes.
+    Returns (normals, gammas: _DrawOnce, uniforms or None).
     """
     rng = proposal_rng(seed, sweep, colour)
     z = rng.standard_normal(conc.shape[0])
-    gammas = rng.standard_gamma(conc)
     u = accept_rng(seed, sweep, colour).random((2, conc.shape[0])) if mh else None
-    return z, gammas, u
+    return z, _DrawOnce(lambda: rng.standard_gamma(conc)), u
 
 
 def _tau_log_q(x, mean, delta: float, lo: float, hi: float):
@@ -431,10 +463,12 @@ def sweep_regions(ws: Workspace, sweep_idx: int, config: SolverConfig, mode: str
     class's rows or its Workspace.plan; None makes each class one share.
     The class part, its theta concentration and draw block, runs here
     once; the row part, _share_pass, runs over the shares' plans through
-    mapper (the builtin map, or a thread pool's).  A region's proposals
-    read only its neighbors, which lie in the other class, and each share
-    writes only its own rows, so the shares of a class may run in any
-    order or at once on the one workspace: all rows move as a
+    mapper (the builtin map, or a thread pool's).  The block's Gamma
+    variates are drawn here after mapper is called, unless a theta step
+    asked first (_draw_block), so mapper may be lazy or eager.  A region's
+    proposals read only its neighbors, which lie in the other class, and
+    each share writes only its own rows, so the shares of a class may run
+    in any order or at once on the one workspace: all rows move as a
     region-by-region visit would move them.  kappa and sigma2 stay fixed,
     so the misfit weights mask / (2 sigma2) are built once.
 
@@ -459,10 +493,12 @@ def sweep_regions(ws: Workspace, sweep_idx: int, config: SolverConfig, mode: str
     for colour, shares in classes:
         whole = ws.plans[colour]
         conc = _theta_conc(ws.theta_pad[whole.nbr], whole.n_p)
-        block = (conc, *_draw_block(config.seed, sweep_idx, colour, conc, mh))
+        z, gammas, u = _draw_block(config.seed, sweep_idx, colour, conc, mh)
+        block = (conc, z, gammas, u)
         plans = [s if isinstance(s, _Plan) else ws.plan(colour, s) for s in shares]
-        steps = list(mapper(lambda plan: _share_pass(ws, plan, block, config.delta, w, mh),
-                            plans))
+        passes = mapper(lambda plan: _share_pass(ws, plan, block, config.delta, w, mh), plans)
+        gammas()  # a pool's passes take their tau steps meanwhile; a lazy map has run none
+        steps = list(passes)
         if len(steps) == 1:
             d_tau, d_theta = steps[0]
         else:
@@ -515,7 +551,7 @@ def _share_pass(ws: Workspace, plan: _Plan, block, delta: float, w, mh: bool):
     d_tau = df[accept]
 
     # --- theta step ---
-    new_rows = _draw_theta(gammas[pos])
+    new_rows = _draw_theta(gammas()[pos])
     pred_new = fwd.eval_batch(np.where(accept, cand, t_old), new_rows)
     log_old = _safe_log_theta(th_old)
     log_new = _safe_log_theta(new_rows)

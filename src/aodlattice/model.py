@@ -324,7 +324,9 @@ def log_posterior_terms(
 def _channel_sse(obs: np.ndarray, pred: np.ndarray) -> np.ndarray:
     """Per-channel sums of squared residuals over regions: the one misfit
     reduction, behind the log-posterior, the workspace cache and sigma2."""
-    return np.sum((obs - pred) ** 2, axis=0)
+    r = obs - pred
+    r *= r
+    return np.add.reduce(r, axis=0)
 
 
 def _assemble_terms(

@@ -12,9 +12,13 @@ map_solver.sweep_regions, given the patch shares of each colour class
 and a mapper.  With one patch the mapper is the builtin map: a sweep is
 the sequential kernel call that run_map makes, in the calling thread.
 With more it is the map of a thread pool of min(n_patches, 8) threads:
-the calling thread computes each class's concentration and draw block
-once, then each patch's share of the class runs its tau and theta steps
-in a thread, directly on the one shared workspace.  Each share's plan
+the calling thread computes each class's concentration and normals
+once, hands the patch shares to the pool, and then draws the class's
+Gamma block while each share runs its tau step in a thread, directly on
+the one shared workspace; a share's theta step takes its rows of that
+block, waiting for the draw if it is still running (or making it, if it
+asks first).  The block comes from the same stream in the same order as
+a draw before the hand-off, so no bit moves.  Each share's plan
 (map_solver.Workspace.plan) is built once per run, as a view of its
 class plan.  Shares are disjoint rows and read only the other colour,
 so no thread writes where another reads; the colour passes are large

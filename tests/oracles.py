@@ -205,7 +205,7 @@ def oracle_sweep_regions(ws, sweep, config, mode="greedy"):
             dsum += df
             acc_t += 1
 
-        row = _draw_theta(gammas[[i]])[0]
+        row = _draw_theta(gammas()[[i]])[0]
         pred_new = fwd.eval_batch(tau[[p]], row[None])[0]
         log_old = _safe_log_theta(theta[p])
         log_new = _safe_log_theta(row)

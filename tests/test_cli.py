@@ -39,7 +39,7 @@ BAD_SETTINGS = [
     "noise.level=-1", "truth.tau_lo=5", "truth.tau_hi=-1", "truth.tau_hi=9", "table.knots=1",
     "table.tau_max=-2", "scene.width=1", "scene.channels=0", "scene.channels=40",
     "truth.blob_size=0", "scene.region_size_km=-1", "truth.smoothness=nan",
-    "truth.smoothness=inf", "run.seed=-1",
+    "truth.smoothness=inf", "run.seed=-1", "table.knots=1000000000000",
 ]
 
 
@@ -445,6 +445,10 @@ MALFORMED_METADATA = {
     "scene-width-overflows": ("width", float("inf")),
     "scene-knots-overflow": ("table", {"knots": float("inf"), "tau_max": 6.0, "seed": 0,
                                        "channels": 12}),
+    # integer literals too large for a float, and a table too large to build
+    "scene-region-size-integer-overflows": ("region_size_km", 10**400),
+    "scene-tau-max-integer-overflows": ("table", {"knots": 13, "tau_max": 10**400, "seed": 0}),
+    "scene-trillion-knots": ("table", {"knots": 10**12, "tau_max": 6.0, "seed": 0}),
     # every key is read in the one JSON type save_scene writes it in
     "scene-width-is-fractional": ("width", 4.7),
     "scene-width-is-string": ("width", "16"),

@@ -75,6 +75,12 @@ SCENE_RANGE_FAULTS = {
     "zero-tau-max": ("table.tau_max", 0.0, "table.tau_max must be finite and > 0"),
     "one-wide-strip": ("width", 1, "width and height must both be >= 2"),
     "zero-region-size": ("region_size_km", 0.0, "region_size_km must be finite and > 0"),
+    # integer literals too large for a float, and a table too large to build
+    "huge-region-size": ("region_size_km", 10**400,
+                         "region_size_km must be finite, got an integer too large"),
+    "huge-tau-max": ("table.tau_max", 10**400,
+                     "table.tau_max must be finite, got an integer too large"),
+    "trillion-knots": ("table.knots", 10**12, "table.knots must be <= 10000"),
 }
 
 

@@ -1,6 +1,9 @@
 """MAP solver: proposals, closed-form updates, greedy ascent, initialization."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -91,12 +94,17 @@ class TestProposeTau:
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
         np.testing.assert_array_equal(runs[0][2], runs[1][2])
         conc = np.full((8, 3), 0.5)
-        block = _draw_block(7, 3, 0, conc, mh=True)
-        again = _draw_block(7, 3, 0, conc, mh=True)
+
+        def drawn(*key):
+            z, gammas, u = _draw_block(*key, conc, mh=True)
+            return z, gammas(), u
+
+        block = drawn(7, 3, 0)
+        again = drawn(7, 3, 0)
         for a, b in zip(block, again):
             np.testing.assert_array_equal(a, b)
         for key in ((8, 3, 0), (7, 4, 0), (7, 3, 1)):
-            other = _draw_block(*key, conc, mh=True)
+            other = drawn(*key)
             for a, b in zip(block, other):
                 assert not np.array_equal(a, b)
 
@@ -151,7 +159,7 @@ class TestProposeTheta:
             assert np.all(conc >= SHAPE_FLOOR)
             if colour == 0:
                 assert conc.min() == SHAPE_FLOOR
-            rows = _draw_theta(_draw_block(1, 1, colour, conc, mh=False)[1])
+            rows = _draw_theta(_draw_block(1, 1, colour, conc, mh=False)[1]())
             assert np.all(rows > 0.0)
             np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
         # the uniform fallback for a row whose gammas all underflow
@@ -172,7 +180,7 @@ class TestProposeTheta:
         conc = _theta_conc(_gather_neighbours(theta, lat, members), lat.n_p[members])
         np.testing.assert_allclose(conc, theta[:2], rtol=1e-15)
         n = 100_000
-        rows = _draw_theta(_draw_block(6, 1, 0, np.repeat(conc, n // 2, axis=0), mh=False)[1])
+        rows = _draw_theta(_draw_block(6, 1, 0, np.repeat(conc, n // 2, axis=0), mh=False)[1]())
         means = rows.mean(axis=0)
         assert means[0] > means[1] and means[0] > means[2]
         # the Dirichlet(conc) mean, conc / sum(conc)
@@ -183,8 +191,8 @@ class TestProposeTheta:
         theta = np.random.default_rng(6).dirichlet(np.ones(3), size=9)
         members = lat.classes[1]
         conc = _theta_conc(_gather_neighbours(theta, lat, members), lat.n_p[members])
-        a = _draw_theta(_draw_block(3, 2, 1, conc, mh=False)[1])
-        b = _draw_theta(_draw_block(3, 2, 1, conc, mh=False)[1])
+        a = _draw_theta(_draw_block(3, 2, 1, conc, mh=False)[1]())
+        b = _draw_theta(_draw_block(3, 2, 1, conc, mh=False)[1]())
         np.testing.assert_array_equal(a, b)
 
 
@@ -221,6 +229,7 @@ class TestSweepKernel:
         )
         z, gammas, u = _draw_block(cfg.seed, sweep, colour, conc, mh=False)
         assert u is None
+        gammas = gammas()
         i = lat.class_pos[p]
         mean = init.tau[nbrs[p]].mean()
         assert tau_new == min(max(mean + cfg.delta * z[i], ws.tau_lo), ws.tau_hi)
@@ -286,6 +295,107 @@ class TestSweepKernel:
                 assert got[1:] == want[1:]
                 if contiguous:
                     assert got[0] == want[0]
+
+
+
+def _eager_map(f, xs):
+    return [f(x) for x in xs]
+
+
+class TestGammaBlockDrawnOnce:
+    """The class's Gamma block is drawn after the shares go to the mapper,
+    once, by whichever thread asks first; no stream or bit moves."""
+
+    @staticmethod
+    def _problem(small_table):
+        rng = np.random.default_rng(43)
+        scene = random_scene(small_table, rng, 9, 7)
+        lat = al.build_lattice(9, 7)
+        hyper = al.HyperParams(alpha=np.array([0.8, 1.0, 1.5]))
+        init = random_state(rng, lat.n_regions, 3, small_table.n_channels)
+        return scene, lat, hyper, init
+
+    @staticmethod
+    def _shares(lat, n):
+        return [(colour, np.array_split(members, n)) for colour, members in
+                enumerate(lat.classes)]
+
+    @pytest.mark.parametrize("mode", ["greedy", "mh"])
+    def test_pool_and_eager_maps_equal_the_lazy_map(self, small_table, mode):
+        """Four sweeps of three shares per class through a thread pool's map
+        and through an eager mapper give the builtin map's one-share-per-class
+        sweeps bit for bit: workspace, deltas and accept counts."""
+        scene, lat, hyper, init = self._problem(small_table)
+        cfg = al.SolverConfig(hyper=hyper, seed=9, delta=0.2)
+        classes = self._shares(lat, 3)
+        runs = []
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            for shares, mapper in ((None, map), (classes, pool.map), (classes, _eager_map)):
+                ws = Workspace(scene, small_table, lat, hyper, init)
+                steps = []
+                for sweep in range(1, 5):
+                    steps.append(sweep_regions(ws, sweep, cfg, mode, shares, mapper))
+                    steps.append(_hyper_step(ws))
+                runs.append((steps, ws))
+        (want, ref), *others = runs
+        assert sum(step[1] + step[2] for step in want[::2]) > 0
+        for got, ws in others:
+            assert got == want
+            for name in ("tau", "theta", "pred", "sigma2"):
+                np.testing.assert_array_equal(getattr(ws, name), getattr(ref, name))
+            assert ws.kappa == ref.kappa
+
+    def test_eager_mapper_does_not_wait_on_the_calling_thread(self, small_table):
+        """An eager mapper runs every share before the calling thread asks
+        for the block; the first theta step draws it and nothing hangs."""
+        scene, lat, hyper, init = self._problem(small_table)
+        cfg = al.SolverConfig(hyper=hyper, seed=9)
+        ws = Workspace(scene, small_table, lat, hyper, init)
+        done = []
+        worker = threading.Thread(target=lambda: done.append(
+            sweep_regions(ws, 1, cfg, "greedy", self._shares(lat, 2), _eager_map)), daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert done, "sweep_regions with an eager mapper did not return"
+
+    @pytest.mark.parametrize("n_shares", [1, 2, 8])
+    def test_one_gamma_draw_per_class_per_sweep(self, small_table, monkeypatch, n_shares):
+        """Up to 8 threads on a short switch interval: each class's Gamma
+        block is drawn once per sweep, and the state is the lazy map's."""
+        scene, lat, hyper, init = self._problem(small_table)
+        cfg = al.SolverConfig(hyper=hyper, seed=9)
+        ref = Workspace(scene, small_table, lat, hyper, init)
+        for sweep in (1, 2, 3):
+            sweep_regions(ref, sweep, cfg, "mh")
+        calls = []
+        real = map_solver.proposal_rng
+
+        class Spy:
+            def __init__(self, seed, sweep, colour):
+                self.key = (sweep, colour)
+                self.rng = real(seed, sweep, colour)
+
+            def standard_normal(self, *args):
+                return self.rng.standard_normal(*args)
+
+            def standard_gamma(self, conc):
+                calls.append(self.key)
+                return self.rng.standard_gamma(conc)
+
+        monkeypatch.setattr(map_solver, "proposal_rng", Spy)
+        ws = Workspace(scene, small_table, lat, hyper, init)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=n_shares) as pool:
+                mapper = map if n_shares == 1 else pool.map
+                for sweep in (1, 2, 3):
+                    sweep_regions(ws, sweep, cfg, "mh", self._shares(lat, n_shares), mapper)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == [(sweep, c) for sweep in (1, 2, 3) for c in (0, 1)]
+        np.testing.assert_array_equal(ws.tau, ref.tau)
+        np.testing.assert_array_equal(ws.theta, ref.theta)
 
 
 STATIC = ("rows", "nbr", "mask", "n_p")  # a plan's arrays
