@@ -21,6 +21,11 @@ import numpy as np
 from .model import ConfigurationError, Scene, aod_domain, floor_simplex
 
 ASSUMED_REL_NOISE = 0.05  # relative noise behind the fixed grid-search variances
+# Most AOD levels of a search grid, checked before the grid is made.  The
+# search holds T * G cells of C predictions a few times over: at 1000
+# levels, 92 mixtures (8 components) and 36 channels each copy is 26 MB,
+# and the levels of a 6-AOD range are already 0.006 apart (13 by default).
+MAX_TAU_LEVELS = 1000
 
 
 def default_candidate_mixtures(n_components: int) -> np.ndarray:
@@ -58,8 +63,9 @@ class GridSearchConfig:
         about C/2; the threshold defaults to the available channel count
         (roughly 1.4 assumed noise units per channel).
         """
-        if n_tau_levels < 2:
-            raise ConfigurationError(f"n_tau_levels must be >= 2, got {n_tau_levels}")
+        if not 2 <= n_tau_levels <= MAX_TAU_LEVELS:
+            raise ConfigurationError(
+                f"n_tau_levels must be in [2, {MAX_TAU_LEVELS}], got {n_tau_levels}")
         if success_threshold is None:
             success_threshold = float(scene.channel_mask.sum())
         level = np.maximum(ASSUMED_REL_NOISE * scene.radiance.mean(axis=0), 1e-6)
@@ -73,6 +79,9 @@ class GridSearchConfig:
     def validate(self, table) -> None:
         if self.candidate_mixtures.size == 0 or self.tau_levels.size == 0:
             raise ConfigurationError("empty grid-search candidate grid")
+        if self.tau_levels.size > MAX_TAU_LEVELS:
+            raise ConfigurationError(f"tau_levels must hold at most {MAX_TAU_LEVELS} levels, "
+                                     f"got {self.tau_levels.size}")
         lo, hi = aod_domain(table)
         if np.any(self.tau_levels < lo) or np.any(self.tau_levels > hi):
             raise ConfigurationError("tau_levels outside [max(0, tau_min), tau_max]")

@@ -201,7 +201,7 @@ def _read_mirror(csv_path):
 def _read_mirrored(csv_path, skiprows: int = 0) -> np.ndarray:
     """The matrix the CSV holds below its first `skiprows` lines: from its
     mirror when that is current, else parsed; ConfigurationError naming
-    the CSV if it holds no data rows."""
+    the CSV if it holds no data rows or a cell or row that does not parse."""
     matrix = _read_mirror(csv_path)
     if matrix is not None:
         return matrix
@@ -211,6 +211,8 @@ def _read_mirrored(csv_path, skiprows: int = 0) -> np.ndarray:
             return np.loadtxt(csv_path, delimiter=",", skiprows=skiprows, ndmin=2)
         except UserWarning:
             raise ConfigurationError(f"{csv_path}: no data rows") from None
+        except ValueError as exc:
+            raise ConfigurationError(f"{csv_path}: {exc}") from None
 
 
 def save_scene(

@@ -26,8 +26,8 @@ What a pass reads but never moves is built once per run by the Workspace:
 tau and theta sit in buffers with one extra zero row, and each class has
 a plan (its rows, its neighbor slots as indices with the empty ones at
 that zero row, the slot mask and the neighbor counts), so a pass gathers
-a neighbor slot in one take and a share of the class reads slices of the
-plan.
+a neighbor slot in one take and a share of the class, a run of its
+positions, reads slices of the plan.
 
 Given the other class, the tau proposal's mean never moves with the
 current value, so its MH correction log q(old)/q(raw) is h(raw) - h(old)
@@ -68,6 +68,7 @@ imports nothing back.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -141,7 +142,9 @@ class SolverConfig:
 
     epsilon=None resolves to epsilon_rel * |objective after first sweep|.
     delta, epsilon and epsilon_rel must be finite and positive, the seed
-    nonnegative (numpy seeds no stream with a negative entry).  The theta
+    nonnegative (numpy seeds no stream with a negative entry).  2 delta^2,
+    the divisor of the tau proposal's Hastings term (_tau_log_q), must be
+    a normal float: delta in about [1.1e-154, 9.5e153].  The theta
     proposal's Gamma shape floor is the module constant SHAPE_FLOOR.
     """
 
@@ -158,6 +161,10 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+        if not sys.float_info.min <= 2.0 * self.delta * self.delta <= sys.float_info.max:
+            raise ConfigurationError(
+                f"delta must make 2*delta^2 a normal float (delta in about "
+                f"[1.1e-154, 9.5e153]), got {self.delta}")
         if self.max_sweeps < 1:
             raise ConfigurationError("max_sweeps must be >= 1")
         if self.seed < 0:
@@ -271,11 +278,16 @@ def _tau_log_q(x, mean, delta: float, lo: float, hi: float):
     (2 delta^2), which is -log q(x) up to a constant, elementwise.
 
     -inf where x falls outside [lo, hi], the support of the AOD prior.
-    The MH correction log q(old)/q(raw) is h(raw) - h(old); h(old) is
-    finite (tau stays in [lo, hi]), so an out-of-support raw gives -inf and
-    mh_accept rejects it whatever its uniform.
+    The MH correction log q(old)/q(raw) is h(raw) - h(old); h(old) is not
+    -inf (tau stays in [lo, hi]), so an out-of-support raw gives -inf and
+    mh_accept rejects it whatever its uniform.  With delta near an end of
+    its range (SolverConfig) the square may overflow to +inf, silently:
+    out of the support, where -inf replaces it, and at an old value too
+    far from the mean for the proposal to reach, where the correction is
+    then -inf as well (an in-support raw's h is z^2 / 2).
     """
-    h = (x - mean) ** 2 / (2.0 * delta * delta)
+    with np.errstate(over="ignore"):
+        h = (x - mean) ** 2 / (2.0 * delta * delta)
     return np.where((x >= lo) & (x <= hi), h, -np.inf)
 
 
@@ -370,17 +382,16 @@ def init_state(
 
 
 class _Plan(NamedTuple):
-    """The static data of a colour pass over some rows of one class.
+    """The static data of a colour pass over a run of one class.
 
-    rows are the regions; pos picks their rows of the class's draw block
-    and concentration (a slice for an ascending run of the class); nbr is
-    their k x 4 neighbor slots as indices into the workspace's padded
-    buffers, an empty slot pointing at the zero row P; mask is the slots'
-    lattice.nbr_mask and n_p their neighbor counts.
+    rows are the regions; pos is the run's slice of the class's draw block
+    and concentration; nbr is their k x 4 neighbor slots as indices into
+    the workspace's padded buffers, an empty slot pointing at the zero row
+    P; mask is the slots' lattice.nbr_mask and n_p their neighbor counts.
     """
 
     rows: np.ndarray
-    pos: slice | np.ndarray
+    pos: slice
     nbr: np.ndarray
     mask: np.ndarray
     n_p: np.ndarray
@@ -401,8 +412,8 @@ class Workspace:
     extra row P is zero and is never written: indexing a pad with a plan's
     nbr gathers the neighbor slots, 0.0 in empty ones, in one take.
     plans holds one _Plan per colour class of lattice.classes, built here
-    once per run; plan() gives a share of a class its plan, slices of the
-    class plan (views, no copy) for an ascending run.
+    once per run; plan() gives a run of a class its plan, slices of the
+    class plan (views, no copy).
     """
 
     def __init__(self, scene: Scene, forward, lattice: LatticeTopology,
@@ -424,27 +435,19 @@ class Workspace:
         self.kappa = float(state.kappa)
         self.tau_lo, self.tau_hi = aod_domain(forward)
         self.S = self.sse = None
-        self.plans = tuple(self._gather_plan(members, slice(0, members.size))
-                           for members in lattice.classes)
+        plans = []
+        for members in lattice.classes:
+            mask = lattice.nbr_mask[members]
+            nbr = np.where(mask, lattice.nbr_index[members], P)
+            plans.append(_Plan(members, slice(0, members.size), nbr, mask,
+                               lattice.n_p[members]))
+        self.plans = tuple(plans)
 
-    def _gather_plan(self, rows: np.ndarray, pos) -> _Plan:
-        lat = self.lattice
-        mask = lat.nbr_mask[rows]
-        nbr = np.where(mask, lat.nbr_index[rows], lat.n_regions)
-        return _Plan(rows, pos, nbr, mask, lat.n_p[rows])
-
-    def plan(self, colour: int, rows) -> _Plan:
-        """The plan of a share `rows` of class `colour`: slices of the class
-        plan when rows is an ascending run of the class, else its own."""
+    def plan(self, colour: int, run: slice) -> _Plan:
+        """The plan of the run `run` of class `colour`'s positions: slices
+        of the class plan."""
         whole = self.plans[colour]
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.size:
-            start = int(self.lattice.class_pos[rows[0]])
-            run = slice(start, start + rows.size)
-            if np.array_equal(whole.rows[run], rows):
-                return _Plan(whole.rows[run], run, whole.nbr[run], whole.mask[run],
-                             whole.n_p[run])
-        return self._gather_plan(rows, self.lattice.class_pos[rows])
+        return _Plan(whole.rows[run], run, whole.nbr[run], whole.mask[run], whole.n_p[run])
 
     def resync(self) -> None:
         self.S = gmrf_roughness(self.tau, self.lattice)
@@ -459,11 +462,11 @@ def sweep_regions(ws: Workspace, sweep_idx: int, config: SolverConfig, mode: str
     """The sweep kernel: update tau then theta of every region, one
     vectorised pass per colour class of lattice.classes, in order.
 
-    classes lists (colour, shares) pairs, each share an array of the
-    class's rows or its Workspace.plan; None makes each class one share.
-    The class part, its theta concentration and draw block, runs here
-    once; the row part, _share_pass, runs over the shares' plans through
-    mapper (the builtin map, or a thread pool's).  The block's Gamma
+    classes lists (colour, shares) pairs, each share the Workspace.plan of
+    a run of the class's positions; None makes each class one share.  The
+    class part, its theta concentration and draw block, runs here once;
+    the row part, _share_pass, runs over the shares' plans through mapper
+    (the builtin map, or a thread pool's).  The block's Gamma
     variates are drawn here after mapper is called, unless a theta step
     asked first (_draw_block), so mapper may be lazy or eager.  A region's
     proposals read only its neighbors, which lie in the other class, and
@@ -480,8 +483,8 @@ def sweep_regions(ws: Workspace, sweep_idx: int, config: SolverConfig, mode: str
 
     Returns (delta_sum, tau_accepts, theta_accepts); delta_sum is the
     exact objective change of the sweep, the sum of the accepted deltas in
-    share order.  Shares that are ascending runs of the class in ascending
-    order sum them as one share holding the whole class does.
+    share order.  Runs that cover the class in ascending order sum them as
+    one share holding the whole class does.
     """
     if classes is None:
         classes = [(colour, [plan]) for colour, plan in enumerate(ws.plans)]
@@ -495,15 +498,9 @@ def sweep_regions(ws: Workspace, sweep_idx: int, config: SolverConfig, mode: str
         conc = _theta_conc(ws.theta_pad[whole.nbr], whole.n_p)
         z, gammas, u = _draw_block(config.seed, sweep_idx, colour, conc, mh)
         block = (conc, z, gammas, u)
-        plans = [s if isinstance(s, _Plan) else ws.plan(colour, s) for s in shares]
-        passes = mapper(lambda plan: _share_pass(ws, plan, block, config.delta, w, mh), plans)
+        passes = mapper(lambda plan: _share_pass(ws, plan, block, config.delta, w, mh), shares)
         gammas()  # a pool's passes take their tau steps meanwhile; a lazy map has run none
-        steps = list(passes)
-        if len(steps) == 1:
-            d_tau, d_theta = steps[0]
-        else:
-            d_tau = np.concatenate([dt for dt, _ in steps])
-            d_theta = np.concatenate([dh for _, dh in steps])
+        d_tau, d_theta = (np.concatenate(d) for d in zip(*passes))
         d = float(np.sum(d_tau))
         d += float(np.sum(d_theta))
         delta_sum += d

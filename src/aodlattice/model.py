@@ -52,6 +52,11 @@ import numpy as np
 THETA_FLOOR = 1e-12
 SIGMA2_FLOOR = 1e-12
 KAPPA_CAP = 1e12
+# Largest Dirichlet concentration entry.  lgamma(sum alpha) grows as
+# M alpha log(M alpha) and the Dirichlet term as P M alpha |log THETA_FLOOR|,
+# so at alpha <= 1e250 both stay below 1e300 for any P * M up to 1e45
+# (math.lgamma raises OverflowError past about 2.5e305).
+ALPHA_MAX = 1e250
 
 
 class ConfigurationError(ValueError):
@@ -66,7 +71,8 @@ class InitializationError(RuntimeError):
 class HyperParams:
     """Fixed hyperparameters of the hierarchical model.
 
-    alpha is the Dirichlet concentration vector (length M, all entries > 0).
+    alpha is the Dirichlet concentration vector (length M, all entries in
+    (0, ALPHA_MAX]).
     The guards of the closed-form sigma2 and kappa updates are the module
     constants SIGMA2_FLOOR and KAPPA_CAP.
     """
@@ -91,6 +97,9 @@ class HyperParams:
             raise ConfigurationError("alpha must be a vector of length >= 2")
         if not np.all(np.isfinite(self.alpha)) or np.any(self.alpha <= 0):
             raise ConfigurationError("alpha entries must be finite and > 0")
+        if np.any(self.alpha > ALPHA_MAX):
+            raise ConfigurationError(f"alpha entries must be <= {ALPHA_MAX:g} (ALPHA_MAX), "
+                                     f"got {self.alpha.max():g}")
 
 
 @dataclass
@@ -154,9 +163,8 @@ class LatticeTopology:
     holds p itself and is False in nbr_mask.  n_p counts the neighbors.
     classes holds the two checkerboard colour classes, (row + col) % 2 = 0
     then 1, as ascending np.intp index arrays; that is every sweep's visit
-    order, and no edge joins two regions of one class.  class_pos is each
-    region's position within its class.  edges lists every unordered
-    neighbor pair exactly once.
+    order, and no edge joins two regions of one class.  edges lists every
+    unordered neighbor pair exactly once.
     """
 
     width: int
@@ -165,7 +173,6 @@ class LatticeTopology:
     nbr_mask: np.ndarray
     n_p: np.ndarray
     classes: tuple
-    class_pos: np.ndarray
     edges: np.ndarray
 
     @property
@@ -195,9 +202,6 @@ def build_lattice(width: int, height: int) -> LatticeTopology:
     index = np.where(mask, index, p[:, None])
     colour = (r + c) % 2
     classes = tuple(np.flatnonzero(colour == k) for k in (0, 1))
-    class_pos = np.empty(P, dtype=np.intp)
-    for members in classes:
-        class_pos[members] = np.arange(members.size)
     # right then down neighbor of each region, row-major: each pair once
     fwd = mask[:, 2:].ravel()
     edges = np.stack([np.repeat(p, 2)[fwd], index[:, 2:].ravel()[fwd]], axis=1)
@@ -208,7 +212,6 @@ def build_lattice(width: int, height: int) -> LatticeTopology:
         nbr_mask=mask,
         n_p=mask.sum(axis=1).astype(np.intp),
         classes=classes,
-        class_pos=class_pos,
         edges=edges,
     )
 

@@ -18,15 +18,16 @@ Gamma block while each share runs its tau step in a thread, directly on
 the one shared workspace; a share's theta step takes its rows of that
 block, waiting for the draw if it is still running (or making it, if it
 asks first).  The block comes from the same stream in the same order as
-a draw before the hand-off, so no bit moves.  Each share's plan
-(map_solver.Workspace.plan) is built once per run, as a view of its
+a draw before the hand-off, so no bit moves.  A patch's share of a class
+is a run of the class's positions, and its plan
+(map_solver.Workspace.plan) is built once per run, as a view of the
 class plan.  Shares are disjoint rows and read only the other colour,
 so no thread writes where another reads; the colour passes are large
 numpy operations that release the GIL.  The shares' accepted deltas are
-summed in patch order, which for ascending runs is the class order, so
-the final state and the trace are bitwise independent of the patch
-count.  The executor name ("serial", "thread" or "process") is checked
-and otherwise has no effect.
+summed in patch order, which is the class order, so the final state and
+the trace are bitwise independent of the patch count.  The executor name
+("serial", "thread" or "process") is checked and otherwise has no
+effect.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class PatchPartition:
     """Disjoint runs of consecutive region indices covering the lattice."""
 
     n_patches: int
-    assignment: np.ndarray
     patches: tuple
 
 
@@ -65,25 +65,21 @@ def partition(lattice: LatticeTopology, n_patches: int) -> PatchPartition:
         raise ConfigurationError(
             f"n_patches must be in [1, {P}], got {n_patches}"
         )
-    patches = tuple(np.array_split(np.arange(P), n_patches))
-    sizes = [len(regions) for regions in patches]
-    return PatchPartition(
-        n_patches=n_patches,
-        assignment=np.repeat(np.arange(n_patches), sizes),
-        patches=patches,
-    )
+    return PatchPartition(n_patches, tuple(np.array_split(np.arange(P), n_patches)))
 
 
 def _patch_shares(ws: Workspace, part: PatchPartition):
     """Each colour class of the workspace's lattice.classes, in order, with
     the plans of its non-empty patch shares, in patch order: [(colour,
-    [plan, ...]), ...].  Every share is an ascending run of its class, so
-    its plan is a slice of the class plan."""
+    [plan, ...]), ...].  A patch is a run of region indices, so its share
+    of an ascending class is a run of class positions, cut where the
+    patches start."""
+    starts = [int(regions[0]) for regions in part.patches]
     classes = []
     for colour, members in enumerate(ws.lattice.classes):
-        owner = part.assignment[members]
-        shares = np.split(members, np.flatnonzero(np.diff(owner)) + 1)
-        classes.append((colour, [ws.plan(colour, rows) for rows in shares]))
+        cuts = np.searchsorted(members, starts).tolist() + [members.size]
+        classes.append((colour, [ws.plan(colour, slice(i, j))
+                                 for i, j in zip(cuts, cuts[1:]) if i < j]))
     return classes
 
 

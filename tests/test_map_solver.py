@@ -71,7 +71,8 @@ class TestProposeTau:
         cfg = al.SolverConfig(hyper=hyper, seed=1, delta=1e-12)
         members, mean, _ = _class_tau_draw(state, lat, 0, cfg.seed, 1, cfg.delta)
         ws = Workspace(scene, small_table, lat, hyper, state)
-        _, acc_t, _ = sweep_regions(ws, 1, cfg, "greedy", [(0, [members])], map)
+        _, acc_t, _ = sweep_regions(ws, 1, cfg, "greedy",
+                                    [(0, [ws.plan(0, slice(0, members.size))])], map)
         moved = ws.tau[members] != state.tau[members]
         assert acc_t == moved.sum()
         assert acc_t > 0
@@ -198,9 +199,9 @@ class TestProposeTheta:
 
 class TestSweepKernel:
     def test_accepted_moves_are_the_public_draws_and_deltas(self, small_table):
-        """A greedy step on a one-region share [p] that accepts both moves
-        takes p's row of its colour's draw block, and its delta is the
-        public deltas' sum, bitwise."""
+        """A greedy step on a one-region share, the run [i, i+1) of p's
+        class, that accepts both moves takes row i of its colour's draw
+        block, and its delta is the public deltas' sum, bitwise."""
         rng = np.random.default_rng(11)
         scene = random_scene(small_table, rng, 4, 4)
         lat = al.build_lattice(4, 4)
@@ -210,12 +211,14 @@ class TestSweepKernel:
         init.tau[:] = rng.uniform(0.1, 0.4, lat.n_regions)
         init.theta[:] = rng.dirichlet(np.ones(3), size=lat.n_regions)
         sweep = 1
-        for p in reversed(range(lat.n_regions)):  # late rows: class_pos > 0
+        for p in reversed(range(lat.n_regions)):  # late rows: class position > 0
             colour = (p // lat.width + p % lat.width) % 2
+            i = int(np.searchsorted(lat.classes[colour], p))
             ws = Workspace(scene, small_table, lat, hyper, init)
             dsum, acc_t, acc_h = sweep_regions(ws, sweep, cfg, "greedy",
-                                               [(colour, [np.array([p])])], map)
-            if acc_t == 1 and acc_h == 1 and lat.class_pos[p] > 0:
+                                               [(colour, [ws.plan(colour, slice(i, i + 1))])],
+                                               map)
+            if acc_t == 1 and acc_h == 1 and i > 0:
                 break
         else:
             pytest.fail("no region accepted both moves")
@@ -230,7 +233,6 @@ class TestSweepKernel:
         z, gammas, u = _draw_block(cfg.seed, sweep, colour, conc, mh=False)
         assert u is None
         gammas = gammas()
-        i = lat.class_pos[p]
         mean = init.tau[nbrs[p]].mean()
         assert tau_new == min(max(mean + cfg.delta * z[i], ws.tau_lo), ws.tau_hi)
         np.testing.assert_array_equal(theta_new, floor_simplex(gammas[i] / gammas[i].sum()))
@@ -269,9 +271,10 @@ class TestSweepKernel:
 
     def test_patch_shares_equal_the_whole_class(self, small_table):
         """The share path the patch threads run, on one shared workspace:
-        each colour class split into shares in any order gives the
-        whole-class visit's state bitwise; ascending runs in ascending
-        order also give its delta_sum bitwise."""
+        each colour class cut into runs gives the whole-class visit's state
+        bitwise whichever order the runs come in (the checkerboard makes a
+        class's regions independent); runs in ascending order also give its
+        delta_sum bitwise."""
         rng = np.random.default_rng(42)
         scene = random_scene(small_table, rng, 7, 5)
         lat = al.build_lattice(7, 5)
@@ -281,21 +284,27 @@ class TestSweepKernel:
             cfg = al.SolverConfig(hyper=hyper, seed=5)
             whole = Workspace(scene, small_table, lat, hyper, init)
             want = sweep_regions(whole, 1, cfg, mode)
-            for contiguous in (False, True):
-                classes = []
-                for colour, members in enumerate(lat.classes):
-                    if not contiguous:
-                        members = rng.permutation(members)
-                    classes.append((colour, np.array_split(members, 3)))
+            for ascending in (False, True):
                 split = Workspace(scene, small_table, lat, hyper, init)
+                classes = [(colour, shares if ascending else shares[::-1])
+                           for colour, shares in _run_shares(split, 3)]
                 got = sweep_regions(split, 1, cfg, mode, classes, map)
                 np.testing.assert_array_equal(split.tau, whole.tau)
                 np.testing.assert_array_equal(split.theta, whole.theta)
                 np.testing.assert_array_equal(split.pred, whole.pred)
                 assert got[1:] == want[1:]
-                if contiguous:
+                if ascending:
                     assert got[0] == want[0]
 
+
+def _run_shares(ws, n):
+    """Each colour class of ws cut into n runs of its positions, in
+    ascending order, as shares for sweep_regions."""
+    classes = []
+    for colour, whole in enumerate(ws.plans):
+        runs = np.array_split(np.arange(whole.rows.size), n)
+        classes.append((colour, [ws.plan(colour, slice(r[0], r[-1] + 1)) for r in runs]))
+    return classes
 
 
 def _eager_map(f, xs):
@@ -315,11 +324,6 @@ class TestGammaBlockDrawnOnce:
         init = random_state(rng, lat.n_regions, 3, small_table.n_channels)
         return scene, lat, hyper, init
 
-    @staticmethod
-    def _shares(lat, n):
-        return [(colour, np.array_split(members, n)) for colour, members in
-                enumerate(lat.classes)]
-
     @pytest.mark.parametrize("mode", ["greedy", "mh"])
     def test_pool_and_eager_maps_equal_the_lazy_map(self, small_table, mode):
         """Four sweeps of three shares per class through a thread pool's map
@@ -327,11 +331,11 @@ class TestGammaBlockDrawnOnce:
         sweeps bit for bit: workspace, deltas and accept counts."""
         scene, lat, hyper, init = self._problem(small_table)
         cfg = al.SolverConfig(hyper=hyper, seed=9, delta=0.2)
-        classes = self._shares(lat, 3)
         runs = []
         with ThreadPoolExecutor(max_workers=3) as pool:
-            for shares, mapper in ((None, map), (classes, pool.map), (classes, _eager_map)):
+            for mapper in (map, pool.map, _eager_map):
                 ws = Workspace(scene, small_table, lat, hyper, init)
+                shares = None if mapper is map else _run_shares(ws, 3)
                 steps = []
                 for sweep in range(1, 5):
                     steps.append(sweep_regions(ws, sweep, cfg, mode, shares, mapper))
@@ -353,7 +357,7 @@ class TestGammaBlockDrawnOnce:
         ws = Workspace(scene, small_table, lat, hyper, init)
         done = []
         worker = threading.Thread(target=lambda: done.append(
-            sweep_regions(ws, 1, cfg, "greedy", self._shares(lat, 2), _eager_map)), daemon=True)
+            sweep_regions(ws, 1, cfg, "greedy", _run_shares(ws, 2), _eager_map)), daemon=True)
         worker.start()
         worker.join(timeout=60)
         assert done, "sweep_regions with an eager mapper did not return"
@@ -384,13 +388,14 @@ class TestGammaBlockDrawnOnce:
 
         monkeypatch.setattr(map_solver, "proposal_rng", Spy)
         ws = Workspace(scene, small_table, lat, hyper, init)
+        shares = _run_shares(ws, n_shares)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=n_shares) as pool:
                 mapper = map if n_shares == 1 else pool.map
                 for sweep in (1, 2, 3):
-                    sweep_regions(ws, sweep, cfg, "mh", self._shares(lat, n_shares), mapper)
+                    sweep_regions(ws, sweep, cfg, "mh", shares, mapper)
         finally:
             sys.setswitchinterval(interval)
         assert sorted(calls) == [(sweep, c) for sweep in (1, 2, 3) for c in (0, 1)]
@@ -440,8 +445,8 @@ class TestWorkspacePlans:
                         == _gather_neighbours(own, lat, members).tobytes())
 
     def test_ascending_run_shares_are_views_of_the_class_plan(self, small_table):
-        """The patch scheduler's shares, and any ascending run of a class,
-        read slices of the class plan: no per-share copy."""
+        """The patch scheduler's shares are consecutive runs that cover
+        their class and read slices of the class plan: no per-share copy."""
         rng = np.random.default_rng(33)
         lat = al.build_lattice(7, 5)
         scene = random_scene(small_table, rng, 7, 5)
@@ -451,16 +456,14 @@ class TestWorkspacePlans:
             classes = parallel._patch_shares(ws, parallel.partition(lat, n_patches))
             for colour, plans in classes:
                 whole = ws.plans[colour]
-                assert sum(plan.rows.size for plan in plans) == whole.rows.size
+                assert [plan.pos.start for plan in plans[1:]] == [
+                    plan.pos.stop for plan in plans[:-1]]
+                assert (plans[0].pos.start, plans[-1].pos.stop) == (0, whole.rows.size)
                 for plan in plans:
-                    assert isinstance(plan.pos, slice)
+                    assert plan.pos.start < plan.pos.stop
+                    np.testing.assert_array_equal(plan.rows, lat.classes[colour][plan.pos])
                     for name in STATIC:
                         assert np.shares_memory(getattr(plan, name), getattr(whole, name))
-        members = lat.classes[1]
-        shuffled = ws.plan(1, rng.permutation(members)[:5])
-        for name in STATIC:
-            assert not np.shares_memory(getattr(shuffled, name), getattr(ws.plans[1], name))
-        np.testing.assert_array_equal(members[shuffled.pos], shuffled.rows)
 
     def test_every_driver_leaves_the_zero_row_at_zero(self, small_table, monkeypatch):
         """After greedy and MH sweeps through run_map, run_mcmc, mh_sweep

@@ -99,8 +99,6 @@ class TestBuildLattice:
             assert lat.edges.tolist() == [list(e) for e in edges]
             assert [members.tolist() for members in lat.classes] == list(classes)
             assert lat.n_p.tolist() == [len(lst) for lst in nbrs]
-            for k in (0, 1):
-                assert lat.class_pos[classes[k]].tolist() == list(range(len(classes[k])))
             rows = np.arange(w * h)[:, None]
             assert np.all(lat.nbr_index[~lat.nbr_mask] == np.broadcast_to(rows, (w * h, 4))[
                 ~lat.nbr_mask])
