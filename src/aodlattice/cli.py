@@ -14,6 +14,7 @@ import argparse
 import configparser
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,16 @@ def _key_doc() -> str:
         f"  {left.ljust(width)}{text}\n" for left, text in rows)
 
 
+@contextmanager
+def _section(name: str):
+    """Prefix a ConfigurationError raised inside with `[name] `: the
+    library checks name their argument, the section names the key's home."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[{name}] {exc}") from None
+
+
 def load_config(path, overrides):
     """Merge defaults, the INI file (optional) and --set overrides.
 
@@ -114,8 +125,9 @@ def load_config(path, overrides):
     (what manifest.json records), and the same values parsed by their
     SCHEMA kinds.  An unknown key, a value of the wrong kind, a negative
     seed, a scene, table, truth or noise value its owner's rules reject, or
-    truth.tau_hi above table.tau_max raises ConfigurationError naming it,
-    before any work.
+    truth.tau_hi above table.tau_max raises ConfigurationError naming it
+    and its [section], before any work.  The scene keys are checked first,
+    so a lattice side is refused as [scene] before gen_truth's check sees it.
     """
     parser = configparser.ConfigParser()
     parser.read_dict(DEFAULTS)
@@ -156,36 +168,44 @@ def load_config(path, overrides):
     if cfg["run"]["seed"] < 0:
         raise ConfigurationError(f"[run] seed: must be >= 0, got {cfg['run']['seed']}")
     sim, table, truth = cfg["scene"], cfg["table"], cfg["truth"]
+    with _section("scene"):
+        check_scene_shape(sim["width"], sim["height"], sim["channels"], sim["region_size_km"])
     check_table_args(sim["channels"], table["knots"], table["tau_max"],
                      names=("[scene] channels", "[table] knots", "[table] tau_max"))
-    check_truth_args(sim["width"], sim["height"], truth["smoothness"], truth["sparsity"],
-                     (truth["tau_lo"], truth["tau_hi"]), truth["blob_size"])
-    if truth["tau_hi"] > table["tau_max"]:
-        raise ConfigurationError(f"truth.tau_hi must be <= table.tau_max (the table's AOD "
-                                 f"range), got {truth['tau_hi']} > {table['tau_max']}")
-    check_noise_level(cfg["noise"]["level"])
-    check_scene_shape(sim["width"], sim["height"], sim["channels"], sim["region_size_km"])
+    with _section("truth"):
+        check_truth_args(sim["width"], sim["height"], truth["smoothness"], truth["sparsity"],
+                         (truth["tau_lo"], truth["tau_hi"]), truth["blob_size"])
+        if truth["tau_hi"] > table["tau_max"]:
+            raise ConfigurationError(f"tau_hi must be <= [table] tau_max (the table's AOD "
+                                     f"range), got {truth['tau_hi']} > {table['tau_max']}")
+    with _section("noise"):
+        check_noise_level(cfg["noise"]["level"])
     return text, cfg
 
 
 def _run_configs(cfg, table, scene, lattice):
     """Build the solver, chain and grid configs and range-check them and
     parallel.patches, for every command whether or not it reads them, so a
-    bad value exits 2 before any output.  Returns (SolverConfig,
-    McmcConfig, GridSearchConfig)."""
+    bad value exits 2, naming its [section], before any output.  Returns
+    (SolverConfig, McmcConfig, GridSearchConfig)."""
     solver, mcmc, grid, seed = cfg["solver"], cfg["mcmc"], cfg["grid"], cfg["run"]["seed"]
-    hyper = HyperParams.dirichlet(table.n_components, solver["alpha"])
-    solver_cfg = SolverConfig(hyper=hyper, delta=solver["delta"], epsilon=solver["epsilon"],
-                              epsilon_rel=solver["epsilon_rel"],
-                              max_sweeps=solver["max_sweeps"], seed=seed)
-    solver_cfg.validate()
-    mcmc_cfg = McmcConfig(hyper=hyper, iterations=mcmc["iterations"], burn_in=mcmc["burn_in"],
-                          thin=mcmc["thin"], delta=solver["delta"], seed=seed)
-    mcmc_cfg.validate()
-    partition(lattice, cfg["parallel"]["patches"])
-    grid_cfg = GridSearchConfig.defaults(table, scene, n_tau_levels=grid["tau_levels"],
-                                         success_threshold=grid["success_threshold"])
-    grid_cfg.validate(table)
+    with _section("solver"):
+        hyper = HyperParams.dirichlet(table.n_components, solver["alpha"])
+        solver_cfg = SolverConfig(hyper=hyper, delta=solver["delta"],
+                                  epsilon=solver["epsilon"], epsilon_rel=solver["epsilon_rel"],
+                                  max_sweeps=solver["max_sweeps"], seed=seed)
+        solver_cfg.validate()
+    with _section("mcmc"):
+        mcmc_cfg = McmcConfig(hyper=hyper, iterations=mcmc["iterations"],
+                              burn_in=mcmc["burn_in"], thin=mcmc["thin"],
+                              delta=solver["delta"], seed=seed)
+        mcmc_cfg.validate()
+    with _section("parallel"):
+        partition(lattice, cfg["parallel"]["patches"])
+    with _section("grid"):
+        grid_cfg = GridSearchConfig.defaults(table, scene, n_tau_levels=grid["tau_levels"],
+                                             success_threshold=grid["success_threshold"])
+        grid_cfg.validate(table)
     return solver_cfg, mcmc_cfg, grid_cfg
 
 

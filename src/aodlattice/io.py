@@ -53,7 +53,7 @@ import orjson
 
 from . import __version__
 from .forward import ComponentLibrary, build_synthetic_table, check_table_args
-from .model import ConfigurationError, Scene, check_lattice_sides, check_scene_shape
+from .model import ConfigurationError, Scene, check_channel_mask, check_scene_shape
 
 SCENE_JSON = "scene.json"
 RADIANCE_CSV = "radiance.csv"
@@ -144,10 +144,6 @@ def write_matrix_csv(path, array: np.ndarray) -> None:
     """Headerless CSV of a matrix (a 1-D array is one row); anything with
     more dimensions raises ValueError before the file is opened."""
     _write_csv(path, _as_matrix(array))
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def _mirror_path(csv_path) -> Path:
@@ -277,10 +273,13 @@ def load_scene(directory):
     and the key's dotted path (table.knots), and unused keys (the
     table.channels and radiance_csv of earlier versions too) are ignored.
     A value out of its range raises the same way, before any CSV is read:
-    the range rules are the lattice's (both sides >= 2), check_scene_shape,
-    check_table_args, table.seed >= 0 and one channel_mask entry per
-    channel.  The forward table is rebuilt from the table key and the
-    scene's channel count: the model it was rendered with.
+    the range rules are check_scene_shape (the lattice's sides and region
+    cap among them), check_table_args, table.seed >= 0 and
+    check_channel_mask.  A radiance.csv that breaks Scene.validate's
+    radiance rules (its shape, values in [0, RADIANCE_MAX]) raises
+    ConfigurationError naming that file.  The forward table is rebuilt from
+    the table key and the scene's channel count: the model it was rendered
+    with.
     """
     directory = Path(directory)
     meta_path = directory / SCENE_JSON
@@ -300,20 +299,21 @@ def load_scene(directory):
         knots = _get(t, "knots", "integer", "table.knots")
         seed = _get(t, "seed", "integer", "table.seed")
         tau_max = _get_float(t, "tau_max", "table.tau_max")
-        check_lattice_sides(shape["width"], shape["height"])
         check_scene_shape(**shape, region_size_km=region_size_km)
         check_table_args(shape["channels"], knots, tau_max,
                          names=("channels", "table.knots", "table.tau_max"))
         if seed < 0:
             raise ConfigurationError(f"table.seed must be >= 0, got {seed}")
-        if len(mask) != shape["channels"]:
-            raise ConfigurationError(f"channel_mask has {len(mask)} entries, but channels "
-                                     f"is {shape['channels']}")
+        check_channel_mask(mask, shape["channels"])
     except ValueError as exc:  # ConfigurationError and JSONDecodeError included
         raise ConfigurationError(f"{meta_path}: {exc}") from None
-    scene = Scene(**shape, radiance=_read_mirrored(directory / RADIANCE_CSV),
+    radiance_path = directory / RADIANCE_CSV
+    scene = Scene(**shape, radiance=_read_mirrored(radiance_path),
                   channel_mask=np.array(mask, dtype=bool), region_size_km=region_size_km)
-    scene.validate()
+    try:  # scene.json's rules hold, so only the radiance's can fail
+        scene.validate()
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{radiance_path}: {exc}") from None
     table = build_synthetic_table(library, channels=scene.channels, knots=knots,
                                   tau_max=tau_max, seed=seed)
     return scene, library, table

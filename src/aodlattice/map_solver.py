@@ -24,10 +24,10 @@ rows, then a theta step), with exact per-row deltas and an accept mask.
 The result is what a region-by-region visit of the class would give.
 What a pass reads but never moves is built once per run by the Workspace:
 tau and theta sit in buffers with one extra zero row, and each class has
-a plan (its rows, its neighbor slots as indices with the empty ones at
-that zero row, the slot mask and the neighbor counts), so a pass gathers
-a neighbor slot in one take and a share of the class, a run of its
-positions, reads slices of the plan.
+a plan (its rows, their neighbor slots from lattice.nbr_index, whose
+empty ones point at that zero row, the slot mask and the neighbor
+counts), so a pass gathers a neighbor slot in one take and a share of the
+class, a run of its positions, reads slices of the plan.
 
 Given the other class, the tau proposal's mean never moves with the
 current value, so its MH correction log q(old)/q(raw) is h(raw) - h(old)
@@ -88,7 +88,6 @@ from .model import (
     Scene,
     _assemble_terms,
     _channel_sse,
-    _gather_neighbours,
     _misfit,
     _safe_log_theta,
     _slot_sum,
@@ -367,7 +366,7 @@ def init_state(
         lattice = build_lattice(scene.width, scene.height)
         cfg = GridSearchConfig.defaults(forward, scene)
         tau_g, theta_g, _success = grid_search_retrieve(scene, forward, cfg)
-        neighbours = _gather_neighbours(tau_g, lattice, slice(None))
+        neighbours = np.append(tau_g, 0.0)[lattice.nbr_index]
         # means of in-domain levels can round an ulp past an end of it
         tau = np.clip((tau_g + _slot_sum(neighbours)) / (1 + lattice.n_p), lo, hi)
         theta = floor_simplex(theta_g)
@@ -385,9 +384,10 @@ class _Plan(NamedTuple):
     """The static data of a colour pass over a run of one class.
 
     rows are the regions; pos is the run's slice of the class's draw block
-    and concentration; nbr is their k x 4 neighbor slots as indices into
-    the workspace's padded buffers, an empty slot pointing at the zero row
-    P; mask is the slots' lattice.nbr_mask and n_p their neighbor counts.
+    and concentration; nbr is their rows of lattice.nbr_index, k x 4
+    neighbor slots that index the workspace's padded buffers, an empty
+    slot pointing at the zero row P; mask is nbr < P and n_p their
+    neighbor counts.
     """
 
     rows: np.ndarray
@@ -409,8 +409,9 @@ class Workspace:
     of the state's, and pred is evaluated from them here.
 
     tau and theta are the first P rows of tau_pad and theta_pad, whose
-    extra row P is zero and is never written: indexing a pad with a plan's
-    nbr gathers the neighbor slots, 0.0 in empty ones, in one take.
+    extra row P is zero and is never written: the lattice points every
+    empty neighbor slot at row P, so indexing a pad with a plan's nbr
+    gathers the neighbor slots, 0.0 in empty ones, in one take.
     plans holds one _Plan per colour class of lattice.classes, built here
     once per run; plan() gives a run of a class its plan, slices of the
     class plan (views, no copy).
@@ -437,9 +438,8 @@ class Workspace:
         self.S = self.sse = None
         plans = []
         for members in lattice.classes:
-            mask = lattice.nbr_mask[members]
-            nbr = np.where(mask, lattice.nbr_index[members], P)
-            plans.append(_Plan(members, slice(0, members.size), nbr, mask,
+            nbr = lattice.nbr_index[members]
+            plans.append(_Plan(members, slice(0, members.size), nbr, nbr < P,
                                lattice.n_p[members]))
         self.plans = tuple(plans)
 
@@ -564,8 +564,12 @@ def _share_pass(ws: Workspace, plan: _Plan, block, delta: float, w, mh: bool):
 
 
 def _start(scene, forward, lattice, config, init):
-    """Check the initial state; returns (workspace, trace holding its value,
-    assembled from the resynced caches: log_posterior(init) bitwise)."""
+    """Check the lattice against the scene and the initial state; returns
+    (workspace, trace holding its value, assembled from the resynced
+    caches: log_posterior(init) bitwise)."""
+    if (lattice.width, lattice.height) != (scene.width, scene.height):
+        raise ConfigurationError(f"lattice {lattice.width}x{lattice.height} does not match "
+                                 f"the scene's {scene.width}x{scene.height}")
     validate_state(init, config.hyper)
     ws = Workspace(scene, forward, lattice, config.hyper, init)
     ws.resync()

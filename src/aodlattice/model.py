@@ -34,6 +34,10 @@ kernel computes a whole colour class of lattice.classes in one call and
 carries each row's current misfit from its tau step into its theta step;
 the public single-region deltas call them with one row, on eval_batch
 predictions and _misfit values as the kernel does.
+
+An empty neighbor slot of the lattice holds P, one past the last region:
+nbr < P is the slot mask, and a take from values padded with one zero row
+(the solver workspace's tau and theta) gives 0.0 there.
 """
 
 from __future__ import annotations
@@ -57,6 +61,14 @@ KAPPA_CAP = 1e12
 # so at alpha <= 1e250 both stay below 1e300 for any P * M up to 1e45
 # (math.lgamma raises OverflowError past about 2.5e305).
 ALPHA_MAX = 1e250
+# Most regions in one scene, checked from the lattice's sides before
+# anything is allocated.  A MISR block at 1.1 km is 512 x 128 regions and a
+# MAP run on it peaks at about 205 MB, so 2**20 regions (16 blocks) ask for
+# about 3.3 GB; a wider scene is a swath to split, not one lattice.
+MAX_REGIONS = 1 << 20
+# Largest radiance value.  Squared residuals summed over MAX_REGIONS
+# regions and 36 channels stay below 1e208, far from float overflow.
+RADIANCE_MAX = 1e100
 
 
 class ConfigurationError(ValueError):
@@ -107,7 +119,8 @@ class Scene:
     """Observed radiance on a width x height lattice of regions.
 
     radiance is P x C, row-major in region index (region p = row * width +
-    column), channel columns ascending.  channel_mask marks the channels
+    column), channel columns ascending, each value in [0, RADIANCE_MAX].
+    The lattice's sides follow check_lattice_sides.  channel_mask marks the channels
     that are available; masked-out channels are excluded from every sum.
     region_size_km is carried as metadata only; it must be finite and > 0.
     """
@@ -134,24 +147,32 @@ class Scene:
                 f"radiance shape {self.radiance.shape} != "
                 f"({self.n_regions}, {self.channels})"
             )
-        if not np.all(np.isfinite(self.radiance)) or np.any(self.radiance < 0):
-            raise ConfigurationError("radiance values must be finite and >= 0")
-        if self.channel_mask.shape != (self.channels,):
-            raise ConfigurationError("channel_mask length must equal channels")
-        if not self.channel_mask.any():
-            raise ConfigurationError("at least one channel must be available")
+        if not (np.all(self.radiance >= 0) and np.all(self.radiance <= RADIANCE_MAX)):
+            raise ConfigurationError(f"radiance values must be finite, >= 0 and "
+                                     f"<= {RADIANCE_MAX:g} (RADIANCE_MAX)")
+        check_channel_mask(self.channel_mask, self.channels)
 
 
 def check_scene_shape(width: int, height: int, channels: int, region_size_km: float) -> None:
-    """Scene.validate's rules on the scene's metadata: at least 4 regions,
-    at most 36 channels, and a finite region_size_km > 0."""
-    if width * height < 4:
-        raise ConfigurationError(f"need at least 4 regions, got {width}x{height}")
+    """Scene.validate's rules on the scene's metadata: the lattice's sides
+    (check_lattice_sides), at most 36 channels, and a finite
+    region_size_km > 0."""
+    check_lattice_sides(width, height)
     if channels > 36:
         raise ConfigurationError(f"at most 36 channels supported, got channels = {channels}")
     if not (math.isfinite(region_size_km) and region_size_km > 0):
         raise ConfigurationError(
             f"region_size_km must be finite and > 0, got {region_size_km}")
+
+
+def check_channel_mask(mask, channels: int) -> None:
+    """Scene.validate's rules on channel_mask: a vector of one entry per
+    channel, at least one of them available."""
+    if np.shape(mask) != (channels,):
+        raise ConfigurationError(f"channel_mask has {np.size(mask)} entries, but channels "
+                                 f"is {channels}")
+    if not np.any(mask):
+        raise ConfigurationError("at least one channel must be available")
 
 
 @dataclass(frozen=True)
@@ -160,7 +181,9 @@ class LatticeTopology:
 
     nbr_index is P x 4: slot j of row p holds p's neighbor above, left,
     right and below (j = 0..3); a slot with no neighbor (lattice border)
-    holds p itself and is False in nbr_mask.  n_p counts the neighbors.
+    holds P, one past the last region, so nbr_index < P is the slot mask
+    and a take from values padded with one zero row gives 0.0 there.
+    n_p counts the neighbors.
     classes holds the two checkerboard colour classes, (row + col) % 2 = 0
     then 1, as ascending np.intp index arrays; that is every sweep's visit
     order, and no edge joins two regions of one class.  edges lists every
@@ -170,7 +193,6 @@ class LatticeTopology:
     width: int
     height: int
     nbr_index: np.ndarray
-    nbr_mask: np.ndarray
     n_p: np.ndarray
     classes: tuple
     edges: np.ndarray
@@ -181,9 +203,13 @@ class LatticeTopology:
 
 
 def check_lattice_sides(width: int, height: int) -> None:
-    """build_lattice's rule: both sides of the lattice are at least 2."""
+    """The lattice's rule, build_lattice's and every scene's: both sides
+    at least 2 and at most MAX_REGIONS regions."""
     if width < 2 or height < 2:
         raise ConfigurationError(f"width and height must both be >= 2, got {width}x{height}")
+    if width * height > MAX_REGIONS:
+        raise ConfigurationError(f"width x height must be at most {MAX_REGIONS} regions "
+                                 f"(MAX_REGIONS), got {width}x{height}")
 
 
 def build_lattice(width: int, height: int) -> LatticeTopology:
@@ -191,15 +217,15 @@ def build_lattice(width: int, height: int) -> LatticeTopology:
 
     Raises ConfigurationError when either dimension is < 2 (a degenerate
     strip has regions with a single neighbor, which the proposal kernels
-    and the smoothness prior are not defined for).
+    and the smoothness prior are not defined for) or the grid holds more
+    than MAX_REGIONS regions.
     """
     check_lattice_sides(width, height)
     P = width * height
     p = np.arange(P, dtype=np.intp)
     r, c = np.divmod(p, width)
     mask = np.stack([r > 0, c > 0, c < width - 1, r < height - 1], axis=1)
-    index = np.stack([p - width, p - 1, p + 1, p + width], axis=1)
-    index = np.where(mask, index, p[:, None])
+    index = np.where(mask, np.stack([p - width, p - 1, p + 1, p + width], axis=1), P)
     colour = (r + c) % 2
     classes = tuple(np.flatnonzero(colour == k) for k in (0, 1))
     # right then down neighbor of each region, row-major: each pair once
@@ -209,7 +235,6 @@ def build_lattice(width: int, height: int) -> LatticeTopology:
         width=width,
         height=height,
         nbr_index=index,
-        nbr_mask=mask,
         n_p=mask.sum(axis=1).astype(np.intp),
         classes=classes,
         edges=edges,
@@ -224,14 +249,6 @@ def _slot_sum(x: np.ndarray) -> np.ndarray:
     bit, whichever slots are empty.
     """
     return ((x[:, 0] + x[:, 1]) + x[:, 2]) + x[:, 3]
-
-
-def _gather_neighbours(values: np.ndarray, lattice: LatticeTopology, rows) -> np.ndarray:
-    """values of the neighbor slots of `rows`: k x 4 (x M for row-valued
-    fields), 0.0 in empty slots."""
-    gathered = values[lattice.nbr_index[rows]]
-    mask = lattice.nbr_mask[rows]
-    return np.where(mask.reshape(mask.shape + (1,) * (gathered.ndim - 2)), gathered, 0.0)
 
 
 @dataclass
@@ -380,9 +397,9 @@ def _tau_delta(dchi, tau_old, tau_new, ntau, nmask, kappa):
     """Log-posterior change of tau_p <- tau_new for k rows at once, given
     each region's misfit change dchi (new _misfit minus old).
 
-    ntau and nmask are the k x 4 neighbor slots and their mask (see
-    _gather_neighbours): the misfit change plus the roughness change of
-    each region's incident edges.
+    ntau and nmask are the k x 4 neighbor slots, 0.0 in empty ones, and
+    their mask (see LatticeTopology): the misfit change plus the roughness
+    change of each region's incident edges.
     """
     d = ((tau_new[:, None] - ntau) ** 2 - (tau_old[:, None] - ntau) ** 2) * nmask
     return -dchi - 0.5 * kappa * _slot_sum(d)
@@ -422,9 +439,11 @@ def delta_log_posterior_tau(
     rows = [p]
     tau_new = np.array([tau_new], dtype=float)
     dchi = _row_dchi(state, scene, forward, p, tau_new, state.theta[rows])
-    return float(_tau_delta(dchi, state.tau[rows], tau_new,
-                            _gather_neighbours(state.tau, lattice, rows),
-                            lattice.nbr_mask[rows], state.kappa)[0])
+    nbr = lattice.nbr_index[rows]
+    nmask = nbr < lattice.n_regions
+    ntau = np.zeros(nbr.shape)
+    ntau[nmask] = state.tau[nbr[nmask]]
+    return float(_tau_delta(dchi, state.tau[rows], tau_new, ntau, nmask, state.kappa)[0])
 
 
 def delta_log_posterior_theta(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ConfigurationError, Scene
+from .model import ConfigurationError, Scene, check_lattice_sides
 
 # composition truth -> Dirichlet concentration of its blob rows
 SPARSITY_CONCENTRATION = {"dense": 1.0, "sparse": 0.125}
@@ -57,12 +57,11 @@ def _box_smooth(field: np.ndarray, half_width: int) -> np.ndarray:
 
 
 def check_truth_args(width, height, smoothness, sparsity, tau_range, blob_size) -> None:
-    """gen_truth's argument rules: a grid of at least 2 x 2, a finite
-    smoothness, a known sparsity, 0 <= tau_lo <= tau_hi and blob_size >= 1.
-    Raises ConfigurationError naming the first argument that breaks one."""
-    if width < 2 or height < 2:
-        raise ConfigurationError(
-            f"truth grid width and height must be >= 2, got {width}x{height}")
+    """gen_truth's argument rules: the lattice's sides (check_lattice_sides),
+    a finite smoothness, a known sparsity, 0 <= tau_lo <= tau_hi and
+    blob_size >= 1.  Raises ConfigurationError naming the first argument
+    that breaks one."""
+    check_lattice_sides(width, height)
     if not math.isfinite(smoothness):
         raise ConfigurationError(f"smoothness must be finite, got {smoothness}")
     if sparsity not in SPARSITY_CONCENTRATION:

@@ -91,21 +91,28 @@ def test_setting(scene_dir, tmp_path, capsys, method, setting, want, named):
     assert out.exists() == (code == 0)
 
 
-# (id, CSV, the line to spoil, its new first cell or None to add a cell)
-CSV_CASES = [
-    # numpy's parse error named no file
-    ("radiance-non-numeric-cell", io.RADIANCE_CSV, 0, "abc"),
-    ("truth-non-numeric-cell", io.TRUTH_CSV, 1, "abc"),
-    ("radiance-extra-cell", io.RADIANCE_CSV, 2, None),
+# (id, setting, exit code, text the error line must hold) of a simulate
+SIMULATE_CASES = [
+    # gen_truth allocated gigabytes before anything bounded the lattice
+    ("width-past-region-cap", "scene.width=10000000", 2, "[scene] width"),
+    ("height-past-region-cap", "scene.height=10000000", 2, "[scene] width"),
 ]
 
 
-@pytest.mark.parametrize("name, line, cell", [case[1:] for case in CSV_CASES],
-                         ids=[case[0] for case in CSV_CASES])
-@pytest.mark.parametrize("method", ["map", "grid"])
-def test_spoiled_csv(scene_dir, tmp_path, capsys, name, line, cell, method):
-    """A CSV with a cell that does not parse, or a row one cell too long,
-    and no mirror, exits 2 naming the CSV."""
+@pytest.mark.parametrize("setting, want, named", [case[1:] for case in SIMULATE_CASES],
+                         ids=[case[0] for case in SIMULATE_CASES])
+def test_simulate_setting(tmp_path, capsys, setting, want, named):
+    out = tmp_path / "scene"
+    code, err = run_case(["simulate", *SCENE, "--set", setting, "--out", str(out)], capsys)
+    assert code == want, err
+    assert named in err
+    assert not out.exists()
+
+
+def spoiled_copy(scene_dir, tmp_path, name, line, cell):
+    """A copy of the scene whose CSV `name` has no mirror and its line
+    `line` spoiled: its first cell set to `cell`, or one cell added when
+    cell is None."""
     scene = tmp_path / "scene"
     scene.mkdir()
     for path in scene_dir.iterdir():
@@ -119,11 +126,40 @@ def test_spoiled_csv(scene_dir, tmp_path, capsys, name, line, cell, method):
         cells[0] = cell
     lines[line] = ",".join(cells)
     (scene / name).write_text("\n".join(lines) + "\n")
+    return scene
+
+
+# (id, CSV, the line to spoil, its new first cell or None to add a cell)
+CSV_CASES = [
+    # numpy's parse error named no file
+    ("radiance-non-numeric-cell", io.RADIANCE_CSV, 0, "abc"),
+    ("truth-non-numeric-cell", io.TRUTH_CSV, 1, "abc"),
+    ("radiance-extra-cell", io.RADIANCE_CSV, 2, None),
+    # the grid's assumed variance, level**2, overflowed for every method
+    ("radiance-past-cap", io.RADIANCE_CSV, 0, "1e300"),
+]
+
+
+@pytest.mark.parametrize("name, line, cell", [case[1:] for case in CSV_CASES],
+                         ids=[case[0] for case in CSV_CASES])
+@pytest.mark.parametrize("method", ["map", "grid", "mcmc"])
+def test_spoiled_csv(scene_dir, tmp_path, capsys, name, line, cell, method):
+    """A CSV with a cell that does not parse or is out of range, or a row
+    one cell too long, and no mirror, exits 2 naming the CSV."""
+    scene = spoiled_copy(scene_dir, tmp_path, name, line, cell)
     out = tmp_path / "out"
     code, err = run_case(retrieve(scene, method, out), capsys)
     assert code == 2
     assert name in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["map", "grid", "mcmc"])
+def test_radiance_at_cap(scene_dir, tmp_path, capsys, method):
+    """A radiance cell at model.RADIANCE_MAX runs clean."""
+    scene = spoiled_copy(scene_dir, tmp_path, io.RADIANCE_CSV, 0, "1e100")
+    code, err = run_case(retrieve(scene, method, tmp_path / "out"), capsys)
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("method", ["map", "mcmc", "grid"])

@@ -44,11 +44,13 @@ BAD_SETTINGS = [
 
 
 def assert_bad_setting_exit(code, capsys, setting, out):
-    """Exit 2, an error line naming the setting's key, and no output."""
+    """Exit 2, an error line naming the setting's [section] and key, and
+    no output."""
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert setting[setting.index(".") + 1:setting.index("=")] in err
+    section, key = setting[:setting.index("=")].split(".")
+    assert f"[{section}]" in err and key in err, err
     assert not out.exists()
 
 
@@ -181,7 +183,7 @@ class TestRetrieve:
         out = tmp_path / "map"
         assert run_cli("retrieve", "--scene", str(scene_dir), "--method", "map",
                        *SMALL, "--out", str(out)) == 0
-        tau = io.read_matrix_csv(out / "tau.csv")
+        tau = np.loadtxt(out / "tau.csv", delimiter=",", ndmin=2)
         assert tau.shape == (64, 1)
         assert (out / "theta.csv").exists()
         assert (out / "trace.csv").exists()
@@ -222,7 +224,7 @@ class TestRetrieve:
                        "--set", "mcmc.thin=2", "--set", "mcmc.dump_samples=true",
                        "--out", str(out)) == 0
         assert (out / "tau_std.csv").exists()
-        samples = io.read_matrix_csv(out / "tau_samples.csv")
+        samples = np.loadtxt(out / "tau_samples.csv", delimiter=",", ndmin=2)
         assert samples.shape == (10, 64)
 
     def test_mcmc_dump_samples_takes_boolean_words(self, scene_dir, tmp_path):
@@ -231,7 +233,7 @@ class TestRetrieve:
                        *SMALL, "--set", "mcmc.iterations=6", "--set", "mcmc.burn_in=2",
                        "--set", "mcmc.thin=1", "--set", "mcmc.dump_samples=YES",
                        "--out", str(out)) == 0
-        assert io.read_matrix_csv(out / "tau_samples.csv").shape == (4, 64)
+        assert np.loadtxt(out / "tau_samples.csv", delimiter=",", ndmin=2).shape == (4, 64)
 
     def test_map_beats_grid_on_noisy_scene(self, tmp_path):
         noisy = tmp_path / "noisy"

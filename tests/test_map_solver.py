@@ -21,20 +21,35 @@ from aodlattice.map_solver import (
     _theta_conc,
     sweep_regions,
 )
-from aodlattice.model import _gather_neighbours, floor_simplex, gmrf_roughness
+from aodlattice.model import floor_simplex, gmrf_roughness
 
 from conftest import random_scene, random_state, rebalance, tiny_library
 from oracles import golden_max, oracle_neighbours, oracle_sweep_regions
 
 
-def _class_tau_draw(state, lat, colour, seed, sweep, delta):
+def _class_conc(ws, colour):
+    """The kernel's theta concentration for a whole colour class, gathered
+    through the workspace's class plan."""
+    plan = ws.plans[colour]
+    return _theta_conc(ws.theta_pad[plan.nbr], plan.n_p)
+
+
+def _class_tau_draw(ws, colour, seed, sweep, delta):
     """The kernel's tau draw for a whole colour class: (members, mean, raw)."""
-    members = lat.classes[colour]
-    conc = _theta_conc(_gather_neighbours(state.theta, lat, members), lat.n_p[members])
-    z, _, _ = _draw_block(seed, sweep, colour, conc, mh=False)
-    mean, raw = _draw_tau(_gather_neighbours(state.tau, lat, members), lat.n_p[members],
-                          delta, z)
-    return members, mean, raw
+    plan = ws.plans[colour]
+    z, _, _ = _draw_block(seed, sweep, colour, _class_conc(ws, colour), mh=False)
+    mean, raw = _draw_tau(ws.tau_pad[plan.nbr], plan.n_p, delta, z)
+    return plan.rows, mean, raw
+
+
+def _theta_workspace(table, width, height, theta):
+    """A Workspace on a random width x height scene whose state holds theta."""
+    rng = np.random.default_rng(0)
+    state = random_state(rng, width * height, theta.shape[1], table.n_channels)
+    state.theta = theta
+    return Workspace(random_scene(table, rng, width, height), table,
+                     al.build_lattice(width, height), al.HyperParams.uniform(theta.shape[1]),
+                     state)
 
 
 class CountingTable:
@@ -59,18 +74,18 @@ class TestProposeTau:
         rng = np.random.default_rng(0)
         lat = al.build_lattice(5, 4)
         state = random_state(rng, lat.n_regions, 3, 4)
+        scene = random_scene(small_table, rng, 5, 4)
+        hyper = al.HyperParams.uniform(3)
+        ws = Workspace(scene, small_table, lat, hyper, state)
         nbrs = oracle_neighbours(5, 4)
         for colour in (0, 1):
-            members, mean, raw = _class_tau_draw(state, lat, colour, 1, 1, 1e-12)
+            members, mean, raw = _class_tau_draw(ws, colour, 1, 1, 1e-12)
             want = [state.tau[nbrs[p]].mean() for p in members]
             np.testing.assert_allclose(mean, want, rtol=1e-15, atol=0.0)
             np.testing.assert_allclose(raw, want, rtol=0.0, atol=1e-9)
         # through the kernel, class 0 as one share: every accepted tau is its mean
-        scene = random_scene(small_table, rng, 5, 4)
-        hyper = al.HyperParams.uniform(3)
         cfg = al.SolverConfig(hyper=hyper, seed=1, delta=1e-12)
-        members, mean, _ = _class_tau_draw(state, lat, 0, cfg.seed, 1, cfg.delta)
-        ws = Workspace(scene, small_table, lat, hyper, state)
+        members, mean, _ = _class_tau_draw(ws, 0, cfg.seed, 1, cfg.delta)
         _, acc_t, _ = sweep_regions(ws, 1, cfg, "greedy",
                                     [(0, [ws.plan(0, slice(0, members.size))])], map)
         moved = ws.tau[members] != state.tau[members]
@@ -137,7 +152,7 @@ class TestProposeTau:
                                      sigma2=np.full(4, 1e-2), kappa=1e-6)
             ws = Workspace(scene, table, lat, hyper, init)
             assert (ws.tau_lo, ws.tau_hi) == (0.0, 1.0)
-            _, _, raw = _class_tau_draw(init, lat, 0, cfg.seed, 1, cfg.delta)
+            _, _, raw = _class_tau_draw(ws, 0, cfg.seed, 1, cfg.delta)
             assert np.any(raw < 0.0) and np.any(raw > 1.0)
             sweep_regions(ws, 1, cfg)
             assert np.all((ws.tau >= 0.0) & (ws.tau <= 1.0))
@@ -154,9 +169,10 @@ class TestProposeTheta:
         # near-corner rows in class 1 push class 0's Gamma shapes to SHAPE_FLOOR
         odd = lat.classes[1]
         state.theta[odd] = floor_simplex(rng.dirichlet(np.full(3, 0.01), size=odd.size))
-        for colour, members in enumerate(lat.classes):
-            conc = _theta_conc(_gather_neighbours(state.theta, lat, members),
-                               lat.n_p[members])
+        scene = random_scene(small_table, rng, 8, 8)
+        ws = Workspace(scene, small_table, lat, al.HyperParams.uniform(3), state)
+        for colour in (0, 1):
+            conc = _class_conc(ws, colour)
             assert np.all(conc >= SHAPE_FLOOR)
             if colour == 0:
                 assert conc.min() == SHAPE_FLOOR
@@ -167,18 +183,14 @@ class TestProposeTheta:
         rows = _draw_theta(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 3.0]]))
         np.testing.assert_array_equal(rows[0], np.full(3, 1 / 3))
         assert abs(rows[1].sum() - 1.0) <= 1e-12
-        scene = random_scene(small_table, rng, 8, 8)
-        ws = Workspace(scene, small_table, lat, al.HyperParams.uniform(3), state)
         _, _, acc_h = sweep_regions(ws, 1, al.SolverConfig(hyper=al.HyperParams.uniform(3)),
                                     "mh")
         assert acc_h > 0
         al.validate_state(ws.to_state(), al.HyperParams.uniform(3))
 
-    def test_concentrates_on_dominant_neighbor_component(self):
-        lat = al.build_lattice(2, 2)
+    def test_concentrates_on_dominant_neighbor_component(self, small_table):
         theta = np.tile(np.array([0.98, 0.01, 0.01]), (4, 1))
-        members = lat.classes[0]
-        conc = _theta_conc(_gather_neighbours(theta, lat, members), lat.n_p[members])
+        conc = _class_conc(_theta_workspace(small_table, 2, 2, theta), 0)
         np.testing.assert_allclose(conc, theta[:2], rtol=1e-15)
         n = 100_000
         rows = _draw_theta(_draw_block(6, 1, 0, np.repeat(conc, n // 2, axis=0), mh=False)[1]())
@@ -187,11 +199,9 @@ class TestProposeTheta:
         # the Dirichlet(conc) mean, conc / sum(conc)
         np.testing.assert_allclose(means, [0.98, 0.01, 0.01], atol=0.005)
 
-    def test_deterministic_given_seed(self):
-        lat = al.build_lattice(3, 3)
+    def test_deterministic_given_seed(self, small_table):
         theta = np.random.default_rng(6).dirichlet(np.ones(3), size=9)
-        members = lat.classes[1]
-        conc = _theta_conc(_gather_neighbours(theta, lat, members), lat.n_p[members])
+        conc = _class_conc(_theta_workspace(small_table, 3, 3, theta), 1)
         a = _draw_theta(_draw_block(3, 2, 1, conc, mh=False)[1]())
         b = _draw_theta(_draw_block(3, 2, 1, conc, mh=False)[1]())
         np.testing.assert_array_equal(a, b)
@@ -425,24 +435,28 @@ class TestWorkspacePlans:
         assert ws.theta.tobytes() == init.theta.tobytes()
 
     def test_class_plans_gather_what_the_lattice_gathers(self, small_table):
-        """A class plan's slots index the pad's zero row where the lattice
-        has no neighbor, so one take gives _gather_neighbours' bits."""
+        """A class plan's slots are the lattice's, an empty one the pad's
+        zero row P, so one take gives each region's neighbors in slot order
+        (the oracle's) and +0.0 in its empty slots."""
         rng = np.random.default_rng(32)
         lat = al.build_lattice(6, 5)
         scene = random_scene(small_table, rng, 6, 5)
         init = random_state(rng, lat.n_regions, 3, small_table.n_channels)
         ws = Workspace(scene, small_table, lat, al.HyperParams.uniform(3), init)
+        nbrs = oracle_neighbours(6, 5)
         for colour, members in enumerate(lat.classes):
             plan = ws.plans[colour]
             np.testing.assert_array_equal(plan.rows, members)
             assert plan.pos == slice(0, members.size)
-            np.testing.assert_array_equal(plan.mask, lat.nbr_mask[members])
-            np.testing.assert_array_equal(plan.n_p, lat.n_p[members])
-            assert np.all(plan.nbr[~plan.mask] == lat.n_regions)
-            assert np.all(plan.nbr[plan.mask] == lat.nbr_index[members][plan.mask])
+            np.testing.assert_array_equal(plan.nbr, lat.nbr_index[members])
+            np.testing.assert_array_equal(plan.mask, plan.nbr < lat.n_regions)
+            np.testing.assert_array_equal(plan.n_p, [len(nbrs[p]) for p in members])
             for pad, own in ((ws.tau_pad, ws.tau), (ws.theta_pad, ws.theta)):
-                assert (pad[plan.nbr].tobytes()
-                        == _gather_neighbours(own, lat, members).tobytes())
+                slots = pad[plan.nbr]
+                for i, p in enumerate(members):
+                    assert slots[i][plan.mask[i]].tobytes() == own[nbrs[p]].tobytes()
+                    empty = slots[i][~plan.mask[i]]
+                    assert empty.tobytes() == bytes(empty.nbytes)  # +0.0, not -0.0
 
     def test_ascending_run_shares_are_views_of_the_class_plan(self, small_table):
         """The patch scheduler's shares are consecutive runs that cover
@@ -652,6 +666,26 @@ class TestSweepLoop:
         calls.clear()
         al.mh_sweep(init, scene, small_table, lat, mcfg, sweep=7)
         assert calls == steps([7])
+
+    @pytest.mark.parametrize("lat_shape", [(4, 4), (4, 5)])
+    def test_every_driver_refuses_a_lattice_of_another_shape(self, small_table, lat_shape):
+        """An 8x2 scene on a 4x4 lattice (same region count, wrong
+        neighbors) or a 4x5 one is refused, naming both shapes, before any
+        sweep."""
+        rng = np.random.default_rng(24)
+        scene = random_scene(small_table, rng, 8, 2)
+        lat = al.build_lattice(*lat_shape)
+        hyper = al.HyperParams.uniform(3)
+        init = al.init_state(scene, small_table, "flat", hyper)
+        cfg = al.SolverConfig(hyper=hyper, seed=3, max_sweeps=2)
+        mcfg = al.McmcConfig(hyper=hyper, iterations=2, burn_in=1, thin=1, seed=3)
+        drivers = [lambda: al.run_map(scene, small_table, lat, cfg, init),
+                   lambda: al.run_map_parallel(scene, small_table, lat, cfg, 2, init),
+                   lambda: al.run_mcmc(scene, small_table, lat, mcfg, init),
+                   lambda: al.mh_sweep(init, scene, small_table, lat, mcfg)]
+        for run in drivers:
+            with pytest.raises(al.ConfigurationError, match=r"lattice 4x[45] .*scene's 8x2"):
+                run()
 
 
 class TestRunMap:

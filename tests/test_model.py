@@ -8,7 +8,8 @@ import pytest
 import aodlattice as al
 from aodlattice import map_solver
 from aodlattice.map_solver import Workspace
-from aodlattice.model import _assemble_terms, _misfit, aod_domain, log_posterior_terms
+from aodlattice.model import (MAX_REGIONS, RADIANCE_MAX, _assemble_terms, _misfit, aod_domain,
+                              check_lattice_sides, log_posterior_terms)
 
 from conftest import random_scene, random_state, rebalance
 from oracles import oracle_chi2_region, oracle_log_posterior
@@ -31,11 +32,28 @@ class TestBuildLattice:
         with pytest.raises(al.ConfigurationError):
             al.build_lattice(2, 1)
 
+    def test_region_cap(self):
+        """One rule bounds every lattice: a scene, a truth grid or a
+        lattice past MAX_REGIONS regions is refused before any allocation;
+        one at the cap passes, and a side below 2 is refused."""
+        check_lattice_sides(2, MAX_REGIONS // 2)
+        for width, height in ((2, MAX_REGIONS // 2 + 1), (10**7, 16), (10**30, 2)):
+            with pytest.raises(al.ConfigurationError, match="MAX_REGIONS"):
+                al.build_lattice(width, height)
+            with pytest.raises(al.ConfigurationError, match="MAX_REGIONS"):
+                al.gen_truth(width, height, 3)
+            with pytest.raises(al.ConfigurationError, match="MAX_REGIONS"):
+                al.Scene(width, height, 4, np.zeros((1, 4)), np.ones(4, dtype=bool)).validate()
+        with pytest.raises(al.ConfigurationError, match=">= 2"):
+            al.Scene(4, 1, 4, np.zeros((4, 4)), np.ones(4, dtype=bool)).validate()
+
     def test_symmetry(self):
+        """q is p's neighbor exactly when p is q's; every other slot is P."""
         lat = al.build_lattice(5, 4)
-        for p in range(lat.n_regions):
-            for q in lat.nbr_index[p][lat.nbr_mask[p]]:
-                assert p in lat.nbr_index[q][lat.nbr_mask[q]]
+        P = lat.n_regions
+        for p in range(P):
+            for q in lat.nbr_index[p]:
+                assert q == P or p in lat.nbr_index[q]
 
     def test_edge_count_identity_random_shapes(self):
         rng = np.random.default_rng(0)
@@ -78,30 +96,22 @@ class TestBuildLattice:
             w = int(rng.integers(2, 12))
             h = int(rng.integers(2, 12))
             lat = al.build_lattice(w, h)
-            nbrs, edges, classes = [], [], ([], [])
+            P = w * h
+            slots, edges, classes = [], [], ([], [])
             for r in range(h):
                 for c in range(w):
                     p = r * w + c
                     classes[(r + c) % 2].append(p)
-                    lst = []
-                    if r > 0:
-                        lst.append(p - w)
-                    if c > 0:
-                        lst.append(p - 1)
+                    slots.append([p - w if r > 0 else P, p - 1 if c > 0 else P,
+                                  p + 1 if c < w - 1 else P, p + w if r < h - 1 else P])
                     if c < w - 1:
-                        lst.append(p + 1)
                         edges.append((p, p + 1))
                     if r < h - 1:
-                        lst.append(p + w)
                         edges.append((p, p + w))
-                    nbrs.append(lst)
-            assert [lat.nbr_index[p][lat.nbr_mask[p]].tolist() for p in range(w * h)] == nbrs
+            assert lat.nbr_index.tolist() == slots  # an empty slot holds P
             assert lat.edges.tolist() == [list(e) for e in edges]
             assert [members.tolist() for members in lat.classes] == list(classes)
-            assert lat.n_p.tolist() == [len(lst) for lst in nbrs]
-            rows = np.arange(w * h)[:, None]
-            assert np.all(lat.nbr_index[~lat.nbr_mask] == np.broadcast_to(rows, (w * h, 4))[
-                ~lat.nbr_mask])
+            assert lat.n_p.tolist() == [sum(q < P for q in row) for row in slots]
 
 
 def _kernel_chi2(scene, state, table):
@@ -389,6 +399,16 @@ class TestValidation:
         nomask = al.Scene(3, 3, 4, scene.radiance, np.zeros(4, dtype=bool))
         with pytest.raises(al.ConfigurationError):
             nomask.validate()
+        for cell, ok in ((RADIANCE_MAX, True), (np.nextafter(RADIANCE_MAX, np.inf), False),
+                         (np.inf, False), (np.nan, False)):
+            radiance = scene.radiance.copy()
+            radiance[4, 2] = cell
+            edge = al.Scene(3, 3, 4, radiance, np.ones(4, dtype=bool))
+            if ok:
+                edge.validate()
+            else:
+                with pytest.raises(al.ConfigurationError, match="RADIANCE_MAX"):
+                    edge.validate()
         nosize = al.Scene(3, 3, 4, scene.radiance, np.ones(4, dtype=bool),
                           region_size_km=float("nan"))
         with pytest.raises(al.ConfigurationError, match="region_size_km"):
